@@ -19,7 +19,7 @@ fn main() {
     let mean = |kind: SchedulerKind| {
         let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(3)).run();
         assert!(!res.deadlocked);
-        res.response_times.mean()
+        res.response_ms().mean()
     };
     assert!(mean(SchedulerKind::Pmat) < mean(SchedulerKind::Mat));
 

@@ -346,7 +346,7 @@ pub fn contention_experiment_with_threads(
                 .iter()
                 .map(|&k| {
                     openloop_run(grid, rps, rf, k, false)
-                        .latency
+                        .latency_ns()
                         .p95_ns()
                         .unwrap_or(0)
                 })
@@ -417,11 +417,11 @@ pub fn contention_experiment_with_threads(
     assert!(!hinted.deadlocked, "hinted PMAT stalled on fig1");
     let pmat = PmatFeedbackRow {
         hot_mutexes: hints.hot_count() as u64,
-        base_p95_ns: probe.latency.p95_ns().unwrap_or(0),
-        base_mean_ns: probe.latency.mean_ns(),
+        base_p95_ns: probe.latency_ns().p95_ns().unwrap_or(0),
+        base_mean_ns: probe.latency_ns().mean_ns(),
         base_makespan_ns: probe.makespan.as_nanos(),
-        hinted_p95_ns: hinted.latency.p95_ns().unwrap_or(0),
-        hinted_mean_ns: hinted.latency.mean_ns(),
+        hinted_p95_ns: hinted.latency_ns().p95_ns().unwrap_or(0),
+        hinted_mean_ns: hinted.latency_ns().mean_ns(),
         hinted_makespan_ns: hinted.makespan.as_nanos(),
     };
 

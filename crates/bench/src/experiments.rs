@@ -8,7 +8,9 @@
 use crate::table::Table;
 use dmt_core::SchedulerKind;
 use dmt_groupcomm::NetConfig;
-use dmt_replica::{check_determinism, run_sharded, Engine, EngineConfig, PerfCounters, RunResult};
+use dmt_replica::{
+    check_determinism, run_sharded, Engine, EngineConfig, FaultPlan, PerfCounters, RunResult,
+};
 use dmt_sim::SimDuration;
 use dmt_workload::{bank, buffer, fig1, fig2, fig3};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -394,12 +396,12 @@ pub fn fig1_experiment_with_opts(
         |job| {
             let n = client_counts[job / kinds.len()];
             let kind = kinds[job % kinds.len()];
-            let mut res = fig1_point(n, requests_per_client, kind, shards);
+            let mut rt = fig1_point(n, requests_per_client, kind, shards).response_ms();
             [
-                ms(res.response_times.mean()),
-                ms(res.response_times.percentile(50.0)),
-                ms(res.response_times.percentile(95.0)),
-                ms(res.response_times.percentile(99.0)),
+                ms(rt.mean()),
+                ms(rt.percentile(50.0)),
+                ms(rt.percentile(95.0)),
+                ms(rt.percentile(99.0)),
             ]
         },
     );
@@ -489,7 +491,7 @@ pub fn fig2_experiment(final_ms_values: &[f64]) -> Table {
         let pair = fig2::scenario(&p);
         let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(3)).run();
         assert!(!res.deadlocked);
-        res.response_times.mean()
+        res.response_ms().mean()
     });
     for (i, &f) in final_ms_values.iter().enumerate() {
         let (mat, ll) = (means[i * 2], means[i * 2 + 1]);
@@ -526,7 +528,7 @@ pub fn fig3_experiment(client_counts: &[usize]) -> Table {
         let pair = fig3::scenario(&p);
         let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(3)).run();
         assert!(!res.deadlocked);
-        res.response_times.mean()
+        res.response_ms().mean()
     });
     for (i, &n) in client_counts.iter().enumerate() {
         let p = fig3::Fig3Params {
@@ -604,7 +606,7 @@ pub fn abl_mutexes_experiment(mutex_counts: &[u32]) -> Table {
         let pair = fig1::scenario(&p);
         let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(5)).run();
         assert!(!res.deadlocked);
-        res.response_times.mean()
+        res.response_ms().mean()
     });
     for (i, &m) in mutex_counts.iter().enumerate() {
         let (mat, pmat) = (means[i * 2], means[i * 2 + 1]);
@@ -643,7 +645,7 @@ pub fn abl_overhead_experiment() -> Table {
         assert!(!res.deadlocked);
         t.push_row(vec![
             label.to_string(),
-            ms(res.response_times.mean()),
+            ms(res.response_ms().mean()),
             format!("{wall:.1}"),
         ]);
     };
@@ -697,7 +699,7 @@ pub fn abl_wan_experiment(one_way_ms: &[u64]) -> Table {
                 let cfg = EngineConfig::new(SchedulerKind::Lsa)
                     .with_seed(5)
                     .with_net(net)
-                    .with_kill(0, SimDuration::from_millis(20));
+                    .with_faults(FaultPlan::new().crash(SimDuration::from_millis(20), 0));
                 Engine::new(pair.for_kind(SchedulerKind::Lsa), cfg).run()
             }
         }
@@ -714,8 +716,8 @@ pub fn abl_wan_experiment(one_way_ms: &[u64]) -> Table {
             } else {
                 w.to_string()
             },
-            ms(lsa.response_times.mean()),
-            ms(mat.response_times.mean()),
+            ms(lsa.response_ms().mean()),
+            ms(mat.response_ms().mean()),
             lsa.ctrl_messages.to_string(),
             takeover,
         ]);

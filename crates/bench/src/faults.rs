@@ -284,7 +284,7 @@ pub fn faults_experiment_with_threads(grid: &FaultGrid, threads: usize) -> Vec<F
                 row.dup_dropped += res.net_counter("dup_dropped");
                 row.held_back += res.net_counter("held_back");
                 rec_lat.extend(recovery_latencies(&res));
-                row.worst_p99_ns = row.worst_p99_ns.max(res.latency.p99_ns().unwrap_or(0));
+                row.worst_p99_ns = row.worst_p99_ns.max(res.latency_ns().p99_ns().unwrap_or(0));
                 row.makespan_ns = row.makespan_ns.max(res.makespan.as_nanos());
             }
             rec_lat.sort_unstable();

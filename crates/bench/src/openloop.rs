@@ -126,11 +126,11 @@ pub fn openloop_experiment_with_opts(
                 read_fraction: rf,
                 kind,
                 completed: res.completed_requests,
-                p50_ns: res.latency.p50_ns().unwrap_or(0),
-                p95_ns: res.latency.p95_ns().unwrap_or(0),
-                p99_ns: res.latency.p99_ns().unwrap_or(0),
-                mean_ns: res.latency.mean_ns(),
-                max_ns: res.latency.max_ns().unwrap_or(0),
+                p50_ns: res.latency_ns().p50_ns().unwrap_or(0),
+                p95_ns: res.latency_ns().p95_ns().unwrap_or(0),
+                p99_ns: res.latency_ns().p99_ns().unwrap_or(0),
+                mean_ns: res.latency_ns().mean_ns(),
+                max_ns: res.latency_ns().max_ns().unwrap_or(0),
                 makespan_ns: res.makespan.as_nanos(),
                 submissions: res.net_counter("submissions"),
                 broadcast_legs: res.net_counter("broadcast_legs"),

@@ -146,9 +146,9 @@ fn projection(res: &ShardedRunResult) -> (u64, u64, u64, u64, u64, u64, Vec<u64>
     (
         res.completed_requests,
         res.makespan.as_nanos(),
-        res.latency.p50_ns().unwrap_or(0),
-        res.latency.p95_ns().unwrap_or(0),
-        res.latency.p99_ns().unwrap_or(0),
+        res.latency_ns().p50_ns().unwrap_or(0),
+        res.latency_ns().p95_ns().unwrap_or(0),
+        res.latency_ns().p99_ns().unwrap_or(0),
         res.shard_msgs,
         res.events_per_group.clone(),
         latency_hash(res),
@@ -247,10 +247,10 @@ pub fn shard_experiment(grid: &ShardGrid) -> ShardReport {
     ShardReport {
         completed: res.completed_requests,
         makespan_ns: res.makespan.as_nanos(),
-        p50_ns: res.latency.p50_ns().unwrap_or(0),
-        p95_ns: res.latency.p95_ns().unwrap_or(0),
-        p99_ns: res.latency.p99_ns().unwrap_or(0),
-        mean_ns: res.latency.mean_ns(),
+        p50_ns: res.latency_ns().p50_ns().unwrap_or(0),
+        p95_ns: res.latency_ns().p95_ns().unwrap_or(0),
+        p99_ns: res.latency_ns().p99_ns().unwrap_or(0),
+        mean_ns: res.latency_ns().mean_ns(),
         events_total: res.events_per_group.iter().sum(),
         events_per_group: res.events_per_group.clone(),
         latency_stream_hash: latency_hash(&res),

@@ -45,8 +45,8 @@ fn tracing_does_not_change_any_simulated_outcome() {
         );
         assert_eq!(plain.makespan, traced.makespan, "{kind}");
         assert_eq!(
-            plain.response_times.mean(),
-            traced.response_times.mean(),
+            plain.response_ms().mean(),
+            traced.response_ms().mean(),
             "{kind}"
         );
         for (a, b) in plain.traces.iter().zip(&traced.traces) {

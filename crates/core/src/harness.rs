@@ -3,35 +3,20 @@
 //!
 //! Used by unit, integration and property tests of the decision modules
 //! (the full virtual-time, multi-replica engine lives in `dmt-replica`).
-//! Execution is purely logical: runnable threads are stepped in a
-//! deterministic FIFO discipline, compute actions take zero steps, and
-//! external events (request arrivals beyond the initial burst, nested
-//! replies) are delivered one at a time whenever the replica is locally
-//! quiescent — a simple stand-in for the totally ordered message stream.
+//! The harness is a zero-latency host of the shared
+//! [`ReplicaExec`]: runnable threads are stepped in a deterministic FIFO
+//! discipline, compute actions take zero steps, and external events
+//! (request arrivals beyond the initial burst, nested replies) are
+//! delivered one at a time whenever the replica is locally quiescent — a
+//! simple stand-in for the totally ordered message stream.
 
-use crate::event::{SchedAction, SchedEvent};
+use crate::event::CtrlMsg;
+use crate::exec::{ExecHost, ReplicaExec};
 use crate::ids::ThreadId;
-use crate::obs::SchedOutput;
 use crate::scheduler::Scheduler;
-use crate::slot::SlotMap;
-use dmt_lang::{
-    Action, CompiledObject, MethodIdx, MutexId, ObjectState, RequestArgs, StepOutcome, ThreadVm,
-};
+use dmt_lang::{CompiledObject, Fault, MethodIdx, MutexId, ObjectState, RequestArgs, ServiceId};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Why a thread is currently not stepping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Blocked {
-    /// Awaiting `Admit`.
-    Admission,
-    /// Awaiting a monitor grant for `MutexId`.
-    Lock(MutexId),
-    /// In a wait set (re-acquisition of `MutexId` pending).
-    Wait(MutexId),
-    /// Awaiting its nested-invocation reply.
-    Nested,
-}
 
 /// Outcome of a harness run.
 #[derive(Debug)]
@@ -51,35 +36,69 @@ pub struct HarnessResult {
     pub deadlocked: bool,
 }
 
-struct PendingRequest {
-    method: MethodIdx,
-    args: RequestArgs,
-    dummy: bool,
+/// The harness's legs of execution: a FIFO runnable queue, free compute,
+/// and external events held back until the replica is quiescent.
+struct Logical {
+    runnable: VecDeque<ThreadId>,
+    /// Submitted but undelivered requests (the client queue), as
+    /// `(method, args, dummy)`.
+    inbox: VecDeque<(MethodIdx, RequestArgs, bool)>,
+    /// Nested invocations awaiting replies (FIFO = total order).
+    nested: VecDeque<(ThreadId, u32)>,
+    /// Method used for PDS dummy requests (no-op, zero-arg).
+    dummy_method: Option<MethodIdx>,
+}
+
+impl ExecHost for Logical {
+    type Tag = ();
+
+    fn schedule(&mut self, tid: ThreadId) {
+        self.runnable.push_back(tid);
+    }
+
+    fn resumed_inline(&mut self, tid: ThreadId) -> bool {
+        // The thread is still being stepped: drop its queue entry.
+        if let Some(pos) = self.runnable.iter().position(|&t| t == tid) {
+            self.runnable.remove(pos);
+        }
+        true
+    }
+
+    fn compute(&mut self, _tid: ThreadId, _dur_ns: u64) -> bool {
+        true
+    }
+
+    fn nested(&mut self, tid: ThreadId, call_no: u32, _service: ServiceId, _dur_ns: u64) {
+        self.nested.push_back((tid, call_no));
+    }
+
+    fn finished(&mut self, _tid: ThreadId, _tag: ()) {}
+
+    fn broadcast(&mut self, _msg: CtrlMsg) {
+        // Single-replica harness: the leader's own decisions need no
+        // echo (the engine filters self-deliveries).
+    }
+
+    fn dummy(&mut self) {
+        let method = self
+            .dummy_method
+            .expect("scheduler requested a dummy but no dummy method configured");
+        self.inbox.push_back((method, RequestArgs::empty(), true));
+    }
+
+    fn fault(&mut self, tid: ThreadId, f: Fault) {
+        // The harness drives hand-built programs; a malformed one is a
+        // test bug, so fail loudly (the replica engine, which runs
+        // client-supplied scenarios, parks the thread instead).
+        panic!("{tid} hit interpreter fault: {f}")
+    }
 }
 
 /// Drives one object replica under one scheduler, in logical steps.
 pub struct Harness {
-    program: Arc<CompiledObject>,
-    state: ObjectState,
-    scheduler: Box<dyn Scheduler>,
-    /// Method used for PDS dummy requests (no-op, zero-arg).
-    dummy_method: Option<MethodIdx>,
-    vms: SlotMap<ThreadVm>,
-    request_info: SlotMap<PendingRequest>,
-    blocked: SlotMap<Blocked>,
-    runnable: VecDeque<ThreadId>,
-    /// Submitted but undelivered requests (the client queue).
-    inbox: VecDeque<PendingRequest>,
-    /// Nested invocations awaiting replies (FIFO = total order).
-    nested: VecDeque<ThreadId>,
-    next_tid: u32,
-    next_seq: u64,
-    lock_trace: Vec<(ThreadId, MutexId)>,
+    exec: ReplicaExec<dyn Scheduler, ()>,
+    host: Logical,
     request_log: Vec<(MethodIdx, RequestArgs, bool)>,
-    finished: usize,
-    dummies: usize,
-    /// Reused action bundle: warm dispatches allocate nothing.
-    scratch: SchedOutput,
 }
 
 impl Harness {
@@ -88,50 +107,37 @@ impl Harness {
         this_mutex: MutexId,
         scheduler: Box<dyn Scheduler>,
     ) -> Self {
-        let state = ObjectState::for_object(&program, this_mutex);
         Harness {
-            program,
-            state,
-            scheduler,
-            dummy_method: None,
-            vms: SlotMap::new(),
-            request_info: SlotMap::new(),
-            blocked: SlotMap::new(),
-            runnable: VecDeque::new(),
-            inbox: VecDeque::new(),
-            nested: VecDeque::new(),
-            next_tid: 0,
-            next_seq: 0,
-            lock_trace: Vec::new(),
+            exec: ReplicaExec::new(scheduler, program, this_mutex, false),
+            host: Logical {
+                runnable: VecDeque::new(),
+                inbox: VecDeque::new(),
+                nested: VecDeque::new(),
+                dummy_method: None,
+            },
             request_log: Vec::new(),
-            finished: 0,
-            dummies: 0,
-            scratch: SchedOutput::new(),
         }
     }
 
     /// Declares the zero-arg no-op method PDS dummies should run.
     pub fn with_dummy_method(mut self, m: MethodIdx) -> Self {
         assert_eq!(
-            self.program.methods[m.index()].arity,
+            self.exec.program.methods[m.index()].arity,
             0,
             "dummy method must be zero-arg"
         );
-        self.dummy_method = Some(m);
+        self.host.dummy_method = Some(m);
         self
     }
 
     /// Queues a client request (delivered in submission order).
     pub fn submit(&mut self, method: MethodIdx, args: RequestArgs) {
-        self.inbox.push_back(PendingRequest {
-            method,
-            args,
-            dummy: false,
-        });
+        self.host.inbox.push_back((method, args, false));
     }
 
     pub fn submit_by_name(&mut self, name: &str, args: RequestArgs) {
         let m = self
+            .exec
             .program
             .method_by_name(name)
             .unwrap_or_else(|| panic!("no method named {name}"));
@@ -143,461 +149,44 @@ impl Harness {
     /// endless dummy loop) should fail loudly, not hang the suite.
     pub fn run(mut self) -> HarnessResult {
         let mut deliveries: u64 = 0;
-        let delivery_cap = 10_000 + 1_000 * (self.next_tid as u64 + self.inbox.len() as u64 + 10);
+        let delivery_cap =
+            10_000 + 1_000 * (self.request_log.len() as u64 + self.host.inbox.len() as u64 + 10);
         loop {
             deliveries += 1;
             assert!(
                 deliveries < delivery_cap,
                 "livelock: {} deliveries under {:?} (finished {}/{}, inbox {}, nested {})",
                 deliveries,
-                self.scheduler.kind(),
-                self.finished,
-                self.next_tid,
-                self.inbox.len(),
-                self.nested.len(),
+                self.exec.sched.kind(),
+                self.exec.finished,
+                self.request_log.len(),
+                self.host.inbox.len(),
+                self.host.nested.len(),
             );
-            while let Some(tid) = self.runnable.pop_front() {
-                self.step_thread(tid);
+            while let Some(tid) = self.host.runnable.pop_front() {
+                self.exec.step(&mut self.host, tid);
             }
             // Locally quiescent: deliver the next external event.
-            if let Some(req) = self.inbox.pop_front() {
-                self.deliver_request(req);
+            if let Some((method, args, dummy)) = self.host.inbox.pop_front() {
+                let seq = self.request_log.len() as u64;
+                self.request_log.push((method, args.clone(), dummy));
+                self.exec
+                    .arrive(&mut self.host, seq, method, args, dummy, ());
                 continue;
             }
-            if let Some(tid) = self.nested.pop_front() {
-                self.dispatch(SchedEvent::NestedCompleted { tid });
+            if let Some((tid, call_no)) = self.host.nested.pop_front() {
+                self.exec.nested_reply(&mut self.host, tid, call_no);
                 continue;
             }
             break;
         }
-        let deadlocked = self.vms.len() != self.finished || !self.request_info.is_empty();
         HarnessResult {
-            state: self.state,
-            lock_trace: self.lock_trace,
+            deadlocked: self.exec.finished as usize != self.request_log.len(),
+            dummy_threads: self.request_log.iter().filter(|r| r.2).count(),
+            finished_threads: self.exec.finished as usize,
+            state: self.exec.state,
+            lock_trace: self.exec.grants,
             request_log: self.request_log,
-            finished_threads: self.finished,
-            dummy_threads: self.dummies,
-            deadlocked,
-        }
-    }
-
-    fn deliver_request(&mut self, req: PendingRequest) {
-        let tid = ThreadId::new(self.next_tid);
-        self.next_tid += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let method = req.method;
-        let dummy = req.dummy;
-        if dummy {
-            self.dummies += 1;
-        }
-        self.request_log.push((method, req.args.clone(), dummy));
-        self.request_info.insert(tid.index(), req);
-        self.blocked.insert(tid.index(), Blocked::Admission);
-        self.dispatch(SchedEvent::RequestArrived {
-            tid,
-            method,
-            request_seq: seq,
-            dummy,
-        });
-    }
-
-    /// Feeds one event to the scheduler and applies its actions.
-    fn dispatch(&mut self, ev: SchedEvent) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        actions.clear();
-        self.scheduler.on_event(&ev, &mut actions);
-        for a in actions.actions.drain(..) {
-            match a {
-                SchedAction::Admit(tid) => {
-                    let req = self
-                        .request_info
-                        .remove(tid.index())
-                        .expect("admit for unknown request");
-                    let was = self.blocked.remove(tid.index());
-                    debug_assert_eq!(was, Some(Blocked::Admission));
-                    let vm = ThreadVm::new(self.program.clone(), req.method, req.args);
-                    self.vms.insert(tid.index(), vm);
-                    self.runnable.push_back(tid);
-                }
-                SchedAction::Resume(tid) => {
-                    match self.blocked.remove(tid.index()) {
-                        Some(Blocked::Lock(m)) | Some(Blocked::Wait(m)) => {
-                            self.lock_trace.push((tid, m));
-                        }
-                        Some(Blocked::Nested) => {}
-                        Some(Blocked::Admission) => panic!("Resume for unadmitted {tid}"),
-                        None => panic!("Resume for running thread {tid}"),
-                    }
-                    self.runnable.push_back(tid);
-                }
-                SchedAction::Broadcast(_) => {
-                    // Single-replica harness: the leader's own decisions
-                    // need no echo (the engine filters self-deliveries).
-                }
-                SchedAction::RequestDummy => {
-                    let method = self
-                        .dummy_method
-                        .expect("scheduler requested a dummy but no dummy method configured");
-                    self.inbox.push_back(PendingRequest {
-                        method,
-                        args: RequestArgs::empty(),
-                        dummy: true,
-                    });
-                }
-            }
-        }
-        self.scratch = actions;
-    }
-
-    /// Steps `tid` until it blocks or finishes.
-    fn step_thread(&mut self, tid: ThreadId) {
-        loop {
-            if self.blocked.contains(tid.index()) {
-                return; // blocked by the event just dispatched
-            }
-            let vm = self
-                .vms
-                .get_mut(tid.index())
-                .expect("runnable thread has a VM");
-            match vm.step(&mut self.state) {
-                StepOutcome::Finished => {
-                    self.finished += 1;
-                    self.dispatch(SchedEvent::ThreadFinished { tid });
-                    return;
-                }
-                // The harness drives hand-built programs; a malformed one
-                // is a test bug, so fail loudly (the replica engine, which
-                // runs client-supplied scenarios, parks the thread
-                // instead).
-                StepOutcome::Faulted(f) => panic!("{tid} hit interpreter fault: {f}"),
-                StepOutcome::Action(action) => match action {
-                    Action::Compute { .. } => {
-                        // Zero logical cost.
-                    }
-                    Action::Lock { sync_id, mutex } => {
-                        self.blocked.insert(tid.index(), Blocked::Lock(mutex));
-                        self.dispatch(SchedEvent::LockRequested {
-                            tid,
-                            sync_id,
-                            mutex,
-                        });
-                        // If granted synchronously, the Resume already
-                        // removed the block marker and re-queued the
-                        // thread; avoid double-queueing by returning.
-                        if !self.blocked.contains(tid.index()) {
-                            self.dequeue_duplicate(tid);
-                            continue;
-                        }
-                        return;
-                    }
-                    Action::Unlock { sync_id, mutex } => {
-                        self.dispatch(SchedEvent::Unlocked {
-                            tid,
-                            sync_id,
-                            mutex,
-                        });
-                    }
-                    Action::Wait { mutex } => {
-                        assert!(
-                            self.scheduler.sync_core().holds(tid, mutex),
-                            "{tid} called wait without holding {mutex}"
-                        );
-                        self.blocked.insert(tid.index(), Blocked::Wait(mutex));
-                        self.dispatch(SchedEvent::WaitCalled { tid, mutex });
-                        if !self.blocked.contains(tid.index()) {
-                            self.dequeue_duplicate(tid);
-                            continue;
-                        }
-                        return;
-                    }
-                    Action::Notify { mutex, all } => {
-                        assert!(
-                            self.scheduler.sync_core().holds(tid, mutex),
-                            "{tid} called notify without holding {mutex}"
-                        );
-                        self.dispatch(SchedEvent::NotifyCalled { tid, mutex, all });
-                    }
-                    Action::Nested { .. } => {
-                        self.blocked.insert(tid.index(), Blocked::Nested);
-                        self.nested.push_back(tid);
-                        self.dispatch(SchedEvent::NestedStarted { tid });
-                        if !self.blocked.contains(tid.index()) {
-                            self.dequeue_duplicate(tid);
-                            continue;
-                        }
-                        return;
-                    }
-                    Action::LockInfo { sync_id, mutex } => {
-                        self.dispatch(SchedEvent::LockInfo {
-                            tid,
-                            sync_id,
-                            mutex,
-                        });
-                    }
-                    Action::Ignore { sync_id } => {
-                        self.dispatch(SchedEvent::SyncIgnored { tid, sync_id });
-                    }
-                },
-            }
-        }
-    }
-
-    /// A synchronous Resume re-queued a thread that is already being
-    /// stepped; drop the duplicate queue entry.
-    fn dequeue_duplicate(&mut self, tid: ThreadId) {
-        if let Some(pos) = self.runnable.iter().position(|&t| t == tid) {
-            self.runnable.remove(pos);
-        }
-    }
-}
-
-/// Runs a set of independent harnesses — one scheduler instance each,
-/// one object-space partition each — on up to `workers` scoped threads,
-/// returning results in partition order. The worker count is pure
-/// parallelism: each [`Harness::run`] is a closed deterministic
-/// computation, and results are slotted by partition index, so the
-/// output is byte-identical for any `workers` value. This is the
-/// logical-step analogue of the virtual-time shard coordinator in
-/// dmt-replica.
-pub fn run_partitioned(shards: Vec<Harness>, workers: usize) -> Vec<HarnessResult> {
-    let n = shards.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        return shards.into_iter().map(Harness::run).collect();
-    }
-    let k = n.div_ceil(workers);
-    let mut chunks: Vec<Vec<Harness>> = Vec::new();
-    let mut it = shards.into_iter();
-    loop {
-        let chunk: Vec<Harness> = it.by_ref().take(k).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    let mut results = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| s.spawn(move || chunk.into_iter().map(Harness::run).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            results.extend(h.join().expect("harness shard worker panicked"));
-        }
-    });
-    results
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ids::ReplicaId;
-    use crate::scheduler::{make_scheduler, SchedConfig, SchedulerKind};
-    use dmt_lang::ast::{CondExpr, IntExpr, MutexExpr};
-    use dmt_lang::{compile, ObjectBuilder, Value};
-
-    /// Counter object: `inc(delta)` adds under `this`; `noop()` for dummies.
-    fn counter() -> Arc<CompiledObject> {
-        let mut ob = ObjectBuilder::new("Counter");
-        let c = ob.cell();
-        let mut m = ob.method("inc", 1);
-        m.sync(MutexExpr::This, |b| {
-            b.update(c, IntExpr::Arg(0));
-        });
-        m.done();
-        let noop = ob.method("noop", 0);
-        noop.done();
-        compile::compile(&ob.build())
-    }
-
-    fn run_counter(kind: SchedulerKind, n: usize) -> HarnessResult {
-        let program = counter();
-        let cfg = SchedConfig::new(kind, ReplicaId::new(0));
-        let mut h = Harness::new(program.clone(), MutexId::new(0), make_scheduler(&cfg))
-            .with_dummy_method(program.method_by_name("noop").unwrap());
-        for i in 0..n {
-            h.submit_by_name("inc", RequestArgs::new(vec![Value::Int(i as i64 + 1)]));
-        }
-        h.run()
-    }
-
-    #[test]
-    fn every_scheduler_completes_the_counter_workload() {
-        for kind in SchedulerKind::ALL {
-            let res = run_counter(kind, 10);
-            assert!(!res.deadlocked, "{kind} deadlocked");
-            assert!(
-                res.finished_threads >= 10,
-                "{kind} finished {}",
-                res.finished_threads
-            );
-            // Sum 1..=10 regardless of scheduler.
-            assert_eq!(res.state.cells()[0], 55, "{kind} corrupted state");
-            // Every real thread took exactly one lock.
-            let real_locks = res.lock_trace.len();
-            assert_eq!(real_locks, 10, "{kind} lock count {real_locks}");
-        }
-    }
-
-    #[test]
-    fn partitioned_dispatch_is_worker_count_independent() {
-        // One scheduler instance per partition, any worker count →
-        // identical per-partition results in partition order.
-        let build = || -> Vec<Harness> {
-            (0..5usize)
-                .map(|p| {
-                    let program = counter();
-                    let cfg = SchedConfig::new(SchedulerKind::Mat, ReplicaId::new(0));
-                    let mut h =
-                        Harness::new(program.clone(), MutexId::new(0), make_scheduler(&cfg))
-                            .with_dummy_method(program.method_by_name("noop").unwrap());
-                    for i in 0..(3 + p) {
-                        h.submit_by_name("inc", RequestArgs::new(vec![Value::Int(i as i64 + 1)]));
-                    }
-                    h
-                })
-                .collect()
-        };
-        let serial = run_partitioned(build(), 1);
-        for workers in [2, 3, 5, 8] {
-            let par = run_partitioned(build(), workers);
-            assert_eq!(par.len(), serial.len());
-            for (p, (a, b)) in par.iter().zip(&serial).enumerate() {
-                assert_eq!(
-                    a.lock_trace, b.lock_trace,
-                    "partition {p}, workers {workers}"
-                );
-                assert_eq!(a.state.cells(), b.state.cells());
-                assert_eq!(a.finished_threads, b.finished_threads);
-            }
-        }
-    }
-
-    #[test]
-    fn seq_and_sat_lock_in_arrival_order() {
-        for kind in [SchedulerKind::Seq, SchedulerKind::Sat] {
-            let res = run_counter(kind, 5);
-            let tids: Vec<u32> = res.lock_trace.iter().map(|&(t, _)| t.0).collect();
-            assert_eq!(tids, vec![0, 1, 2, 3, 4], "{kind}");
-        }
-    }
-
-    #[test]
-    fn pds_dummy_requests_fill_the_pool() {
-        // batch_size 4 with only 2 real requests → dummies must appear.
-        let program = counter();
-        let cfg = SchedConfig::new(SchedulerKind::Pds, ReplicaId::new(0));
-        let mut h = Harness::new(program.clone(), MutexId::new(0), make_scheduler(&cfg))
-            .with_dummy_method(program.method_by_name("noop").unwrap());
-        h.submit_by_name("inc", RequestArgs::new(vec![Value::Int(1)]));
-        h.submit_by_name("inc", RequestArgs::new(vec![Value::Int(2)]));
-        let res = h.run();
-        assert!(!res.deadlocked);
-        assert_eq!(res.state.cells()[0], 3);
-        assert!(
-            res.dummy_threads >= 2,
-            "expected dummies, got {}",
-            res.dummy_threads
-        );
-    }
-
-    /// Bounded-buffer object exercising condition variables.
-    fn buffer(capacity: i64) -> Arc<CompiledObject> {
-        let mut ob = ObjectBuilder::new("Buffer");
-        let count = ob.cell();
-        let mut put = ob.method("put", 0);
-        put.sync_wait_until(MutexExpr::This, CondExpr::CellLt(count, capacity), |b| {
-            b.add(count, 1);
-            b.notify_all(MutexExpr::This);
-        });
-        put.done();
-        let mut take = ob.method("take", 0);
-        take.sync_wait_until(MutexExpr::This, CondExpr::CellGe(count, 1), |b| {
-            b.add(count, -1);
-            b.notify_all(MutexExpr::This);
-        });
-        take.done();
-        compile::compile(&ob.build())
-    }
-
-    #[test]
-    fn condition_variables_work_under_concurrent_schedulers() {
-        // Take arrives before put: the taker must wait and be woken.
-        for kind in [
-            SchedulerKind::Sat,
-            SchedulerKind::Mat,
-            SchedulerKind::MatLL,
-            SchedulerKind::Pmat,
-            SchedulerKind::Lsa,
-            SchedulerKind::Free,
-        ] {
-            let program = buffer(2);
-            let cfg = SchedConfig::new(kind, ReplicaId::new(0));
-            let mut h = Harness::new(program, MutexId::new(0), make_scheduler(&cfg));
-            h.submit_by_name("take", RequestArgs::empty());
-            h.submit_by_name("put", RequestArgs::empty());
-            let res = h.run();
-            assert!(!res.deadlocked, "{kind} deadlocked on CV handoff");
-            assert_eq!(res.state.cells()[0], 0, "{kind}");
-            assert_eq!(res.finished_threads, 2, "{kind}");
-        }
-    }
-
-    #[test]
-    fn seq_deadlocks_on_wait_as_the_paper_warns() {
-        let program = buffer(2);
-        let cfg = SchedConfig::new(SchedulerKind::Seq, ReplicaId::new(0));
-        let mut h = Harness::new(program, MutexId::new(0), make_scheduler(&cfg));
-        h.submit_by_name("take", RequestArgs::empty());
-        h.submit_by_name("put", RequestArgs::empty());
-        let res = h.run();
-        assert!(
-            res.deadlocked,
-            "SEQ must deadlock: nothing can notify the waiting taker"
-        );
-    }
-
-    /// Object whose method computes, nests, and locks — exercises nested
-    /// invocation handling.
-    fn nester() -> Arc<CompiledObject> {
-        let mut ob = ObjectBuilder::new("Nester");
-        let c = ob.cell();
-        let mut m = ob.method("work", 0);
-        m.compute_ms(1);
-        m.nested(dmt_lang::ServiceId::new(0), dmt_lang::DurExpr::millis(12));
-        m.sync(MutexExpr::This, |b| {
-            b.add(c, 1);
-        });
-        m.done();
-        let noop = ob.method("noop", 0);
-        noop.done();
-        compile::compile(&ob.build())
-    }
-
-    #[test]
-    fn nested_invocations_complete_under_all_schedulers() {
-        for kind in SchedulerKind::ALL {
-            let program = nester();
-            let cfg = SchedConfig::new(kind, ReplicaId::new(0));
-            let mut h = Harness::new(program.clone(), MutexId::new(0), make_scheduler(&cfg))
-                .with_dummy_method(program.method_by_name("noop").unwrap());
-            for _ in 0..4 {
-                h.submit_by_name("work", RequestArgs::empty());
-            }
-            let res = h.run();
-            assert!(!res.deadlocked, "{kind}");
-            assert_eq!(res.state.cells()[0], 4, "{kind}");
-        }
-    }
-
-    #[test]
-    fn identical_runs_produce_identical_traces() {
-        for kind in SchedulerKind::ALL {
-            let a = run_counter(kind, 8);
-            let b = run_counter(kind, 8);
-            assert_eq!(a.lock_trace, b.lock_trace, "{kind} not replay-stable");
-            assert_eq!(a.state.state_hash(), b.state.state_hash());
         }
     }
 }

@@ -17,13 +17,15 @@
 //!   plus [`free`], the nondeterministic negative control.
 //!
 //! Shared monitor mechanics (reentrant Java-style mutexes with 1:1
-//! condition variables) live in [`sync_core`]. A lightweight logical
-//! harness ([`harness`]) drives real `dmt-lang` programs through a
-//! scheduler for unit and property testing; the full virtual-time replica
-//! engine lives in `dmt-replica`.
+//! condition variables) live in [`sync_core`]. One replica executor
+//! ([`exec`]) turns thread actions into scheduler events and applies the
+//! decisions; a lightweight logical harness ([`harness`]) hosts it for
+//! unit and property testing, and the full virtual-time replica engine in
+//! `dmt-replica` hosts one per replica.
 
 pub mod bookkeeping;
 pub mod event;
+pub mod exec;
 pub mod free;
 pub mod harness;
 pub mod ids;
@@ -40,6 +42,7 @@ pub mod sync_core;
 
 pub use bookkeeping::{Bookkeeping, EntryState, LockTable, StaticSyncEntry};
 pub use event::{CtrlMsg, SchedAction, SchedEvent};
+pub use exec::{Blocked, ExecHost, ReplicaExec};
 pub use ids::{ReplicaId, ThreadId};
 pub use obs::{ContentionHints, Decision, DeferReason, DepthSample, SchedOutput};
 pub use scheduler::{

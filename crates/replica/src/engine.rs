@@ -14,13 +14,11 @@ use crate::fault::{FaultKind, FaultPlan, FaultRecord, FaultRecordKind};
 use crate::msg::{ClientScript, GcMsg, RequestId, Scenario};
 use crate::trace::ExecutionTrace;
 use dmt_core::{
-    DenseSet, ReplicaId, SchedAction, SchedConfig, SchedEvent, SchedOutput, Scheduler,
-    SchedulerKind, SlotMap, ThreadId,
+    AnyScheduler, CtrlMsg, ExecHost, ReplicaExec, ReplicaId, SchedConfig, SchedEvent, SchedOutput,
+    Scheduler, SchedulerKind, SlotMap, ThreadId,
 };
 use dmt_groupcomm::{Delivery, GroupComm, NetConfig, NodeId, Sequenced};
-use dmt_lang::{
-    Action, Fault, MethodIdx, MutexId, ObjectState, RequestArgs, StepOutcome, ThreadVm, VmPool,
-};
+use dmt_lang::{MethodIdx, MutexId, RequestArgs, ServiceId};
 use dmt_obs::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceRecord, Tracer};
 use dmt_sim::{EventQueue, Histogram, LogHistogram, SimDuration, SimTime, SplitMix64};
 
@@ -36,18 +34,8 @@ pub struct EngineConfig {
     pub pds: dmt_core::PdsConfig,
     /// Safety cap on virtual time.
     pub max_time: SimDuration,
-    /// Kill this replica at the given instant (failure injection).
-    pub kill_at: Option<(usize, SimDuration)>,
     /// Leader-failure detection delay for LSA failover.
     pub detect_delay: SimDuration,
-    /// Deliver nested-invocation *wake-ups* only while the replica has no
-    /// runnable thread — an experimentation knob kept from the
-    /// development of the MAT promotion rule. It is no longer needed for
-    /// correctness (MAT's token now parks on suspended candidates instead
-    /// of consulting the replica-dependent "is it awake" predicate), so
-    /// it defaults to off; flipping it on measures what logical-time
-    /// event gating costs.
-    pub quiescent_delivery: bool,
     /// Record a structured trace (scheduler decisions, request
     /// lifecycle, group-comm legs, mutex releases) through
     /// [`EngineConfig::trace_sink`] — by default a bounded in-memory
@@ -138,9 +126,7 @@ impl EngineConfig {
             cpu_jitter: 0.0,
             pds: dmt_core::PdsConfig::default(),
             max_time: SimDuration::from_secs(3600),
-            kill_at: None,
             detect_delay: SimDuration::from_millis(5),
-            quiescent_delivery: false,
             trace: false,
             trace_sink: dmt_obs::TraceSinkSpec::default(),
             hints: dmt_core::ContentionHints::new(),
@@ -234,11 +220,6 @@ impl EngineConfig {
         self
     }
 
-    pub fn with_kill(mut self, replica: usize, at: SimDuration) -> Self {
-        self.kill_at = Some((replica, at));
-        self
-    }
-
     /// Installs a deterministic failure schedule (see [`FaultPlan`]).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
@@ -293,7 +274,7 @@ pub struct PerfCounters {
     /// ns/event comparable across batching modes.
     pub batched_steps: u64,
     /// Ring steps executed inline by the same-instant grant fusion in
-    /// `step_thread` (a subset of [`Self::batched_steps`]): the granted
+    /// the step loop (a subset of [`Self::batched_steps`]): the granted
     /// thread kept stepping instead of bouncing through the `process`
     /// drain. Host-cost accounting only — the fused step is still one
     /// event, so every model-visible counter is unchanged.
@@ -361,14 +342,8 @@ impl RequestLatency {
 pub struct RunResult {
     /// Per-replica traces (dead replicas keep their pre-kill trace).
     pub traces: Vec<ExecutionTrace>,
-    /// Client-observed response times (ms).
-    pub response_times: Histogram,
-    /// The same latencies in the fixed-bucket log-scale histogram
-    /// (integer nanoseconds): deterministic p50/p95/p99 for the
-    /// open-loop experiments.
-    pub latency: LogHistogram,
     /// Per-request enqueue→reply timestamps, in completion order
-    /// (virtual-time deterministic).
+    /// (virtual-time deterministic) — the one record of request latency.
     pub latencies: Vec<RequestLatency>,
     /// Completed real requests (first-reply semantics).
     pub completed_requests: u64,
@@ -398,8 +373,9 @@ pub struct RunResult {
     /// Host-side cost of this run (simulator throughput meters).
     pub perf: PerfCounters,
     /// Unified metrics snapshot: engine perf counters, group-comm
-    /// traffic (the former `net_stats` field, as `net.*` counters),
-    /// request-latency histogram, and — when depth sampling is on — the
+    /// traffic (the former `net_stats` field, as `net.*` counters), the
+    /// request-latency histogram (`latency.request_ns`, filled from
+    /// [`Self::latencies`]), and — when depth sampling is on — the
     /// `depth.*` queue-depth histograms. Name-sorted, merges
     /// commutatively across runs.
     pub metrics: MetricsSnapshot,
@@ -418,60 +394,116 @@ impl RunResult {
     pub fn net_legs(&self) -> u64 {
         self.net_counter("submissions") + self.net_counter("broadcast_legs")
     }
+
+    /// Client-observed response times in milliseconds, in completion
+    /// order: the f64 view of [`Self::latencies`] the figure tables use.
+    pub fn response_ms(&self) -> Histogram {
+        let mut h = Histogram::with_capacity(self.latencies.len());
+        for l in &self.latencies {
+            h.add(l.latency().as_millis_f64());
+        }
+        h
+    }
+
+    /// The log-scale request-latency histogram out of the metrics
+    /// snapshot (integer nanoseconds): deterministic p50/p95/p99.
+    pub fn latency_ns(&self) -> &LogHistogram {
+        self.metrics
+            .histogram(REQUEST_LATENCY)
+            .expect("every run exports its request latency")
+    }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Blocked {
-    Admission,
-    Lock(MutexId),
-    Wait(MutexId),
-    Nested,
-    /// The interpreter faulted (malformed program). The thread is parked
-    /// permanently: the run ends deadlocked with this entry in
-    /// [`RunResult::stuck_threads`] instead of aborting the process, and
-    /// identically so on every replica (the fault is part of the
-    /// deterministic execution).
-    Faulted(Fault),
+/// Metrics name of the request-latency histogram.
+pub(crate) const REQUEST_LATENCY: &str = "latency.request_ns";
+
+/// One replica: the shared executor over the statically dispatched
+/// scheduler sum type (`on_event` is a direct, inlineable match instead
+/// of a vtable call), its requests tagged with their client id (`None`
+/// for dummies).
+type Rep = ReplicaExec<AnyScheduler, Option<RequestId>>;
+
+/// One full simulation. Construct, then [`Engine::run`].
+pub struct Engine {
+    host: Host,
+    reps: Vec<Rep>,
 }
 
-struct PendingRequest {
-    method: MethodIdx,
-    args: RequestArgs,
-    id: Option<RequestId>,
+/// Everything of an engine but its replicas: the calendar queue, group
+/// communication, client and request bookkeeping, tracer, metrics and
+/// shard outbox. Kept apart so a replica's executor can borrow it as its
+/// [`ExecHost`] (see [`Leg`]).
+struct Host {
+    cfg: EngineConfig,
+    scenario: Scenario,
+    queue: EventQueue<Ev>,
+    gc: GroupComm<GcMsg>,
+    /// Per-replica liveness.
+    alive: Vec<bool>,
+    /// Per-replica CPU-speed jitter streams.
+    jitter: Vec<SplitMix64>,
+    /// Request bookkeeping, indexed `[client][req_no]` (both dense).
+    req_state: Vec<SlotMap<ReqState>>,
+    client_pos: Vec<usize>,
+    completed_requests: u64,
+    latencies: Vec<RequestLatency>,
+    dummy_requests: u64,
+    dummy_counter: u32,
+    ctrl_messages: u64,
+    /// Highest nested-call number already answered per thread, to dedup
+    /// failover re-issues (call numbers are issued in order per thread).
+    replied_max: Vec<u32>,
+    leader: usize,
+    kill_time: Option<SimTime>,
+    takeover_gap: Option<SimDuration>,
+    rng: SplitMix64,
+    perf: PerfCounters,
+    /// Fault-lifecycle log (part of [`RunResult`]).
+    fault_log: Vec<FaultRecord>,
+    /// Replicas that completed crash + catch-up at least once.
+    recovered_flags: Vec<bool>,
+    /// Duplicate-delivery adversary: while `now < dup_until[n]`, every
+    /// broadcast leg to replica `n` is fanned out twice, the copy
+    /// trailing by `dup_copy_delay[n]`.
+    dup_until: Vec<SimTime>,
+    dup_copy_delay: Vec<SimDuration>,
+    /// Reordering adversary: while `now < delay_until[n]`, every second
+    /// leg to replica `n` (parity in `delay_flip[n]`) is delayed by
+    /// `delay_extra[n]`, forcing hold-back buffering.
+    delay_until: Vec<SimTime>,
+    delay_extra: Vec<SimDuration>,
+    delay_flip: Vec<bool>,
+    /// Admission batching ring: threads admitted/resumed while no other
+    /// event is due at the current instant run from here, FIFO, after the
+    /// current handler — one calendar-queue drain for the whole decision
+    /// run instead of one zero-delay push/pop per thread. The gate in
+    /// [`Host::schedule_step`] makes this order provably identical to
+    /// the queue's (time, seq) order.
+    ready: std::collections::VecDeque<(usize, ThreadId)>,
+    /// Reused broadcast fan-out buffer for [`GroupComm::sequence_into`].
+    hops_scratch: Vec<(NodeId, SimDuration)>,
+    /// Reused in-order delivery buffer for [`GroupComm::arrive_into`].
+    deliv_scratch: Vec<Delivery<GcMsg>>,
+    metrics: MetricsRegistry,
+    tracer: Tracer,
+    /// Histogram handles for queue-depth sampling (None = sampling off).
+    depth_ids: Option<DepthIds>,
+    /// `tracer.is_enabled() || depth_ids.is_some()`, cached so the
+    /// per-dispatch observation side-channel costs one branch when off.
+    observe: bool,
+    /// Cross-shard messages generated this epoch, harvested by the shard
+    /// coordinator at the next virtual-time barrier. Always empty when
+    /// [`EngineConfig::remote`] is `None`.
+    outbox: Vec<crate::shard::ShardMsg>,
+    /// Routed-in calls executing locally, indexed by the `req_no` of
+    /// their materialised [`RequestId`] (client = `REMOTE_CLIENT`).
+    remote_calls: Vec<RemoteCall>,
 }
 
-/// Per-replica state. Thread ids are assigned densely from 0 in total
-/// order, so every per-thread structure is a slot table indexed by
-/// `tid.index()` — no hashing on the per-event path (see DESIGN.md,
-/// dense-ID invariant).
-struct Rep {
-    /// The concrete scheduler sum type: `on_event` is a direct
-    /// (inlineable) match instead of a vtable call.
-    sched: dmt_core::AnyScheduler,
-    state: ObjectState,
-    vms: SlotMap<ThreadVm>,
-    /// Reset-on-reuse free list: finished threads return their VM here,
-    /// admissions recycle it (allocation-free once warm).
-    vm_pool: VmPool,
-    request_info: SlotMap<PendingRequest>,
-    blocked: SlotMap<Blocked>,
-    trace: ExecutionTrace,
-    /// Per-thread count of nested calls issued locally (tid-indexed;
-    /// counts persist after the thread finishes, matching call numbers).
-    nested_issued: Vec<u32>,
-    /// Replies delivered before the local thread issued the call
-    /// (tid-indexed; the inner list is unordered — consumed by value).
-    reply_buffer: SlotMap<Vec<u32>>,
-    /// The call number each suspended thread is waiting on, plus the
-    /// virtual duration (for failover re-issue by a new invoker).
-    awaiting: SlotMap<(u32, u64)>,
-    alive: bool,
-    jitter: SplitMix64,
-    next_tid: u32,
-    /// Threads currently runnable (admitted/resumed/computing).
-    running: DenseSet,
-    /// Held-back total-order deliveries (quiescent-delivery mode).
-    buffered: std::collections::VecDeque<(u64, GcMsg)>,
+/// The host as one replica's executor sees it while that replica runs.
+struct Leg<'a> {
+    host: &'a mut Host,
+    replica: usize,
 }
 
 #[derive(Debug)]
@@ -488,7 +520,6 @@ enum Ev {
     NestedDone {
         tid: ThreadId,
         call_no: u32,
-        dur_ns: u64,
     },
     ClientReply {
         client: u32,
@@ -498,9 +529,6 @@ enum Ev {
     ClientSubmit {
         client: u32,
         req_no: u32,
-    },
-    Kill {
-        replica: usize,
     },
     LeaderDetect {
         new_leader: usize,
@@ -557,76 +585,6 @@ struct ReqState {
     first_finish: Option<SimTime>,
 }
 
-/// One full simulation. Construct, then [`Engine::run`].
-pub struct Engine {
-    cfg: EngineConfig,
-    scenario: Scenario,
-    queue: EventQueue<Ev>,
-    gc: GroupComm<GcMsg>,
-    reps: Vec<Rep>,
-    /// Request bookkeeping, indexed `[client][req_no]` (both dense).
-    req_state: Vec<SlotMap<ReqState>>,
-    client_pos: Vec<usize>,
-    completed_requests: u64,
-    response_times: Histogram,
-    latency: LogHistogram,
-    latencies: Vec<RequestLatency>,
-    dummy_requests: u64,
-    dummy_counter: u32,
-    ctrl_messages: u64,
-    /// Highest nested-call number already answered per thread, to dedup
-    /// failover re-issues (call numbers are issued in order per thread).
-    replied_max: Vec<u32>,
-    leader: usize,
-    kill_time: Option<SimTime>,
-    takeover_gap: Option<SimDuration>,
-    rng: SplitMix64,
-    perf: PerfCounters,
-    /// Fault-lifecycle log (part of [`RunResult`]).
-    fault_log: Vec<FaultRecord>,
-    /// Replicas that completed crash + catch-up at least once.
-    recovered_flags: Vec<bool>,
-    /// Duplicate-delivery adversary: while `now < dup_until[n]`, every
-    /// broadcast leg to replica `n` is fanned out twice, the copy
-    /// trailing by `dup_copy_delay[n]`.
-    dup_until: Vec<SimTime>,
-    dup_copy_delay: Vec<SimDuration>,
-    /// Reordering adversary: while `now < delay_until[n]`, every second
-    /// leg to replica `n` (parity in `delay_flip[n]`) is delayed by
-    /// `delay_extra[n]`, forcing hold-back buffering.
-    delay_until: Vec<SimTime>,
-    delay_extra: Vec<SimDuration>,
-    delay_flip: Vec<bool>,
-    /// Admission batching ring: threads admitted/resumed while no other
-    /// event is due at the current instant run from here, FIFO, after the
-    /// current handler — one calendar-queue drain for the whole decision
-    /// run instead of one zero-delay push/pop per thread. The gate in
-    /// [`Engine::schedule_step`] makes this order provably identical to
-    /// the queue's (time, seq) order.
-    ready: std::collections::VecDeque<(usize, ThreadId)>,
-    /// Reused scheduler-output buffer for [`Engine::dispatch`]
-    /// (decision recording pre-armed when tracing is on).
-    scratch: SchedOutput,
-    /// Reused broadcast fan-out buffer for [`GroupComm::sequence_into`].
-    hops_scratch: Vec<(NodeId, SimDuration)>,
-    /// Reused in-order delivery buffer for [`GroupComm::arrive_into`].
-    deliv_scratch: Vec<Delivery<GcMsg>>,
-    metrics: MetricsRegistry,
-    tracer: Tracer,
-    /// Histogram handles for queue-depth sampling (None = sampling off).
-    depth_ids: Option<DepthIds>,
-    /// `tracer.is_enabled() || depth_ids.is_some()`, cached so the
-    /// per-dispatch observation side-channel costs one branch when off.
-    observe: bool,
-    /// Cross-shard messages generated this epoch, harvested by the shard
-    /// coordinator at the next virtual-time barrier. Always empty when
-    /// [`EngineConfig::remote`] is `None`.
-    outbox: Vec<crate::shard::ShardMsg>,
-    /// Routed-in calls executing locally, indexed by the `req_no` of
-    /// their materialised [`RequestId`] (client = `REMOTE_CLIENT`).
-    remote_calls: Vec<RemoteCall>,
-}
-
 /// An [`Engine`]'s calendar queue, detached for reuse: a shard worker
 /// threads one of these through consecutive group runs so the slab,
 /// bucket lists and heap scratch warmed by shard *k* serve shard *k+1*
@@ -664,44 +622,19 @@ impl Engine {
         queue.reset();
         queue.set_fastpath(cfg.fastpath);
         assert!(
-            cfg.remote.is_none() || (cfg.kill_at.is_none() && cfg.faults.events.is_empty()),
+            cfg.remote.is_none() || cfg.faults.events.is_empty(),
             "cross-shard routing is incompatible with fault injection: \
              failover re-issues pending nested calls from local state, \
              which cannot cover calls executing on a peer shard"
         );
         let mut rng = SplitMix64::new(cfg.seed);
         let n = cfg.n_replicas;
-        let mut gc = GroupComm::new(cfg.n_replicas, cfg.net, rng.split(0).next_u64());
+        let mut gc = GroupComm::new(n, cfg.net, rng.split(0).next_u64());
         gc.set_dedup(!cfg.broken_dedup);
         for &(node, one_way) in &cfg.node_latency {
             gc.set_node_latency(NodeId::new(node as u32), Some(one_way));
         }
-        let reps = (0..cfg.n_replicas)
-            .map(|i| {
-                let sc = SchedConfig::new(cfg.scheduler, ReplicaId::new(i as u32))
-                    .with_lock_table(scenario.lock_table.clone())
-                    .with_pds(cfg.pds)
-                    .with_leader(ReplicaId::new(0))
-                    .with_hints(cfg.hints.clone());
-                Rep {
-                    sched: dmt_core::make_scheduler_inline(&sc),
-                    state: ObjectState::for_object(&scenario.program, scenario.this_mutex()),
-                    vms: SlotMap::new(),
-                    vm_pool: VmPool::new(),
-                    request_info: SlotMap::new(),
-                    blocked: SlotMap::new(),
-                    trace: ExecutionTrace::default(),
-                    nested_issued: Vec::new(),
-                    reply_buffer: SlotMap::new(),
-                    awaiting: SlotMap::new(),
-                    alive: true,
-                    jitter: rng.split(100 + i as u64),
-                    next_tid: 0,
-                    running: DenseSet::new(),
-                    buffered: std::collections::VecDeque::new(),
-                }
-            })
-            .collect();
+        let jitter = (0..n).map(|i| rng.split(100 + i as u64)).collect();
         let req_state = (0..scenario.clients.len())
             .map(|_| SlotMap::new())
             .collect();
@@ -718,20 +651,17 @@ impl Engine {
         } else {
             Tracer::disabled()
         };
-        let mut scratch = SchedOutput::new();
-        scratch.set_recording(cfg.trace);
         let observe = tracer.is_enabled() || depth_ids.is_some();
-        Engine {
+        let host = Host {
             cfg,
             scenario,
             queue,
             gc,
-            reps,
+            alive: vec![true; n],
+            jitter,
             req_state,
             client_pos: Vec::new(),
             completed_requests: 0,
-            response_times: Histogram::new(),
-            latency: LogHistogram::new(),
             latencies: Vec::new(),
             dummy_requests: 0,
             dummy_counter: 0,
@@ -750,7 +680,6 @@ impl Engine {
             delay_extra: vec![SimDuration::ZERO; n],
             delay_flip: vec![false; n],
             ready: std::collections::VecDeque::new(),
-            scratch,
             hops_scratch: Vec::new(),
             deliv_scratch: Vec::new(),
             metrics,
@@ -759,12 +688,550 @@ impl Engine {
             observe,
             outbox: Vec::new(),
             remote_calls: Vec::new(),
+        };
+        let reps = (0..n)
+            .map(|i| {
+                let sc = &host.scenario;
+                let this = sc.this_mutex();
+                Rep::new(host.scheduler(i), sc.program.clone(), this, host.cfg.trace)
+            })
+            .collect();
+        Engine { host, reps }
+    }
+
+    /// Runs the scenario to completion.
+    pub fn run(self) -> RunResult {
+        self.run_returning_queue().0
+    }
+
+    /// [`Engine::run`], additionally handing back the calendar queue so
+    /// a shard worker can thread it through its next group run (see
+    /// [`EngineQueue`]).
+    pub fn run_returning_queue(mut self) -> (RunResult, EngineQueue) {
+        self.start();
+        let wall_start = std::time::Instant::now();
+        let cap = SimTime::ZERO + self.host.cfg.max_time;
+        let mut deadlocked = false;
+        while let Some((t, ev)) = self.host.queue.pop() {
+            if t > cap {
+                deadlocked = true;
+                break;
+            }
+            self.process(ev);
+        }
+        self.host.perf.wall_ns = wall_start.elapsed().as_nanos() as u64;
+        self.finish(deadlocked)
+    }
+
+    /// Seeds the calendar queue: client submissions (closed-loop clients
+    /// submit their first request now and chain on replies; open-loop
+    /// clients get their whole arrival schedule queued up front) and the
+    /// fault plan.
+    pub(crate) fn start(&mut self) {
+        let h = &mut self.host;
+        h.client_pos = vec![0; h.scenario.clients.len()];
+        let scripts: Vec<ClientScript> = h.scenario.clients.clone();
+        for (c, script) in scripts.iter().enumerate() {
+            match &script.arrivals {
+                Some(schedule) => {
+                    for (req_no, &at) in schedule.iter().enumerate() {
+                        h.queue.push_at(
+                            at,
+                            Ev::ClientSubmit {
+                                client: c as u32,
+                                req_no: req_no as u32,
+                            },
+                        );
+                    }
+                }
+                None => {
+                    if !script.requests.is_empty() {
+                        h.client_pos[c] = 1;
+                        h.submit_request(c as u32, 0);
+                    }
+                }
+            }
+        }
+        // Faults are ordinary calendar events: same (time, seq) total
+        // order, same replayability, as the workload they perturb.
+        for idx in 0..h.cfg.faults.events.len() {
+            let at = h.cfg.faults.events[idx].at;
+            h.queue.push_after(at, Ev::Fault { idx });
         }
     }
 
+    /// Handles one popped event and drains the admission batch: every
+    /// ring entry was gated on "no other event due now", so FIFO order
+    /// here is exactly the (time, seq) order the queue would have
+    /// produced — minus the per-thread zero-delay push/pop. Handlers may
+    /// append while we drain (cascading grants); the ring is always
+    /// empty by the time the caller pops the queue again.
+    fn process(&mut self, ev: Ev) {
+        self.host.perf.events += 1;
+        self.handle(ev);
+        while let Some((replica, tid)) = self.host.ready.pop_front() {
+            self.host.perf.events += 1;
+            self.host.perf.batched_steps += 1;
+            self.step(replica, tid);
+        }
+    }
+
+    /// Steps `tid` on `replica` through its executor, unless the replica
+    /// is down.
+    #[inline]
+    fn step(&mut self, replica: usize, tid: ThreadId) {
+        if self.host.alive[replica] {
+            let leg = &mut Leg {
+                host: &mut self.host,
+                replica,
+            };
+            self.reps[replica].step(leg, tid);
+        }
+    }
+
+    /// Epoch execution for the shard coordinator: processes every event
+    /// strictly before `limit` and stops with the queue intact.
+    /// Conservative-PDES safe: any cross-shard message generated here
+    /// carries a send time ≥ `now`, so its delivery (send + link) lands
+    /// at or after `limit` when `limit` is chosen as
+    /// `min_next_event + link` across the whole shard set.
+    pub(crate) fn run_until(&mut self, limit: SimTime) {
+        while self.host.queue.peek_time().is_some_and(|t| t < limit) {
+            let (_, ev) = self.host.queue.pop().expect("peeked non-empty");
+            self.process(ev);
+        }
+    }
+
+    /// Timestamp of this engine's next pending event.
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
+        self.host.queue.peek_time()
+    }
+
+    /// Drains this epoch's cross-shard messages into the coordinator's
+    /// buffer (appended in generation order, which is virtual-time order
+    /// within a group).
+    pub(crate) fn take_outbox(&mut self, into: &mut Vec<crate::shard::ShardMsg>) {
+        into.append(&mut self.host.outbox);
+    }
+
+    /// Delivers a routed message from a peer shard at `msg.at + link`.
+    /// Only the coordinator calls this, between epochs, in the global
+    /// `(at, from_group)` order that makes queue seq assignment — and
+    /// therefore the whole run — independent of worker count.
+    pub(crate) fn inject(&mut self, msg: crate::shard::ShardMsg, link: SimDuration) {
+        let at = msg.at + link;
+        let ev = match msg.kind {
+            crate::shard::ShardMsgKind::Call => Ev::RemoteCall {
+                from_group: msg.from_group,
+                tid: msg.tid,
+                call_no: msg.call_no,
+            },
+            crate::shard::ShardMsgKind::Reply => Ev::NestedDone {
+                tid: msg.tid,
+                call_no: msg.call_no,
+            },
+        };
+        self.host.queue.push_at(at, ev);
+    }
+
+    /// Post-run accounting: sweeps meters, computes stuck threads and
+    /// state hashes, exports the metrics snapshot, and hands back the
+    /// queue for reuse. `deadlocked` is the run loop's verdict so far
+    /// (time-cap overrun); incomplete request accounting is added here.
+    pub(crate) fn finish(mut self, mut deadlocked: bool) -> (RunResult, EngineQueue) {
+        let h = &mut self.host;
+        let mut stuck_threads = Vec::new();
+        for (i, rep) in self.reps.iter().enumerate() {
+            let (steps, fused, allocs, reuses) = rep.vm_meters();
+            h.perf.vm_steps += steps;
+            h.perf.fused_steps += fused;
+            h.perf.vm_allocs += allocs;
+            h.perf.vm_reuses += reuses;
+            h.perf.sched_events += rep.sched_events;
+            h.perf.sched_actions += rep.sched_actions;
+            if h.alive[i] {
+                for (tid, why) in rep.blocked() {
+                    stuck_threads.push((i, tid.0, format!("{why:?}")));
+                }
+            }
+        }
+        stuck_threads.sort();
+        let makespan = h.queue.now();
+        if h.completed_requests < h.scenario.total_requests() as u64 {
+            deadlocked = true;
+        }
+        // Route everything the run measured through the registry so the
+        // snapshot is the one uniform export (DESIGN.md §9). `net.*`
+        // replaces the former standalone `net_stats` field.
+        let net = *h.gc.stats();
+        for (name, v) in [
+            ("engine.events", h.perf.events),
+            ("engine.sched_events", h.perf.sched_events),
+            ("engine.sched_actions", h.perf.sched_actions),
+            ("engine.vm_steps", h.perf.vm_steps),
+            ("engine.fused_steps", h.perf.fused_steps),
+            ("engine.batched_steps", h.perf.batched_steps),
+            ("engine.wall_ns", h.perf.wall_ns),
+            ("engine.completed_requests", h.completed_requests),
+            ("engine.dummy_requests", h.dummy_requests),
+            ("engine.ctrl_messages", h.ctrl_messages),
+            ("net.submissions", net.submissions),
+            ("net.broadcast_legs", net.broadcast_legs),
+            ("net.deliveries", net.deliveries),
+            ("net.dup_dropped", net.dup_dropped),
+            ("net.held_back", net.held_back),
+        ] {
+            let id = h.metrics.counter(name);
+            h.metrics.set_counter(id, v);
+        }
+        let lat = h.metrics.histogram(REQUEST_LATENCY);
+        for l in &h.latencies {
+            h.metrics.record(lat, l.latency().as_nanos());
+        }
+        let makespan_g = h.metrics.gauge("engine.makespan_ns");
+        h.metrics.set_gauge(makespan_g, makespan.as_nanos() as i64);
+        // Trace accounting (only when tracing was on, so untraced runs
+        // keep byte-identical metric snapshots): what was retained or
+        // persisted, and what the bounded buffer/sink had to drop.
+        if h.cfg.trace {
+            h.tracer.finish();
+            for (name, v) in [
+                ("trace.recorded", h.tracer.written()),
+                ("trace.dropped", h.tracer.dropped()),
+            ] {
+                let id = h.metrics.counter(name);
+                h.metrics.set_counter(id, v);
+            }
+        }
+        let traces = self
+            .reps
+            .iter_mut()
+            .map(|r| ExecutionTrace {
+                lock_order: std::mem::take(&mut r.grants),
+                state_hash: r.state.state_hash(),
+                finished_threads: r.finished,
+            })
+            .collect();
+        let h = self.host;
+        let result = RunResult {
+            traces,
+            latencies: h.latencies,
+            completed_requests: h.completed_requests,
+            makespan,
+            dummy_requests: h.dummy_requests,
+            ctrl_messages: h.ctrl_messages,
+            deadlocked,
+            takeover_gap: h.takeover_gap,
+            stuck_threads,
+            alive: h.alive,
+            recovered: h.recovered_flags,
+            fault_log: h.fault_log,
+            perf: h.perf,
+            metrics: h.metrics.snapshot(),
+            trace_records: h.tracer.into_records(),
+        };
+        (result, EngineQueue(h.queue))
+    }
+
+    /// Records host wall time for this engine's share of a sharded run
+    /// (the shard worker measures around `start`/`run_until`; the
+    /// monolithic [`Engine::run`] times itself).
+    pub(crate) fn set_wall_ns(&mut self, ns: u64) {
+        self.host.perf.wall_ns = ns;
+    }
+
+    fn handle(&mut self, ev: Ev) {
+        let h = &mut self.host;
+        match ev {
+            Ev::SeqArrive(msg) => {
+                let mut hops = std::mem::take(&mut h.hops_scratch);
+                let sm = h.gc.sequence_into(msg, &mut hops);
+                let t = h.now_ns();
+                h.tracer
+                    .record(t, TraceRecord::NO_REPLICA, || TraceEvent::GcSequenced {
+                        seq: sm.seq,
+                    });
+                let now = h.queue.now();
+                for &(node, d) in &hops {
+                    let n = node.index();
+                    // Reordering adversary: every second leg to a node
+                    // under a delay window straggles, so later sequence
+                    // numbers overtake it and the hold-back buffer earns
+                    // its keep. Parity-based — no RNG draw consumed.
+                    let mut d_eff = d;
+                    if now < h.delay_until[n] {
+                        h.delay_flip[n] = !h.delay_flip[n];
+                        if h.delay_flip[n] {
+                            d_eff += h.delay_extra[n];
+                        }
+                    }
+                    // `sm.clone()` is a refcount bump: request args are
+                    // interned behind an Arc, so per-replica fan-out does
+                    // not copy argument vectors.
+                    h.queue.push_after(
+                        d_eff,
+                        Ev::NodeArrive {
+                            node: n,
+                            sm: sm.clone(),
+                        },
+                    );
+                    // Duplicate-delivery adversary: the copy trails the
+                    // original by a fixed offset (again no RNG draw).
+                    if now < h.dup_until[n] {
+                        h.queue.push_after(
+                            d_eff + h.dup_copy_delay[n],
+                            Ev::NodeArrive {
+                                node: n,
+                                sm: sm.clone(),
+                            },
+                        );
+                    }
+                }
+                h.hops_scratch = hops;
+            }
+            Ev::NodeArrive { node, sm } => {
+                // `deliver` never re-enters `arrive_into`, so draining the
+                // reused buffer before handing messages down is safe.
+                let mut deliveries = std::mem::take(&mut h.deliv_scratch);
+                h.gc.arrive_into(NodeId::new(node as u32), sm, &mut deliveries);
+                for d in deliveries.drain(..) {
+                    self.deliver(node, d.seq, d.msg);
+                }
+                self.host.deliv_scratch = deliveries;
+            }
+            Ev::Step { replica, tid } => self.step(replica, tid),
+            Ev::NestedDone { tid, call_no } => {
+                if h.mark_replied(tid, call_no) {
+                    let src = h.designated() as u64;
+                    h.submit_to_gc(src, GcMsg::NestedReply { tid, call_no });
+                }
+            }
+            Ev::ClientReply { client } => {
+                // Closed loop only: a reply releases the next request.
+                let c = client as usize;
+                let pos = h.client_pos[c];
+                if pos < h.scenario.clients[c].requests.len() {
+                    h.client_pos[c] = pos + 1;
+                    h.submit_request(client, pos as u32);
+                }
+            }
+            Ev::ClientSubmit { client, req_no } => h.submit_request(client, req_no),
+            Ev::Fault { idx } => {
+                let fe = h.cfg.faults.events[idx];
+                match fe.kind {
+                    FaultKind::Crash { replica } => self.kill_replica(replica),
+                    FaultKind::Recover { replica } => self.try_recover(replica),
+                    FaultKind::DuplicateWindow {
+                        replica,
+                        until,
+                        copy_delay,
+                    } => {
+                        h.dup_until[replica] = SimTime::ZERO + until;
+                        h.dup_copy_delay[replica] = copy_delay;
+                    }
+                    FaultKind::DelayWindow {
+                        replica,
+                        until,
+                        extra,
+                    } => {
+                        h.delay_until[replica] = SimTime::ZERO + until;
+                        h.delay_extra[replica] = extra;
+                    }
+                }
+            }
+            Ev::TryRecover { replica } => self.try_recover(replica),
+            Ev::RemoteCall {
+                from_group,
+                tid,
+                call_no,
+            } => {
+                // Materialise the routed-in call as a real request: it
+                // goes through the local total-order layer like any
+                // client submission, so every replica of this group
+                // executes it deterministically. FIFO source is keyed by
+                // origin group, preserving each peer's arrival order.
+                let routing = h.cfg.remote.as_ref().expect("remote call without routing");
+                let method = routing.method;
+                let idx = h.remote_calls.len() as u32;
+                h.remote_calls.push(RemoteCall {
+                    from_group,
+                    tid,
+                    call_no,
+                    done: false,
+                });
+                h.submit_to_gc(
+                    REMOTE_SRC + from_group as u64,
+                    GcMsg::Request {
+                        id: RequestId {
+                            client: REMOTE_CLIENT,
+                            req_no: idx,
+                        },
+                        method,
+                        args: RequestArgs::empty(),
+                        dummy: false,
+                    },
+                );
+            }
+            Ev::LeaderDetect { new_leader } => {
+                h.leader = new_leader;
+                let t = h.now_ns();
+                h.tracer
+                    .record(t, TraceRecord::NO_REPLICA, || TraceEvent::LeaderFailover {
+                        new_leader: new_leader as u32,
+                    });
+                h.fault_log.push(FaultRecord {
+                    at: h.queue.now(),
+                    replica: new_leader,
+                    kind: FaultRecordKind::LeaderFailover { new_leader },
+                });
+                for (replica, rep) in self.reps.iter_mut().enumerate() {
+                    if h.alive[replica] {
+                        rep.sched
+                            .on_leader_change(ReplicaId::new(new_leader as u32));
+                        rep.kick(&mut Leg {
+                            host: &mut *h,
+                            replica,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    fn kill_replica(&mut self, replica: usize) {
+        let h = &mut self.host;
+        if !h.alive[replica] {
+            return;
+        }
+        h.alive[replica] = false;
+        h.gc.kill(NodeId::new(replica as u32));
+        h.kill_time = Some(h.queue.now());
+        let t = h.now_ns();
+        h.tracer
+            .record(t, replica as u32, || TraceEvent::ReplicaCrashed);
+        h.fault_log.push(FaultRecord {
+            at: h.queue.now(),
+            replica,
+            kind: FaultRecordKind::Crashed,
+        });
+        // Leader failover (affects LSA; harmless for the others).
+        if replica == h.leader {
+            let new_leader = h.designated();
+            h.queue
+                .push_after(h.cfg.detect_delay, Ev::LeaderDetect { new_leader });
+        }
+        // Nested-invocation failover: the new invoker re-issues the
+        // external calls it has locally outstanding.
+        for (tid, call_no, dur_ns) in self.reps[h.designated()].awaiting() {
+            if !h.is_replied(tid, call_no) {
+                h.queue.push_after(
+                    SimDuration::from_nanos(dur_ns),
+                    Ev::NestedDone { tid, call_no },
+                );
+            }
+        }
+    }
+
+    /// Quiescence-gated recovery: a crashed replica rejoins by cloning
+    /// the designated survivor's object state (passive-replication
+    /// catch-up) and re-entering the broadcast at the current sequence
+    /// number. Messages sequenced during the outage were never fanned out
+    /// to the dead node — the state transfer *is* the catch-up, so the
+    /// donor must have processed everything sequenced so far (quiescent:
+    /// no runnable or blocked work, and its delivered count equals the
+    /// global sequenced count). A non-quiescent attempt re-arms itself
+    /// [`RECOVERY_RETRY`] later; both outcomes are logged, so the retry
+    /// cadence is visible in [`RunResult::fault_log`].
+    ///
+    /// The rejoining replica gets a *fresh* scheduler configured with the
+    /// current leader — sound only for kinds whose decision state is empty
+    /// at quiescence (asserted via
+    /// [`SchedulerKind::supports_recovery`]; DESIGN.md §11 carries the
+    /// per-kind argument).
+    fn try_recover(&mut self, replica: usize) {
+        let h = &mut self.host;
+        if h.alive[replica] {
+            return;
+        }
+        assert!(
+            h.cfg.scheduler.supports_recovery(),
+            "{} does not support mid-run recovery (scheduler state is not \
+             empty at quiescence — see DESIGN.md §11)",
+            h.cfg.scheduler
+        );
+        let donor = h.designated();
+        let quiescent = self.reps[donor].quiescent()
+            && h.gc.delivered_count(NodeId::new(donor as u32)) == h.gc.sequenced_count();
+        if !quiescent {
+            h.fault_log.push(FaultRecord {
+                at: h.queue.now(),
+                replica,
+                kind: FaultRecordKind::RecoveryDeferred,
+            });
+            h.queue
+                .push_after(RECOVERY_RETRY, Ev::TryRecover { replica });
+            return;
+        }
+        let from_seq = h.gc.sequenced_count();
+        let handoff = self.reps[donor].handoff();
+        self.reps[replica].rejoin(h.scheduler(replica), handoff);
+        h.alive[replica] = true;
+        h.recovered_flags[replica] = true;
+        h.gc.revive(NodeId::new(replica as u32), from_seq);
+        let t = h.now_ns();
+        h.tracer
+            .record(t, replica as u32, || TraceEvent::ReplicaRecovered {
+                from_seq,
+            });
+        h.fault_log.push(FaultRecord {
+            at: h.queue.now(),
+            replica,
+            kind: FaultRecordKind::Recovered { from_seq, donor },
+        });
+    }
+
+    /// In-order delivery of one total-order message at one replica.
+    fn deliver(&mut self, replica: usize, seq: u64, msg: GcMsg) {
+        let h = &mut self.host;
+        if !h.alive[replica] {
+            return;
+        }
+        let t = h.now_ns();
+        h.tracer
+            .record(t, replica as u32, || TraceEvent::GcDeliver { seq });
+        let rep = &mut self.reps[replica];
+        let leg = &mut Leg { host: h, replica };
+        match msg {
+            GcMsg::Request {
+                id,
+                method,
+                args,
+                dummy,
+            } => rep.arrive(leg, seq, method, args, dummy, (!dummy).then_some(id)),
+            GcMsg::NestedReply { tid, call_no } => rep.nested_reply(leg, tid, call_no),
+            GcMsg::Ctrl { from, msg } => {
+                if from.index() != replica {
+                    rep.dispatch(leg, SchedEvent::Control(msg));
+                }
+            }
+        }
+    }
+}
+
+impl Host {
     #[inline]
     fn now_ns(&self) -> u64 {
         self.queue.now().as_nanos()
+    }
+
+    /// A fresh scheduler for `replica`, following the current leader.
+    fn scheduler(&self, replica: usize) -> Box<AnyScheduler> {
+        let sc = SchedConfig::new(self.cfg.scheduler, ReplicaId::new(replica as u32))
+            .with_lock_table(self.scenario.lock_table.clone())
+            .with_pds(self.cfg.pds)
+            .with_leader(ReplicaId::new(self.leader as u32))
+            .with_hints(self.cfg.hints.clone());
+        Box::new(dmt_core::make_scheduler_inline(&sc))
     }
 
     /// True if nested call `call_no` of `tid` already has a broadcast
@@ -790,9 +1257,9 @@ impl Engine {
     /// The lowest-numbered live replica: designated nested-invocation
     /// invoker and dummy submitter.
     fn designated(&self) -> usize {
-        self.reps
+        self.alive
             .iter()
-            .position(|r| r.alive)
+            .position(|&a| a)
             .expect("no replica left alive")
     }
 
@@ -831,557 +1298,6 @@ impl Engine {
         );
     }
 
-    /// Runs the scenario to completion.
-    pub fn run(self) -> RunResult {
-        self.run_returning_queue().0
-    }
-
-    /// [`Engine::run`], additionally handing back the calendar queue so
-    /// a shard worker can thread it through its next group run (see
-    /// [`EngineQueue`]).
-    pub fn run_returning_queue(mut self) -> (RunResult, EngineQueue) {
-        self.start();
-        let wall_start = std::time::Instant::now();
-        let cap = SimTime::ZERO + self.cfg.max_time;
-        let mut deadlocked = false;
-        while let Some((t, ev)) = self.queue.pop() {
-            if t > cap {
-                deadlocked = true;
-                break;
-            }
-            self.process(ev);
-        }
-        self.perf.wall_ns = wall_start.elapsed().as_nanos() as u64;
-        self.finish(deadlocked)
-    }
-
-    /// Seeds the calendar queue: client submissions (closed-loop clients
-    /// submit their first request now and chain on replies; open-loop
-    /// clients get their whole arrival schedule queued up front), the
-    /// kill switch, and the fault plan.
-    pub(crate) fn start(&mut self) {
-        self.client_pos = vec![0; self.scenario.clients.len()];
-        let scripts: Vec<ClientScript> = self.scenario.clients.clone();
-        for (c, script) in scripts.iter().enumerate() {
-            match &script.arrivals {
-                Some(schedule) => {
-                    for (req_no, &at) in schedule.iter().enumerate() {
-                        self.queue.push_at(
-                            at,
-                            Ev::ClientSubmit {
-                                client: c as u32,
-                                req_no: req_no as u32,
-                            },
-                        );
-                    }
-                }
-                None => {
-                    if !script.requests.is_empty() {
-                        self.client_pos[c] = 1;
-                        self.submit_request(c as u32, 0);
-                    }
-                }
-            }
-        }
-        if let Some((replica, at)) = self.cfg.kill_at {
-            self.queue.push_after(at, Ev::Kill { replica });
-        }
-        // Faults are ordinary calendar events: same (time, seq) total
-        // order, same replayability, as the workload they perturb.
-        for idx in 0..self.cfg.faults.events.len() {
-            let at = self.cfg.faults.events[idx].at;
-            self.queue.push_after(at, Ev::Fault { idx });
-        }
-    }
-
-    /// Handles one popped event and drains the admission batch: every
-    /// ring entry was gated on "no other event due now", so FIFO order
-    /// here is exactly the (time, seq) order the queue would have
-    /// produced — minus the per-thread zero-delay push/pop. Handlers may
-    /// append while we drain (cascading grants); the ring is always
-    /// empty by the time the caller pops the queue again.
-    fn process(&mut self, ev: Ev) {
-        self.perf.events += 1;
-        self.handle(ev);
-        while let Some((replica, tid)) = self.ready.pop_front() {
-            self.perf.events += 1;
-            self.perf.batched_steps += 1;
-            if self.reps[replica].alive {
-                self.step_thread(replica, tid);
-                if self.cfg.quiescent_delivery {
-                    self.try_drain(replica);
-                }
-            }
-        }
-    }
-
-    /// Epoch execution for the shard coordinator: processes every event
-    /// strictly before `limit` and stops with the queue intact.
-    /// Conservative-PDES safe: any cross-shard message generated here
-    /// carries a send time ≥ `now`, so its delivery (send + link) lands
-    /// at or after `limit` when `limit` is chosen as
-    /// `min_next_event + link` across the whole shard set.
-    pub(crate) fn run_until(&mut self, limit: SimTime) {
-        while self.queue.peek_time().is_some_and(|t| t < limit) {
-            let (_, ev) = self.queue.pop().expect("peeked non-empty");
-            self.process(ev);
-        }
-    }
-
-    /// Timestamp of this engine's next pending event.
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Drains this epoch's cross-shard messages into the coordinator's
-    /// buffer (appended in generation order, which is virtual-time order
-    /// within a group).
-    pub(crate) fn take_outbox(&mut self, into: &mut Vec<crate::shard::ShardMsg>) {
-        into.append(&mut self.outbox);
-    }
-
-    /// Delivers a routed message from a peer shard at `msg.at + link`.
-    /// Only the coordinator calls this, between epochs, in the global
-    /// `(at, from_group)` order that makes queue seq assignment — and
-    /// therefore the whole run — independent of worker count.
-    pub(crate) fn inject(&mut self, msg: crate::shard::ShardMsg, link: SimDuration) {
-        let at = msg.at + link;
-        let ev = match msg.kind {
-            crate::shard::ShardMsgKind::Call => Ev::RemoteCall {
-                from_group: msg.from_group,
-                tid: msg.tid,
-                call_no: msg.call_no,
-            },
-            crate::shard::ShardMsgKind::Reply => Ev::NestedDone {
-                tid: msg.tid,
-                call_no: msg.call_no,
-                dur_ns: 0,
-            },
-        };
-        self.queue.push_at(at, ev);
-    }
-
-    /// Post-run accounting: sweeps meters, computes stuck threads and
-    /// state hashes, exports the metrics snapshot, and hands back the
-    /// queue for reuse. `deadlocked` is the run loop's verdict so far
-    /// (time-cap overrun); incomplete request accounting is added here.
-    pub(crate) fn finish(mut self, mut deadlocked: bool) -> (RunResult, EngineQueue) {
-        for rep in &self.reps {
-            self.perf.vm_allocs += rep.vm_pool.allocs();
-            self.perf.vm_reuses += rep.vm_pool.reuses();
-            // Threads still live at the end (stuck or killed replicas)
-            // never went through `finish_thread`; sweep their meters here
-            // so vm_steps/fused_steps are complete.
-            for (_, vm) in rep.vms.iter() {
-                self.perf.vm_steps += vm.steps();
-                self.perf.fused_steps += vm.fused_steps();
-            }
-        }
-        let makespan = self.queue.now();
-        let total_real: u64 = self.scenario.total_requests() as u64;
-        if self.completed_requests < total_real && !deadlocked {
-            deadlocked = true;
-        }
-        for rep in &mut self.reps {
-            rep.trace.state_hash = rep.state.state_hash();
-        }
-        let mut stuck_threads = Vec::new();
-        for (i, rep) in self.reps.iter().enumerate() {
-            if !rep.alive {
-                continue;
-            }
-            for (t, why) in rep.blocked.iter() {
-                stuck_threads.push((i, t as u32, format!("{why:?}")));
-            }
-            for &(seq, ref msg) in &rep.buffered {
-                stuck_threads.push((i, u32::MAX, format!("undelivered seq {seq}: {msg:?}")));
-            }
-        }
-        stuck_threads.sort();
-        // Route everything the run measured through the registry so the
-        // snapshot is the one uniform export (DESIGN.md §9). `net.*`
-        // replaces the former standalone `net_stats` field.
-        let net = *self.gc.stats();
-        for (name, v) in [
-            ("engine.events", self.perf.events),
-            ("engine.sched_events", self.perf.sched_events),
-            ("engine.sched_actions", self.perf.sched_actions),
-            ("engine.vm_steps", self.perf.vm_steps),
-            ("engine.fused_steps", self.perf.fused_steps),
-            ("engine.batched_steps", self.perf.batched_steps),
-            ("engine.wall_ns", self.perf.wall_ns),
-            ("engine.completed_requests", self.completed_requests),
-            ("engine.dummy_requests", self.dummy_requests),
-            ("engine.ctrl_messages", self.ctrl_messages),
-            ("net.submissions", net.submissions),
-            ("net.broadcast_legs", net.broadcast_legs),
-            ("net.deliveries", net.deliveries),
-            ("net.dup_dropped", net.dup_dropped),
-            ("net.held_back", net.held_back),
-        ] {
-            let id = self.metrics.counter(name);
-            self.metrics.set_counter(id, v);
-        }
-        let lat = self.metrics.histogram("latency.request_ns");
-        self.metrics.merge_histogram(lat, &self.latency);
-        let makespan_g = self.metrics.gauge("engine.makespan_ns");
-        self.metrics
-            .set_gauge(makespan_g, makespan.as_nanos() as i64);
-        // Trace accounting (only when tracing was on, so untraced runs
-        // keep byte-identical metric snapshots): what was retained or
-        // persisted, and what the bounded buffer/sink had to drop.
-        if self.cfg.trace {
-            self.tracer.finish();
-            for (name, v) in [
-                ("trace.recorded", self.tracer.written()),
-                ("trace.dropped", self.tracer.dropped()),
-            ] {
-                let id = self.metrics.counter(name);
-                self.metrics.set_counter(id, v);
-            }
-        }
-        let result = RunResult {
-            traces: self.reps.iter().map(|r| r.trace.clone()).collect(),
-            response_times: self.response_times,
-            latency: self.latency,
-            latencies: self.latencies,
-            completed_requests: self.completed_requests,
-            makespan,
-            dummy_requests: self.dummy_requests,
-            ctrl_messages: self.ctrl_messages,
-            deadlocked,
-            takeover_gap: self.takeover_gap,
-            stuck_threads,
-            alive: self.reps.iter().map(|r| r.alive).collect(),
-            recovered: self.recovered_flags,
-            fault_log: self.fault_log,
-            perf: self.perf,
-            metrics: self.metrics.snapshot(),
-            trace_records: self.tracer.into_records(),
-        };
-        (result, EngineQueue(self.queue))
-    }
-
-    /// Records host wall time for this engine's share of a sharded run
-    /// (the shard worker measures around `start`/`run_until`; the
-    /// monolithic [`Engine::run`] times itself).
-    pub(crate) fn set_wall_ns(&mut self, ns: u64) {
-        self.perf.wall_ns = ns;
-    }
-
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::SeqArrive(msg) => {
-                let mut hops = std::mem::take(&mut self.hops_scratch);
-                let sm = self.gc.sequence_into(msg, &mut hops);
-                let t = self.now_ns();
-                self.tracer
-                    .record(t, TraceRecord::NO_REPLICA, || TraceEvent::GcSequenced {
-                        seq: sm.seq,
-                    });
-                let now = self.queue.now();
-                for &(node, d) in &hops {
-                    let n = node.index();
-                    // Reordering adversary: every second leg to a node
-                    // under a delay window straggles, so later sequence
-                    // numbers overtake it and the hold-back buffer earns
-                    // its keep. Parity-based — no RNG draw consumed.
-                    let mut d_eff = d;
-                    if now < self.delay_until[n] {
-                        self.delay_flip[n] = !self.delay_flip[n];
-                        if self.delay_flip[n] {
-                            d_eff += self.delay_extra[n];
-                        }
-                    }
-                    // `sm.clone()` is a refcount bump: request args are
-                    // interned behind an Arc, so per-replica fan-out does
-                    // not copy argument vectors.
-                    self.queue.push_after(
-                        d_eff,
-                        Ev::NodeArrive {
-                            node: n,
-                            sm: sm.clone(),
-                        },
-                    );
-                    // Duplicate-delivery adversary: the copy trails the
-                    // original by a fixed offset (again no RNG draw).
-                    if now < self.dup_until[n] {
-                        self.queue.push_after(
-                            d_eff + self.dup_copy_delay[n],
-                            Ev::NodeArrive {
-                                node: n,
-                                sm: sm.clone(),
-                            },
-                        );
-                    }
-                }
-                self.hops_scratch = hops;
-            }
-            Ev::NodeArrive { node, sm } => {
-                // `deliver` never re-enters `arrive_into`, so draining the
-                // reused buffer before handing messages down is safe.
-                let mut deliveries = std::mem::take(&mut self.deliv_scratch);
-                self.gc
-                    .arrive_into(NodeId::new(node as u32), sm, &mut deliveries);
-                for d in deliveries.drain(..) {
-                    self.deliver(node, d.seq, d.msg);
-                }
-                self.deliv_scratch = deliveries;
-            }
-            Ev::Step { replica, tid } => {
-                if self.reps[replica].alive {
-                    self.step_thread(replica, tid);
-                    if self.cfg.quiescent_delivery {
-                        self.try_drain(replica);
-                    }
-                }
-            }
-            Ev::NestedDone {
-                tid,
-                call_no,
-                dur_ns,
-            } => {
-                let _ = dur_ns;
-                if self.mark_replied(tid, call_no) {
-                    let src = self.designated() as u64;
-                    self.submit_to_gc(src, GcMsg::NestedReply { tid, call_no });
-                }
-            }
-            Ev::ClientReply { client } => {
-                // Closed loop only: a reply releases the next request.
-                let c = client as usize;
-                let pos = self.client_pos[c];
-                if pos < self.scenario.clients[c].requests.len() {
-                    self.client_pos[c] = pos + 1;
-                    self.submit_request(client, pos as u32);
-                }
-            }
-            Ev::ClientSubmit { client, req_no } => {
-                self.submit_request(client, req_no);
-            }
-            Ev::Kill { replica } => {
-                self.kill_replica(replica);
-            }
-            Ev::Fault { idx } => {
-                let fe = self.cfg.faults.events[idx];
-                match fe.kind {
-                    FaultKind::Crash { replica } => self.kill_replica(replica),
-                    FaultKind::Recover { replica } => self.try_recover(replica),
-                    FaultKind::DuplicateWindow {
-                        replica,
-                        until,
-                        copy_delay,
-                    } => {
-                        self.dup_until[replica] = SimTime::ZERO + until;
-                        self.dup_copy_delay[replica] = copy_delay;
-                    }
-                    FaultKind::DelayWindow {
-                        replica,
-                        until,
-                        extra,
-                    } => {
-                        self.delay_until[replica] = SimTime::ZERO + until;
-                        self.delay_extra[replica] = extra;
-                    }
-                }
-            }
-            Ev::TryRecover { replica } => {
-                self.try_recover(replica);
-            }
-            Ev::RemoteCall {
-                from_group,
-                tid,
-                call_no,
-            } => {
-                // Materialise the routed-in call as a real request: it
-                // goes through the local total-order layer like any
-                // client submission, so every replica of this group
-                // executes it deterministically. FIFO source is keyed by
-                // origin group, preserving each peer's arrival order.
-                let routing = self
-                    .cfg
-                    .remote
-                    .as_ref()
-                    .expect("remote call without routing");
-                let method = routing.method;
-                let idx = self.remote_calls.len() as u32;
-                self.remote_calls.push(RemoteCall {
-                    from_group,
-                    tid,
-                    call_no,
-                    done: false,
-                });
-                self.submit_to_gc(
-                    REMOTE_SRC + from_group as u64,
-                    GcMsg::Request {
-                        id: RequestId {
-                            client: REMOTE_CLIENT,
-                            req_no: idx,
-                        },
-                        method,
-                        args: RequestArgs::empty(),
-                        dummy: false,
-                    },
-                );
-            }
-            Ev::LeaderDetect { new_leader } => {
-                self.leader = new_leader;
-                let t = self.now_ns();
-                self.tracer
-                    .record(t, TraceRecord::NO_REPLICA, || TraceEvent::LeaderFailover {
-                        new_leader: new_leader as u32,
-                    });
-                self.fault_log.push(FaultRecord {
-                    at: self.queue.now(),
-                    replica: new_leader,
-                    kind: FaultRecordKind::LeaderFailover { new_leader },
-                });
-                for i in 0..self.reps.len() {
-                    if !self.reps[i].alive {
-                        continue;
-                    }
-                    self.reps[i]
-                        .sched
-                        .on_leader_change(ReplicaId::new(new_leader as u32));
-                    let mut out = std::mem::take(&mut self.scratch);
-                    self.reps[i].sched.kick(&mut out);
-                    self.observe_dispatch(i, &out);
-                    self.apply_actions(i, &mut out);
-                    out.clear();
-                    self.scratch = out;
-                }
-            }
-        }
-    }
-
-    fn kill_replica(&mut self, replica: usize) {
-        if !self.reps[replica].alive {
-            return;
-        }
-        self.reps[replica].alive = false;
-        self.gc.kill(NodeId::new(replica as u32));
-        self.kill_time = Some(self.queue.now());
-        let t = self.now_ns();
-        self.tracer
-            .record(t, replica as u32, || TraceEvent::ReplicaCrashed);
-        self.fault_log.push(FaultRecord {
-            at: self.queue.now(),
-            replica,
-            kind: FaultRecordKind::Crashed,
-        });
-        // Leader failover (affects LSA; harmless for the others).
-        if replica == self.leader {
-            let new_leader = self.designated();
-            self.queue
-                .push_after(self.cfg.detect_delay, Ev::LeaderDetect { new_leader });
-        }
-        // Nested-invocation failover: the new invoker re-issues the
-        // external calls it has locally outstanding.
-        let invoker = self.designated();
-        let pending: Vec<(ThreadId, u32, u64)> = self.reps[invoker]
-            .awaiting
-            .iter()
-            .map(|(i, &(call_no, dur_ns))| (ThreadId::new(i as u32), call_no, dur_ns))
-            .filter(|&(tid, call_no, _)| !self.is_replied(tid, call_no))
-            .collect();
-        for (tid, call_no, dur_ns) in pending {
-            self.queue.push_after(
-                SimDuration::from_nanos(dur_ns),
-                Ev::NestedDone {
-                    tid,
-                    call_no,
-                    dur_ns,
-                },
-            );
-        }
-    }
-
-    /// Quiescence-gated recovery: a crashed replica rejoins by cloning
-    /// the designated survivor's object state (passive-replication
-    /// catch-up) and re-entering the broadcast at the current sequence
-    /// number. Messages sequenced during the outage were never fanned out
-    /// to the dead node — the state transfer *is* the catch-up, so the
-    /// donor must have processed everything sequenced so far (quiescent:
-    /// no runnable, blocked, or buffered work, and its delivered count
-    /// equals the global sequenced count). A non-quiescent attempt re-arms
-    /// itself [`RECOVERY_RETRY`] later; both outcomes are logged, so the
-    /// retry cadence is visible in [`RunResult::fault_log`].
-    ///
-    /// The rejoining replica gets a *fresh* scheduler configured with the
-    /// current leader — sound only for kinds whose decision state is empty
-    /// at quiescence (asserted via
-    /// [`SchedulerKind::supports_recovery`]; DESIGN.md §11 carries the
-    /// per-kind argument).
-    fn try_recover(&mut self, replica: usize) {
-        if self.reps[replica].alive {
-            return;
-        }
-        assert!(
-            self.cfg.scheduler.supports_recovery(),
-            "{} does not support mid-run recovery (scheduler state is not \
-             empty at quiescence — see DESIGN.md §11)",
-            self.cfg.scheduler
-        );
-        let donor = self.designated();
-        let quiescent = {
-            let d = &self.reps[donor];
-            d.running.is_empty()
-                && d.blocked.is_empty()
-                && d.buffered.is_empty()
-                && self.gc.delivered_count(NodeId::new(donor as u32)) == self.gc.sequenced_count()
-        };
-        if !quiescent {
-            self.fault_log.push(FaultRecord {
-                at: self.queue.now(),
-                replica,
-                kind: FaultRecordKind::RecoveryDeferred,
-            });
-            self.queue
-                .push_after(RECOVERY_RETRY, Ev::TryRecover { replica });
-            return;
-        }
-        let from_seq = self.gc.sequenced_count();
-        let donor_state = self.reps[donor].state.clone();
-        let donor_next_tid = self.reps[donor].next_tid;
-        let donor_nested = self.reps[donor].nested_issued.clone();
-        let sc = SchedConfig::new(self.cfg.scheduler, ReplicaId::new(replica as u32))
-            .with_lock_table(self.scenario.lock_table.clone())
-            .with_pds(self.cfg.pds)
-            .with_leader(ReplicaId::new(self.leader as u32))
-            .with_hints(self.cfg.hints.clone());
-        let rep = &mut self.reps[replica];
-        // Harvest interpreter meters of the threads that died with the
-        // crash before dropping their VMs, so perf totals stay complete.
-        for (_, vm) in rep.vms.iter() {
-            self.perf.vm_steps += vm.steps();
-            self.perf.fused_steps += vm.fused_steps();
-        }
-        rep.sched = dmt_core::make_scheduler_inline(&sc);
-        rep.state = donor_state;
-        rep.next_tid = donor_next_tid;
-        rep.nested_issued = donor_nested;
-        rep.vms = SlotMap::new();
-        rep.blocked = SlotMap::new();
-        rep.request_info = SlotMap::new();
-        rep.reply_buffer = SlotMap::new();
-        rep.awaiting = SlotMap::new();
-        rep.running = DenseSet::new();
-        rep.buffered.clear();
-        rep.alive = true;
-        self.recovered_flags[replica] = true;
-        self.gc.revive(NodeId::new(replica as u32), from_seq);
-        let t = self.now_ns();
-        self.tracer
-            .record(t, replica as u32, || TraceEvent::ReplicaRecovered {
-                from_seq,
-            });
-        self.fault_log.push(FaultRecord {
-            at: self.queue.now(),
-            replica,
-            kind: FaultRecordKind::Recovered { from_seq, donor },
-        });
-    }
-
     /// Schedules an admitted/resumed thread's first step. The batching
     /// gate: the thread joins the inline ready ring only when no queue
     /// event is due at the current instant — then the ring's FIFO order
@@ -1403,24 +1319,18 @@ impl Engine {
         }
     }
 
-    /// A thread that stayed blocked after its event leaves the runnable
-    /// set (a synchronous grant re-inserted it via `Resume` already).
-    /// Same-instant grant fusion: a dispatch from `step_thread` that
+    /// Same-instant grant fusion: a dispatch from the step loop that
     /// synchronously resumed the stepping thread put it at the front of
     /// the ready ring, where the `process` drain would pop it next and
-    /// re-enter `step_thread` with identical state. Popping it here and
+    /// step it again with identical state. Popping it here and
     /// continuing the step loop skips that round trip; the ring entry is
     /// still accounted as the batched-step event it would have been, so
     /// every counter stays byte-identical. Disabled by
     /// [`EngineConfig::without_fastpath`] (the reference path for the
-    /// fusion differential tests) and under quiescent delivery, whose
-    /// drain hook runs between ring steps.
+    /// fusion differential tests).
     #[inline]
     fn fused_continue(&mut self, replica: usize, tid: ThreadId) -> bool {
-        if self.cfg.fastpath
-            && !self.cfg.quiescent_delivery
-            && self.ready.front() == Some(&(replica, tid))
-        {
+        if self.cfg.fastpath && self.ready.front() == Some(&(replica, tid)) {
             self.ready.pop_front();
             self.perf.events += 1;
             self.perf.batched_steps += 1;
@@ -1430,128 +1340,16 @@ impl Engine {
         false
     }
 
-    fn unmark_if_blocked(&mut self, replica: usize, tid: ThreadId) {
-        let rep = &mut self.reps[replica];
-        if rep.blocked.contains(tid.index()) {
-            rep.running.remove(tid.index());
-        }
-    }
-
-    /// Quiescent-delivery mode: hand buffered messages to the scheduler
-    /// one at a time, only while no thread of the replica is runnable.
-    fn try_drain(&mut self, replica: usize) {
-        while self.reps[replica].alive
-            && self.reps[replica].running.is_empty()
-            && !self.reps[replica].buffered.is_empty()
-        {
-            let (seq, msg) = self.reps[replica].buffered.pop_front().expect("checked");
-            self.deliver(replica, seq, msg);
-        }
-    }
-
-    /// In-order delivery of one total-order message at one replica.
-    fn deliver(&mut self, replica: usize, seq: u64, msg: GcMsg) {
-        if !self.reps[replica].alive {
-            return;
-        }
-        let t = self.now_ns();
-        self.tracer
-            .record(t, replica as u32, || TraceEvent::GcDeliver { seq });
-        match msg {
-            GcMsg::Request {
-                id,
-                method,
-                args,
-                dummy,
-            } => {
-                let rep = &mut self.reps[replica];
-                let tid = ThreadId::new(rep.next_tid);
-                rep.next_tid += 1;
-                self.tracer
-                    .record(t, replica as u32, || TraceEvent::RequestArrived {
-                        tid,
-                        dummy,
-                    });
-                let rep = &mut self.reps[replica];
-                rep.request_info.insert(
-                    tid.index(),
-                    PendingRequest {
-                        method,
-                        args,
-                        id: (!dummy).then_some(id),
-                    },
-                );
-                rep.blocked.insert(tid.index(), Blocked::Admission);
-                self.dispatch(
-                    replica,
-                    SchedEvent::RequestArrived {
-                        tid,
-                        method,
-                        request_seq: seq,
-                        dummy,
-                    },
-                );
-            }
-            GcMsg::NestedReply { tid, call_no } => {
-                let rep = &mut self.reps[replica];
-                if self.cfg.quiescent_delivery && !rep.running.is_empty() {
-                    rep.buffered
-                        .push_back((seq, GcMsg::NestedReply { tid, call_no }));
-                    return;
-                }
-                if rep.awaiting.get(tid.index()).map(|&(k, _)| k) == Some(call_no) {
-                    rep.awaiting.remove(tid.index());
-                    self.dispatch(replica, SchedEvent::NestedCompleted { tid });
-                } else {
-                    rep.reply_buffer
-                        .get_or_insert_with(tid.index(), Vec::new)
-                        .push(call_no);
-                }
-            }
-            GcMsg::Ctrl { from, msg } => {
-                if from.index() != replica {
-                    self.dispatch(replica, SchedEvent::Control(msg));
-                }
-            }
-        }
-    }
-
-    /// Feeds one event to a replica's scheduler and applies the actions.
-    /// The output buffer is reused across events; `apply_actions` never
-    /// re-enters `dispatch`, so taking it out of `self` is safe.
-    fn dispatch(&mut self, replica: usize, ev: SchedEvent) {
-        self.perf.sched_events += 1;
-        if self.observe || self.scratch.is_recording() {
-            // Observation path: the buffer is moved out so the tracing
-            // side-channel can borrow the engine mutably alongside it.
-            let mut out = std::mem::take(&mut self.scratch);
-            debug_assert!(out.actions.is_empty());
-            self.reps[replica].sched.on_event(&ev, &mut out);
-            self.observe_dispatch(replica, &out);
-            if !out.actions.is_empty() {
-                self.apply_actions(replica, &mut out);
-            }
-            out.clear();
-            self.scratch = out;
-            return;
-        }
-        // Hot path: the scheduler writes into the resident scratch
-        // buffer and the actions are applied in place — no buffer moves
-        // per dispatch. Disjoint field borrows make this legal, and
-        // `apply_scratch_actions` documents why the walk is stable.
-        debug_assert!(self.scratch.actions.is_empty());
-        self.reps[replica].sched.on_event(&ev, &mut self.scratch);
-        if !self.scratch.actions.is_empty() {
-            self.apply_scratch_actions(replica);
-        }
-    }
-
     /// Tracing/sampling side-channel of one dispatch: stamps the
     /// scheduler's decision records with virtual time and samples queue
     /// depths. Both paths are disabled by default; the decision vector is
-    /// empty (and was never allocated) when recording is off, so this is
-    /// two predictable branches on the hot path.
-    fn observe_dispatch(&mut self, replica: usize, out: &SchedOutput) {
+    /// empty (and was never allocated) when recording is off.
+    fn observe_dispatch<S: Scheduler + ?Sized>(
+        &mut self,
+        replica: usize,
+        sched: &S,
+        out: &SchedOutput,
+    ) {
         if self.tracer.is_enabled() {
             let t = self.now_ns();
             for &d in out.decisions() {
@@ -1560,7 +1358,7 @@ impl Engine {
             }
         }
         if let Some(ids) = self.depth_ids {
-            let d = self.reps[replica].sched.depths();
+            let d = sched.depths();
             self.metrics.record(ids.admission, d.admission as u64);
             self.metrics.record(ids.lock_queued, d.lock_queued as u64);
             self.metrics.record(ids.wait_set, d.wait_set as u64);
@@ -1572,354 +1370,187 @@ impl Engine {
         }
     }
 
-    fn apply_actions(&mut self, replica: usize, out: &mut SchedOutput) {
-        let actions = &mut out.actions;
-        self.perf.sched_actions += actions.len() as u64;
-        for a in actions.drain(..) {
-            self.apply_one(replica, a);
+    fn reply_latency(&mut self) -> SimDuration {
+        let u = self.rng.next_f64();
+        let base = self.cfg.net.one_way.as_nanos() as f64;
+        SimDuration::from_nanos((base * (1.0 + self.cfg.net.jitter * u)).round() as u64)
+    }
+}
+
+impl ExecHost for Leg<'_> {
+    type Tag = Option<RequestId>;
+
+    #[inline]
+    fn schedule(&mut self, tid: ThreadId) {
+        self.host.schedule_step(self.replica, tid);
+    }
+
+    #[inline]
+    fn resumed_inline(&mut self, tid: ThreadId) -> bool {
+        self.host.fused_continue(self.replica, tid)
+    }
+
+    fn compute(&mut self, tid: ThreadId, dur_ns: u64) -> bool {
+        let h = &mut *self.host;
+        let jit = 1.0 + h.cfg.cpu_jitter * h.jitter[self.replica].next_f64();
+        let d = SimDuration::from_nanos((dur_ns as f64 * jit).round() as u64);
+        let replica = self.replica;
+        h.queue.push_after(d, Ev::Step { replica, tid });
+        false
+    }
+
+    /// Only the designated invoker performs the call, once per call
+    /// number; every replica learns the result from the reply broadcast.
+    fn nested(&mut self, tid: ThreadId, call_no: u32, service: ServiceId, dur_ns: u64) {
+        let h = &mut *self.host;
+        if self.replica != h.designated() || h.is_replied(tid, call_no) {
+            return;
+        }
+        // A service homed on another shard turns the invocation into a
+        // routed message instead of a local timer; the reply comes back
+        // through the coordinator as the same `NestedDone`.
+        let remote = h.cfg.remote.as_ref();
+        match remote.filter(|r| r.service_home[service.index()] != r.group) {
+            Some(r) => h.outbox.push(crate::shard::ShardMsg {
+                at: h.queue.now(),
+                from_group: r.group,
+                to_group: r.service_home[service.index()],
+                tid,
+                call_no,
+                kind: crate::shard::ShardMsgKind::Call,
+            }),
+            None => h.queue.push_after(
+                SimDuration::from_nanos(dur_ns),
+                Ev::NestedDone { tid, call_no },
+            ),
         }
     }
 
-    /// [`apply_actions`] over the in-place scratch buffer: `apply_one`
-    /// never re-enters `dispatch`, so the action list is stable and can
-    /// be walked by index (`SchedAction` is `Copy`) without moving the
-    /// buffer out of `self` first.
-    fn apply_scratch_actions(&mut self, replica: usize) {
-        self.perf.sched_actions += self.scratch.actions.len() as u64;
-        let mut i = 0;
-        while i < self.scratch.actions.len() {
-            let a = self.scratch.actions[i];
-            i += 1;
-            self.apply_one(replica, a);
-        }
-        self.scratch.actions.clear();
-    }
-
-    fn apply_one(&mut self, replica: usize, a: SchedAction) {
-        match a {
-            SchedAction::Admit(tid) => {
-                let rep = &mut self.reps[replica];
-                // The entry stays in place for completion accounting;
-                // only the args are consumed by the VM start.
-                let req = rep
-                    .request_info
-                    .get_mut(tid.index())
-                    .expect("admit without request");
-                let method = req.method;
-                let args = std::mem::take(&mut req.args);
-                let was = rep.blocked.remove(tid.index());
-                debug_assert_eq!(was, Some(Blocked::Admission));
-                let vm = rep
-                    .vm_pool
-                    .acquire(self.scenario.program.clone(), method, &args);
-                rep.vms.insert(tid.index(), vm);
-                rep.running.insert(tid.index());
-                self.schedule_step(replica, tid);
-            }
-            SchedAction::Resume(tid) => {
-                let rep = &mut self.reps[replica];
-                match rep.blocked.remove(tid.index()) {
-                    Some(Blocked::Lock(m)) | Some(Blocked::Wait(m)) => {
-                        rep.trace.record_grant(tid, m);
-                    }
-                    Some(Blocked::Nested) => {}
-                    Some(Blocked::Admission) => panic!("Resume before Admit for {tid}"),
-                    Some(Blocked::Faulted(f)) => panic!("Resume for faulted thread {tid}: {f}"),
-                    None => panic!("Resume for running thread {tid}"),
-                }
-                rep.running.insert(tid.index());
-                self.schedule_step(replica, tid);
-            }
-            SchedAction::Broadcast(msg) => {
-                self.ctrl_messages += 1;
-                self.submit_to_gc(
-                    replica as u64,
-                    GcMsg::Ctrl {
-                        from: ReplicaId::new(replica as u32),
-                        msg,
-                    },
-                );
-            }
-            SchedAction::RequestDummy => {
-                // Every replica's request is materialised: replicas'
-                // pool states drift under jitter, so one replica may
-                // legitimately need a filler the others do not.
-                // Excess dummies are no-ops everywhere — the "higher
-                // communication overhead" the paper prices in.
-                let Some(method) = self.scenario.dummy_method else {
-                    panic!("scheduler requested a dummy but the scenario has no dummy method");
-                };
-                self.dummy_requests += 1;
-                let id = RequestId {
-                    client: u32::MAX,
-                    req_no: self.dummy_counter,
-                };
-                self.dummy_counter += 1;
-                self.submit_to_gc(
-                    replica as u64,
-                    GcMsg::Request {
-                        id,
-                        method,
-                        args: RequestArgs::empty(),
-                        dummy: true,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Steps a thread's VM until it blocks, computes, or finishes.
-    fn step_thread(&mut self, replica: usize, tid: ThreadId) {
-        loop {
-            let rep = &mut self.reps[replica];
-            if rep.blocked.contains(tid.index()) {
-                rep.running.remove(tid.index());
-                return;
-            }
-            let Some(vm) = rep.vms.get_mut(tid.index()) else {
-                rep.running.remove(tid.index());
-                return;
-            };
-            match vm.step(&mut rep.state) {
-                StepOutcome::Finished => {
-                    self.reps[replica].running.remove(tid.index());
-                    self.finish_thread(replica, tid);
-                    return;
-                }
-                StepOutcome::Faulted(f) => {
-                    // Malformed program: park the thread for good. The run
-                    // ends deadlocked with a stuck-thread report instead
-                    // of aborting the process, deterministically on every
-                    // replica.
-                    rep.blocked.insert(tid.index(), Blocked::Faulted(f));
-                    rep.running.remove(tid.index());
-                    return;
-                }
-                StepOutcome::Action(action) => match action {
-                    Action::Compute { dur_ns } => {
-                        let jit = 1.0 + self.cfg.cpu_jitter * rep.jitter.next_f64();
-                        let d = SimDuration::from_nanos((dur_ns as f64 * jit).round() as u64);
-                        self.queue.push_after(d, Ev::Step { replica, tid });
-                        return;
-                    }
-                    Action::Lock { sync_id, mutex } => {
-                        rep.blocked.insert(tid.index(), Blocked::Lock(mutex));
-                        self.dispatch(
-                            replica,
-                            SchedEvent::LockRequested {
-                                tid,
-                                sync_id,
-                                mutex,
-                            },
-                        );
-                        self.unmark_if_blocked(replica, tid);
-                        if self.fused_continue(replica, tid) {
-                            continue;
-                        }
-                        return;
-                    }
-                    Action::Unlock { sync_id, mutex } => {
-                        // Engine-level release stamp (closes the Grant
-                        // span for the contention profiler) — recorded
-                        // before the scheduler reacts, so the next
-                        // Grant on this mutex sorts after the release.
-                        let t = self.queue.now().as_nanos();
-                        self.tracer
-                            .record(t, replica as u32, || TraceEvent::MutexReleased {
-                                tid,
-                                mutex,
-                            });
-                        self.dispatch(
-                            replica,
-                            SchedEvent::Unlocked {
-                                tid,
-                                sync_id,
-                                mutex,
-                            },
-                        );
-                    }
-                    Action::Wait { mutex } => {
-                        rep.blocked.insert(tid.index(), Blocked::Wait(mutex));
-                        // A wait surrenders the monitor: stamp the
-                        // release; re-acquisition arrives later as
-                        // Grant { from_wait: true }.
-                        let t = self.queue.now().as_nanos();
-                        self.tracer
-                            .record(t, replica as u32, || TraceEvent::MutexReleased {
-                                tid,
-                                mutex,
-                            });
-                        self.dispatch(replica, SchedEvent::WaitCalled { tid, mutex });
-                        self.unmark_if_blocked(replica, tid);
-                        if self.fused_continue(replica, tid) {
-                            continue;
-                        }
-                        return;
-                    }
-                    Action::Notify { mutex, all } => {
-                        self.dispatch(replica, SchedEvent::NotifyCalled { tid, mutex, all });
-                    }
-                    Action::Nested { service, dur_ns } => {
-                        let call_no = {
-                            let i = tid.index();
-                            if i >= rep.nested_issued.len() {
-                                rep.nested_issued.resize(i + 1, 0);
-                            }
-                            rep.nested_issued[i] += 1;
-                            rep.nested_issued[i]
-                        };
-                        rep.blocked.insert(tid.index(), Blocked::Nested);
-                        // Reply already here (this replica is behind)?
-                        let buffered = match rep.reply_buffer.get_mut(tid.index()) {
-                            Some(buf) => match buf.iter().position(|&c| c == call_no) {
-                                Some(p) => {
-                                    buf.swap_remove(p);
-                                    true
-                                }
-                                None => false,
-                            },
-                            None => false,
-                        };
-                        if !buffered {
-                            rep.awaiting.insert(tid.index(), (call_no, dur_ns));
-                        }
-                        self.dispatch(replica, SchedEvent::NestedStarted { tid });
-                        if replica == self.designated() && !self.is_replied(tid, call_no) {
-                            // A service homed on another shard turns the
-                            // invocation into a routed message instead of
-                            // a local timer; the reply comes back through
-                            // the coordinator as the same `NestedDone`.
-                            let remote_home = self.cfg.remote.as_ref().and_then(|r| {
-                                let home = r.service_home[service.index()];
-                                (home != r.group).then_some(home)
-                            });
-                            match remote_home {
-                                Some(home) => {
-                                    let from_group =
-                                        self.cfg.remote.as_ref().expect("checked").group;
-                                    self.outbox.push(crate::shard::ShardMsg {
-                                        at: self.queue.now(),
-                                        from_group,
-                                        to_group: home,
-                                        tid,
-                                        call_no,
-                                        kind: crate::shard::ShardMsgKind::Call,
-                                    });
-                                }
-                                None => self.queue.push_after(
-                                    SimDuration::from_nanos(dur_ns),
-                                    Ev::NestedDone {
-                                        tid,
-                                        call_no,
-                                        dur_ns,
-                                    },
-                                ),
-                            }
-                        }
-                        if buffered {
-                            self.dispatch(replica, SchedEvent::NestedCompleted { tid });
-                        }
-                        self.unmark_if_blocked(replica, tid);
-                        if self.fused_continue(replica, tid) {
-                            continue;
-                        }
-                        return;
-                    }
-                    Action::LockInfo { sync_id, mutex } => {
-                        self.dispatch(
-                            replica,
-                            SchedEvent::LockInfo {
-                                tid,
-                                sync_id,
-                                mutex,
-                            },
-                        );
-                    }
-                    Action::Ignore { sync_id } => {
-                        self.dispatch(replica, SchedEvent::SyncIgnored { tid, sync_id });
-                    }
-                },
-            }
-        }
-    }
-
-    fn finish_thread(&mut self, replica: usize, tid: ThreadId) {
-        let now = self.queue.now();
-        let rep = &mut self.reps[replica];
-        if let Some(vm) = rep.vms.remove(tid.index()) {
-            // Harvest the interpreter meters before reset-on-reuse wipes
-            // them (still-live VMs are swept at end of run instead).
-            self.perf.vm_steps += vm.steps();
-            self.perf.fused_steps += vm.fused_steps();
-            rep.vm_pool.release(vm);
-        }
-        rep.trace.finished_threads += 1;
-        let req = rep.request_info.remove(tid.index()).and_then(|r| r.id);
-        self.tracer.record(now.as_nanos(), replica as u32, || {
-            TraceEvent::RequestFinished { tid }
-        });
-        self.dispatch(replica, SchedEvent::ThreadFinished { tid });
+    fn finished(&mut self, tid: ThreadId, tag: Option<RequestId>) {
+        let h = &mut *self.host;
+        let Some(id) = tag else { return };
+        let now = h.queue.now();
         // A routed-in call finished: first finish answers the origin
         // shard (the remote analogue of first-reply semantics below).
         // The reply is a coordinator message, not a client reply — no
         // latency sample, no closed-loop chaining.
-        if let Some(id) = req.filter(|id| id.client == REMOTE_CLIENT) {
-            let rc = &mut self.remote_calls[id.req_no as usize];
+        if id.client == REMOTE_CLIENT {
+            let rc = &mut h.remote_calls[id.req_no as usize];
             if !rc.done {
                 rc.done = true;
-                let (from_group, r_tid, r_call) = (rc.from_group, rc.tid, rc.call_no);
-                let group = self.cfg.remote.as_ref().expect("routed call").group;
-                self.outbox.push(crate::shard::ShardMsg {
+                let group = h.cfg.remote.as_ref().expect("routed call").group;
+                h.outbox.push(crate::shard::ShardMsg {
                     at: now,
                     from_group: group,
-                    to_group: from_group,
-                    tid: r_tid,
-                    call_no: r_call,
+                    to_group: rc.from_group,
+                    tid: rc.tid,
+                    call_no: rc.call_no,
                     kind: crate::shard::ShardMsgKind::Reply,
                 });
             }
             return;
         }
         // First-reply semantics: the fastest replica answers the client.
-        if let Some(id) = req {
-            let reply_leg = self.reply_latency();
-            let st = self.req_state[id.client as usize]
-                .get_mut(id.req_no as usize)
-                .expect("request state exists");
-            if st.first_finish.is_none() {
-                st.first_finish = Some(now);
-                let replied = now + reply_leg;
-                let rt = replied - st.submitted;
-                self.tracer.record(replied.as_nanos(), replica as u32, || {
-                    TraceEvent::RequestReplied { tid }
-                });
-                self.completed_requests += 1;
-                if let (Some(kt), None) = (self.kill_time, self.takeover_gap) {
-                    if now >= kt {
-                        self.takeover_gap = Some(now - kt);
-                    }
-                }
-                self.response_times.add(rt.as_millis_f64());
-                self.latency.record_duration(rt);
-                self.latencies.push(RequestLatency {
-                    id,
-                    enqueued: st.submitted,
-                    replied,
-                });
-                // Open-loop clients submit on their schedule; only the
-                // closed loop chains request `k+1` on reply `k`.
-                if !self.scenario.clients[id.client as usize].is_open_loop() {
-                    self.queue
-                        .push_after(reply_leg, Ev::ClientReply { client: id.client });
-                }
+        let reply_leg = h.reply_latency();
+        let st = h.req_state[id.client as usize]
+            .get_mut(id.req_no as usize)
+            .expect("request state exists");
+        if st.first_finish.is_some() {
+            return;
+        }
+        st.first_finish = Some(now);
+        let replied = now + reply_leg;
+        h.tracer
+            .record(replied.as_nanos(), self.replica as u32, || {
+                TraceEvent::RequestReplied { tid }
+            });
+        h.completed_requests += 1;
+        if let (Some(kt), None) = (h.kill_time, h.takeover_gap) {
+            if now >= kt {
+                h.takeover_gap = Some(now - kt);
             }
+        }
+        h.latencies.push(RequestLatency {
+            id,
+            enqueued: st.submitted,
+            replied,
+        });
+        // Open-loop clients submit on their schedule; only the closed
+        // loop chains request `k+1` on reply `k`.
+        if !h.scenario.clients[id.client as usize].is_open_loop() {
+            h.queue
+                .push_after(reply_leg, Ev::ClientReply { client: id.client });
         }
     }
 
-    fn reply_latency(&mut self) -> SimDuration {
-        let u = self.rng.next_f64();
-        let base = self.cfg.net.one_way.as_nanos() as f64;
-        SimDuration::from_nanos((base * (1.0 + self.cfg.net.jitter * u)).round() as u64)
+    fn broadcast(&mut self, msg: CtrlMsg) {
+        self.host.ctrl_messages += 1;
+        let from = ReplicaId::new(self.replica as u32);
+        self.host
+            .submit_to_gc(self.replica as u64, GcMsg::Ctrl { from, msg });
+    }
+
+    /// Every replica's request is materialised: replicas' pool states
+    /// drift under jitter, so one replica may legitimately need a filler
+    /// the others do not. Excess dummies are no-ops everywhere — the
+    /// "higher communication overhead" the paper prices in.
+    fn dummy(&mut self) {
+        let h = &mut *self.host;
+        let Some(method) = h.scenario.dummy_method else {
+            panic!("scheduler requested a dummy but the scenario has no dummy method");
+        };
+        h.dummy_requests += 1;
+        let id = RequestId {
+            client: u32::MAX,
+            req_no: h.dummy_counter,
+        };
+        h.dummy_counter += 1;
+        let msg = GcMsg::Request {
+            id,
+            method,
+            args: RequestArgs::empty(),
+            dummy: true,
+        };
+        h.submit_to_gc(self.replica as u64, msg);
+    }
+
+    fn arrived(&mut self, tid: ThreadId, dummy: bool) {
+        let t = self.host.now_ns();
+        self.host
+            .tracer
+            .record(t, self.replica as u32, || TraceEvent::RequestArrived {
+                tid,
+                dummy,
+            });
+    }
+
+    /// Engine-level release stamp (closes the Grant span for the
+    /// contention profiler); a wait's re-acquisition arrives later as
+    /// `Grant { from_wait: true }`.
+    fn released(&mut self, tid: ThreadId, mutex: MutexId) {
+        let t = self.host.now_ns();
+        self.host
+            .tracer
+            .record(t, self.replica as u32, || TraceEvent::MutexReleased {
+                tid,
+                mutex,
+            });
+    }
+
+    fn finishing(&mut self, tid: ThreadId) {
+        let t = self.host.now_ns();
+        self.host
+            .tracer
+            .record(t, self.replica as u32, || TraceEvent::RequestFinished {
+                tid,
+            });
+    }
+
+    #[inline]
+    fn observe<S: Scheduler + ?Sized>(&mut self, sched: &S, out: &SchedOutput) {
+        if self.host.observe {
+            self.host.observe_dispatch(self.replica, sched, out);
+        }
     }
 }
 
@@ -1971,7 +1602,7 @@ mod tests {
             let res = run(kind, counter_scenario(4, 5), 3);
             assert!(!res.deadlocked, "{kind} stalled");
             assert_eq!(res.completed_requests, 20, "{kind}");
-            assert_eq!(res.response_times.len(), 20);
+            assert_eq!(res.latencies.len(), 20);
             // Sum of 1..=5 per client × 4 clients = 60 on every replica.
             for tr in &res.traces {
                 assert_eq!(
@@ -2017,7 +1648,7 @@ mod tests {
         assert!(!res.deadlocked);
         assert_eq!(res.completed_requests, 3);
         // Response time must include the nested round trips (≥ 2 ms).
-        assert!(res.response_times.mean() >= 2.0);
+        assert!(res.response_ms().mean() >= 2.0);
     }
 
     #[test]
@@ -2050,7 +1681,7 @@ mod tests {
         let scenario = counter_scenario(3, 6);
         let cfg = EngineConfig::new(SchedulerKind::Mat)
             .with_seed(7)
-            .with_kill(2, SimDuration::from_millis(2));
+            .with_faults(FaultPlan::new().crash(SimDuration::from_millis(2), 2));
         let res = Engine::new(scenario, cfg).run();
         assert!(!res.deadlocked);
         assert_eq!(res.completed_requests, 18);
@@ -2063,7 +1694,7 @@ mod tests {
         let scenario = counter_scenario(3, 8);
         let cfg = EngineConfig::new(SchedulerKind::Lsa)
             .with_seed(7)
-            .with_kill(0, SimDuration::from_millis(3));
+            .with_faults(FaultPlan::new().crash(SimDuration::from_millis(3), 0));
         let res = Engine::new(scenario, cfg).run();
         assert!(!res.deadlocked, "LSA must survive leader failure");
         assert_eq!(res.completed_requests, 24);
@@ -2073,7 +1704,7 @@ mod tests {
 
     #[test]
     fn crash_and_recover_reconverges_to_identical_state() {
-        use crate::fault::{FaultPlan, FaultRecordKind};
+        use crate::fault::FaultRecordKind;
         let scenario = counter_scenario(3, 6);
         let plan = FaultPlan::new()
             .crash(SimDuration::from_millis(2), 2)
@@ -2102,7 +1733,6 @@ mod tests {
 
     #[test]
     fn recovery_is_deterministic_across_reruns() {
-        use crate::fault::FaultPlan;
         let mk = || {
             let plan = FaultPlan::new()
                 .crash(SimDuration::from_millis(1), 1)
@@ -2128,7 +1758,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not support mid-run recovery")]
     fn recovery_under_pds_is_rejected() {
-        use crate::fault::FaultPlan;
         let plan = FaultPlan::new()
             .crash(SimDuration::from_millis(1), 2)
             .recover(SimDuration::from_millis(2), 2);
@@ -2143,7 +1772,6 @@ mod tests {
 
     #[test]
     fn duplicate_adversary_is_masked_by_dedup() {
-        use crate::fault::FaultPlan;
         let plan = FaultPlan::new().duplicate_window(
             SimDuration::ZERO,
             SimDuration::from_secs(10),
@@ -2168,7 +1796,6 @@ mod tests {
 
     #[test]
     fn reorder_adversary_exercises_holdback_and_converges() {
-        use crate::fault::FaultPlan;
         let plan = FaultPlan::new().delay_window(
             SimDuration::ZERO,
             SimDuration::from_secs(10),
@@ -2216,7 +1843,7 @@ mod tests {
             assert!(!res.deadlocked, "{kind}");
             assert_eq!(res.completed_requests, 12, "{kind}");
             assert_eq!(res.latencies.len(), 12, "{kind}");
-            assert_eq!(res.latency.count(), 12, "{kind}");
+            assert_eq!(res.latency_ns().count(), 12, "{kind}");
             for rl in &res.latencies {
                 // Enqueue stamps must match the arrival schedule exactly.
                 let slot = rl.id.client as usize + rl.id.req_no as usize * 3 + 1;
@@ -2252,7 +1879,7 @@ mod tests {
             "tail request must queue behind predecessors: {lat:?}"
         );
         let closed = run(SchedulerKind::Seq, counter_scenario(1, 8), 5);
-        assert!(res.response_times.mean() > closed.response_times.mean());
+        assert!(res.response_ms().mean() > closed.response_ms().mean());
     }
 
     #[test]
@@ -2261,7 +1888,7 @@ mod tests {
         let a = run(SchedulerKind::Mat, open_loop_counter(3, 5, gap), 9);
         let b = run(SchedulerKind::Mat, open_loop_counter(3, 5, gap), 9);
         assert_eq!(a.latencies, b.latencies);
-        assert_eq!(a.latency.p99_ns(), b.latency.p99_ns());
+        assert_eq!(a.latency_ns().p99_ns(), b.latency_ns().p99_ns());
     }
 
     #[test]
@@ -2269,7 +1896,7 @@ mod tests {
         let a = run(SchedulerKind::Mat, counter_scenario(3, 4), 21);
         let b = run(SchedulerKind::Mat, counter_scenario(3, 4), 21);
         assert_eq!(a.traces[0].lock_order, b.traces[0].lock_order);
-        assert_eq!(a.response_times.mean(), b.response_times.mean());
+        assert_eq!(a.response_ms().mean(), b.response_ms().mean());
         assert_eq!(a.makespan, b.makespan);
     }
 }

@@ -20,8 +20,7 @@ use dmt_sim::{SimDuration, SimTime};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// Replica `replica` crashes: fenced off the broadcast, threads
-    /// frozen, LSA leader failover triggered if it led. Identical to the
-    /// legacy [`crate::EngineConfig::with_kill`] path.
+    /// frozen, LSA leader failover triggered if it led.
     Crash { replica: usize },
     /// Replica `replica` rejoins via passive-replication catch-up: the
     /// engine waits for cluster quiescence (retrying on a fixed backoff),
@@ -175,7 +174,7 @@ impl FaultPlan {
 /// What a lifecycle entry in [`crate::RunResult::fault_log`] records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultRecordKind {
-    /// The replica went down (plan entry or legacy `with_kill`).
+    /// The replica went down.
     Crashed,
     /// A recovery attempt found the cluster non-quiescent and re-armed
     /// itself one retry interval later.

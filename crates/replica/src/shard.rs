@@ -36,9 +36,9 @@ use crate::msg::Scenario;
 use dmt_core::ThreadId;
 use dmt_lang::MethodIdx;
 use dmt_obs::MetricsSnapshot;
-use dmt_sim::{Histogram, LogHistogram, SimDuration, SimTime};
+use dmt_sim::{LogHistogram, SimDuration, SimTime};
 
-use crate::engine::RequestLatency;
+use crate::engine::{RequestLatency, REQUEST_LATENCY};
 
 /// A typed cross-shard message, harvested from group outboxes at each
 /// virtual-time barrier and injected in global `(at, from_group)` order
@@ -90,10 +90,6 @@ pub struct ShardedRunResult {
     /// All groups' client latencies under the total order
     /// `(replied, group, within-group completion order)`.
     pub latencies: Vec<(u32, RequestLatency)>,
-    /// Merged client-observed response times (ms).
-    pub response_times: Histogram,
-    /// Merged log-scale latency histogram (bucket counts add).
-    pub latency: LogHistogram,
     /// Completed real client requests, summed.
     pub completed_requests: u64,
     /// Cluster makespan: the slowest group's virtual finish time.
@@ -125,6 +121,14 @@ pub struct ShardedRunResult {
 }
 
 impl ShardedRunResult {
+    /// The merged log-scale request-latency histogram (bucket counts
+    /// add across groups).
+    pub fn latency_ns(&self) -> &LogHistogram {
+        self.metrics
+            .histogram(REQUEST_LATENCY)
+            .expect("every run exports its request latency")
+    }
+
     /// The deterministic upper bound on intra-run speedup at `workers`
     /// workers under this run's contiguous-chunk group assignment:
     /// total events divided by the heaviest worker's events. Unlike
@@ -231,8 +235,6 @@ pub fn run_sharded(
     let merged: Vec<(u32, RequestLatency)> = merger
         .merge_latencies(results.iter().map(|r| r.latencies.as_slice()))
         .to_vec();
-    let mut response_times = Histogram::with_capacity(total_requests);
-    let mut latency = LogHistogram::new();
     let mut perf = PerfCounters::default();
     let mut metrics = MetricsSnapshot::default();
     let mut completed = 0;
@@ -240,8 +242,6 @@ pub fn run_sharded(
     let mut deadlocked = false;
     let mut events_per_group = Vec::with_capacity(n_groups);
     for r in &results {
-        response_times.merge(&r.response_times);
-        latency.merge(&r.latency);
         perf.merge(&r.perf);
         metrics.merge(&r.metrics);
         completed += r.completed_requests;
@@ -257,8 +257,6 @@ pub fn run_sharded(
     ShardedRunResult {
         groups: results,
         latencies: merged,
-        response_times,
-        latency,
         completed_requests: completed,
         makespan,
         deadlocked,

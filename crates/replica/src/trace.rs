@@ -24,10 +24,6 @@ pub struct ExecutionTrace {
 }
 
 impl ExecutionTrace {
-    pub fn record_grant(&mut self, tid: ThreadId, mutex: MutexId) {
-        self.lock_order.push((tid, mutex));
-    }
-
     /// Per-mutex acquisition orders derived from the global trace.
     pub fn per_mutex(&self) -> BTreeMap<MutexId, Vec<ThreadId>> {
         let mut map: BTreeMap<MutexId, Vec<ThreadId>> = BTreeMap::new();
@@ -123,7 +119,7 @@ mod tests {
             ..Default::default()
         };
         for &(tid, mx) in pairs {
-            tr.record_grant(t(tid), m(mx));
+            tr.lock_order.push((t(tid), m(mx)));
         }
         tr
     }

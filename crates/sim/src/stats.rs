@@ -180,17 +180,6 @@ impl Histogram {
             self.samples.iter().sum::<f64>() / self.samples.len() as f64
         }
     }
-
-    /// Folds another histogram's samples into this one. Percentiles sort
-    /// lazily, so merge order never affects any query result — the merge
-    /// is commutative up to the (sorted) sample multiset.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.samples.is_empty() {
-            return;
-        }
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
 }
 
 /// Sub-buckets per power-of-two octave (2^5). Values below `N_SUB` get
@@ -278,10 +267,6 @@ impl LogHistogram {
         self.sum_ns += ns as u128;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
-    }
-
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
     }
 
     pub fn count(&self) -> u64 {
@@ -564,7 +549,7 @@ mod tests {
         h.record(1_000_003);
         assert_eq!(h.p50_ns(), Some(1_000_003));
         assert_eq!(h.p99_ns(), Some(1_000_003));
-        h.record_duration(SimDuration::from_millis(2));
+        h.record(2_000_000);
         assert_eq!(h.percentile_ns(100.0), Some(2_000_000));
     }
 

@@ -113,7 +113,7 @@ mod tests {
         let run = |kind| {
             let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(3)).run();
             assert!(!res.deadlocked, "{kind:?}");
-            res.response_times.mean()
+            res.response_ms().mean()
         };
         let mat = run(SchedulerKind::Mat);
         let mat_ll = run(SchedulerKind::MatLL);

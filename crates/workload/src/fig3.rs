@@ -92,7 +92,7 @@ mod tests {
         let run = |kind| {
             let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(3)).run();
             assert!(!res.deadlocked, "{kind:?}");
-            (res.response_times.mean(), res.makespan)
+            (res.response_ms().mean(), res.makespan)
         };
         let (mat_rt, mat_span) = run(SchedulerKind::Mat);
         let (ll_rt, _) = run(SchedulerKind::MatLL);

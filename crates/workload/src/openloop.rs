@@ -369,7 +369,7 @@ mod tests {
             let res = Engine::new(pair.for_kind(kind), cfg).run();
             assert!(!res.deadlocked, "{kind}");
             assert_eq!(res.completed_requests, 12, "{kind}");
-            assert_eq!(res.latency.count(), 12, "{kind}");
+            assert_eq!(res.latency_ns().count(), 12, "{kind}");
         }
     }
 

@@ -10,7 +10,7 @@
 //! ```
 
 use dmt::core::SchedulerKind;
-use dmt::replica::{Engine, EngineConfig};
+use dmt::replica::{Engine, EngineConfig, FaultPlan};
 use dmt::sim::SimDuration;
 use dmt::workload::fig1;
 
@@ -29,11 +29,11 @@ fn main() {
     ] {
         let cfg = EngineConfig::new(kind)
             .with_seed(9)
-            .with_kill(victim, SimDuration::from_millis(30));
+            .with_faults(FaultPlan::new().crash(SimDuration::from_millis(30), victim));
         let res = Engine::new(pair.for_kind(kind), cfg).run();
         println!("== {label}");
         println!("   completed        : {}", res.completed_requests);
-        println!("   mean response    : {:.2} ms", res.response_times.mean());
+        println!("   mean response    : {:.2} ms", res.response_ms().mean());
         println!(
             "   takeover gap     : {}",
             res.takeover_gap

@@ -47,7 +47,7 @@ fn main() {
     let res = Engine::new(scenario, cfg).run();
 
     println!("completed requests : {}", res.completed_requests);
-    println!("mean response time : {:.3} ms", res.response_times.mean());
+    println!("mean response time : {:.3} ms", res.response_ms().mean());
     println!("virtual makespan   : {}", res.makespan);
     for (i, tr) in res.traces.iter().enumerate() {
         println!(

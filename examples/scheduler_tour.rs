@@ -24,7 +24,8 @@ fn main() {
         "sched", "mean (ms)", "p95 (ms)", "net legs", "dummies", "ctrl"
     );
     for kind in SchedulerKind::ALL {
-        let (mut res, outcome) = check_determinism(pair.for_kind(kind), kind, 7, 0.25);
+        let (res, outcome) = check_determinism(pair.for_kind(kind), kind, 7, 0.25);
+        let mut rt = res.response_ms();
         let verdict = match outcome {
             CheckOutcome::Converged => "converged".to_string(),
             CheckOutcome::Diverged { pair, .. } => format!("DIVERGED {pair:?}"),
@@ -33,8 +34,8 @@ fn main() {
         println!(
             "{:<8} {:>10.2} {:>10.2} {:>9} {:>8} {:>8}  {}",
             kind.to_string(),
-            res.response_times.mean(),
-            res.response_times.percentile(95.0),
+            rt.mean(),
+            rt.percentile(95.0),
             res.net_legs(),
             res.dummy_requests,
             res.ctrl_messages,

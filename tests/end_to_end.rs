@@ -18,7 +18,7 @@ fn fig1_workload_completes_under_every_scheduler() {
         let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(2)).run();
         assert!(!res.deadlocked, "{kind}");
         assert_eq!(res.completed_requests, 8, "{kind}");
-        assert_eq!(res.response_times.len(), 8, "{kind}");
+        assert_eq!(res.latencies.len(), 8, "{kind}");
     }
 }
 
@@ -35,7 +35,7 @@ fn fig1_response_time_ordering_matches_the_paper() {
     let mean = |kind: SchedulerKind| {
         let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(2)).run();
         assert!(!res.deadlocked, "{kind}");
-        res.response_times.mean()
+        res.response_ms().mean()
     };
     let seq = mean(SchedulerKind::Seq);
     let sat = mean(SchedulerKind::Sat);
@@ -90,7 +90,7 @@ fn fig2_lastlock_handoff_beats_plain_mat() {
     let mean = |kind: SchedulerKind| {
         Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(2))
             .run()
-            .response_times
+            .response_ms()
             .mean()
     };
     assert!(mean(SchedulerKind::MatLL) < mean(SchedulerKind::Mat) * 0.8);
@@ -106,7 +106,7 @@ fn fig3_prediction_approaches_ideal_overlap() {
     let mean = |kind: SchedulerKind| {
         Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(2))
             .run()
-            .response_times
+            .response_ms()
             .mean()
     };
     let mat = mean(SchedulerKind::Mat);
@@ -169,7 +169,7 @@ fn analysed_variant_costs_nothing_in_virtual_time_for_pessimists() {
     let run = |scenario| {
         Engine::new(scenario, EngineConfig::new(SchedulerKind::Mat).with_seed(3))
             .run()
-            .response_times
+            .response_ms()
             .mean()
     };
     let plain = run(pair.plain.clone());

@@ -206,49 +206,3 @@ fn sync_core_never_corrupts() {
         }
     }
 }
-
-/// Harness replay stability across the whole scheduler zoo, on random
-/// programs (deterministic seeds).
-#[test]
-fn harness_runs_are_replay_stable() {
-    use dmt::core::harness::Harness;
-    use dmt::core::{make_scheduler, ReplicaId, SchedConfig, SchedulerKind};
-    use dmt::workload::synth::{random_args, random_object, SynthConfig};
-
-    let cfg = SynthConfig::default();
-    for seed in 0..10u64 {
-        let obj = random_object(seed, &cfg);
-        let program = dmt::lang::compile::compile(&obj);
-        let this_mutex = MutexId::new(program.mutex_bound());
-        let starts: Vec<_> = program
-            .methods
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.public && m.name != "noop")
-            .map(|(i, _)| dmt::lang::MethodIdx::new(i as u32))
-            .collect();
-        let dummy = program.method_by_name("noop").unwrap();
-        for kind in SchedulerKind::ALL {
-            let run = || {
-                let sc = SchedConfig::new(kind, ReplicaId::new(0));
-                let mut h = Harness::new(program.clone(), this_mutex, make_scheduler(&sc))
-                    .with_dummy_method(dummy);
-                let mut rng = SplitMix64::new(seed ^ 0x1234);
-                for _ in 0..6 {
-                    let m = *rng.choose(&starts).unwrap();
-                    h.submit(m, random_args(&mut rng, &cfg));
-                }
-                h.run()
-            };
-            let a = run();
-            let b = run();
-            assert!(!a.deadlocked, "synth {seed} under {kind} deadlocked");
-            assert_eq!(a.lock_trace, b.lock_trace, "synth {seed} under {kind}");
-            assert_eq!(
-                a.state.state_hash(),
-                b.state.state_hash(),
-                "synth {seed} under {kind}"
-            );
-        }
-    }
-}
