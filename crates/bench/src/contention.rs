@@ -1,7 +1,7 @@
 //! **contention** — per-mutex contention analytics and the feedback loop.
 //!
-//! Four sections, all derived from the streaming trace
-//! ([`dmt_obs::TraceSink`]) of full cluster simulations:
+//! Four sections, all derived from the structured trace
+//! ([`dmt_obs::Tracer`]) of full cluster simulations:
 //!
 //! 1. **Profiles** — every scheduler runs the Figure-1 workload and the
 //!    seeded AB/BA [`dmt_workload::inversion`] scenario with tracing on;
@@ -94,7 +94,7 @@ pub struct ProfileRow {
     /// The run stalled (only the inversion scenario is allowed to — the
     /// AB/BA deadlock is realisable under concurrent admission).
     pub deadlocked: bool,
-    /// Trace records captured by the sink.
+    /// Trace records the run's trace buffer kept.
     pub records: u64,
     pub grants: u64,
     pub defers: u64,

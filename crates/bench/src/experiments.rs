@@ -212,49 +212,6 @@ pub const MAX_SCHED_FANOUT: [(&str, f64); 5] = [
     ("MAT", 1.32),
 ];
 
-/// Per-kind event counts recorded in the committed `BENCH_engine.json`,
-/// if one is readable: `[(kind name, events), ..]` from the
-/// `"current"."per_kind"` rows. Used only to order sweep dispatch
-/// (longest-first), so a missing or stale artifact degrades scheduling,
-/// never results. Parsed with a dumb scanner on purpose — the artifact
-/// is machine-written by `figures -- bench` with one row per line, and
-/// the bench crate has no JSON dependency to spend on a hint.
-pub fn recorded_kind_events() -> Option<Vec<(String, u64)>> {
-    let path = std::path::Path::new("BENCH_engine.json");
-    let text = std::fs::read_to_string(path)
-        .or_else(|_| {
-            // Tests run from the crate directory; the artifact lives at
-            // the workspace root.
-            std::fs::read_to_string(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_engine.json"
-            ))
-        })
-        .ok()?;
-    // Rows before the "current" section (the baseline table) hold
-    // ns/event pins, not counts; skip to the measured rows.
-    let current = &text[text.find("\"current\"")?..];
-    let mut rows = Vec::new();
-    for line in current.lines() {
-        let Some(k) = line.find("\"kind\": \"") else {
-            continue;
-        };
-        let kind = line[k + 9..].split('"').next()?.to_string();
-        let e = line.find("\"events\": ")?;
-        let events: u64 = line[e + 10..]
-            .split(|c: char| !c.is_ascii_digit())
-            .next()?
-            .parse()
-            .ok()?;
-        rows.push((kind, events));
-    }
-    if rows.is_empty() {
-        None
-    } else {
-        Some(rows)
-    }
-}
-
 /// The five algorithms of the paper's Figure 1.
 pub const FIG1_KINDS: [SchedulerKind; 5] = [
     SchedulerKind::Seq,
@@ -366,33 +323,12 @@ pub fn fig1_experiment_with_opts(
     );
     let n_jobs = client_counts.len() * kinds.len();
     // High-client points dominate the sweep's wall-clock; start them
-    // first so they don't straggle (results still slot by job index).
-    // Client count alone ties every scheduler at one sweep point, and a
-    // tie falls back to kind order — which inverts the true cost order
-    // (LSA's control legs and PDS's dummies make them the long cells).
-    // When a previous bench artifact is around, its recorded per-kind
-    // event counts break the tie, so the longest-first order is the
-    // same in quick and full mode and independent of kind enumeration
-    // order. Priorities only reorder wall-clock — results still slot by
-    // job index — so a missing artifact just means the old ordering.
-    let recorded = recorded_kind_events();
-    let kind_weight = |kind: SchedulerKind| -> u64 {
-        recorded
-            .as_deref()
-            .and_then(|rows| {
-                rows.iter()
-                    .find(|(name, _)| name == kind.name())
-                    .map(|&(_, events)| events)
-            })
-            .unwrap_or(1)
-    };
+    // first so they don't straggle. Priorities only reorder wall-clock:
+    // results still slot by job index.
     let cells = run_jobs_prioritized(
         n_jobs,
         threads,
-        |job| {
-            let clients = client_counts[job / kinds.len()] as u64;
-            clients * kind_weight(kinds[job % kinds.len()])
-        },
+        |job| client_counts[job / kinds.len()] as u64,
         |job| {
             let n = client_counts[job / kinds.len()];
             let kind = kinds[job % kinds.len()];

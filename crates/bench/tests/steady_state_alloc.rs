@@ -177,26 +177,26 @@ fn warm_substrate_paths_do_not_allocate() {
         off_delta, 0,
         "disabled tracer allocated {off_delta} times on the record path"
     );
-    assert_eq!(off.written(), 0);
+    assert!(off.records().is_empty());
 
-    // --- Ring sink: the bounded last-N sink preallocates its ring at
-    // construction; steady-state accepts (including overwrites past
-    // the cap) must recycle those slots, never grow them.
-    let mut ring_tr = dmt_obs::Tracer::with_sink(Box::new(dmt_obs::RingSink::new(128)));
+    // --- Capped buffer: every traced run records into this buffer.
+    // Its capacity is preallocated up to the cap, so once full the
+    // overflow path only counts drops — it must never allocate.
+    let mut capped = dmt_obs::Tracer::buffered(128);
     for t in 0..256u64 {
-        ring_tr.record(t, 0, ev); // warm: fill and wrap once
+        capped.record(t, 0, ev); // fill past the cap
     }
     let before = allocations();
     for t in 0..10_000u64 {
-        ring_tr.record(t, 0, ev);
+        capped.record(t, 0, ev);
     }
-    let sink_delta = allocations() - before;
+    let capped_delta = allocations() - before;
     assert_eq!(
-        sink_delta, 0,
-        "warm ring-sink record path allocated {sink_delta} times"
+        capped_delta, 0,
+        "full trace buffer allocated {capped_delta} times on the overflow path"
     );
-    assert_eq!(ring_tr.written(), 128, "ring retains exactly its cap");
-    assert_eq!(ring_tr.dropped(), 10_256 - 128);
+    assert_eq!(capped.dropped(), 10_128);
+    assert_eq!(capped.records().len(), 128, "buffer keeps exactly its cap");
     assert_eq!(
         pool.allocs(),
         1,

@@ -135,15 +135,6 @@ impl Harness {
         self.host.inbox.push_back((method, args, false));
     }
 
-    pub fn submit_by_name(&mut self, name: &str, args: RequestArgs) {
-        let m = self
-            .exec
-            .program
-            .method_by_name(name)
-            .unwrap_or_else(|| panic!("no method named {name}"));
-        self.submit(m, args);
-    }
-
     /// Runs to completion (or deadlock) and reports. Panics after an
     /// implausible number of deliveries — a livelocked scheduler (e.g. an
     /// endless dummy loop) should fail loudly, not hang the suite.

@@ -8,7 +8,7 @@
 //! deferrals, prediction consults, token movement, LSA announcements,
 //! PDS round barriers). The records are what `dmt-obs` turns into
 //! virtual-time-stamped traces; recording them here keeps the schedulers
-//! free of any notion of time or sinks.
+//! free of any notion of time or trace storage.
 //!
 //! Cost discipline: with recording disabled (the default), emitting a
 //! decision is a single predictable branch — the record is never even
@@ -49,7 +49,7 @@ impl DeferReason {
 ///
 /// Records carry no timestamps: a scheduler is a pure state machine and
 /// the *driver* stamps records with virtual time when it forwards them
-/// to a trace sink (`dmt-obs`). For deterministic algorithms the
+/// to its tracer (`dmt-obs`). For deterministic algorithms the
 /// per-mutex projection of the `Grant` records is replica-independent
 /// (same match levels as the execution traces; see `dmt-replica`'s
 /// checker), which the observability tests pin.

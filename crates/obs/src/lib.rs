@@ -1,6 +1,6 @@
 //! dmt-obs — the unified observability layer.
 //!
-//! Three concerns, one crate (DESIGN.md §9):
+//! Four concerns, one crate (DESIGN.md §9):
 //!
 //! * [`registry`] — a metrics registry with dense integer handles for
 //!   named counters, gauges, and [`dmt_sim::LogHistogram`]s, plus a
@@ -15,11 +15,8 @@
 //!   branch and zero allocations: the record closure is never called and
 //!   the buffer capacity stays 0 (asserted by tests here and guarded
 //!   against the pinned ns/event baseline in dmt-bench). Enabled
-//!   tracing is bounded too: the buffer caps and counts drops, or a
-//!   pluggable [`sink::TraceSink`] streams records out instead.
-//! * [`sink`] — the streaming layer: a compact, byte-stable binary
-//!   codec for [`TraceRecord`] plus ring / bounded-file / null sinks,
-//!   so runs too large to buffer stream to disk with bounded memory.
+//!   tracing is bounded too: the buffer stops at its cap and counts
+//!   what it drops.
 //! * [`profile`] — folds one replica's Defer/Grant/Release stream into
 //!   a per-mutex contention profile (defer counts by reason, wait/hold
 //!   histograms, waits-for edges) with a flamegraph-style collapsed
@@ -35,15 +32,10 @@ pub mod chrome;
 pub mod merge;
 pub mod profile;
 pub mod registry;
-pub mod sink;
 pub mod trace;
 
 pub use chrome::chrome_trace_json;
 pub use merge::merge_group_traces;
 pub use profile::{ContentionProfile, LockEdge, MutexProfile, DEFER_REASONS};
 pub use registry::{CounterId, GaugeId, HistId, MetricsRegistry, MetricsSnapshot};
-pub use sink::{
-    decode_records, encode_record, FileSink, NullSink, RingSink, TraceSink, TraceSinkSpec,
-    DEFAULT_TRACE_CAP,
-};
-pub use trace::{TraceEvent, TraceRecord, Tracer};
+pub use trace::{TraceEvent, TraceRecord, Tracer, DEFAULT_TRACE_CAP};

@@ -86,11 +86,6 @@ impl MetricsRegistry {
         self.hists[id.0].1.record(value);
     }
 
-    /// Merges a whole externally built histogram into `id`'s.
-    pub fn merge_histogram(&mut self, id: HistId, h: &LogHistogram) {
-        self.hists[id.0].1.merge(h);
-    }
-
     /// Name-sorted, self-contained copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = self.counters.clone();

@@ -5,16 +5,16 @@
 //! predictable branch: [`Tracer::record`] takes a closure, so the event
 //! value is never even constructed when tracing is off, and the backing
 //! vector keeps capacity 0 — no allocation ever happens. The enabled
-//! path is bounded: the default buffer caps at
-//! [`crate::sink::DEFAULT_TRACE_CAP`] records and counts overflow in a
-//! drop counter instead of growing without bound, and a pluggable
-//! [`crate::sink::TraceSink`] (ring / file / null, selected by
-//! [`crate::sink::TraceSinkSpec`]) replaces the buffer entirely for
-//! runs too large to hold in memory.
+//! path is bounded: the buffer caps at [`DEFAULT_TRACE_CAP`] records
+//! (or the cap given to [`Tracer::buffered`]) and counts overflow in a
+//! drop counter instead of growing without bound.
 
-use crate::sink::{FileSink, NullSink, RingSink, TraceSink, TraceSinkSpec, DEFAULT_TRACE_CAP};
 use dmt_core::{Decision, DepthSample, ThreadId};
 use dmt_lang::MutexId;
+
+/// Default record cap of an enabled tracer: 1 Mi records. Beyond it
+/// records are dropped and counted rather than buffered.
+pub const DEFAULT_TRACE_CAP: usize = 1 << 20;
 
 /// One typed trace event. `Sched` wraps the scheduler's own decision
 /// vocabulary; the rest are the engine-level request lifecycle and the
@@ -71,31 +71,18 @@ impl TraceRecord {
 
 /// Recorder with a runtime on/off switch. Cheap to embed always; costs
 /// one branch per potential record when disabled. When enabled, records
-/// go either to a bounded in-memory buffer (overflow dropped + counted)
-/// or to a pluggable [`TraceSink`].
+/// go to a bounded in-memory buffer; overflow is dropped and counted.
+#[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
     records: Vec<TraceRecord>,
     cap: usize,
     dropped: u64,
-    sink: Option<Box<dyn TraceSink>>,
 }
 
 impl Default for Tracer {
     fn default() -> Self {
         Tracer::disabled()
-    }
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.enabled)
-            .field("records", &self.records.len())
-            .field("cap", &self.cap)
-            .field("dropped", &self.dropped)
-            .field("sink", &self.sink.is_some())
-            .finish()
     }
 }
 
@@ -107,7 +94,6 @@ impl Tracer {
             records: Vec::new(),
             cap: 0,
             dropped: 0,
-            sink: None,
         }
     }
 
@@ -126,33 +112,6 @@ impl Tracer {
             records: Vec::with_capacity(cap.min(4096)),
             cap,
             dropped: 0,
-            sink: None,
-        }
-    }
-
-    /// An enabled tracer forwarding every record to `sink`.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        Tracer {
-            enabled: true,
-            records: Vec::new(),
-            cap: 0,
-            dropped: 0,
-            sink: Some(sink),
-        }
-    }
-
-    /// Builds the tracer a [`TraceSinkSpec`] describes. A `File` spec
-    /// whose path cannot be created falls back to a [`NullSink`] (the
-    /// run still completes; `written()` shows what would have flowed).
-    pub fn from_spec(spec: &TraceSinkSpec) -> Self {
-        match spec {
-            TraceSinkSpec::Buffer { cap } => Tracer::buffered(*cap),
-            TraceSinkSpec::Ring { cap } => Tracer::with_sink(Box::new(RingSink::new(*cap))),
-            TraceSinkSpec::File { path, buf_bytes } => match FileSink::create(path, *buf_bytes) {
-                Ok(s) => Tracer::with_sink(Box::new(s)),
-                Err(_) => Tracer::with_sink(Box::new(NullSink::new())),
-            },
-            TraceSinkSpec::Null => Tracer::with_sink(Box::new(NullSink::new())),
         }
     }
 
@@ -166,51 +125,26 @@ impl Tracer {
     #[inline]
     pub fn record(&mut self, t_ns: u64, replica: u32, f: impl FnOnce() -> TraceEvent) {
         if self.enabled {
-            let rec = TraceRecord {
-                t_ns,
-                replica,
-                ev: f(),
-            };
-            match &mut self.sink {
-                None => {
-                    if self.records.len() < self.cap {
-                        self.records.push(rec);
-                    } else {
-                        self.dropped += 1;
-                    }
-                }
-                Some(s) => s.accept(&rec),
+            if self.records.len() < self.cap {
+                self.records.push(TraceRecord {
+                    t_ns,
+                    replica,
+                    ev: f(),
+                });
+            } else {
+                self.dropped += 1;
             }
         }
     }
 
-    /// Records currently buffered in memory (empty in sink mode; the
-    /// sink owns retention — drain with [`Tracer::take_records`]).
+    /// Records currently buffered, oldest first.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
     }
 
-    /// Records dropped (buffer overflow plus whatever the sink
-    /// reports).
+    /// Records dropped because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped + self.sink.as_ref().map_or(0, |s| s.dropped())
-    }
-
-    /// Records retained or persisted (buffer occupancy, or the sink's
-    /// written count).
-    pub fn written(&self) -> u64 {
-        match &self.sink {
-            None => self.records.len() as u64,
-            Some(s) => s.written(),
-        }
-    }
-
-    /// Flushes sink-buffered state (end of run). No-op for the
-    /// in-memory buffer.
-    pub fn finish(&mut self) {
-        if let Some(s) = &mut self.sink {
-            s.finish();
-        }
+        self.dropped
     }
 
     /// Buffer capacity — 0 on a never-enabled tracer, proving the
@@ -219,19 +153,14 @@ impl Tracer {
         self.records.capacity()
     }
 
-    /// Drains retained records, oldest first: the buffer's contents, or
-    /// whatever a retaining sink (ring) still holds. File/null sinks
-    /// yield nothing — the artifact lives elsewhere.
+    /// Drains the buffered records, oldest first.
     pub fn take_records(&mut self) -> Vec<TraceRecord> {
-        match &mut self.sink {
-            None => std::mem::take(&mut self.records),
-            Some(s) => s.take_records(),
-        }
+        std::mem::take(&mut self.records)
     }
 
     /// Consumes the tracer, returning the retained records.
-    pub fn into_records(mut self) -> Vec<TraceRecord> {
-        self.take_records()
+    pub fn into_records(self) -> Vec<TraceRecord> {
+        self.records
     }
 }
 
@@ -276,27 +205,10 @@ mod tests {
         }
         assert_eq!(t.records().len(), 3);
         assert_eq!(t.dropped(), 7);
-        assert_eq!(t.written(), 3);
         // The kept records are the earliest (head of the run).
         assert_eq!(t.records()[2].t_ns, 2);
         let drained = t.take_records();
         assert_eq!(drained.len(), 3);
         assert!(t.records().is_empty());
-    }
-
-    #[test]
-    fn ring_spec_keeps_the_tail_instead() {
-        let mut t = Tracer::from_spec(&TraceSinkSpec::Ring { cap: 3 });
-        for i in 0..10u64 {
-            t.record(i, 0, || TraceEvent::GcSequenced { seq: i });
-        }
-        assert_eq!(t.dropped(), 7);
-        assert_eq!(t.written(), 3);
-        let kept = t.take_records();
-        assert_eq!(
-            kept.iter().map(|r| r.t_ns).collect::<Vec<_>>(),
-            vec![7, 8, 9],
-            "ring retains the latest records"
-        );
     }
 }

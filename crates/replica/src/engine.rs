@@ -37,17 +37,13 @@ pub struct EngineConfig {
     /// Leader-failure detection delay for LSA failover.
     pub detect_delay: SimDuration,
     /// Record a structured trace (scheduler decisions, request
-    /// lifecycle, group-comm legs, mutex releases) through
-    /// [`EngineConfig::trace_sink`] — by default a bounded in-memory
-    /// buffer drained into [`RunResult::trace_records`]. Off by
-    /// default: the disabled path is branch-cheap and allocation-free,
-    /// pinned by the dmt-bench overhead guard.
-    pub trace: bool,
-    /// Where trace records go when [`EngineConfig::trace`] is on: a
-    /// bounded buffer (default), a flight-recorder ring, a streaming
-    /// binary file, or `/dev/null`. Overflow never OOMs — drops are
-    /// counted into the `trace.dropped` metric.
-    pub trace_sink: dmt_obs::TraceSinkSpec,
+    /// lifecycle, group-comm legs, mutex releases) into an in-memory
+    /// buffer of at most this many records, drained into
+    /// [`RunResult::trace_records`]. Overflow is dropped and counted in
+    /// the `trace.dropped` metric. `None` (the default) is off: the
+    /// disabled path is branch-cheap and allocation-free, pinned by the
+    /// dmt-bench overhead guard.
+    pub trace: Option<usize>,
     /// Observed-contention feedback handed to every replica's scheduler
     /// (PMAT hot-mutex serialisation). Empty = no feedback. Identical
     /// on all replicas by construction, so determinism is unaffected.
@@ -127,8 +123,7 @@ impl EngineConfig {
             pds: dmt_core::PdsConfig::default(),
             max_time: SimDuration::from_secs(3600),
             detect_delay: SimDuration::from_millis(5),
-            trace: false,
-            trace_sink: dmt_obs::TraceSinkSpec::default(),
+            trace: None,
             hints: dmt_core::ContentionHints::new(),
             sample_depths: false,
             batch_admission: true,
@@ -164,23 +159,18 @@ impl EngineConfig {
         self
     }
 
+    /// Enables tracing; keeps a cap set earlier, else uses
+    /// [`dmt_obs::DEFAULT_TRACE_CAP`].
     pub fn with_tracing(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Enables tracing through an explicit sink (ring / file / null /
-    /// re-capped buffer).
-    pub fn with_trace_sink(mut self, spec: dmt_obs::TraceSinkSpec) -> Self {
-        self.trace = true;
-        self.trace_sink = spec;
+        self.trace.get_or_insert(dmt_obs::DEFAULT_TRACE_CAP);
         self
     }
 
     /// Enables tracing into an in-memory buffer capped at `cap`
     /// records; overflow is dropped and counted in `trace.dropped`.
-    pub fn with_trace_cap(self, cap: usize) -> Self {
-        self.with_trace_sink(dmt_obs::TraceSinkSpec::Buffer { cap })
+    pub fn with_trace_cap(mut self, cap: usize) -> Self {
+        self.trace = Some(cap);
+        self
     }
 
     /// Installs observed-contention feedback for prediction-aware
@@ -197,11 +187,6 @@ impl EngineConfig {
 
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    pub fn with_replicas(mut self, n: usize) -> Self {
-        self.n_replicas = n;
         self
     }
 
@@ -646,11 +631,7 @@ impl Engine {
             sched_queue: metrics.histogram("depth.sched_queue"),
             total: metrics.histogram("depth.total"),
         });
-        let tracer = if cfg.trace {
-            Tracer::from_spec(&cfg.trace_sink)
-        } else {
-            Tracer::disabled()
-        };
+        let tracer = cfg.trace.map_or_else(Tracer::disabled, Tracer::buffered);
         let observe = tracer.is_enabled() || depth_ids.is_some();
         let host = Host {
             cfg,
@@ -693,7 +674,12 @@ impl Engine {
             .map(|i| {
                 let sc = &host.scenario;
                 let this = sc.this_mutex();
-                Rep::new(host.scheduler(i), sc.program.clone(), this, host.cfg.trace)
+                Rep::new(
+                    host.scheduler(i),
+                    sc.program.clone(),
+                    this,
+                    host.tracer.is_enabled(),
+                )
             })
             .collect();
         Engine { host, reps }
@@ -891,12 +877,11 @@ impl Engine {
         let makespan_g = h.metrics.gauge("engine.makespan_ns");
         h.metrics.set_gauge(makespan_g, makespan.as_nanos() as i64);
         // Trace accounting (only when tracing was on, so untraced runs
-        // keep byte-identical metric snapshots): what was retained or
-        // persisted, and what the bounded buffer/sink had to drop.
-        if h.cfg.trace {
-            h.tracer.finish();
+        // keep byte-identical metric snapshots): what the buffer kept
+        // and what it had to drop.
+        if h.cfg.trace.is_some() {
             for (name, v) in [
-                ("trace.recorded", h.tracer.written()),
+                ("trace.recorded", h.tracer.records().len() as u64),
                 ("trace.dropped", h.tracer.dropped()),
             ] {
                 let id = h.metrics.counter(name);

@@ -67,10 +67,6 @@ impl Summary {
         }
     }
 
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     pub fn min(&self) -> f64 {
         if self.n == 0 {
             f64::NAN

@@ -39,10 +39,6 @@ impl Default for BankParams {
 }
 
 /// Cell layout: accounts `0..n`, checksum cell `n`.
-pub fn checksum_cell(p: &BankParams) -> CellId {
-    CellId::new(p.n_accounts)
-}
-
 pub fn build_object(p: &BankParams) -> ObjectImpl {
     let n = p.n_accounts;
     let mut ob = ObjectBuilder::new("Bank");

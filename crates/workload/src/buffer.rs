@@ -10,7 +10,7 @@
 
 use crate::ScenarioPair;
 use dmt_lang::ast::{CondExpr, DurExpr, MutexExpr, ObjectImpl};
-use dmt_lang::{CellId, MethodIdx, ObjectBuilder, RequestArgs};
+use dmt_lang::{MethodIdx, ObjectBuilder, RequestArgs};
 use dmt_replica::ClientScript;
 
 #[derive(Clone, Copy, Debug)]
@@ -58,10 +58,6 @@ pub fn build_object(p: &BufferParams) -> ObjectImpl {
     let noop = ob.method("noop", 0);
     noop.done();
     ob.build()
-}
-
-pub fn fill_cell() -> CellId {
-    CellId::new(0)
 }
 
 pub fn client_scripts(p: &BufferParams) -> Vec<ClientScript> {

@@ -11,6 +11,12 @@ cargo fmt --all -- --check
 echo "== tier-1: cargo build --release =="
 cargo build --release --workspace
 
+# perfbench is a package of its own (empty [workspace]), so the build
+# above never compiles it; build it here so a public-API change in the
+# layer crates cannot break the benchmark unnoticed.
+echo "== tier-1: cargo build --release (perfbench) =="
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: cargo test -q =="
 cargo test -q --workspace
 

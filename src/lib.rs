@@ -18,7 +18,7 @@
 //! | [`lang`] | dmt-lang | object-method AST, bytecode, interpreter |
 //! | [`analysis`] | dmt-analysis | lock analysis + `lockInfo`/`ignore` injection |
 //! | [`core`] | dmt-core | the schedulers and the bookkeeping module |
-//! | [`obs`] | dmt-obs | trace sinks, contention profiles, metrics, exporters |
+//! | [`obs`] | dmt-obs | bounded trace buffer, contention profiles, metrics, exporters |
 //! | [`groupcomm`] | dmt-groupcomm | total-order broadcast simulation |
 //! | [`replica`] | dmt-replica | cluster engine, determinism checker, replay |
 //! | [`workload`] | dmt-workload | the paper's benchmark + domain scenarios |
