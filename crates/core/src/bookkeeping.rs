@@ -238,13 +238,24 @@ impl Bookkeeping {
             .is_some_and(|b| b.analyzed && b.states.iter().all(|s| s.resolved()))
     }
 
-    /// The mutexes this thread has announced or holds — its possible
-    /// future (or current) lock targets.
-    pub fn pinned_mutexes(&self, tid: ThreadId) -> Vec<MutexId> {
-        self.threads
-            .get(tid.index())
-            .map(|b| b.states.iter().filter_map(|s| s.pinned_mutex()).collect())
-            .unwrap_or_default()
+    /// Calls `f` with each mutex this thread has announced or holds — its
+    /// possible future (or current) lock targets — once per entry, in
+    /// table order. Allocation-free: PMAT's blocker index calls it on
+    /// every bookkeeping event.
+    pub fn for_each_pinned(&self, tid: ThreadId, f: impl FnMut(MutexId)) {
+        if let Some(b) = self.threads.get(tid.index()) {
+            b.states.iter().filter_map(|s| s.pinned_mutex()).for_each(f);
+        }
+    }
+
+    /// The mutex `tid`'s entry at `sync_id` pins (announced or held), if
+    /// any. Allocation-free: PMAT's blocker index reads it around every
+    /// per-entry bookkeeping event.
+    pub fn entry_pin(&self, tid: ThreadId, sync_id: SyncId) -> Option<MutexId> {
+        let book = self.threads.get(tid.index())?;
+        let entries = self.table.entries(book.method)?;
+        let i = entries.iter().position(|e| e.sync_id == sync_id)?;
+        book.states[i].pinned_mutex()
     }
 
     /// Could `tid` lock `mutex` now or in the future? Pessimistic: an
@@ -295,6 +306,12 @@ mod tests {
         MutexId::new(v)
     }
 
+    fn pinned(bk: &Bookkeeping, tid: ThreadId) -> Vec<MutexId> {
+        let mut v = Vec::new();
+        bk.for_each_pinned(tid, |m| v.push(m));
+        v
+    }
+
     fn table_one_method(entries: Vec<StaticSyncEntry>) -> Arc<LockTable> {
         Arc::new(LockTable::new(vec![Some(entries)]))
     }
@@ -332,7 +349,7 @@ mod tests {
         assert!(!bk.is_predicted(t(0)));
         bk.on_lock_info(t(0), s(1), m(11));
         assert!(bk.is_predicted(t(0)));
-        assert_eq!(bk.pinned_mutexes(t(0)), vec![m(10), m(11)]);
+        assert_eq!(pinned(&bk, t(0)), vec![m(10), m(11)]);
         assert!(bk.may_lock(t(0), m(10)));
         assert!(!bk.may_lock(t(0), m(12)));
     }
@@ -362,7 +379,7 @@ mod tests {
         assert!(!bk.is_predicted(t(0)));
         bk.on_lock(t(0), s(0), m(3));
         assert!(bk.is_predicted(t(0)));
-        assert_eq!(bk.pinned_mutexes(t(0)), vec![m(3)]);
+        assert_eq!(pinned(&bk, t(0)), vec![m(3)]);
         bk.on_unlock(t(0), s(0), m(3));
         assert!(bk.no_more_locks(t(0)));
     }

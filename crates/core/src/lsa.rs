@@ -23,7 +23,6 @@ use crate::event::{CtrlMsg, SchedAction, SchedEvent};
 use crate::ids::{ReplicaId, ThreadId};
 use crate::obs::{Decision, DeferReason, DepthSample, SchedOutput};
 use crate::scheduler::{Scheduler, SchedulerKind};
-use crate::slot::SlotMap;
 use crate::sync_core::{LockOutcome, SyncCore};
 use std::collections::VecDeque;
 
@@ -36,8 +35,8 @@ pub struct LsaScheduler {
     expected: Vec<VecDeque<ThreadId>>,
     /// Fresh lock requests waiting to be matched with an announcement
     /// (follower) or decided after the announced backlog drains (a
-    /// just-promoted leader). Indexed by the dense thread id.
-    pending: SlotMap<dmt_lang::MutexId>,
+    /// just-promoted leader), sorted by thread age.
+    pending: Vec<(ThreadId, dmt_lang::MutexId)>,
     /// Per-mutex acquisition counters, indexed by mutex id (followers
     /// track them from the announcements so a promoted leader continues
     /// the numbering).
@@ -52,7 +51,7 @@ impl LsaScheduler {
             leader,
             sync: SyncCore::new(false),
             expected: Vec::new(),
-            pending: SlotMap::new(),
+            pending: Vec::new(),
             order: Vec::new(),
             grants_issued: 0,
         }
@@ -65,6 +64,11 @@ impl LsaScheduler {
     /// Total grants this scheduler has applied (overhead metric).
     pub fn grants_issued(&self) -> u64 {
         self.grants_issued
+    }
+
+    /// Position of `tid`'s pending request, or where it would go.
+    fn pending_pos(&self, tid: ThreadId) -> Result<usize, usize> {
+        self.pending.binary_search_by_key(&tid, |&(u, _)| u)
     }
 
     fn has_backlog(&self, mutex: dmt_lang::MutexId) -> bool {
@@ -115,9 +119,12 @@ impl LsaScheduler {
             let Some(&next) = self.expected.get(mutex.index()).and_then(|q| q.front()) else {
                 break;
             };
-            if self.pending.get(next.index()) == Some(&mutex) {
+            // A thread has at most one pending request, so the list is
+            // sorted by the whole pair and an exact search finds `next`'s
+            // request only if it is for this mutex.
+            if let Ok(pos) = self.pending.binary_search(&(next, mutex)) {
                 self.expected_mut(mutex).pop_front();
-                self.pending.remove(next.index());
+                self.pending.remove(pos);
                 let outcome = self.sync.lock(next, mutex);
                 debug_assert_eq!(outcome, LockOutcome::Acquired);
                 self.grants_issued += 1;
@@ -148,31 +155,27 @@ impl LsaScheduler {
             return;
         }
         // Fold pending fresh requests for this mutex into the monitor
-        // queue in thread-age order — ascending slot order *is* age order
-        // (only relevant right after failover). On the steady-state
-        // leader `pending` is empty — fresh requests are handled
-        // directly in `on_event` — so skip the slot scan entirely.
-        if !self.pending.is_empty() {
-            for i in 0..self.pending.bound() {
-                if self.pending.get(i) != Some(&mutex) {
-                    continue;
-                }
-                let tid = ThreadId::new(i as u32);
-                self.pending.remove(i);
-                match self.sync.lock(tid, mutex) {
-                    LockOutcome::Acquired => {
-                        self.announce(tid, mutex, out);
-                        out.decision(|| Decision::Grant {
-                            tid,
-                            mutex,
-                            from_wait: false,
-                        });
-                        out.push(SchedAction::Resume(tid));
-                    }
-                    LockOutcome::Queued => {}
-                }
+        // queue in thread-age order (only relevant right after failover;
+        // on the steady-state leader `pending` is empty — fresh requests
+        // are handled directly in `on_event`). The list is taken out for
+        // the pass so folded requests drop in place, without allocating.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|&(tid, m)| {
+            if m != mutex {
+                return true;
             }
-        }
+            if self.sync.lock(tid, mutex) == LockOutcome::Acquired {
+                self.announce(tid, mutex, out);
+                out.decision(|| Decision::Grant {
+                    tid,
+                    mutex,
+                    from_wait: false,
+                });
+                out.push(SchedAction::Resume(tid));
+            }
+            false
+        });
+        self.pending = pending;
         if self.sync.is_free(mutex) {
             if let Some(g) = self.sync.grant_next(mutex) {
                 self.announce(g.tid, mutex, out);
@@ -229,7 +232,7 @@ impl Scheduler for LsaScheduler {
         let mut mutexes: Vec<dmt_lang::MutexId> = self
             .pending
             .iter()
-            .map(|(_, &m)| m)
+            .map(|&(_, m)| m)
             .chain(
                 self.expected
                     .iter()
@@ -282,9 +285,11 @@ impl Scheduler for LsaScheduler {
                         }
                     }
                 } else {
-                    self.pending.insert(tid.index(), mutex);
+                    if let Err(pos) = self.pending_pos(tid) {
+                        self.pending.insert(pos, (tid, mutex));
+                    }
                     self.drain(mutex, out);
-                    if self.pending.contains(tid.index()) {
+                    if self.pending_pos(tid).is_ok() {
                         // Still waiting for the leader's announcement (or,
                         // on a promoted leader, for the backlog to drain).
                         out.decision(|| Decision::Defer {
@@ -312,7 +317,7 @@ impl Scheduler for LsaScheduler {
             SchedEvent::NestedCompleted { tid } => out.push(SchedAction::Resume(tid)),
             SchedEvent::ThreadFinished { tid } => {
                 debug_assert!(self.sync.holds_none(tid));
-                debug_assert!(!self.pending.contains(tid.index()));
+                debug_assert!(self.pending_pos(tid).is_err());
             }
             SchedEvent::Control(CtrlMsg::LsaGrant { mutex, tid, order }) => {
                 // Own echoes are filtered by the engine; anything arriving

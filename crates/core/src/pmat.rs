@@ -32,8 +32,8 @@ use crate::event::{SchedAction, SchedEvent};
 use crate::ids::ThreadId;
 use crate::obs::{ContentionHints, Decision, DepthSample, SchedOutput};
 use crate::scheduler::{Scheduler, SchedulerKind};
-use crate::slot::SlotMap;
 use crate::sync_core::{LockOutcome, SyncCore};
+use dmt_lang::{MutexId, SyncId};
 use std::sync::Arc;
 
 pub struct PmatScheduler {
@@ -43,13 +43,52 @@ pub struct PmatScheduler {
     /// admission (age) order. Kept sorted; thread ids are assigned in
     /// admission order, so pushes land at the back.
     queue: Vec<ThreadId>,
-    /// Gate-blocked lock requests awaiting the prediction check,
-    /// indexed by thread id (slot index == age rank).
-    pending: SlotMap<dmt_lang::MutexId>,
+    /// Gate-blocked lock requests awaiting the prediction check, sorted
+    /// by thread age. Holds live requests only, so a recheck costs
+    /// O(blocked threads) however many ids the run has handed out.
+    pending: Vec<(ThreadId, MutexId)>,
+    /// Blocker index, part 1: queued threads that are not predicted, in
+    /// age order. Each blocks every younger request.
+    unpredicted: Vec<ThreadId>,
+    /// Blocker index, part 2, indexed by mutex id: queued threads with an
+    /// `Announced(m)`/`Held(m)` entry, in age order, once per such entry
+    /// (a multiset, so a thread whose one pin of `m` is retired stays
+    /// listed while another entry still pins `m`). Each blocks younger
+    /// requests for `m`.
+    pinners: Vec<Vec<ThreadId>>,
     /// Observed-contention feedback: mutexes a profile marked hot lose
     /// the prediction waiver in [`PmatScheduler::eligible`] and
     /// serialise in age order. Empty by default (pure §4.3 behaviour).
     hints: ContentionHints,
+}
+
+/// The elements of the age-sorted `v` that are older than `tid`.
+fn older(v: &[ThreadId], tid: ThreadId) -> &[ThreadId] {
+    &v[..v.partition_point(|&u| u < tid)]
+}
+
+/// The pinner list of `mutex`, created on first touch.
+fn grow(pinners: &mut Vec<Vec<ThreadId>>, mutex: MutexId) -> &mut Vec<ThreadId> {
+    let i = mutex.index();
+    if i >= pinners.len() {
+        pinners.resize_with(i + 1, Vec::new);
+    }
+    &mut pinners[i]
+}
+
+/// Adds one occurrence of `tid` to the age-sorted multiset `v`.
+fn index_insert(v: &mut Vec<ThreadId>, tid: ThreadId) {
+    let pos = v.partition_point(|&u| u <= tid);
+    v.insert(pos, tid);
+}
+
+/// Removes one occurrence of `tid` from the age-sorted multiset `v`.
+fn index_remove(v: &mut Vec<ThreadId>, tid: ThreadId) {
+    let found = v.binary_search(&tid);
+    debug_assert!(found.is_ok(), "{tid} missing from the blocker index");
+    if let Ok(pos) = found {
+        v.remove(pos);
+    }
 }
 
 impl PmatScheduler {
@@ -58,7 +97,9 @@ impl PmatScheduler {
             sync: SyncCore::new(false),
             book: Bookkeeping::new(table),
             queue: Vec::new(),
-            pending: SlotMap::new(),
+            pending: Vec::new(),
+            unpredicted: Vec::new(),
+            pinners: Vec::new(),
             hints: ContentionHints::new(),
         }
     }
@@ -69,34 +110,124 @@ impl PmatScheduler {
         self
     }
 
-    /// The §4.3 grant condition for `tid` requesting `mutex`. A
-    /// predecessor parked in `mutex`'s wait set does not conflict even
+    /// Applies a whole-table bookkeeping call (thread birth or death) for
+    /// `tid`. Every call changes only `tid`'s own table, so un-indexing
+    /// `tid` before it and re-indexing after keeps the blocker index
+    /// exact.
+    fn rebook(&mut self, tid: ThreadId, call: impl FnOnce(&mut Bookkeeping)) {
+        self.reindex(tid, index_remove);
+        call(&mut self.book);
+        self.reindex(tid, index_insert);
+    }
+
+    /// Applies a bookkeeping call that changes at most `tid`'s entry at
+    /// `sync_id` (plus, through it, whether `tid` is predicted): the
+    /// per-event form of [`PmatScheduler::rebook`], which moves only that
+    /// entry's pin instead of re-indexing the whole table.
+    fn rebook_entry(
+        &mut self,
+        tid: ThreadId,
+        sync_id: SyncId,
+        call: impl FnOnce(&mut Bookkeeping),
+    ) {
+        let was_predicted = self.book.is_predicted(tid);
+        let old = self.book.entry_pin(tid, sync_id);
+        call(&mut self.book);
+        let new = self.book.entry_pin(tid, sync_id);
+        if old != new {
+            if let Some(m) = old {
+                index_remove(grow(&mut self.pinners, m), tid);
+            }
+            if let Some(m) = new {
+                index_insert(grow(&mut self.pinners, m), tid);
+            }
+        }
+        match (was_predicted, self.book.is_predicted(tid)) {
+            (false, true) => index_remove(&mut self.unpredicted, tid),
+            (true, false) => index_insert(&mut self.unpredicted, tid),
+            _ => {}
+        }
+    }
+
+    /// Applies `edit` to every index list `tid`'s current table puts it
+    /// in. Untracked (finished or never admitted) threads are in none.
+    fn reindex(&mut self, tid: ThreadId, edit: fn(&mut Vec<ThreadId>, ThreadId)) {
+        if !self.book.is_tracked(tid) {
+            return;
+        }
+        if !self.book.is_predicted(tid) {
+            edit(&mut self.unpredicted, tid);
+        }
+        self.book
+            .for_each_pinned(tid, |m| edit(grow(&mut self.pinners, m), tid));
+    }
+
+    /// The §4.3 grant condition for `tid` requesting `mutex`: every
+    /// older queued thread that is unpredicted or pins `mutex` must be
+    /// parked in `mutex`'s wait set. That is the rule "every predecessor
+    /// is predicted and may not lock `mutex`", because a predicted
+    /// thread may lock exactly the mutexes it pins.
+    ///
+    /// A predecessor parked in `mutex`'s wait set does not conflict even
     /// though its table pins the monitor: it can only re-acquire after a
     /// notify, which requires someone else to lock the monitor first —
     /// exempting waiters is what keeps the standard producer/consumer
-    /// pattern live under PMAT.
+    /// pattern live under PMAT. The exemption holds even for unpredicted
+    /// waiters — without it the notifier could never enter and the wait
+    /// would never end.
     ///
     /// Contention feedback: when `mutex` is marked hot, the
     /// predicted-and-disjoint waiver is withheld — every older queued
-    /// thread must be *waiting on this mutex* (or parked in its wait
-    /// set) before a younger one may take it, so grants on a hot mutex
-    /// follow admission age exactly (per-object SEQ). This only
-    /// tightens the rule: hinted PMAT admits a subset of unhinted
-    /// PMAT's grants at each step, and the liveness-critical wait-set
-    /// exemption is preserved, so no new deadlock is introduced — an
-    /// ineligible younger thread just waits for its elders, who are
-    /// themselves unconstrained at the head of the queue.
-    fn eligible(&self, tid: ThreadId, mutex: dmt_lang::MutexId) -> bool {
+    /// thread must be parked in `mutex`'s wait set before a younger one
+    /// may take it, so grants on a hot mutex follow admission age
+    /// exactly (per-object SEQ). This only tightens the rule: hinted
+    /// PMAT admits a subset of unhinted PMAT's grants at each step, and
+    /// the liveness-critical wait-set exemption is preserved, so no new
+    /// deadlock is introduced — an ineligible younger thread just waits
+    /// for its elders, who are themselves unconstrained at the head of
+    /// the queue.
+    fn eligible(&self, tid: ThreadId, mutex: MutexId) -> bool {
+        let parked = |&u: &ThreadId| self.sync.is_waiting(u, mutex);
+        let ok = if self.hints.is_hot(mutex) {
+            older(&self.queue, tid).iter().all(parked)
+        } else {
+            let pinners = self
+                .pinners
+                .get(mutex.index())
+                .map_or(&[][..], Vec::as_slice);
+            older(&self.unpredicted, tid)
+                .iter()
+                .chain(older(pinners, tid))
+                .all(parked)
+        };
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            ok,
+            self.eligible_reference(tid, mutex),
+            "blocker index disagrees with the queue walk for {tid} on {mutex}"
+        );
+        ok
+    }
+
+    /// The §4.3 rule as a walk over the older queue prefix, querying
+    /// each predecessor's table: the oracle [`PmatScheduler::eligible`]
+    /// is checked against in every debug build.
+    #[cfg(any(test, debug_assertions))]
+    fn eligible_reference(&self, tid: ThreadId, mutex: MutexId) -> bool {
         let hot = self.hints.is_hot(mutex);
         self.queue.iter().take_while(|&&u| u < tid).all(|&u| {
-            // A predecessor parked in this mutex's wait set cannot race
-            // for it: it re-acquires only after a notify, which requires
-            // someone else to lock the monitor first. The exemption holds
-            // even for unpredicted waiters — without it the notifier
-            // could never enter and the wait would never end.
             self.sync.is_waiting(u, mutex)
                 || (!hot && self.book.is_predicted(u) && !self.book.may_lock(u, mutex))
         })
+    }
+
+    /// True when no request is pending and the blocker index is empty —
+    /// the state the scheduler must return to once the queue empties.
+    #[cfg(any(test, debug_assertions))]
+    fn index_drained(&self) -> bool {
+        self.pending.is_empty()
+            && self.unpredicted.is_empty()
+            && self.pinners.iter().all(Vec::is_empty)
     }
 
     /// Re-checks every gate-blocked request (age order) and grants what
@@ -105,15 +236,12 @@ impl PmatScheduler {
         // Re-acquirers queued inside the monitor layer take priority on a
         // freed monitor (their original acquisition already passed the
         // prediction check; the wait released the monitor physically but
-        // the bookkeeping still pins it). Ascending slot index is thread
-        // age, so the sweep visits blocked requests oldest-first without
-        // materialising a temporary list.
-        for i in 0..self.pending.bound() {
-            let Some(&mutex) = self.pending.get(i) else {
-                continue;
-            };
+        // the bookkeeping still pins it). The list is taken out for the
+        // pass so granted requests drop in place, without allocating.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|&(tid, mutex)| {
             if !self.sync.is_free(mutex) {
-                continue;
+                return true;
             }
             // Monitor-layer re-acquirers first, FIFO.
             if let Some(g) = self.sync.grant_next(mutex) {
@@ -123,25 +251,26 @@ impl PmatScheduler {
                     from_wait: g.from_wait,
                 });
                 out.push(SchedAction::Resume(g.tid));
-                continue;
+                return true;
             }
-            let tid = ThreadId::new(i as u32);
-            if self.eligible(tid, mutex) {
-                self.pending.remove(i);
-                let outcome = self.sync.lock(tid, mutex);
-                debug_assert_eq!(outcome, LockOutcome::Acquired);
-                out.decision(|| Decision::Grant {
-                    tid,
-                    mutex,
-                    from_wait: false,
-                });
-                out.push(SchedAction::Resume(tid));
+            if !self.eligible(tid, mutex) {
+                return true;
             }
-        }
+            let outcome = self.sync.lock(tid, mutex);
+            debug_assert_eq!(outcome, LockOutcome::Acquired);
+            out.decision(|| Decision::Grant {
+                tid,
+                mutex,
+                from_wait: false,
+            });
+            out.push(SchedAction::Resume(tid));
+            false
+        });
+        self.pending = pending;
     }
 
     /// Grants queued re-acquirers of `mutex` if it is free.
-    fn drain_reacquirers(&mut self, mutex: dmt_lang::MutexId, out: &mut SchedOutput) {
+    fn drain_reacquirers(&mut self, mutex: MutexId, out: &mut SchedOutput) {
         if self.sync.is_free(mutex) {
             if let Some(g) = self.sync.grant_next(mutex) {
                 debug_assert!(g.from_wait);
@@ -185,7 +314,7 @@ impl Scheduler for PmatScheduler {
                 if let Err(pos) = self.queue.binary_search(&tid) {
                     self.queue.insert(pos, tid);
                 }
-                self.book.on_request(tid, method);
+                self.rebook(tid, |b| b.on_request(tid, method));
                 out.decision(|| Decision::Admit { tid });
                 out.push(SchedAction::Admit(tid));
             }
@@ -194,7 +323,7 @@ impl Scheduler for PmatScheduler {
                 sync_id,
                 mutex,
             } => {
-                self.book.on_lock(tid, sync_id, mutex);
+                self.rebook_entry(tid, sync_id, |b| b.on_lock(tid, sync_id, mutex));
                 if self.sync.holds(tid, mutex) {
                     let outcome = self.sync.lock(tid, mutex);
                     debug_assert_eq!(outcome, LockOutcome::Acquired);
@@ -206,7 +335,8 @@ impl Scheduler for PmatScheduler {
                     out.push(SchedAction::Resume(tid));
                     return;
                 }
-                self.pending.insert(tid.index(), mutex);
+                let pos = self.pending.partition_point(|&(u, _)| u < tid);
+                self.pending.insert(pos, (tid, mutex));
                 // The §4.3 prediction verdict at request time; a `false`
                 // here shows up as a later Grant once a recheck passes.
                 out.decision(|| Decision::Predict {
@@ -221,7 +351,7 @@ impl Scheduler for PmatScheduler {
                 sync_id,
                 mutex,
             } => {
-                self.book.on_unlock(tid, sync_id, mutex);
+                self.rebook_entry(tid, sync_id, |b| b.on_unlock(tid, sync_id, mutex));
                 self.sync.unlock(tid, mutex);
                 self.drain_reacquirers(mutex, out);
                 // A release and a possible future-set shrink: re-check
@@ -243,10 +373,15 @@ impl Scheduler for PmatScheduler {
             SchedEvent::NestedCompleted { tid } => out.push(SchedAction::Resume(tid)),
             SchedEvent::ThreadFinished { tid } => {
                 debug_assert!(self.sync.holds_none(tid));
+                self.rebook(tid, |b| b.on_finish(tid));
                 if let Ok(pos) = self.queue.binary_search(&tid) {
                     self.queue.remove(pos);
                 }
-                self.book.on_finish(tid);
+                #[cfg(debug_assertions)]
+                assert!(
+                    !self.queue.is_empty() || self.index_drained(),
+                    "empty queue left pending requests or index entries"
+                );
                 // "A thread conflicting with t is removed from the list" /
                 // "t_u is removed from the list".
                 self.recheck(out);
@@ -256,12 +391,12 @@ impl Scheduler for PmatScheduler {
                 sync_id,
                 mutex,
             } => {
-                self.book.on_lock_info(tid, sync_id, mutex);
+                self.rebook_entry(tid, sync_id, |b| b.on_lock_info(tid, sync_id, mutex));
                 // "t_u becomes predicted" may now hold.
                 self.recheck(out);
             }
             SchedEvent::SyncIgnored { tid, sync_id } => {
-                self.book.on_ignore(tid, sync_id);
+                self.rebook_entry(tid, sync_id, |b| b.on_ignore(tid, sync_id));
                 self.recheck(out);
             }
             SchedEvent::Control(_) => {}
@@ -612,5 +747,191 @@ mod tests {
             vec![SchedAction::Resume(t(1)), SchedAction::Resume(t(0))],
             "empty hints must preserve Figure 3(b) concurrency"
         );
+    }
+
+    fn arrive_m(tid: u32, method: u32) -> SchedEvent {
+        SchedEvent::RequestArrived {
+            tid: t(tid),
+            method: MethodIdx::new(method),
+            request_seq: tid as u64,
+            dummy: false,
+        }
+    }
+    fn wait(tid: u32, mx: u32) -> SchedEvent {
+        SchedEvent::WaitCalled {
+            tid: t(tid),
+            mutex: m(mx),
+        }
+    }
+    fn notify(tid: u32, mx: u32) -> SchedEvent {
+        SchedEvent::NotifyCalled {
+            tid: t(tid),
+            mutex: m(mx),
+            all: false,
+        }
+    }
+    fn ignore(tid: u32, sid: u32) -> SchedEvent {
+        SchedEvent::SyncIgnored {
+            tid: t(tid),
+            sync_id: s_(sid),
+        }
+    }
+
+    /// The index and the queue walk agree for every queued thread on
+    /// every mutex the scenarios use (also in release test builds, where
+    /// `eligible` does not cross-check itself).
+    fn assert_index_agrees(s: &PmatScheduler) {
+        for &u in &s.queue {
+            for mx in 0..16 {
+                assert_eq!(s.eligible(u, m(mx)), s.eligible_reference(u, m(mx)));
+            }
+        }
+    }
+
+    #[test]
+    fn unpredicted_waiter_is_exempt_only_for_its_own_mutex() {
+        // t0 holds m3 from syncid 0 and has not resolved syncid 1, so it
+        // is unpredicted; then it waits on m3.
+        let table = Arc::new(LockTable::new(vec![
+            Some(vec![e(0), e(1)]),
+            Some(vec![e(2)]),
+            Some(vec![e(3)]),
+        ]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::new();
+        for i in 0..3 {
+            s.on_event(&arrive_m(i, i), &mut out);
+        }
+        s.on_event(&lock(0, 0, 3), &mut out);
+        s.on_event(&wait(0, 3), &mut out);
+        out.clear();
+        s.on_event(&lock(1, 2, 3), &mut out);
+        assert_eq!(
+            out.actions,
+            vec![SchedAction::Resume(t(1))],
+            "a waiter on m3 does not block m3"
+        );
+        out.clear();
+        s.on_event(&lock(2, 3, 4), &mut out);
+        assert!(
+            out.actions.is_empty(),
+            "the same unpredicted waiter still blocks m4"
+        );
+        assert_index_agrees(&s);
+        s.on_event(&notify(1, 3), &mut out);
+        s.on_event(&unlock(1, 2, 3), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(0))]);
+        out.clear();
+        s.on_event(&unlock(0, 0, 3), &mut out);
+        assert!(out.actions.is_empty(), "t0 is still unpredicted");
+        assert_index_agrees(&s);
+        s.on_event(&ignore(0, 1), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(2))]);
+        s.on_event(&unlock(2, 3, 4), &mut out);
+        for i in 0..3 {
+            s.on_event(&finish(i), &mut out);
+        }
+        assert!(s.index_drained());
+    }
+
+    #[test]
+    fn double_pinner_blocks_until_both_entries_are_done() {
+        let table = Arc::new(LockTable::new(vec![
+            Some(vec![e(0), e(1)]),
+            Some(vec![e(2)]),
+        ]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::new();
+        s.on_event(&arrive_m(0, 0), &mut out);
+        s.on_event(&arrive_m(1, 1), &mut out);
+        // t0 pins m5 from both of its entries.
+        s.on_event(&info(0, 0, 5), &mut out);
+        s.on_event(&info(0, 1, 5), &mut out);
+        s.on_event(&info(1, 2, 5), &mut out);
+        out.clear();
+        s.on_event(&lock(1, 2, 5), &mut out);
+        assert!(out.actions.is_empty());
+        s.on_event(&lock(0, 0, 5), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(0))]);
+        out.clear();
+        s.on_event(&unlock(0, 0, 5), &mut out);
+        assert!(
+            out.actions.is_empty(),
+            "t0's second entry still pins m5 after the first is Done"
+        );
+        assert_index_agrees(&s);
+        s.on_event(&lock(0, 1, 5), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(0))]);
+        out.clear();
+        s.on_event(&unlock(0, 1, 5), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        s.on_event(&unlock(1, 2, 5), &mut out);
+        s.on_event(&finish(0), &mut out);
+        s.on_event(&finish(1), &mut out);
+        assert!(s.index_drained());
+    }
+
+    #[test]
+    fn lock_outside_the_table_makes_a_predicted_elder_block_again() {
+        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::new();
+        s.on_event(&arrive_m(0, 0), &mut out);
+        s.on_event(&arrive_m(1, 1), &mut out);
+        s.on_event(&info(0, 0, 5), &mut out);
+        // A lock at a syncid t0's table does not list: the analysis was
+        // incomplete, so t0 degrades to unpredicted.
+        s.on_event(&lock(0, 99, 7), &mut out);
+        out.clear();
+        s.on_event(&lock(1, 1, 9), &mut out);
+        assert!(out.actions.is_empty(), "degraded t0 blocks every mutex");
+        assert_index_agrees(&s);
+        s.on_event(&unlock(0, 99, 7), &mut out);
+        s.on_event(&finish(0), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        s.on_event(&unlock(1, 1, 9), &mut out);
+        s.on_event(&finish(1), &mut out);
+        assert!(s.index_drained());
+    }
+
+    #[test]
+    fn hot_mutexes_serialise_in_age_order_despite_disjoint_prediction() {
+        // Predicted, pairwise-disjoint lock sets: unhinted PMAT grants
+        // all three at once (`disjoint_lock_sets_run_concurrently`).
+        // With every one of those mutexes hot, grants follow age.
+        let table = Arc::new(LockTable::new(vec![
+            Some(vec![e(0)]),
+            Some(vec![e(1)]),
+            Some(vec![e(2)]),
+        ]));
+        let mut hints = ContentionHints::new();
+        for mx in 10..13 {
+            hints.mark_hot(m(mx));
+        }
+        let mut s = PmatScheduler::new(table).with_hints(hints);
+        let mut out = SchedOutput::new();
+        for i in 0..3 {
+            s.on_event(&arrive_m(i, i), &mut out);
+            s.on_event(&info(i, i, 10 + i), &mut out);
+        }
+        out.clear();
+        s.on_event(&lock(2, 2, 12), &mut out);
+        s.on_event(&lock(1, 1, 11), &mut out);
+        assert!(out.actions.is_empty());
+        assert_index_agrees(&s);
+        s.on_event(&lock(0, 0, 10), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(0))]);
+        out.clear();
+        s.on_event(&unlock(0, 0, 10), &mut out);
+        assert!(out.actions.is_empty(), "the elder is still queued");
+        s.on_event(&finish(0), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        out.clear();
+        s.on_event(&unlock(1, 1, 11), &mut out);
+        s.on_event(&finish(1), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(2))]);
+        s.on_event(&unlock(2, 2, 12), &mut out);
+        s.on_event(&finish(2), &mut out);
+        assert!(s.index_drained());
     }
 }

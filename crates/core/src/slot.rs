@@ -109,11 +109,6 @@ impl<T> SlotMap<T> {
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|_| i))
     }
-
-    /// Upper bound on ids ever inserted (capacity of the dense range).
-    pub fn bound(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 impl<T> std::ops::Index<usize> for SlotMap<T> {
@@ -225,7 +220,6 @@ mod tests {
             .push(8);
         assert_eq!(m[2], vec![7, 8]);
         assert_eq!(m.len(), 1);
-        assert_eq!(m.bound(), 3);
     }
 
     #[test]

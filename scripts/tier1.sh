@@ -64,4 +64,11 @@ cargo test -q --release -p dmt-bench --test contention_determinism
 echo "== smoke: shard determinism =="
 cargo test -q --release -p dmt-bench --test shard_determinism
 
+# PMAT scaling guard: ns/engine-event at 160 requests per client must
+# stay within 1.35× of that at 10 (interleaved best-of-5, same process),
+# so a grant check that grows with the run-wide thread-id range cannot
+# come back. A same-host ratio, not an absolute pin; release-only.
+echo "== smoke: PMAT scaling =="
+cargo test -q --release -p dmt-bench --test pmat_scaling
+
 echo "tier1: OK"

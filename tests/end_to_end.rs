@@ -155,6 +155,32 @@ fn buffer_workload_blocks_and_wakes_correctly() {
     }
 }
 
+/// PMAT's pending list and blocker index must drain with the queue. Debug
+/// builds assert it inside the scheduler whenever the last queued thread
+/// finishes, so a run that completes has passed the check on every
+/// replica.
+#[test]
+fn pmat_blocker_index_drains_after_complete_runs() {
+    let fig1 = fig1::scenario(&fig1::Fig1Params {
+        n_clients: 32,
+        requests_per_client: 3,
+        ..Default::default()
+    });
+    let buffer = buffer::scenario(&buffer::BufferParams {
+        n_producers: 3,
+        n_consumers: 3,
+        items_per_client: 6,
+        ..Default::default()
+    });
+    let kind = SchedulerKind::Pmat;
+    for (name, pair, requests) in [("fig1", fig1, 96), ("buffer", buffer, 36)] {
+        let cfg = EngineConfig::new(kind).with_seed(9).with_cpu_jitter(0.05);
+        let res = Engine::new(pair.for_kind(kind), cfg).run();
+        assert!(!res.deadlocked, "{name}");
+        assert_eq!(res.completed_requests, requests, "{name}");
+    }
+}
+
 #[test]
 fn analysed_variant_costs_nothing_in_virtual_time_for_pessimists() {
     // Injected lockInfo/ignore calls are zero-duration; a pessimistic
