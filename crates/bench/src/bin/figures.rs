@@ -20,7 +20,6 @@ use dmt_bench::*;
 use dmt_core::SchedulerKind;
 use dmt_replica::{Engine, EngineConfig};
 use dmt_workload::fig1;
-use std::time::Instant;
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -28,66 +27,23 @@ fn json_escape(s: &str) -> String {
 
 fn engine_bench(client_counts: &[usize], requests: usize, quick: bool) {
     let rows = engine_bench_experiment(client_counts, requests);
-
-    // Sweep parallelism (across independent grid cells): the same
-    // Figure-1 table serially and with the sweep driver; the tables
-    // must be identical. Force at least two workers so the parallel
-    // path is exercised (and the recorded speedup is a real
-    // measurement) even on a single-core host, where `sweep_threads()`
-    // would degenerate to 1 and the "parallel" run would just be the
-    // serial run again.
-    let threads = sweep_threads().max(2);
-    let t0 = Instant::now();
-    let serial = fig1_experiment_with_opts(client_counts, requests, true, 1, 1);
-    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
-    let parallel = fig1_experiment_with_opts(client_counts, requests, true, threads, 1);
-    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let identical = serial.to_string() == parallel.to_string();
-    assert!(identical, "parallel sweep produced a different table");
-
-    // Intra-run parallelism (inside ONE sharded cluster run): the same
-    // partitioned open-loop workload with one shard worker and with
-    // `threads`; merged results must be identical, and the
-    // deterministic balance bound says what the partition would buy on
-    // real cores (the measured ratio is honest about this host).
-    let shard_groups = 8;
-    let p = dmt_workload::openloop::OpenLoopParams {
-        n_clients: if quick { 400 } else { 4_000 },
-        requests_per_client: 1,
-        ..dmt_workload::openloop::OpenLoopParams::default()
-    }
-    .with_offered_rps(if quick { 800.0 } else { 8_000.0 })
-    .with_read_fraction(0.9)
-    .with_seed(9001);
-    let shard_scs: Vec<_> = dmt_workload::openloop::sharded_scenarios(&p, shard_groups)
-        .iter()
-        .map(|pair| pair.for_kind(SchedulerKind::Mat))
-        .collect();
-    let shard_cfg = |w: usize| {
-        EngineConfig::new(SchedulerKind::Mat)
-            .with_seed(7)
-            .with_shards(w)
-    };
-    let shard_serial = dmt_replica::run_sharded(shard_scs.clone(), &shard_cfg(1), None);
-    let shard_parallel = dmt_replica::run_sharded(shard_scs, &shard_cfg(threads), None);
-    let shard_identical = shard_serial.completed_requests == shard_parallel.completed_requests
-        && shard_serial.makespan == shard_parallel.makespan
-        && shard_serial.events_per_group == shard_parallel.events_per_group;
-    assert!(shard_identical, "shard workers changed the merged result");
-    let shard_serial_ms = shard_serial.wall_ns as f64 / 1e6;
-    let shard_parallel_ms = shard_parallel.wall_ns as f64 / 1e6;
-    let balance_bound = shard_parallel.balance_bound(threads);
-
     let mut total = dmt_replica::PerfCounters::default();
     for r in &rows {
         total.merge(&r.perf);
     }
-    let base_total = BASELINE_TOTAL_NS_PER_EVENT;
-    let improvement = if base_total > 0.0 {
-        (1.0 - total.ns_per_event() / base_total) * 100.0
-    } else {
-        0.0
+    let counters = |p: &dmt_replica::PerfCounters| {
+        format!(
+            "\"events\": {}, \"sched_events\": {}, \"sched_fanout\": {:.4}, \"sched_actions\": {}, \"vm_steps\": {}, \"fused_steps\": {}, \"batched_steps\": {}, \"vm_allocs\": {}, \"vm_reuses\": {}",
+            p.events,
+            p.sched_events,
+            p.sched_fanout(),
+            p.sched_actions,
+            p.vm_steps,
+            p.fused_steps,
+            p.batched_steps,
+            p.vm_allocs,
+            p.vm_reuses,
+        )
     };
 
     let mut j = String::new();
@@ -95,54 +51,19 @@ fn engine_bench(client_counts: &[usize], requests: usize, quick: bool) {
     j.push_str(&format!(
         "  \"sweep\": {{\"clients\": {client_counts:?}, \"requests_per_client\": {requests}, \"quick\": {quick}}},\n"
     ));
-    j.push_str("  \"baseline\": {\n    \"note\": \"dense-ID slot-table engine, re-baselined 2026-08-06; ns/event on the same sweep\",\n");
-    j.push_str("    \"per_kind\": {");
-    for (i, (k, v)) in BASELINE_NS_PER_EVENT.iter().enumerate() {
-        if i > 0 {
-            j.push_str(", ");
-        }
-        j.push_str(&format!("\"{}\": {v:.1}", json_escape(k)));
-    }
-    j.push_str(&format!(
-        "}},\n    \"ns_per_event\": {base_total:.1}\n  }},\n"
-    ));
-    j.push_str("  \"current\": {\n    \"per_kind\": [\n");
+    j.push_str("  \"per_kind\": [\n");
     for (i, r) in rows.iter().enumerate() {
         j.push_str(&format!(
-            "      {{\"kind\": \"{}\", \"events\": {}, \"sched_events\": {}, \"sched_fanout\": {:.4}, \"sched_actions\": {}, \"vm_steps\": {}, \"fused_steps\": {}, \"batched_steps\": {}, \"vm_allocs\": {}, \"vm_reuses\": {}, \"wall_ns\": {}, \"ns_per_event\": {:.1}}}{}\n",
+            "    {{\"kind\": \"{}\", {}}}{}\n",
             json_escape(r.kind.name()),
-            r.perf.events,
-            r.perf.sched_events,
-            r.perf.sched_fanout(),
-            r.perf.sched_actions,
-            r.perf.vm_steps,
-            r.perf.fused_steps,
-            r.perf.batched_steps,
-            r.perf.vm_allocs,
-            r.perf.vm_reuses,
-            r.perf.wall_ns,
-            r.perf.ns_per_event(),
+            counters(&r.perf),
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
     j.push_str(&format!(
-        "    ],\n    \"total\": {{\"events\": {}, \"sched_events\": {}, \"sched_fanout\": {:.4}, \"sched_actions\": {}, \"vm_steps\": {}, \"fused_steps\": {}, \"batched_steps\": {}, \"vm_allocs\": {}, \"vm_reuses\": {}, \"wall_ns\": {}, \"ns_per_event\": {:.1}}}\n  }},\n",
-        total.events, total.sched_events, total.sched_fanout(), total.sched_actions,
-        total.vm_steps, total.fused_steps, total.batched_steps, total.vm_allocs, total.vm_reuses,
-        total.wall_ns, total.ns_per_event(),
+        "  ],\n  \"total\": {{{}}}\n}}\n",
+        counters(&total)
     ));
-    j.push_str(&format!(
-        "  \"ns_per_event_improvement_pct\": {improvement:.1},\n"
-    ));
-    j.push_str(&format!(
-        "  \"sweep_parallelism\": {{\"threads\": {threads}, \"serial_wall_ms\": {serial_ms:.1}, \"parallel_wall_ms\": {parallel_ms:.1}, \"speedup\": {:.2}, \"tables_identical\": {identical}, \"note\": \"across independent sweep cells; each cluster run stays serial\"}},\n",
-        serial_ms / parallel_ms.max(1e-9),
-    ));
-    j.push_str(&format!(
-        "  \"intra_run_parallelism\": {{\"n_groups\": {shard_groups}, \"shard_workers\": {threads}, \"serial_wall_ms\": {shard_serial_ms:.1}, \"parallel_wall_ms\": {shard_parallel_ms:.1}, \"measured_speedup\": {:.2}, \"balance_bound\": {balance_bound:.2}, \"results_identical\": {shard_identical}, \"note\": \"inside one sharded cluster run; balance_bound is the deterministic speedup bound (BENCH_shard.json has the full sweep), measured_speedup is whatever this host's cores allow\"}}\n",
-        shard_serial_ms / shard_parallel_ms.max(1e-9),
-    ));
-    j.push_str("}\n");
 
     let path = artifact_path("BENCH_engine.json", quick);
     std::fs::write(&path, &j).unwrap_or_else(|e| panic!("write {path}: {e}"));
@@ -302,6 +223,14 @@ fn shard_bench(quick: bool, csv: bool) {
         print!("{}", t.to_csv());
     } else {
         println!("{t}");
+    }
+    // Host time stays out of the artifact: it is the one measure of
+    // intra-run worker speedup, so it goes to stderr.
+    for r in &report.rows {
+        eprintln!(
+            "shard workers {}: wall {:.1} ms, merge {:.2} ms",
+            r.workers, r.wall_ms, r.merge_ms
+        );
     }
     let j = shard_json(&grid, &report);
     let path = artifact_path("BENCH_shard.json", quick);

@@ -524,7 +524,7 @@ pub fn contention_json(grid: &ContentionGrid, report: &ContentionReport) -> Stri
         grid.autopilot_clients,
         grid.autopilot_requests_per_client,
     ));
-    j.push_str("  \"note\": \"per-mutex contention profiles folded from the streaming trace sink; virtual-time integers only; byte-identical across reruns and sweep worker counts\",\n");
+    j.push_str("  \"note\": \"per-mutex contention profiles folded from the trace buffer; virtual-time integers only; byte-identical across reruns and sweep worker counts\",\n");
     j.push_str("  \"profiles\": [\n");
     for (i, r) in report.profiles.iter().enumerate() {
         j.push_str(&format!(

@@ -14,7 +14,6 @@ use dmt_replica::{
 use dmt_sim::SimDuration;
 use dmt_workload::{bank, buffer, fig1, fig2, fig3};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// The parallel sweep driver: runs `f(0..n_jobs)` across `threads`
 /// worker threads (`std::thread::scope`, no extra deps) and returns the
@@ -136,64 +135,6 @@ pub fn run_engine(scenario: dmt_replica::Scenario, cfg: EngineConfig) -> RunResu
     let mut sharded = run_sharded(vec![scenario], &cfg, None);
     sharded.groups.remove(0)
 }
-
-/// Baseline simulator throughput (ns/event) per scheduler on the
-/// Figure-1 sweep. Re-baselined 2026-08-06 to the dense-ID slot-table
-/// engine (the previous HashMap/BTreeSet baseline — SEQ 442, SAT 407,
-/// LSA 536, PDS 920, MAT 462, total 570 — predated that refactor and
-/// overstated every subsequent improvement). Same machine command:
-/// `figures -- bench` with the default full sweep. Kept so
-/// BENCH_engine.json always reports before → after, and so the
-/// tracing-disabled overhead guard (`tests/trace_overhead.rs`) has a
-/// pinned reference.
-pub const BASELINE_NS_PER_EVENT: [(&str, f64); 5] = [
-    ("SEQ", 173.4),
-    ("SAT", 170.3),
-    ("LSA", 212.9),
-    ("PDS", 247.4),
-    ("MAT", 176.0),
-];
-
-/// Events-weighted ns/event over the whole baseline sweep (same
-/// measurement as the per-kind table above).
-pub const BASELINE_TOTAL_NS_PER_EVENT: f64 = 200.5;
-
-/// Events-weighted ns/event after the allocation-free substrate landed
-/// (pooled VM frames, interned request args, incremental state hash,
-/// slab-backed calendar event queue). Pinned 2026-08-06 from the full
-/// sweep, fastest-of-three per point. [`BASELINE_TOTAL_NS_PER_EVENT`]
-/// stays the before→after reference in `BENCH_engine.json`; this pin is
-/// what the tracing-disabled overhead guard (`tests/trace_overhead.rs`)
-/// holds the hot path against, so a regression back toward the old cost
-/// fails loudly instead of hiding inside the old pin's slack.
-pub const POOLED_TOTAL_NS_PER_EVENT: f64 = 168.0;
-
-/// Events-weighted ns/event after the threaded-code interpreter landed
-/// (flat op stream with pre-resolved operands, superinstruction fusion,
-/// batched request admission, split-borrow dispatch loop, incremental
-/// PDS pool counters). Pinned 2026-08-08 from the full sweep, fastest
-/// of four `figures -- bench` repeats (measured band 131.3–144.2 on a
-/// noisy single-core host; the minimum is the faithful estimate, see
-/// `engine_bench_experiment`, and the pin keeps a small margin above
-/// it). This supersedes
-/// [`POOLED_TOTAL_NS_PER_EVENT`] as the pin behind the
-/// tracing-disabled overhead guard (`tests/trace_overhead.rs`), with
-/// 2× release slack: a regression to even half-way back toward the
-/// pooled-substrate cost now fails loudly.
-pub const THREADED_TOTAL_NS_PER_EVENT: f64 = 135.0;
-
-/// Events-weighted ns/event after the dispatch fan-out collapse landed
-/// (same-instant grant fusion in the step loop, in-place action
-/// application with no per-dispatch buffer moves, gated MAT
-/// bookkeeping, in-place admission, interleaved-pass measurement).
-/// Pinned 2026-08-08 from the full sweep (calm-window band ≈119–123
-/// ns/event, vs ≈129–133 for the previous commit's binary measured in
-/// the same windows; this host's noise bursts reach ≈200). Supersedes
-/// [`THREADED_TOTAL_NS_PER_EVENT`] as the pin behind the
-/// tracing-disabled overhead guard (`tests/trace_overhead.rs`): at the
-/// unchanged 2× release slack the limit drops 270 → 210 ns/event,
-/// below what the pre-fusion engine's noisy band could excuse.
-pub const FUSED_TOTAL_NS_PER_EVENT: f64 = 105.0;
 
 /// Ceiling on the scheduler-dispatch fan-out (`sched_events / events`,
 /// [`PerfCounters::sched_fanout`]) per scheduler, pinned from the full
@@ -354,55 +295,36 @@ pub fn fig1_experiment_with_opts(
     t
 }
 
-/// Per-scheduler simulator-throughput measurement over the Figure-1
-/// sweep. Serial on purpose: ns/event is a host-time measurement and
-/// concurrent runs would pollute each other's clocks.
+/// One scheduler's work counters, summed over the Figure-1 sweep.
 pub struct EngineBenchRow {
     pub kind: SchedulerKind,
     pub perf: PerfCounters,
 }
 
-/// **bench** — engine hot-path cost on the Figure-1 sweep (all five
-/// paper schedulers), aggregated per scheduler.
+/// **bench** — the engine's work on the Figure-1 sweep (all five paper
+/// schedulers), aggregated per scheduler. Only the counters are
+/// reported: they are exact, so one pass suffices. Host time per event
+/// is perfbench's to measure, against the parent commit on one host.
 pub fn engine_bench_experiment(
     client_counts: &[usize],
     requests_per_client: usize,
 ) -> Vec<EngineBenchRow> {
-    // Runs are deterministic but the clock is not: scheduler noise
-    // (CI neighbours, cold caches) only ever inflates wall time, so the
-    // fastest repeat of each cell is the faithful cost estimate. On the
-    // noisy single-vCPU hosts this repo benches on, that noise arrives
-    // in multi-second bursts — back-to-back repeats of one cell all
-    // land inside the same burst, which is why a per-cell `(0..3)` retry
-    // loop routinely left cells 10%+ above their floor. Instead the
-    // whole (kind x clients) grid is swept in full passes and each cell
-    // keeps its fastest pass: consecutive visits to one cell are now a
-    // full grid apart, so a burst has to span the entire sweep to taint
-    // a cell's minimum.
-    // Shards stay at 1: ns/event prices the monolithic hot path, and
-    // the sharded wrapper's merge would pollute the wall clock.
-    const PASSES: usize = 5;
-    let mut best: Vec<Vec<Option<PerfCounters>>> =
-        vec![vec![None; client_counts.len()]; FIG1_KINDS.len()];
-    for _ in 0..PASSES {
-        for (ki, &kind) in FIG1_KINDS.iter().enumerate() {
-            for (ci, &n) in client_counts.iter().enumerate() {
-                let perf = fig1_point(n, requests_per_client, kind, 1).perf;
-                let slot = &mut best[ki][ci];
-                let faster = slot.as_ref().is_none_or(|b| perf.wall_ns < b.wall_ns);
-                if faster {
-                    *slot = Some(perf);
-                }
-            }
-        }
-    }
+    let cells = run_jobs(
+        FIG1_KINDS.len() * client_counts.len(),
+        sweep_threads(),
+        |job| {
+            let kind = FIG1_KINDS[job / client_counts.len()];
+            let n = client_counts[job % client_counts.len()];
+            fig1_point(n, requests_per_client, kind, 1).perf
+        },
+    );
     FIG1_KINDS
         .iter()
-        .zip(best)
+        .zip(cells.chunks(client_counts.len()))
         .map(|(&kind, cells)| {
             let mut agg = PerfCounters::default();
             for perf in cells {
-                agg.merge(&perf.expect("every cell measured"));
+                agg.merge(perf);
             }
             EngineBenchRow { kind, perf: agg }
         })
@@ -556,15 +478,16 @@ pub fn abl_mutexes_experiment(mutex_counts: &[u32]) -> Table {
     t
 }
 
-/// **abl-overhead** — what the instrumentation costs. Virtual time can't
-/// see bookkeeping cost (injected calls take zero simulated time), so the
-/// measure is host wall-clock per simulated request: plain vs analysed
-/// object under the same pessimistic scheduler, plus PMAT on a workload
-/// where prediction cannot help (one global mutex).
+/// **abl-overhead** — what the instrumentation costs in virtual time:
+/// plain vs analysed object under the same pessimistic scheduler, plus
+/// PMAT on a workload where prediction cannot help (one global mutex).
+/// Injected calls take zero simulated time, so their host cost is
+/// timed by `cargo bench -p dmt-bench --bench overhead` on the same
+/// four configurations.
 pub fn abl_overhead_experiment() -> Table {
     let mut t = Table::new(
         "Ablation: instrumentation & bookkeeping overhead (1 mutex, 8 clients)",
-        &["configuration", "resp (ms)", "host µs/request"],
+        &["configuration", "resp (ms)"],
     );
     let p = fig1::Fig1Params::default().with_mutexes(1).with_clients(8);
     let pair = fig1::scenario(&p);
@@ -574,16 +497,9 @@ pub fn abl_overhead_experiment() -> Table {
         } else {
             pair.plain.clone()
         };
-        let total = (p.n_clients * p.requests_per_client) as f64;
-        let start = Instant::now();
         let res = Engine::new(scenario, EngineConfig::new(kind).with_seed(5)).run();
-        let wall = start.elapsed().as_micros() as f64 / total;
         assert!(!res.deadlocked);
-        t.push_row(vec![
-            label.to_string(),
-            ms(res.response_ms().mean()),
-            format!("{wall:.1}"),
-        ]);
+        t.push_row(vec![label.to_string(), ms(res.response_ms().mean())]);
     };
     run("MAT plain", SchedulerKind::Mat, false);
     run("MAT analysed", SchedulerKind::Mat, true);

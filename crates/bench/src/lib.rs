@@ -18,9 +18,11 @@
 //!   the same bytes regardless of rerun, host, or how many sweep
 //!   workers ([`run_jobs_prioritized`]) executed it, and regression
 //!   tests pin exactly that.
-//! * **Wall-clock results** (`BENCH_engine.json` ns/event) time the
-//!   simulator itself and naturally vary run to run; they are never
-//!   mixed into the deterministic artifacts.
+//! * **Wall-clock results** time the simulator itself and vary run to
+//!   run, so no artifact of this crate carries them. They live in the
+//!   `cargo bench` targets and in `perfbench/`, which compares a change
+//!   with its parent commit on the same host. `figures bench` reports
+//!   only the exact work counters (`BENCH_engine.json`).
 //!
 //! Parallel sweeps dispatch jobs longest-first but slot results by job
 //! index, so parallelism affects wall-clock only, never output bytes.

@@ -12,21 +12,18 @@
 //!    deterministic `balance_bound` — total simulated events divided by
 //!    the heaviest worker's events under the contiguous-chunk
 //!    assignment — is the speedup a perfectly parallel host could
-//!    reach. Measured wall-clock sits next to it in the (explicitly
-//!    non-reproducible) timing line; on a single-core host the measured
-//!    ratio is honestly ~1× while the bound shows what the partition
-//!    would buy on real cores.
+//!    reach. `figures shard` prints the measured per-worker wall and
+//!    merge times to stderr; they never enter the artifact.
 //! 3. *What does the cross-shard path cost?* A relay ring
 //!    ([`dmt_workload::relay`]) routes every request through a typed
 //!    cross-shard call + reply, and the artifact records the resulting
 //!    message and epoch-barrier counts, again pinned identical across
 //!    worker counts.
 //!
-//! Everything in the artifact except the single `"timing"` line is
-//! derived from virtual time and integer counters, so the file is
-//! byte-identical across reruns and shard worker counts
-//! (`crates/bench/tests/shard_determinism.rs` holds it to that, modulo
-//! that one line).
+//! Everything in the artifact is derived from virtual time and integer
+//! counters, so the file is byte-identical across reruns and shard
+//! worker counts (`crates/bench/tests/shard_determinism.rs` holds it to
+//! that).
 
 use crate::table::Table;
 use dmt_core::SchedulerKind;
@@ -100,8 +97,7 @@ impl ShardGrid {
 }
 
 /// Per-worker-count measurements. `balance_bound` is deterministic;
-/// the wall/merge clocks are not and stay out of the byte-stable
-/// artifact section.
+/// the wall/merge clocks are not and stay out of the artifact.
 #[derive(Clone, Debug)]
 pub struct ShardWorkerRow {
     pub workers: usize,
@@ -286,8 +282,8 @@ pub fn shard_table(report: &ShardReport) -> Table {
     t
 }
 
-/// Serialises the report as `BENCH_shard.json`. Everything except the
-/// single `"timing"` line is virtual-time-derived and byte-stable.
+/// Serialises the report as `BENCH_shard.json`: virtual-time-derived
+/// and byte-stable, with no host timing.
 pub fn shard_json(grid: &ShardGrid, report: &ShardReport) -> String {
     let mut j = String::new();
     j.push_str("{\n");
@@ -302,7 +298,7 @@ pub fn shard_json(grid: &ShardGrid, report: &ShardReport) -> String {
         grid.kind.name(),
         grid.worker_counts,
     ));
-    j.push_str("  \"note\": \"merged sharded runs; every field except the timing line is virtual-time-derived and byte-identical across reruns and shard worker counts; balance_bound = total events / heaviest worker's events under the contiguous-chunk assignment (the deterministic intra-run speedup bound; measured wall-clock lives in the timing line and is honest about single-core hosts)\",\n");
+    j.push_str("  \"note\": \"merged sharded runs; every field is virtual-time-derived and byte-identical across reruns and shard worker counts; balance_bound = total events / heaviest worker's events under the contiguous-chunk assignment (the deterministic intra-run speedup bound; figures shard prints the measured wall-clock to stderr)\",\n");
     j.push_str("  \"deterministic\": {\n");
     j.push_str(&format!(
         "    \"completed\": {}, \"makespan_ns\": {},\n",
@@ -333,30 +329,13 @@ pub fn shard_json(grid: &ShardGrid, report: &ShardReport) -> String {
         report.identical_across_worker_counts
     ));
     j.push_str(&format!(
-        "  \"routed\": {{\"n_groups\": {}, \"completed\": {}, \"shard_msgs\": {}, \"epochs\": {}, \"makespan_ns\": {}}},\n",
+        "  \"routed\": {{\"n_groups\": {}, \"completed\": {}, \"shard_msgs\": {}, \"epochs\": {}, \"makespan_ns\": {}}}\n",
         report.routed.n_groups,
         report.routed.completed,
         report.routed.shard_msgs,
         report.routed.epochs,
         report.routed.makespan_ns,
     ));
-    // Host-clock measurements; deliberately a single line so the
-    // byte-stability test can strip it.
-    let serial_wall = report.rows.first().map(|r| r.wall_ms).unwrap_or(0.0);
-    j.push_str("  \"timing\": {\"rows\": [");
-    for (i, r) in report.rows.iter().enumerate() {
-        if i > 0 {
-            j.push_str(", ");
-        }
-        j.push_str(&format!(
-            "{{\"workers\": {}, \"wall_ms\": {:.1}, \"merge_ms\": {:.2}, \"measured_speedup\": {:.2}}}",
-            r.workers,
-            r.wall_ms,
-            r.merge_ms,
-            serial_wall / r.wall_ms.max(1e-9),
-        ));
-    }
-    j.push_str("]}\n");
     j.push_str("}\n");
     j
 }
@@ -400,17 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn json_is_byte_stable_modulo_timing() {
+    fn json_is_byte_stable() {
         let grid = tiny();
-        let strip = |j: &str| {
-            j.lines()
-                .filter(|l| !l.contains("\"timing\""))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
         let a = shard_json(&grid, &shard_experiment(&grid));
         let b = shard_json(&grid, &shard_experiment(&grid));
-        assert_eq!(strip(&a), strip(&b));
+        assert_eq!(a, b);
         assert!(a.contains("\"latency_stream_hash\""));
     }
 }

@@ -45,7 +45,7 @@ fn assert_equivalent(kind: SchedulerKind, batched: &RunResult, unbatched: &RunRe
         "{kind}: deadlock"
     );
     for (name, v) in &batched.metrics.counters {
-        if name == "engine.wall_ns" || name == "engine.batched_steps" {
+        if name == "engine.batched_steps" {
             continue;
         }
         assert_eq!(

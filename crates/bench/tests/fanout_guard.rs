@@ -2,7 +2,7 @@
 //! ([`dmt_replica::PerfCounters::sched_fanout`]) per scheduler, held
 //! under the pins in [`dmt_bench::MAX_SCHED_FANOUT`].
 //!
-//! Unlike the ns/event guard next door, this ratio is a quotient of
+//! Unlike host time per event, this ratio is a quotient of
 //! deterministic counters — the same grid always yields the same value,
 //! on any host, in any build mode — so it catches the *structural* half
 //! of a hot-path regression: a change that grows an extra dispatch leg

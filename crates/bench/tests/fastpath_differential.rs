@@ -10,7 +10,7 @@
 //! silently disable itself) and the reference run must never fuse.
 //!
 //! Three workload shapes on purpose: fig1 (closed-loop, moderately
-//! contended — the sweep `BENCH_engine.json` prices), open-loop
+//! contended — the sweep `BENCH_engine.json` counts), open-loop
 //! (admission-heavy, read-mostly), and the AB/BA inversion (tight
 //! nested locking, where the step loop re-enters fusion most often).
 
@@ -77,11 +77,8 @@ fn assert_differential(
         fused.stuck_threads, reference.stuck_threads,
         "{ctx}: stuck threads diverged"
     );
-    // Every exported metric except host wall-clock.
+    // Every exported metric.
     for (name, v) in &fused.metrics.counters {
-        if name == "engine.wall_ns" {
-            continue;
-        }
         assert_eq!(
             reference.metrics.counter(name),
             Some(*v),

@@ -70,7 +70,7 @@ fn assert_equivalent(kind: SchedulerKind, fused: &RunResult, plain: &RunResult) 
     );
     assert!(!fused.deadlocked && !plain.deadlocked, "{kind}: deadlock");
     for (name, v) in &fused.metrics.counters {
-        if name == "engine.wall_ns" || name == "engine.fused_steps" {
+        if name == "engine.fused_steps" {
             continue;
         }
         assert_eq!(

@@ -50,26 +50,19 @@ fn openloop_artifact_is_identical_for_every_shard_and_worker_count() {
 }
 
 #[test]
-fn shard_artifact_is_byte_stable_modulo_the_timing_line() {
+fn shard_artifact_is_byte_stable() {
     // A scaled-down BENCH_shard.json: rerunning the experiment — which
     // internally runs every worker count and asserts merged-result
-    // identity — must reproduce the artifact exactly, except for the
-    // single host-clock "timing" line.
+    // identity — must reproduce the artifact exactly.
     let grid = ShardGrid {
         n_clients: 128,
         offered_rps: 1_000.0,
         worker_counts: vec![1, 2, 4, 8],
         ..ShardGrid::quick()
     };
-    let strip = |j: &str| {
-        j.lines()
-            .filter(|l| !l.contains("\"timing\""))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     let a = shard_json(&grid, &shard_experiment(&grid));
     let b = shard_json(&grid, &shard_experiment(&grid));
-    assert_eq!(strip(&a), strip(&b), "BENCH_shard.json is not byte-stable");
+    assert_eq!(a, b, "BENCH_shard.json is not byte-stable");
     // The deterministic section must really carry the content.
     assert!(a.contains("\"balance_bound\""));
     assert!(a.contains("\"routed\""));

@@ -40,10 +40,6 @@ impl Scheduler for FreeScheduler {
         &self.sync
     }
 
-    fn global_order_deterministic(&self) -> bool {
-        false
-    }
-
     fn on_event(&mut self, ev: &SchedEvent, out: &mut SchedOutput) {
         match *ev {
             SchedEvent::RequestArrived { tid, .. } => {

@@ -199,14 +199,6 @@ impl Scheduler for LsaScheduler {
         &self.sync
     }
 
-    /// Followers enforce the leader's order *per mutex*; grants on
-    /// different mutexes are applied as local threads reach their
-    /// requests, so the global interleaving is replica-local (properly
-    /// synchronised state is unaffected, exactly as for PMAT).
-    fn global_order_deterministic(&self) -> bool {
-        false
-    }
-
     /// `sched_queue` counts announced-but-unapplied grants (the follower
     /// backlog); fresh requests parked in `pending` count as lock-queued
     /// since they are blocked on a monitor, just gated remotely.

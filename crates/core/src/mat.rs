@@ -199,12 +199,6 @@ impl Scheduler for MatScheduler {
         &self.sync
     }
 
-    /// Multiple monitors can be mid-handoff at once (suspended holders),
-    /// so only the per-mutex grant orders are replica-invariant.
-    fn global_order_deterministic(&self) -> bool {
-        false
-    }
-
     fn depths(&self) -> DepthSample {
         let mut d = self.sync.depths();
         // Gate-blocked lock requests are contention the monitor layer

@@ -390,13 +390,6 @@ impl Scheduler for PdsScheduler {
         &self.sync
     }
 
-    /// Per-mutex grant order is replica-invariant (the original paper's
-    /// guarantee); the global interleaving across mutexes is not — grants
-    /// from monitor-release handoffs interleave with sweeps per-replica.
-    fn global_order_deterministic(&self) -> bool {
-        false
-    }
-
     /// `admission` is the waiting room; `sched_queue` counts pool members
     /// whose collected lock request awaits the round barrier.
     fn depths(&self) -> DepthSample {

@@ -18,7 +18,7 @@
 //! differently, but the per-mutex grant orders — the only thing that can
 //! reach properly-synchronised state — are identical. The determinism
 //! checker therefore compares PMAT runs by per-mutex traces and state
-//! hashes (`global_order_deterministic() == false`).
+//! hashes (`checker::match_level` in `dmt-replica`).
 //!
 //! The paper leaves `wait`/nested-invocation handling open ("we have not
 //! been able to figure out yet"). Our documented answer: a suspended
@@ -292,11 +292,6 @@ impl Scheduler for PmatScheduler {
 
     fn sync_core(&self) -> &SyncCore {
         &self.sync
-    }
-
-    /// Only per-mutex grant order is replica-independent.
-    fn global_order_deterministic(&self) -> bool {
-        false
     }
 
     /// `lock_queued` adds gate-blocked requests awaiting the prediction

@@ -220,14 +220,6 @@ pub trait Scheduler: Send {
         self.sync_core().depths()
     }
 
-    /// Whether the *global* lock-grant order is replica-independent.
-    /// Only single-active-thread algorithms (SEQ, SAT) can promise that;
-    /// every concurrent algorithm guarantees the per-mutex acquisition
-    /// orders instead. The determinism checker compares accordingly.
-    fn global_order_deterministic(&self) -> bool {
-        true
-    }
-
     /// Leadership change notification (LSA failover). Default: ignored.
     fn on_leader_change(&mut self, _new_leader: ReplicaId) {}
 
@@ -289,11 +281,6 @@ impl Scheduler for AnyScheduler {
     #[inline]
     fn depths(&self) -> DepthSample {
         each_sched!(self, s => s.depths())
-    }
-
-    #[inline]
-    fn global_order_deterministic(&self) -> bool {
-        each_sched!(self, s => s.global_order_deterministic())
     }
 
     fn on_leader_change(&mut self, new_leader: ReplicaId) {

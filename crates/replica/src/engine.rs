@@ -227,9 +227,9 @@ impl EngineConfig {
 }
 
 /// Host-side cost meters for the engine hot path. Virtual time is the
-/// experiment's subject; these count what the *simulator* pays per run,
-/// so the figures can report simulator throughput (ns/event) alongside
-/// the modelled quantities.
+/// experiment's subject; these count what the *simulator* pays per run.
+/// Every field but [`Self::wall_ns`] is an exact counter; host time is
+/// only compared on one host (perfbench), never committed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PerfCounters {
     /// Simulation events processed (event-queue pops).
@@ -857,7 +857,6 @@ impl Engine {
             ("engine.vm_steps", h.perf.vm_steps),
             ("engine.fused_steps", h.perf.fused_steps),
             ("engine.batched_steps", h.perf.batched_steps),
-            ("engine.wall_ns", h.perf.wall_ns),
             ("engine.completed_requests", h.completed_requests),
             ("engine.dummy_requests", h.dummy_requests),
             ("engine.ctrl_messages", h.ctrl_messages),

@@ -100,9 +100,7 @@ pub struct ShardedRunResult {
     /// overlap under parallel workers — use [`ShardedRunResult::wall_ns`]
     /// for elapsed time).
     pub perf: PerfCounters,
-    /// Merged metrics snapshot (counters add, gauges max). Contains the
-    /// host-measured `engine.wall_ns` counter, so exclude it when
-    /// asserting byte-stability.
+    /// Merged metrics snapshot (counters add, gauges max).
     pub metrics: MetricsSnapshot,
     /// Merged decision trace under `(t_ns, group, within-group index)`,
     /// replicas remapped to `group * n_replicas + replica`.

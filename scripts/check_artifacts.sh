@@ -1,23 +1,15 @@
 #!/usr/bin/env bash
 # Artifact staleness gate: regenerate figures_output.txt and every
-# committed figures artifact with the current binary and fail if
-# anything outside the documented timing lines differs from the
-# checked-in copies. This is what keeps "the artifacts are a verbatim
-# run" honest — a code change that alters counters, tables, traces or
-# JSON structure must re-commit the artifacts it moves, while pure
-# wall-clock variation stays invisible.
-#
-# Documented timing lines (the only sanctioned run-to-run variation):
-#   - the "host µs/request" column of the instrumentation-overhead
-#     ablation table (the one stdout table with a host-time column);
-#   - the wall-clock fields of the JSON artifacts and of the JSON block
-#     `figures -- bench` echoes to stdout: wall_ns, ns_per_event,
-#     ns_per_event_improvement_pct, *wall_ms, merge_ms, and the
-#     speedups derived from them.
+# committed figures artifact with the current binary and fail if any
+# byte differs from the checked-in copies. This is what keeps "the
+# artifacts are a verbatim run" honest — a code change that alters
+# counters, tables, traces or JSON structure must re-commit the
+# artifacts it moves. The artifacts carry no host timing (perfbench and
+# the `cargo bench` targets measure that), so a wall-clock value that
+# leaks into one fails this gate too.
 #
 # The regeneration runs in a scratch directory, so the working tree is
-# never touched; everything deterministic is then compared byte for
-# byte after masking those fields on both sides.
+# never touched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repo=$(pwd)
@@ -41,24 +33,6 @@ trap 'rm -rf "$tmp"' EXIT
 
 (cd "$tmp" && "$repo/target/release/figures" all >figures_output.txt 2>regen.log)
 
-normalize() {
-  awk '
-    # The instrumentation-overhead ablation is the one stdout table
-    # with a host-time column; mask its last (µs/request) column until
-    # the table ends at a blank line.
-    /host µs\/request/ { host_table = 1 }
-    host_table && NF == 0 { host_table = 0 }
-    host_table && $NF ~ /^[0-9.]+$/ { $NF = "_" }
-    {
-      gsub(/"wall_ns": [0-9]+/, "\"wall_ns\": _")
-      gsub(/"ns_per_event": [0-9.]+/, "\"ns_per_event\": _")
-      gsub(/"ns_per_event_improvement_pct": -?[0-9.]+/, "\"ns_per_event_improvement_pct\": _")
-      gsub(/"(serial_wall_ms|parallel_wall_ms|wall_ms|merge_ms)": [0-9.]+/, "\"wall_ms\": _")
-      gsub(/"(speedup|measured_speedup)": [0-9.]+/, "\"speedup\": _")
-      print
-    }'
-}
-
 fail=0
 for f in "${ARTIFACTS[@]}"; do
   if [ ! -f "$tmp/$f" ]; then
@@ -66,10 +40,9 @@ for f in "${ARTIFACTS[@]}"; do
     fail=1
     continue
   fi
-  if ! diff -u <(normalize <"$f") <(normalize <"$tmp/$f") >"$tmp/$f.diff" 2>&1; then
-    echo "STALE: $f differs from a fresh \`figures -- all\` run outside" >&2
-    echo "       the documented timing lines — re-commit the artifact:" >&2
-    sed 's/^/       /' "$tmp/$f.diff" | head -40 >&2
+  if ! diff -u "$f" "$tmp/$f" >"$tmp/$f.diff" 2>&1; then
+    echo "STALE: $f differs from a fresh \`figures -- all\` run; re-commit it:" >&2
+    head -40 "$tmp/$f.diff" >&2
     fail=1
   fi
 done
@@ -78,4 +51,4 @@ if [ "$fail" -ne 0 ]; then
   echo "artifact staleness check FAILED" >&2
   exit 1
 fi
-echo "artifacts: fresh (non-timing content identical to a regeneration)"
+echo "artifacts: fresh (byte-identical to a regeneration)"

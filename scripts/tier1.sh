@@ -35,8 +35,8 @@ echo "== smoke: interp dispatch equivalence =="
 cargo bench -p dmt-bench --bench interp -- --smoke
 
 # Artifact staleness: regenerate figures_output.txt and every committed
-# figures artifact in a scratch directory and fail on any diff outside
-# the documented timing lines (see scripts/check_artifacts.sh). Catches
+# figures artifact in a scratch directory and fail on any byte that
+# differs (see scripts/check_artifacts.sh). Catches
 # the classic drift where a code change moves counters, tables or JSON
 # structure but the committed artifacts still show the old run.
 echo "== gate: artifact staleness =="
@@ -52,15 +52,14 @@ cargo test -q -p dmt-bench --test resilience
 # Contention-analytics goldens: BENCH_contention.json byte-identity
 # across worker counts/reruns, the race-prediction golden (the seeded
 # AB/BA inversion must be flagged, clean fig1 must stay silent), and
-# the deterministic trace.dropped counter. The tracing-disabled
-# ns/event guard stays in the workspace run (tests/trace_overhead.rs).
+# the deterministic trace.dropped counter.
 echo "== smoke: contention determinism =="
 cargo test -q --release -p dmt-bench --test contention_determinism
 
 # Sharded-engine goldens: fig1 and open-loop sweeps must be
 # byte-identical for every intra-run shard worker count (1 vs 2/4/8) ×
-# sweep worker count, and the BENCH_shard.json deterministic section
-# must be byte-stable across reruns.
+# sweep worker count, and BENCH_shard.json must be byte-stable across
+# reruns.
 echo "== smoke: shard determinism =="
 cargo test -q --release -p dmt-bench --test shard_determinism
 
