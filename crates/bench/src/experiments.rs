@@ -606,7 +606,7 @@ pub fn abl_passive_experiment() -> Table {
             kind.to_string(),
             log.requests.len().to_string(),
             log.grants.len().to_string(),
-            if replayed == log.state_hash {
+            if replayed == Ok(log.state_hash) {
                 "yes".into()
             } else {
                 "NO".into()

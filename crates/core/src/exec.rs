@@ -32,6 +32,8 @@ pub enum Blocked {
     Admission,
     /// Awaiting a monitor grant for `MutexId`.
     Lock(MutexId),
+    /// Re-locking a monitor it already holds: forced, never a grant.
+    Relock(MutexId),
     /// In a wait set (re-acquisition of `MutexId` pending).
     Wait(MutexId),
     /// Awaiting its nested-invocation reply.
@@ -105,7 +107,9 @@ pub struct ReplicaExec<S: ?Sized, T> {
     blocked: SlotMap<Blocked>,
     /// Threads admitted or resumed and not since blocked or finished.
     running: DenseSet,
-    /// Every monitor grant (fresh or re-acquisition), in grant order.
+    /// Every monitor grant in grant order: each acquisition a scheduler
+    /// decides, fresh or a re-acquisition after `wait` — exactly what an
+    /// LSA leader announces. Reentrant re-locks are not grants.
     pub grants: Vec<(ThreadId, MutexId)>,
     pub finished: u64,
     next_tid: u32,
@@ -251,7 +255,7 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
                         Some(Blocked::Lock(m)) | Some(Blocked::Wait(m)) => {
                             self.grants.push((tid, m))
                         }
-                        Some(Blocked::Nested) => {}
+                        Some(Blocked::Relock(_)) | Some(Blocked::Nested) => {}
                         Some(Blocked::Admission) => panic!("Resume before Admit for {tid}"),
                         Some(Blocked::Faulted(f)) => panic!("Resume for faulted thread {tid}: {f}"),
                         None => panic!("Resume for running thread {tid}"),
@@ -298,7 +302,12 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
                     false
                 }
                 Action::Lock { sync_id, mutex } => {
-                    self.blocked.insert(i, Blocked::Lock(mutex));
+                    let why = if self.sched.sync_core().holds(tid, mutex) {
+                        Blocked::Relock(mutex)
+                    } else {
+                        Blocked::Lock(mutex)
+                    };
+                    self.blocked.insert(i, why);
                     let ev = SchedEvent::LockRequested {
                         tid,
                         sync_id,

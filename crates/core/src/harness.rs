@@ -22,8 +22,9 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct HarnessResult {
     pub state: ObjectState,
-    /// Monitor acquisition order: every grant (fresh or re-acquisition)
-    /// in the order the scheduler issued them.
+    /// Monitor grant order: every acquisition the scheduler decided
+    /// (fresh or a re-acquisition after `wait`, never a reentrant
+    /// re-lock), in the order it issued them.
     pub lock_trace: Vec<(ThreadId, MutexId)>,
     /// The delivered request stream in order (method, args, dummy) —
     /// thread `n` ran entry `n`. This is the "request log" a passive

@@ -57,7 +57,7 @@ pub use engine::{
     Engine, EngineConfig, EngineQueue, PerfCounters, RemoteRouting, RequestLatency, RunResult,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRecord, FaultRecordKind};
-pub use msg::{ClientScript, GcMsg, RequestId, Scenario};
-pub use replay::{record_primary, replay_on_backup, PrimaryLog};
+pub use msg::{this_mutex, ClientScript, GcMsg, RequestId, Scenario};
+pub use replay::{record_primary, replay_on_backup, PrimaryLog, ReplayStalled};
 pub use shard::{run_sharded, ShardMerger, ShardMsg, ShardMsgKind, ShardRouting, ShardedRunResult};
 pub use trace::{compare, Divergence, ExecutionTrace, MatchLevel};

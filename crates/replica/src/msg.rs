@@ -121,24 +121,28 @@ impl Scenario {
         self.clients.iter().map(|c| c.requests.len()).sum()
     }
 
-    /// The dense id of the object's `this` monitor: one past every mutex
-    /// the program names statically or a client argument carries. Keeping
-    /// the whole mutex id space contiguous from 0 lets the monitor layer
-    /// use slot tables instead of maps (see DESIGN.md, dense-ID
-    /// invariant).
+    /// The dense id of the object's `this` monitor (see [`this_mutex`]).
     pub fn this_mutex(&self) -> dmt_lang::MutexId {
-        let mut bound = self.program.mutex_bound();
-        for script in &self.clients {
-            for (_, args) in &script.requests {
-                for v in args.values() {
-                    if let dmt_lang::Value::Mutex(m) = v {
-                        bound = bound.max(m.0 + 1);
-                    }
-                }
-            }
-        }
-        dmt_lang::MutexId::new(bound)
+        let args = self.clients.iter().flat_map(|c| &c.requests);
+        this_mutex(&self.program, args.map(|(_, a)| a))
     }
+}
+
+/// The dense id of an object's `this` monitor: one past every mutex the
+/// program names statically or a request argument carries. Keeping the
+/// whole mutex id space contiguous from 0 lets the monitor layer use slot
+/// tables instead of maps (see DESIGN.md, dense-ID invariant).
+pub fn this_mutex<'a>(
+    program: &CompiledObject,
+    args: impl IntoIterator<Item = &'a RequestArgs>,
+) -> dmt_lang::MutexId {
+    let mut bound = program.mutex_bound();
+    for v in args.into_iter().flat_map(|a| a.values()) {
+        if let dmt_lang::Value::Mutex(m) = v {
+            bound = bound.max(m.0 + 1);
+        }
+    }
+    dmt_lang::MutexId::new(bound)
 }
 
 #[cfg(test)]

@@ -5,22 +5,20 @@
 //! log. Such re-executions are consistent to the state of a failed
 //! primary only if a deterministic scheduling strategy is used."
 //!
-//! A passive primary records two things: the delivered request stream and
-//! its monitor-grant order. Replaying the requests on a backup while
-//! *enforcing* the recorded per-mutex grant order reproduces the
-//! primary's state exactly — regardless of which decision module the
-//! primary ran, including the nondeterministic FREE baseline (once an
-//! execution is recorded, it is a deterministic artefact). The
-//! [`ReplayScheduler`] is essentially an LSA follower whose "leader" is
-//! the log.
+//! A passive primary logs its request stream and its grants: the
+//! acquisitions its scheduler decided (no reentrant re-locks), exactly what
+//! an LSA leader announces (paper §3.2). So a backup replays the log on
+//! LSA's own follower with the log as leader, and reaches the primary's
+//! state under every decision module — FREE included, since a recorded
+//! execution is a deterministic artefact.
 
-use dmt_core::harness::{Harness, HarnessResult};
+use crate::msg::this_mutex;
 use dmt_core::{
-    SchedAction, SchedConfig, SchedEvent, SchedOutput, Scheduler, SchedulerKind, SlotMap, SyncCore,
-    ThreadId,
+    harness::Harness, make_scheduler, CtrlMsg, ReplicaId, SchedConfig, SchedEvent, SchedOutput,
+    SchedulerKind, ThreadId,
 };
 use dmt_lang::{CompiledObject, MethodIdx, MutexId, RequestArgs};
-use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 /// What a passive primary persists.
@@ -28,28 +26,26 @@ use std::sync::Arc;
 pub struct PrimaryLog {
     /// Delivered requests in total order (method, args, dummy).
     pub requests: Vec<(MethodIdx, RequestArgs, bool)>,
-    /// Monitor grants in primary order (thread, mutex).
+    /// Grants in primary order (thread, mutex): the acquisitions its
+    /// scheduler decided, no reentrant re-locks.
     pub grants: Vec<(ThreadId, MutexId)>,
     /// The state the primary reached.
     pub state_hash: u64,
 }
 
-/// Dense id for the object's `this` monitor: one past every statically
-/// named mutex and every mutex a request argument carries (see
-/// DESIGN.md, dense-ID invariant).
-fn this_mutex<'a>(
-    program: &CompiledObject,
-    args: impl Iterator<Item = &'a RequestArgs>,
-) -> MutexId {
-    let mut bound = program.mutex_bound();
-    for a in args {
-        for v in a.values() {
-            if let dmt_lang::Value::Mutex(m) = v {
-                bound = bound.max(m.0 + 1);
-            }
-        }
+/// A log the backup cannot replay to the end: only `finished` of its
+/// `requests` completed, the rest wait for a logged turn that never comes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReplayStalled {
+    pub finished: usize,
+    pub requests: usize,
+}
+
+impl fmt::Display for ReplayStalled {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ReplayStalled { finished, requests } = self;
+        write!(f, "replay stalled at {finished}/{requests} requests")
     }
-    MutexId::new(bound)
 }
 
 /// Runs the primary under `kind` and records its log.
@@ -59,16 +55,16 @@ pub fn record_primary(
     requests: Vec<(MethodIdx, RequestArgs)>,
     dummy_method: Option<MethodIdx>,
 ) -> PrimaryLog {
-    let cfg = SchedConfig::new(kind, dmt_core::ReplicaId::new(0));
+    let cfg = SchedConfig::new(kind, ReplicaId::new(0));
     let this = this_mutex(&program, requests.iter().map(|(_, a)| a));
-    let mut h = Harness::new(program, this, dmt_core::make_scheduler(&cfg));
+    let mut h = Harness::new(program, this, make_scheduler(&cfg));
     if let Some(d) = dummy_method {
         h = h.with_dummy_method(d);
     }
     for (m, a) in requests {
         h.submit(m, a);
     }
-    let res: HarnessResult = h.run();
+    let res = h.run();
     assert!(
         !res.deadlocked,
         "primary execution deadlocked; nothing to replay"
@@ -80,113 +76,35 @@ pub fn record_primary(
     }
 }
 
-/// Replays a primary log on a fresh backup; returns the reached state
+/// Replays a primary log on a fresh backup and returns the reached state
 /// hash (equal to `log.state_hash` iff replay is faithful).
-pub fn replay_on_backup(program: Arc<CompiledObject>, log: &PrimaryLog) -> u64 {
-    let sched = ReplayScheduler::new(&log.grants);
+pub fn replay_on_backup(
+    program: Arc<CompiledObject>,
+    log: &PrimaryLog,
+) -> Result<u64, ReplayStalled> {
+    // A follower of replica 0, which never runs here: the log announces
+    // its grants, numbered per mutex from 0, before the first request.
+    let mut sched = make_scheduler(&SchedConfig::new(SchedulerKind::Lsa, ReplicaId::new(1)));
+    let (mut next, mut out) = (Vec::new(), SchedOutput::new());
+    for &(tid, mutex) in &log.grants {
+        let i = mutex.index();
+        next.resize(next.len().max(i + 1), 0);
+        let order = next[i];
+        next[i] += 1;
+        let ev = SchedEvent::Control(CtrlMsg::LsaGrant { mutex, tid, order });
+        sched.on_event(&ev, &mut out);
+    }
     let this = this_mutex(&program, log.requests.iter().map(|(_, a, _)| a));
-    let mut h = Harness::new(program, this, Box::new(sched));
+    let mut h = Harness::new(program, this, sched);
     for (m, a, _dummy) in &log.requests {
         h.submit(*m, a.clone());
     }
     let res = h.run();
-    assert!(!res.deadlocked, "replay deadlocked — log enforcement bug");
-    res.state.state_hash()
-}
-
-/// Enforces a recorded per-mutex grant order (an "LSA follower of the
-/// log").
-pub struct ReplayScheduler {
-    sync: SyncCore,
-    /// Per-mutex expected grant order, indexed by the dense mutex id.
-    expected: Vec<VecDeque<ThreadId>>,
-    /// Gated lock requests, indexed by thread id.
-    pending: SlotMap<MutexId>,
-}
-
-impl ReplayScheduler {
-    pub fn new(grants: &[(ThreadId, MutexId)]) -> Self {
-        let mut expected: Vec<VecDeque<ThreadId>> = Vec::new();
-        for &(tid, m) in grants {
-            if m.index() >= expected.len() {
-                expected.resize_with(m.index() + 1, VecDeque::new);
-            }
-            expected[m.index()].push_back(tid);
-        }
-        ReplayScheduler {
-            sync: SyncCore::new(false),
-            expected,
-            pending: SlotMap::new(),
-        }
-    }
-
-    fn drain(&mut self, mutex: MutexId, out: &mut SchedOutput) {
-        loop {
-            if !self.sync.is_free(mutex) {
-                return;
-            }
-            let Some(&next) = self.expected.get(mutex.index()).and_then(|q| q.front()) else {
-                return;
-            };
-            if self.pending.get(next.index()) == Some(&mutex) {
-                self.expected[mutex.index()].pop_front();
-                self.pending.remove(next.index());
-                let outcome = self.sync.lock(next, mutex);
-                debug_assert_eq!(outcome, dmt_core::LockOutcome::Acquired);
-                out.push(SchedAction::Resume(next));
-            } else if self.sync.is_queued(next, mutex) {
-                self.expected[mutex.index()].pop_front();
-                self.sync.grant_to(next, mutex).expect("free + queued");
-                out.push(SchedAction::Resume(next));
-            } else {
-                return;
-            }
-        }
-    }
-}
-
-impl Scheduler for ReplayScheduler {
-    fn kind(&self) -> SchedulerKind {
-        // Reported as LSA: it is the follower half of that algorithm.
-        SchedulerKind::Lsa
-    }
-
-    fn sync_core(&self) -> &SyncCore {
-        &self.sync
-    }
-
-    fn on_event(&mut self, ev: &SchedEvent, out: &mut SchedOutput) {
-        match *ev {
-            SchedEvent::RequestArrived { tid, .. } => out.push(SchedAction::Admit(tid)),
-            SchedEvent::LockRequested { tid, mutex, .. } => {
-                if self.sync.holds(tid, mutex) {
-                    self.sync.lock(tid, mutex);
-                    out.push(SchedAction::Resume(tid));
-                } else {
-                    self.pending.insert(tid.index(), mutex);
-                    self.drain(mutex, out);
-                }
-            }
-            SchedEvent::Unlocked { tid, mutex, .. } => {
-                self.sync.unlock(tid, mutex);
-                self.drain(mutex, out);
-            }
-            SchedEvent::WaitCalled { tid, mutex } => {
-                self.sync.wait(tid, mutex);
-                self.drain(mutex, out);
-            }
-            SchedEvent::NotifyCalled { tid, mutex, all } => {
-                self.sync.notify(tid, mutex, all);
-            }
-            SchedEvent::NestedStarted { .. } => {}
-            SchedEvent::NestedCompleted { tid } => out.push(SchedAction::Resume(tid)),
-            SchedEvent::ThreadFinished { tid } => {
-                debug_assert!(self.sync.holds_none(tid));
-            }
-            SchedEvent::LockInfo { .. }
-            | SchedEvent::SyncIgnored { .. }
-            | SchedEvent::Control(_) => {}
-        }
+    let (finished, requests) = (res.finished_threads, log.requests.len());
+    if res.deadlocked {
+        Err(ReplayStalled { finished, requests })
+    } else {
+        Ok(res.state.state_hash())
     }
 }
 
@@ -194,16 +112,26 @@ impl Scheduler for ReplayScheduler {
 mod tests {
     use super::*;
     use dmt_lang::ast::{IntExpr, MutexExpr};
-    use dmt_lang::{compile, DurExpr, ObjectBuilder, Value};
+    use dmt_lang::{compile, DurExpr, MethodBuilder, ObjectBuilder, Value};
 
-    fn program() -> (Arc<CompiledObject>, MethodIdx, MethodIdx) {
+    /// One order-sensitive method, `mix(arg)`: `state = 2*state + arg`
+    /// under `this` — re-entered once more inside itself when `reentrant`
+    /// — plus the zero-arg `noop` for PDS dummies.
+    fn program(reentrant: bool) -> (Arc<CompiledObject>, MethodIdx, MethodIdx) {
         let mut ob = ObjectBuilder::new("P");
         let c = ob.cell();
         let mut m = ob.method("mix", 1);
         m.compute(DurExpr::micros(10));
-        m.sync(MutexExpr::This, |b| {
+        let body = |b: &mut MethodBuilder<'_>| {
             b.update(c, IntExpr::Cell(c)); // state *= 2
             b.update(c, IntExpr::Arg(0)); // state += arg
+        };
+        m.sync(MutexExpr::This, |b| {
+            if reentrant {
+                b.sync(MutexExpr::This, body);
+            } else {
+                body(b);
+            }
         });
         let mix = m.done();
         let noop = ob.method("noop", 0);
@@ -219,11 +147,19 @@ mod tests {
 
     #[test]
     fn replay_reproduces_primary_state_for_every_scheduler() {
-        for kind in SchedulerKind::ALL {
-            let (program, mix, noop) = program();
-            let log = record_primary(program.clone(), kind, requests(mix, 8), Some(noop));
-            let replayed = replay_on_backup(program, &log);
-            assert_eq!(replayed, log.state_hash, "{kind} replay diverged");
+        for reentrant in [false, true] {
+            for kind in SchedulerKind::ALL {
+                let (program, mix, noop) = program(reentrant);
+                let log = record_primary(program.clone(), kind, requests(mix, 8), Some(noop));
+                // One decided grant per request: re-entering is no grant.
+                assert_eq!(log.grants.len(), 8, "{kind} (reentrant: {reentrant})");
+                let replayed = replay_on_backup(program, &log);
+                assert_eq!(
+                    replayed,
+                    Ok(log.state_hash),
+                    "{kind} replay diverged (reentrant: {reentrant})"
+                );
+            }
         }
     }
 
@@ -231,7 +167,7 @@ mod tests {
     fn replay_includes_dummy_positions() {
         // PDS logs include dummies; the backup must recreate the same
         // thread numbering or the grant log would point at wrong threads.
-        let (program, mix, noop) = program();
+        let (program, mix, noop) = program(false);
         let log = record_primary(
             program.clone(),
             SchedulerKind::Pds,
@@ -243,7 +179,7 @@ mod tests {
             "expected dummies in the log"
         );
         let replayed = replay_on_backup(program, &log);
-        assert_eq!(replayed, log.state_hash);
+        assert_eq!(replayed, Ok(log.state_hash));
     }
 
     #[test]
@@ -261,6 +197,7 @@ mod tests {
             b.add(count, -1);
         });
         let take_idx = take.done();
+        let noop = ob.method("noop", 0).done();
         let program = compile::compile(&ob.build());
         let reqs = vec![
             (take_idx, RequestArgs::empty()),
@@ -268,23 +205,47 @@ mod tests {
             (take_idx, RequestArgs::empty()),
             (put_idx, RequestArgs::empty()),
         ];
-        let log = record_primary(program.clone(), SchedulerKind::Mat, reqs, None);
-        let replayed = replay_on_backup(program, &log);
-        assert_eq!(replayed, log.state_hash);
+        // SEQ deadlocks on `wait` by design (paper §3.1).
+        for kind in SchedulerKind::ALL {
+            if kind == SchedulerKind::Seq {
+                continue;
+            }
+            let log = record_primary(program.clone(), kind, reqs.clone(), Some(noop));
+            let replayed = replay_on_backup(program.clone(), &log);
+            assert_eq!(replayed, Ok(log.state_hash), "{kind} replay diverged");
+        }
     }
 
     #[test]
     fn tampered_log_is_caught() {
-        let (program, mix, _) = program();
+        let (program, mix, _) = program(false);
         let mut log = record_primary(program.clone(), SchedulerKind::Sat, requests(mix, 4), None);
         // Swap two grants on the same mutex: replay must reach a
         // different (order-sensitive) state.
         assert!(log.grants.len() >= 2);
         log.grants.swap(0, 1);
-        let replayed = replay_on_backup(program, &log);
+        let replayed = replay_on_backup(program, &log).expect("a reordered log still replays");
         assert_ne!(
             replayed, log.state_hash,
             "tampered order must change the state"
+        );
+    }
+
+    #[test]
+    fn grant_to_a_thread_that_never_runs_stalls_the_replay() {
+        let (program, mix, _) = program(false);
+        let mut log = record_primary(program.clone(), SchedulerKind::Sat, requests(mix, 4), None);
+        // The first turn on the monitor goes to a thread past the request
+        // count: every logged thread waits behind it for good.
+        let ghost = ThreadId::new(log.requests.len() as u32);
+        let mutex = log.grants[0].1;
+        log.grants.insert(0, (ghost, mutex));
+        assert_eq!(
+            replay_on_backup(program, &log),
+            Err(ReplayStalled {
+                finished: 0,
+                requests: 4
+            })
         );
     }
 }

@@ -27,17 +27,18 @@ fn main() {
     for kind in SchedulerKind::ALL {
         let log = record_primary(program.clone(), kind, requests.clone(), dummy);
         let replayed = replay_on_backup(program.clone(), &log);
-        let ok = replayed == log.state_hash;
+        let ok = replayed == Ok(log.state_hash);
+        let verdict = match replayed {
+            _ if ok => "state reproduced ✓".to_string(),
+            Ok(_) => "MISMATCH ✗".to_string(),
+            Err(e) => format!("{e} ✗"),
+        };
         println!(
             "{:<8} {:>9} {:>8}  {}",
             kind.to_string(),
             log.requests.len(),
             log.grants.len(),
-            if ok {
-                "state reproduced ✓"
-            } else {
-                "MISMATCH ✗"
-            }
+            verdict
         );
         assert!(ok, "{kind} replay failed");
     }

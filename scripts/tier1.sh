@@ -26,6 +26,11 @@ cargo clippy --workspace -- -D warnings
 echo "== tier-1: cargo doc (rustdoc warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+# Passive replication: the bank workload's primary log must replay to
+# the primary's state under every scheduler kind (the example asserts).
+echo "== smoke: passive replication replay =="
+cargo run --release --offline -q --example passive_replication
+
 echo "== smoke: figures --quick =="
 cargo run --release -p dmt-bench --bin figures -- --quick
 
