@@ -8,7 +8,9 @@
 //! future. Blocked threads are re-checked on exactly the paper's event
 //! list: a conflicting thread releases `m`, a conflicting thread leaves
 //! the queue, the first unpredicted predecessor leaves the queue, or it
-//! becomes predicted.
+//! becomes predicted. Each such event puts the requests it can unblock
+//! on a wake list, and a recheck evaluates only those, so its cost is
+//! O(woken) rather than O(pending).
 //!
 //! Race-safety (why this is deterministic per mutex without extra
 //! communication): partial knowledge always blocks — if a predecessor has
@@ -44,9 +46,17 @@ pub struct PmatScheduler {
     /// admission order, so pushes land at the back.
     queue: Vec<ThreadId>,
     /// Gate-blocked lock requests awaiting the prediction check, sorted
-    /// by thread age. Holds live requests only, so a recheck costs
-    /// O(blocked threads) however many ids the run has handed out.
+    /// by thread age. Holds live requests only (a thread has at most
+    /// one), however many ids the run has handed out.
     pending: Vec<(ThreadId, MutexId)>,
+    /// The same requests by mutex: `pending_on[m]` lists the threads
+    /// whose pending request is for `m`, in age order.
+    pending_on: Vec<Vec<ThreadId>>,
+    /// Wake list: the pending requests (by thread) that some event since
+    /// the last recheck may have unblocked, unsorted and possibly
+    /// repeated. A request left off it is still blocked, so a recheck
+    /// evaluates only these.
+    woken: Vec<ThreadId>,
     /// Blocker index, part 1: queued threads that are not predicted, in
     /// age order. Each blocks every younger request.
     unpredicted: Vec<ThreadId>,
@@ -60,6 +70,9 @@ pub struct PmatScheduler {
     /// the prediction waiver in [`PmatScheduler::eligible`] and
     /// serialise in age order. Empty by default (pure §4.3 behaviour).
     hints: ContentionHints,
+    /// Requests a recheck has evaluated, for the wake-rule tests.
+    #[cfg(test)]
+    evaluated: usize,
 }
 
 /// The elements of the age-sorted `v` that are older than `tid`.
@@ -67,13 +80,26 @@ fn older(v: &[ThreadId], tid: ThreadId) -> &[ThreadId] {
     &v[..v.partition_point(|&u| u < tid)]
 }
 
-/// The pinner list of `mutex`, created on first touch.
-fn grow(pinners: &mut Vec<Vec<ThreadId>>, mutex: MutexId) -> &mut Vec<ThreadId> {
+/// The per-mutex list of `mutex` in `lists`, created on first touch.
+fn grow(lists: &mut Vec<Vec<ThreadId>>, mutex: MutexId) -> &mut Vec<ThreadId> {
     let i = mutex.index();
-    if i >= pinners.len() {
-        pinners.resize_with(i + 1, Vec::new);
+    if i >= lists.len() {
+        lists.resize_with(i + 1, Vec::new);
     }
-    &mut pinners[i]
+    &mut lists[i]
+}
+
+/// The threads of the pending requests on `mutex` younger than `actor`
+/// (all of them for `None`), in age order.
+fn requests_on(
+    pending_on: &[Vec<ThreadId>],
+    mutex: MutexId,
+    actor: Option<ThreadId>,
+) -> &[ThreadId] {
+    let Some(on) = pending_on.get(mutex.index()) else {
+        return &[];
+    };
+    &on[actor.map_or(0, |a| on.partition_point(|&u| u <= a))..]
 }
 
 /// Adds one occurrence of `tid` to the age-sorted multiset `v`.
@@ -85,7 +111,7 @@ fn index_insert(v: &mut Vec<ThreadId>, tid: ThreadId) {
 /// Removes one occurrence of `tid` from the age-sorted multiset `v`.
 fn index_remove(v: &mut Vec<ThreadId>, tid: ThreadId) {
     let found = v.binary_search(&tid);
-    debug_assert!(found.is_ok(), "{tid} missing from the blocker index");
+    debug_assert!(found.is_ok(), "{tid} missing from an age-sorted index");
     if let Ok(pos) = found {
         v.remove(pos);
     }
@@ -98,9 +124,13 @@ impl PmatScheduler {
             book: Bookkeeping::new(table),
             queue: Vec::new(),
             pending: Vec::new(),
+            pending_on: Vec::new(),
+            woken: Vec::new(),
             unpredicted: Vec::new(),
             pinners: Vec::new(),
             hints: ContentionHints::new(),
+            #[cfg(test)]
+            evaluated: 0,
         }
     }
 
@@ -123,7 +153,9 @@ impl PmatScheduler {
     /// Applies a bookkeeping call that changes at most `tid`'s entry at
     /// `sync_id` (plus, through it, whether `tid` is predicted): the
     /// per-event form of [`PmatScheduler::rebook`], which moves only that
-    /// entry's pin instead of re-indexing the whole table.
+    /// entry's pin instead of re-indexing the whole table. A pin leaving
+    /// `m` wakes the younger requests on `m`; `tid` becoming predicted
+    /// wakes every younger request.
     fn rebook_entry(
         &mut self,
         tid: ThreadId,
@@ -137,13 +169,17 @@ impl PmatScheduler {
         if old != new {
             if let Some(m) = old {
                 index_remove(grow(&mut self.pinners, m), tid);
+                self.wake_on(m, Some(tid));
             }
             if let Some(m) = new {
                 index_insert(grow(&mut self.pinners, m), tid);
             }
         }
         match (was_predicted, self.book.is_predicted(tid)) {
-            (false, true) => index_remove(&mut self.unpredicted, tid),
+            (false, true) => {
+                index_remove(&mut self.unpredicted, tid);
+                self.wake_younger(tid);
+            }
             (true, false) => index_insert(&mut self.unpredicted, tid),
             _ => {}
         }
@@ -221,52 +257,114 @@ impl PmatScheduler {
         })
     }
 
-    /// True when no request is pending and the blocker index is empty —
-    /// the state the scheduler must return to once the queue empties.
+    /// True when no request is pending or woken and the blocker index is
+    /// empty — the state the scheduler must return to once the queue
+    /// empties.
     #[cfg(any(test, debug_assertions))]
     fn index_drained(&self) -> bool {
         self.pending.is_empty()
+            && self.woken.is_empty()
+            && self.pending_on.iter().all(Vec::is_empty)
             && self.unpredicted.is_empty()
             && self.pinners.iter().all(Vec::is_empty)
     }
 
-    /// Re-checks every gate-blocked request (age order) and grants what
-    /// the rule and the monitor state allow.
+    /// Wakes the pending requests on `mutex` younger than `actor`, or all
+    /// of them for `None`.
+    fn wake_on(&mut self, mutex: MutexId, actor: Option<ThreadId>) {
+        self.woken
+            .extend_from_slice(requests_on(&self.pending_on, mutex, actor));
+    }
+
+    /// Wakes what `tid` leaving the queue can unblock: the requests its
+    /// remaining index entries gate (every younger one while it is
+    /// unpredicted, the younger ones on each mutex it still pins) and
+    /// the younger requests on hot mutexes, whose test reads the whole
+    /// older queue. What a predicted thread stopped gating earlier was
+    /// woken when its pin left.
+    fn wake_finished(&mut self, tid: ThreadId) {
+        if !self.book.is_predicted(tid) {
+            self.wake_younger(tid);
+            return;
+        }
+        let (pending_on, woken) = (&self.pending_on, &mut self.woken);
+        self.book.for_each_pinned(tid, |m| {
+            woken.extend_from_slice(requests_on(pending_on, m, Some(tid)))
+        });
+        let from = self.pending.partition_point(|&(u, _)| u <= tid);
+        let hints = &self.hints;
+        self.woken.extend(
+            self.pending[from..]
+                .iter()
+                .filter(|&&(_, m)| hints.is_hot(m))
+                .map(|&(u, _)| u),
+        );
+    }
+
+    /// Wakes every pending request younger than `actor`.
+    fn wake_younger(&mut self, actor: ThreadId) {
+        let from = self.pending.partition_point(|&(u, _)| u <= actor);
+        self.woken
+            .extend(self.pending[from..].iter().map(|&(u, _)| u));
+    }
+
+    /// Evaluates the woken requests in age order and grants what the
+    /// rule and the monitor state allow. Eligibility cannot change within
+    /// one pass (a grant moves no index entry and no waiter), and every
+    /// request left off the wake list stayed blocked since the last
+    /// recheck, so this grants exactly what re-testing every pending
+    /// request would.
     fn recheck(&mut self, out: &mut SchedOutput) {
-        // Re-acquirers queued inside the monitor layer take priority on a
-        // freed monitor (their original acquisition already passed the
-        // prediction check; the wait released the monitor physically but
-        // the bookkeeping still pins it). The list is taken out for the
-        // pass so granted requests drop in place, without allocating.
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.retain(|&(tid, mutex)| {
-            if !self.sync.is_free(mutex) {
-                return true;
+        if self.pending.is_empty() {
+            debug_assert!(self.woken.is_empty(), "woken requests are pending");
+            return;
+        }
+        // `Unlocked` and `WaitCalled` hand a freed monitor to its
+        // re-acquirers before rechecking, so none can be queued on a
+        // mutex a pending request sees free.
+        debug_assert!(
+            self.pending
+                .iter()
+                .all(|&(_, m)| !self.sync.is_free(m) || self.sync.queued(m).is_empty()),
+            "a re-acquirer is queued on a free mutex"
+        );
+        // Taken out for the pass (the loop mutates `self`) and put back
+        // empty, keeping its allocation.
+        let mut woken = std::mem::take(&mut self.woken);
+        woken.sort_unstable();
+        woken.dedup();
+        for &tid in &woken {
+            let found = self.pending.binary_search_by_key(&tid, |&(u, _)| u);
+            debug_assert!(found.is_ok(), "woken {tid} is not pending");
+            let Ok(pos) = found else { continue };
+            let mutex = self.pending[pos].1;
+            #[cfg(test)]
+            {
+                self.evaluated += 1;
             }
-            // Monitor-layer re-acquirers first, FIFO.
-            if let Some(g) = self.sync.grant_next(mutex) {
-                out.decision(|| Decision::Grant {
-                    tid: g.tid,
-                    mutex,
-                    from_wait: g.from_wait,
-                });
-                out.push(SchedAction::Resume(g.tid));
-                return true;
-            }
-            if !self.eligible(tid, mutex) {
-                return true;
+            if !self.sync.is_free(mutex) || !self.eligible(tid, mutex) {
+                continue;
             }
             let outcome = self.sync.lock(tid, mutex);
             debug_assert_eq!(outcome, LockOutcome::Acquired);
+            self.pending.remove(pos);
+            index_remove(&mut self.pending_on[mutex.index()], tid);
             out.decision(|| Decision::Grant {
                 tid,
                 mutex,
                 from_wait: false,
             });
             out.push(SchedAction::Resume(tid));
-            false
-        });
-        self.pending = pending;
+        }
+        woken.clear();
+        self.woken = woken;
+        #[cfg(debug_assertions)]
+        assert!(
+            self.pending
+                .iter()
+                .all(|&(tid, m)| !self.sync.is_free(m) || !self.eligible(tid, m)),
+            "a request left pending is grantable: the wake list missed it"
+        );
     }
 
     /// Grants queued re-acquirers of `mutex` if it is free.
@@ -328,10 +426,14 @@ impl Scheduler for PmatScheduler {
                         from_wait: false,
                     });
                     out.push(SchedAction::Resume(tid));
+                    // No recheck here: what the bookkeeping call woke
+                    // waits on the list for the next one.
                     return;
                 }
                 let pos = self.pending.partition_point(|&(u, _)| u < tid);
                 self.pending.insert(pos, (tid, mutex));
+                index_insert(grow(&mut self.pending_on, mutex), tid);
+                self.woken.push(tid);
                 // The §4.3 prediction verdict at request time; a `false`
                 // here shows up as a later Grant once a recheck passes.
                 out.decision(|| Decision::Predict {
@@ -349,14 +451,17 @@ impl Scheduler for PmatScheduler {
                 self.rebook_entry(tid, sync_id, |b| b.on_unlock(tid, sync_id, mutex));
                 self.sync.unlock(tid, mutex);
                 self.drain_reacquirers(mutex, out);
-                // A release and a possible future-set shrink: re-check
-                // (the paper's "thread conflicting with t releases the
-                // mutex" event).
+                // The paper's "thread conflicting with t releases the
+                // mutex" event (the future-set shrink woke its own).
+                self.wake_on(mutex, None);
                 self.recheck(out);
             }
             SchedEvent::WaitCalled { tid, mutex } => {
                 self.sync.wait(tid, mutex);
                 self.drain_reacquirers(mutex, out);
+                // A release, and a new waiter exempt from conflicts on
+                // `mutex`.
+                self.wake_on(mutex, None);
                 self.recheck(out);
             }
             SchedEvent::NotifyCalled { tid, mutex, all } => {
@@ -368,6 +473,7 @@ impl Scheduler for PmatScheduler {
             SchedEvent::NestedCompleted { tid } => out.push(SchedAction::Resume(tid)),
             SchedEvent::ThreadFinished { tid } => {
                 debug_assert!(self.sync.holds_none(tid));
+                self.wake_finished(tid);
                 self.rebook(tid, |b| b.on_finish(tid));
                 if let Ok(pos) = self.queue.binary_search(&tid) {
                     self.queue.remove(pos);
@@ -928,5 +1034,113 @@ mod tests {
         s.on_event(&unlock(2, 2, 12), &mut out);
         s.on_event(&finish(2), &mut out);
         assert!(s.index_drained());
+    }
+
+    #[test]
+    fn reentrant_lock_defers_its_wakes_to_the_next_recheck() {
+        // t0's two sync blocks lock m3; its second entry is unresolved,
+        // so t0 is unpredicted and blocks t1's request for m9.
+        let table = Arc::new(LockTable::new(vec![
+            Some(vec![e(0), e(1)]),
+            Some(vec![e(2)]),
+        ]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::new();
+        s.on_event(&arrive_m(0, 0), &mut out);
+        s.on_event(&arrive_m(1, 1), &mut out);
+        s.on_event(&lock(0, 0, 3), &mut out);
+        s.on_event(&lock(1, 2, 9), &mut out);
+        out.clear();
+        // The nested lock of m3 resolves t0's last entry: t0 becomes
+        // predicted, but a reentrant lock grants only itself.
+        s.on_event(&lock(0, 1, 3), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(0))]);
+        out.clear();
+        // The inner unlock frees nothing and wakes nothing on m9 by
+        // itself; the carried-over wake grants t1.
+        s.on_event(&unlock(0, 1, 3), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        s.on_event(&unlock(0, 0, 3), &mut out);
+        s.on_event(&unlock(1, 2, 9), &mut out);
+        s.on_event(&finish(0), &mut out);
+        s.on_event(&finish(1), &mut out);
+        assert!(s.index_drained());
+    }
+
+    #[test]
+    fn finishing_predicted_elder_wakes_a_hot_request() {
+        // t0 is predicted and pins nothing, so it is in no index list;
+        // only its place in the queue gates t1 on the hot m9.
+        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
+        let mut hints = ContentionHints::new();
+        hints.mark_hot(m(9));
+        let mut s = PmatScheduler::new(table).with_hints(hints);
+        let mut out = SchedOutput::new();
+        s.on_event(&arrive_m(0, 0), &mut out);
+        s.on_event(&arrive_m(1, 1), &mut out);
+        s.on_event(&ignore(0, 0), &mut out);
+        out.clear();
+        s.on_event(&lock(1, 1, 9), &mut out);
+        assert!(out.actions.is_empty(), "the elder is still queued");
+        let indexed = |v: &Vec<ThreadId>| v.contains(&t(0));
+        assert!(!indexed(&s.unpredicted) && !s.pinners.iter().any(indexed));
+        s.on_event(&finish(0), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        s.on_event(&unlock(1, 1, 9), &mut out);
+        s.on_event(&finish(1), &mut out);
+        assert!(s.index_drained());
+    }
+
+    #[test]
+    fn release_wakes_an_older_request() {
+        // t1 takes m9 while predicted t0 pins only m5; then t0 locks m9
+        // at a syncid its table does not list and queues behind t1.
+        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::new();
+        s.on_event(&arrive_m(0, 0), &mut out);
+        s.on_event(&arrive_m(1, 1), &mut out);
+        s.on_event(&info(0, 0, 5), &mut out);
+        out.clear();
+        s.on_event(&lock(1, 1, 9), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        out.clear();
+        s.on_event(&lock(0, 99, 9), &mut out);
+        assert!(out.actions.is_empty(), "m9 is held");
+        // t1's pin on m9 leaves only for younger requests; the release
+        // itself must wake the older one.
+        s.on_event(&unlock(1, 1, 9), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(0))]);
+        s.on_event(&unlock(0, 99, 9), &mut out);
+        s.on_event(&finish(0), &mut out);
+        s.on_event(&finish(1), &mut out);
+        assert!(s.index_drained());
+    }
+
+    #[test]
+    fn event_that_relaxes_nothing_evaluates_nothing() {
+        // t0 holds m3 and stays unpredicted (syncid 1 unresolved), so
+        // t1's request for m9 stays blocked.
+        let table = Arc::new(LockTable::new(vec![
+            Some(vec![e(0), e(1)]),
+            Some(vec![e(2)]),
+        ]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::new();
+        s.on_event(&arrive_m(0, 0), &mut out);
+        s.on_event(&arrive_m(1, 1), &mut out);
+        s.on_event(&lock(0, 0, 3), &mut out);
+        s.on_event(&lock(1, 2, 9), &mut out);
+        out.clear();
+        s.evaluated = 0;
+        // Releasing m3 rechecks, but no request waits on m3 and t0 is
+        // still unpredicted: nothing is woken, nothing evaluated.
+        s.on_event(&unlock(0, 0, 3), &mut out);
+        assert!(out.actions.is_empty());
+        assert_eq!(s.evaluated, 0);
+        // t0 becoming predicted wakes exactly t1.
+        s.on_event(&ignore(0, 1), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        assert_eq!(s.evaluated, 1);
     }
 }
