@@ -1,6 +1,6 @@
-//! **contention** — per-mutex contention analytics and the feedback loop.
+//! **contention** — per-mutex contention analytics.
 //!
-//! Four sections, all derived from the structured trace
+//! Three sections, all derived from the structured trace
 //! ([`dmt_obs::Tracer`]) of full cluster simulations:
 //!
 //! 1. **Profiles** — every scheduler runs the Figure-1 workload and the
@@ -16,14 +16,6 @@
 //!    run is profiled and [`recommend`] picks a scheduler from the
 //!    contention ratio alone; the pick's latency is compared against
 //!    all five static schedulers on that cell.
-//! 4. **Pmat feedback** — the Figure-1 *MAT* trace (the concurrent
-//!    baseline, where blocking is observable) is folded into
-//!    [`dmt_obs::ContentionProfile::hints`] and fed back via
-//!    [`EngineConfig::with_hints`]; the hinted PMAT rerun is compared
-//!    with the unhinted baseline. On fig1 the static predictions
-//!    already eliminate blocking, so the hot-hint override can only
-//!    cost — the row quantifies that, which is exactly what a
-//!    feedback prototype must know before firing hints automatically.
 //!
 //! Everything in the table and `BENCH_contention.json` is virtual-time
 //! or integer-count derived, so the artifact is byte-identical across
@@ -40,16 +32,17 @@ use dmt_workload::inversion::InversionParams;
 use dmt_workload::openloop::OpenLoopParams;
 use dmt_workload::{fig1, inversion, openloop};
 
+/// A mutex is *hot* when it carries at least this percentage of the
+/// profile's total contended-wait time ([`ContentionProfile::hot_count`]).
+pub const HOT_PCT: u32 = 5;
+
 /// The experiment grid. The profile section sweeps every scheduler on
 /// two scenarios; the autopilot section sweeps open-loop cells.
 #[derive(Clone, Debug)]
 pub struct ContentionGrid {
-    /// Figure-1 client count for the profile and feedback sections.
+    /// Figure-1 client count for the profile and race sections.
     pub n_clients: usize,
     pub requests_per_client: usize,
-    /// A mutex is *hot* when it carries at least this percentage of the
-    /// profile's total contended-wait time ([`ContentionProfile::hints`]).
-    pub hot_pct: u32,
     /// Open-loop cells (offered load × read mix) for the autopilot.
     pub autopilot_rps: Vec<f64>,
     pub autopilot_read_fractions: Vec<f64>,
@@ -62,7 +55,6 @@ impl Default for ContentionGrid {
         ContentionGrid {
             n_clients: 8,
             requests_per_client: 4,
-            hot_pct: 5,
             autopilot_rps: vec![100.0, 400.0, 1600.0, 6400.0],
             autopilot_read_fractions: vec![0.5, 0.9],
             autopilot_clients: 8,
@@ -77,7 +69,6 @@ impl ContentionGrid {
         ContentionGrid {
             n_clients: 4,
             requests_per_client: 2,
-            hot_pct: 5,
             autopilot_rps: vec![200.0, 3200.0],
             autopilot_read_fractions: vec![0.9],
             autopilot_clients: 4,
@@ -102,7 +93,7 @@ pub struct ProfileRow {
     pub contended: u64,
     pub wait_ns: u64,
     pub wait_p95_ns: u64,
-    /// Mutexes crossing the `hot_pct` wait-share threshold.
+    /// Mutexes crossing the [`HOT_PCT`] wait-share threshold.
     pub hot_mutexes: u64,
     /// Distinct held→acquired lock-order edges.
     pub edges: u64,
@@ -145,26 +136,12 @@ pub struct AutopilotRow {
     pub matched: bool,
 }
 
-/// The Pmat feedback experiment: unhinted baseline vs hinted rerun.
-#[derive(Clone, Debug)]
-pub struct PmatFeedbackRow {
-    /// Hot mutexes the probe profile marked.
-    pub hot_mutexes: u64,
-    pub base_p95_ns: u64,
-    pub base_mean_ns: f64,
-    pub base_makespan_ns: u64,
-    pub hinted_p95_ns: u64,
-    pub hinted_mean_ns: f64,
-    pub hinted_makespan_ns: u64,
-}
-
 /// Everything the `contention` experiment produces.
 #[derive(Clone, Debug)]
 pub struct ContentionReport {
     pub profiles: Vec<ProfileRow>,
     pub races: Vec<RaceRow>,
     pub autopilot: Vec<AutopilotRow>,
-    pub pmat: PmatFeedbackRow,
     /// Collapsed-stack flamegraph lines of the heaviest open-loop cell
     /// under MAT (the `CONTENTION_mat_openloop.folded` artifact).
     pub folded: String,
@@ -258,12 +235,7 @@ pub fn recommend(profile: &ContentionProfile) -> SchedulerKind {
     }
 }
 
-fn profile_row(
-    scenario: &'static str,
-    kind: SchedulerKind,
-    grid: &ContentionGrid,
-    res: &RunResult,
-) -> ProfileRow {
+fn profile_row(scenario: &'static str, kind: SchedulerKind, res: &RunResult) -> ProfileRow {
     let p = ContentionProfile::from_records(&res.trace_records, 0);
     ProfileRow {
         scenario,
@@ -275,7 +247,7 @@ fn profile_row(
         contended: p.contended_total(),
         wait_ns: p.wait_ns_total(),
         wait_p95_ns: p.wait_percentile_ns(95.0),
-        hot_mutexes: p.hints(grid.hot_pct).hot_count() as u64,
+        hot_mutexes: p.hot_count(HOT_PCT) as u64,
         edges: p.edges.len() as u64,
     }
 }
@@ -297,9 +269,9 @@ pub fn contention_experiment_with_threads(
         |job| {
             let kind = ALL_KINDS[job % n_kinds];
             if job < n_kinds {
-                profile_row("fig1", kind, grid, &fig1_traced(grid, kind))
+                profile_row("fig1", kind, &fig1_traced(grid, kind))
             } else {
-                profile_row("inversion", kind, grid, &inversion_traced(kind))
+                profile_row("inversion", kind, &inversion_traced(kind))
             }
         },
     );
@@ -378,15 +350,6 @@ pub fn contention_experiment_with_threads(
         },
     );
 
-    // Section 4: the Pmat feedback loop. Contention is observed under
-    // MAT — the concurrent baseline whose blocking PMAT's predictions
-    // are meant to avoid; PMAT's own trace is contention-free on fig1,
-    // so it carries no signal — folded into a hot set and fed back
-    // into PMAT's eligibility rule. The traced PMAT run doubles as the
-    // unhinted baseline (tracing never perturbs virtual time).
-    let observed = fig1_traced(grid, SchedulerKind::Mat);
-    let prof = ContentionProfile::from_records(&observed.trace_records, 0);
-    let probe = fig1_traced(grid, SchedulerKind::Pmat);
     // The flamegraph artifact folds the heaviest open-loop cell under
     // MAT: its critical sections have real length (get/put compute
     // inside the monitor), so both hold and wait frames carry weight —
@@ -400,36 +363,11 @@ pub fn contention_experiment_with_threads(
         true,
     );
     let folded = ContentionProfile::from_records(&folded_src.trace_records, 0).collapsed();
-    let hints = prof.hints(grid.hot_pct);
-    let params = fig1::Fig1Params::default()
-        .with_clients(grid.n_clients)
-        .with_seed(1000 + grid.n_clients as u64);
-    let params = fig1::Fig1Params {
-        requests_per_client: grid.requests_per_client,
-        ..params
-    };
-    let pair = fig1::scenario(&params);
-    let cfg = EngineConfig::new(SchedulerKind::Pmat)
-        .with_seed(7)
-        .with_cpu_jitter(0.05)
-        .with_hints(hints.clone());
-    let hinted = Engine::new(pair.for_kind(SchedulerKind::Pmat), cfg).run();
-    assert!(!hinted.deadlocked, "hinted PMAT stalled on fig1");
-    let pmat = PmatFeedbackRow {
-        hot_mutexes: hints.hot_count() as u64,
-        base_p95_ns: probe.latency_ns().p95_ns().unwrap_or(0),
-        base_mean_ns: probe.latency_ns().mean_ns(),
-        base_makespan_ns: probe.makespan.as_nanos(),
-        hinted_p95_ns: hinted.latency_ns().p95_ns().unwrap_or(0),
-        hinted_mean_ns: hinted.latency_ns().mean_ns(),
-        hinted_makespan_ns: hinted.makespan.as_nanos(),
-    };
 
     ContentionReport {
         profiles,
         races,
         autopilot,
-        pmat,
         folded,
     }
 }
@@ -518,7 +456,7 @@ pub fn contention_json(grid: &ContentionGrid, report: &ContentionReport) -> Stri
         "  \"grid\": {{\"n_clients\": {}, \"requests_per_client\": {}, \"hot_pct\": {}, \"autopilot_rps\": {:?}, \"autopilot_read_fractions\": {:?}, \"autopilot_clients\": {}, \"autopilot_requests_per_client\": {}}},\n",
         grid.n_clients,
         grid.requests_per_client,
-        grid.hot_pct,
+        HOT_PCT,
         grid.autopilot_rps,
         grid.autopilot_read_fractions,
         grid.autopilot_clients,
@@ -581,18 +519,7 @@ pub fn contention_json(grid: &ContentionGrid, report: &ContentionReport) -> Stri
             if i + 1 < report.autopilot.len() { "," } else { "" },
         ));
     }
-    j.push_str("  ],\n");
-    let p = &report.pmat;
-    j.push_str(&format!(
-        "  \"pmat_feedback\": {{\"hot_mutexes\": {}, \"base_p95_ns\": {}, \"base_mean_ns\": {:.1}, \"base_makespan_ns\": {}, \"hinted_p95_ns\": {}, \"hinted_mean_ns\": {:.1}, \"hinted_makespan_ns\": {}}}\n",
-        p.hot_mutexes,
-        p.base_p95_ns,
-        p.base_mean_ns,
-        p.base_makespan_ns,
-        p.hinted_p95_ns,
-        p.hinted_mean_ns,
-        p.hinted_makespan_ns,
-    ));
+    j.push_str("  ]\n");
     j.push_str("}\n");
     j
 }
@@ -632,7 +559,6 @@ mod tests {
             j.matches("\"scenario\"").count(),
             report.profiles.len() + report.races.len()
         );
-        assert!(j.contains("\"pmat_feedback\""));
         assert_eq!(contention_table(&report).rows.len(), report.profiles.len());
         assert_eq!(autopilot_table(&report).rows.len(), report.autopilot.len());
     }

@@ -38,8 +38,8 @@ pub mod ubench;
 
 pub use contention::{
     autopilot_table, contention_experiment, contention_experiment_with_threads, contention_json,
-    contention_table, recommend, AutopilotRow, ContentionGrid, ContentionReport, PmatFeedbackRow,
-    ProfileRow, RaceRow,
+    contention_table, recommend, AutopilotRow, ContentionGrid, ContentionReport, ProfileRow,
+    RaceRow,
 };
 pub use experiments::*;
 pub use faults::{

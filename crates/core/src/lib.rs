@@ -44,7 +44,7 @@ pub use bookkeeping::{Bookkeeping, EntryState, LockTable, StaticSyncEntry};
 pub use event::{CtrlMsg, SchedAction, SchedEvent};
 pub use exec::{Blocked, ExecHost, ReplicaExec};
 pub use ids::{ReplicaId, ThreadId};
-pub use obs::{ContentionHints, Decision, DeferReason, DepthSample, SchedOutput};
+pub use obs::{Decision, DeferReason, DepthSample, SchedOutput};
 pub use scheduler::{
     make_scheduler, make_scheduler_inline, AnyScheduler, PdsConfig, SchedConfig, Scheduler,
     SchedulerKind,

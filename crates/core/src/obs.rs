@@ -233,83 +233,9 @@ impl DepthSample {
     }
 }
 
-/// Observed contention fed back into a scheduler: the set of mutexes a
-/// prior (or probe) run measured as *hot* — dominating contended-wait
-/// time in a [`ContentionHints`]-producing profile (`dmt-obs`).
-///
-/// The feedback loop the 2007 paper motivates but never builds: PMAT
-/// treats a hot mutex's waiters as unpredictable — prediction stops
-/// waiving age order for it, so hot objects serialise in admission
-/// (age) order like SEQ while cold objects keep running concurrently.
-///
-/// Determinism: hints are plain configuration, identical on every
-/// replica of a run, so a hinted scheduler is exactly as deterministic
-/// as an unhinted one — only the (fixed) grant rule differs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ContentionHints {
-    /// Dense hot-bit per mutex index; absent indices are cold.
-    hot: Vec<bool>,
-}
-
-impl ContentionHints {
-    /// No hints: every mutex cold (the no-feedback baseline).
-    pub fn new() -> Self {
-        ContentionHints::default()
-    }
-
-    /// Marks `mutex` as hot.
-    pub fn mark_hot(&mut self, mutex: MutexId) {
-        let i = mutex.index();
-        if self.hot.len() <= i {
-            self.hot.resize(i + 1, false);
-        }
-        self.hot[i] = true;
-    }
-
-    /// Whether `mutex` was marked hot.
-    #[inline]
-    pub fn is_hot(&self, mutex: MutexId) -> bool {
-        self.hot.get(mutex.index()).copied().unwrap_or(false)
-    }
-
-    /// True when no mutex is marked (hinted behaviour == unhinted).
-    pub fn is_empty(&self) -> bool {
-        !self.hot.iter().any(|&h| h)
-    }
-
-    /// Number of hot mutexes.
-    pub fn hot_count(&self) -> usize {
-        self.hot.iter().filter(|&&h| h).count()
-    }
-
-    /// Hot mutexes in id order.
-    pub fn hot_mutexes(&self) -> Vec<MutexId> {
-        self.hot
-            .iter()
-            .enumerate()
-            .filter(|(_, &h)| h)
-            .map(|(i, _)| MutexId::new(i as u32))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn contention_hints_default_cold_and_mark_hot() {
-        let mut h = ContentionHints::new();
-        assert!(h.is_empty());
-        assert!(!h.is_hot(MutexId::new(5)));
-        h.mark_hot(MutexId::new(5));
-        assert!(h.is_hot(MutexId::new(5)));
-        assert!(!h.is_hot(MutexId::new(4)));
-        assert!(!h.is_hot(MutexId::new(1000)), "out of range is cold");
-        assert_eq!(h.hot_count(), 1);
-        assert_eq!(h.hot_mutexes(), vec![MutexId::new(5)]);
-        assert!(!h.is_empty());
-    }
 
     #[test]
     fn disabled_output_never_constructs_or_allocates() {

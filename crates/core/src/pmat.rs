@@ -32,7 +32,7 @@
 use crate::bookkeeping::{Bookkeeping, LockTable};
 use crate::event::{SchedAction, SchedEvent};
 use crate::ids::ThreadId;
-use crate::obs::{ContentionHints, Decision, DepthSample, SchedOutput};
+use crate::obs::{Decision, DepthSample, SchedOutput};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sync_core::{LockOutcome, SyncCore};
 use dmt_lang::{MutexId, SyncId};
@@ -66,10 +66,6 @@ pub struct PmatScheduler {
     /// listed while another entry still pins `m`). Each blocks younger
     /// requests for `m`.
     pinners: Vec<Vec<ThreadId>>,
-    /// Observed-contention feedback: mutexes a profile marked hot lose
-    /// the prediction waiver in [`PmatScheduler::eligible`] and
-    /// serialise in age order. Empty by default (pure §4.3 behaviour).
-    hints: ContentionHints,
     /// Requests a recheck has evaluated, for the wake-rule tests.
     #[cfg(test)]
     evaluated: usize,
@@ -128,16 +124,9 @@ impl PmatScheduler {
             woken: Vec::new(),
             unpredicted: Vec::new(),
             pinners: Vec::new(),
-            hints: ContentionHints::new(),
             #[cfg(test)]
             evaluated: 0,
         }
-    }
-
-    /// Installs observed-contention feedback (builder style).
-    pub fn with_hints(mut self, hints: ContentionHints) -> Self {
-        self.hints = hints;
-        self
     }
 
     /// Applies a whole-table bookkeeping call (thread birth or death) for
@@ -211,31 +200,15 @@ impl PmatScheduler {
     /// pattern live under PMAT. The exemption holds even for unpredicted
     /// waiters — without it the notifier could never enter and the wait
     /// would never end.
-    ///
-    /// Contention feedback: when `mutex` is marked hot, the
-    /// predicted-and-disjoint waiver is withheld — every older queued
-    /// thread must be parked in `mutex`'s wait set before a younger one
-    /// may take it, so grants on a hot mutex follow admission age
-    /// exactly (per-object SEQ). This only tightens the rule: hinted
-    /// PMAT admits a subset of unhinted PMAT's grants at each step, and
-    /// the liveness-critical wait-set exemption is preserved, so no new
-    /// deadlock is introduced — an ineligible younger thread just waits
-    /// for its elders, who are themselves unconstrained at the head of
-    /// the queue.
     fn eligible(&self, tid: ThreadId, mutex: MutexId) -> bool {
-        let parked = |&u: &ThreadId| self.sync.is_waiting(u, mutex);
-        let ok = if self.hints.is_hot(mutex) {
-            older(&self.queue, tid).iter().all(parked)
-        } else {
-            let pinners = self
-                .pinners
-                .get(mutex.index())
-                .map_or(&[][..], Vec::as_slice);
-            older(&self.unpredicted, tid)
-                .iter()
-                .chain(older(pinners, tid))
-                .all(parked)
-        };
+        let pinners = self
+            .pinners
+            .get(mutex.index())
+            .map_or(&[][..], Vec::as_slice);
+        let ok = older(&self.unpredicted, tid)
+            .iter()
+            .chain(older(pinners, tid))
+            .all(|&u| self.sync.is_waiting(u, mutex));
         #[cfg(debug_assertions)]
         assert_eq!(
             ok,
@@ -250,10 +223,9 @@ impl PmatScheduler {
     /// is checked against in every debug build.
     #[cfg(any(test, debug_assertions))]
     fn eligible_reference(&self, tid: ThreadId, mutex: MutexId) -> bool {
-        let hot = self.hints.is_hot(mutex);
         self.queue.iter().take_while(|&&u| u < tid).all(|&u| {
             self.sync.is_waiting(u, mutex)
-                || (!hot && self.book.is_predicted(u) && !self.book.may_lock(u, mutex))
+                || (self.book.is_predicted(u) && !self.book.may_lock(u, mutex))
         })
     }
 
@@ -278,10 +250,9 @@ impl PmatScheduler {
 
     /// Wakes what `tid` leaving the queue can unblock: the requests its
     /// remaining index entries gate (every younger one while it is
-    /// unpredicted, the younger ones on each mutex it still pins) and
-    /// the younger requests on hot mutexes, whose test reads the whole
-    /// older queue. What a predicted thread stopped gating earlier was
-    /// woken when its pin left.
+    /// unpredicted, the younger ones on each mutex it still pins). What a
+    /// predicted thread stopped gating earlier was woken when its pin
+    /// left.
     fn wake_finished(&mut self, tid: ThreadId) {
         if !self.book.is_predicted(tid) {
             self.wake_younger(tid);
@@ -291,14 +262,6 @@ impl PmatScheduler {
         self.book.for_each_pinned(tid, |m| {
             woken.extend_from_slice(requests_on(pending_on, m, Some(tid)))
         });
-        let from = self.pending.partition_point(|&(u, _)| u <= tid);
-        let hints = &self.hints;
-        self.woken.extend(
-            self.pending[from..]
-                .iter()
-                .filter(|&&(_, m)| hints.is_hot(m))
-                .map(|&(u, _)| u),
-        );
     }
 
     /// Wakes every pending request younger than `actor`.
@@ -783,73 +746,6 @@ mod tests {
         assert_eq!(s.sync_core().owner(m(3)), Some(t(0)));
     }
 
-    #[test]
-    fn hot_hint_withdraws_the_prediction_waiver() {
-        // Unhinted: t0 announces m5, t1 may take m9 concurrently
-        // (disjoint predicted lock sets). Hinted hot m9: t1 must wait
-        // for its elder even though prediction proves disjointness.
-        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
-        let mut hints = ContentionHints::new();
-        hints.mark_hot(m(9));
-        let mut s = PmatScheduler::new(table).with_hints(hints);
-        let mut out = SchedOutput::new();
-        s.on_event(&arrive(0), &mut out);
-        s.on_event(
-            &SchedEvent::RequestArrived {
-                tid: t(1),
-                method: MethodIdx::new(1),
-                request_seq: 1,
-                dummy: false,
-            },
-            &mut out,
-        );
-        out.clear();
-        s.on_event(&info(0, 0, 5), &mut out);
-        s.on_event(&lock(1, 1, 9), &mut out);
-        assert!(
-            out.actions.is_empty(),
-            "hot mutex serialises in age order despite disjoint prediction"
-        );
-        // Cold mutexes keep the waiver: the same shape on m10 grants.
-        s.on_event(&lock(0, 0, 5), &mut out);
-        assert_eq!(out.actions, vec![SchedAction::Resume(t(0))]);
-        out.clear();
-        // Elder finishes → the hot mutex flows to the next age rank.
-        s.on_event(&unlock(0, 0, 5), &mut out);
-        s.on_event(&finish(0), &mut out);
-        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
-        assert_eq!(s.sync_core().owner(m(9)), Some(t(1)));
-    }
-
-    #[test]
-    fn empty_hints_change_nothing() {
-        // The disjoint-lock-sets concurrency test, with explicit empty
-        // hints: behaviour must be identical to unhinted PMAT.
-        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
-        let mut s = PmatScheduler::new(table).with_hints(ContentionHints::new());
-        let mut out = SchedOutput::new();
-        s.on_event(&arrive(0), &mut out);
-        s.on_event(
-            &SchedEvent::RequestArrived {
-                tid: t(1),
-                method: MethodIdx::new(1),
-                request_seq: 1,
-                dummy: false,
-            },
-            &mut out,
-        );
-        out.clear();
-        s.on_event(&info(0, 0, 10), &mut out);
-        s.on_event(&info(1, 1, 11), &mut out);
-        s.on_event(&lock(1, 1, 11), &mut out);
-        s.on_event(&lock(0, 0, 10), &mut out);
-        assert_eq!(
-            out.actions,
-            vec![SchedAction::Resume(t(1)), SchedAction::Resume(t(0))],
-            "empty hints must preserve Figure 3(b) concurrency"
-        );
-    }
-
     fn arrive_m(tid: u32, method: u32) -> SchedEvent {
         SchedEvent::RequestArrived {
             tid: t(tid),
@@ -996,47 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_mutexes_serialise_in_age_order_despite_disjoint_prediction() {
-        // Predicted, pairwise-disjoint lock sets: unhinted PMAT grants
-        // all three at once (`disjoint_lock_sets_run_concurrently`).
-        // With every one of those mutexes hot, grants follow age.
-        let table = Arc::new(LockTable::new(vec![
-            Some(vec![e(0)]),
-            Some(vec![e(1)]),
-            Some(vec![e(2)]),
-        ]));
-        let mut hints = ContentionHints::new();
-        for mx in 10..13 {
-            hints.mark_hot(m(mx));
-        }
-        let mut s = PmatScheduler::new(table).with_hints(hints);
-        let mut out = SchedOutput::new();
-        for i in 0..3 {
-            s.on_event(&arrive_m(i, i), &mut out);
-            s.on_event(&info(i, i, 10 + i), &mut out);
-        }
-        out.clear();
-        s.on_event(&lock(2, 2, 12), &mut out);
-        s.on_event(&lock(1, 1, 11), &mut out);
-        assert!(out.actions.is_empty());
-        assert_index_agrees(&s);
-        s.on_event(&lock(0, 0, 10), &mut out);
-        assert_eq!(out.actions, vec![SchedAction::Resume(t(0))]);
-        out.clear();
-        s.on_event(&unlock(0, 0, 10), &mut out);
-        assert!(out.actions.is_empty(), "the elder is still queued");
-        s.on_event(&finish(0), &mut out);
-        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
-        out.clear();
-        s.on_event(&unlock(1, 1, 11), &mut out);
-        s.on_event(&finish(1), &mut out);
-        assert_eq!(out.actions, vec![SchedAction::Resume(t(2))]);
-        s.on_event(&unlock(2, 2, 12), &mut out);
-        s.on_event(&finish(2), &mut out);
-        assert!(s.index_drained());
-    }
-
-    #[test]
     fn reentrant_lock_defers_its_wakes_to_the_next_recheck() {
         // t0's two sync blocks lock m3; its second entry is unresolved,
         // so t0 is unpredicted and blocks t1's request for m9.
@@ -1068,26 +923,36 @@ mod tests {
     }
 
     #[test]
-    fn finishing_predicted_elder_wakes_a_hot_request() {
+    fn finishing_predicted_elder_that_pins_nothing_wakes_nothing() {
         // t0 is predicted and pins nothing, so it is in no index list;
-        // only its place in the queue gates t1 on the hot m9.
-        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
-        let mut hints = ContentionHints::new();
-        hints.mark_hot(m(9));
-        let mut s = PmatScheduler::new(table).with_hints(hints);
+        // t2's request for m9 is blocked by the unpredicted t1 alone.
+        let table = Arc::new(LockTable::new(vec![
+            Some(vec![e(0)]),
+            Some(vec![e(1)]),
+            Some(vec![e(2)]),
+        ]));
+        let mut s = PmatScheduler::new(table);
         let mut out = SchedOutput::new();
-        s.on_event(&arrive_m(0, 0), &mut out);
-        s.on_event(&arrive_m(1, 1), &mut out);
+        for i in 0..3 {
+            s.on_event(&arrive_m(i, i), &mut out);
+        }
         s.on_event(&ignore(0, 0), &mut out);
         out.clear();
-        s.on_event(&lock(1, 1, 9), &mut out);
-        assert!(out.actions.is_empty(), "the elder is still queued");
-        let indexed = |v: &Vec<ThreadId>| v.contains(&t(0));
-        assert!(!indexed(&s.unpredicted) && !s.pinners.iter().any(indexed));
+        s.on_event(&lock(2, 2, 9), &mut out);
+        assert!(out.actions.is_empty(), "t1 is unpredicted");
+        s.evaluated = 0;
+        // t0 leaving the queue gated nothing: the recheck evaluates
+        // nothing.
         s.on_event(&finish(0), &mut out);
-        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
-        s.on_event(&unlock(1, 1, 9), &mut out);
+        assert!(out.actions.is_empty());
+        assert_eq!(s.evaluated, 0);
+        // t1 becoming predicted wakes and grants t2.
+        s.on_event(&ignore(1, 1), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(2))]);
+        assert_eq!(s.evaluated, 1);
+        s.on_event(&unlock(2, 2, 9), &mut out);
         s.on_event(&finish(1), &mut out);
+        s.on_event(&finish(2), &mut out);
         assert!(s.index_drained());
     }
 

@@ -20,7 +20,7 @@
 use crate::bookkeeping::LockTable;
 use crate::event::SchedEvent;
 use crate::ids::ReplicaId;
-use crate::obs::{ContentionHints, DepthSample, SchedOutput};
+use crate::obs::{DepthSample, SchedOutput};
 use crate::sync_core::SyncCore;
 use std::sync::Arc;
 
@@ -160,8 +160,6 @@ pub struct SchedConfig {
     pub leader: ReplicaId,
     pub lock_table: Arc<LockTable>,
     pub pds: PdsConfig,
-    /// Observed-contention feedback (PMAT). Empty = no feedback.
-    pub hints: ContentionHints,
 }
 
 impl SchedConfig {
@@ -172,7 +170,6 @@ impl SchedConfig {
             leader: ReplicaId::new(0),
             lock_table: Arc::new(LockTable::unanalyzed(0)),
             pds: PdsConfig::default(),
-            hints: ContentionHints::new(),
         }
     }
 
@@ -188,11 +185,6 @@ impl SchedConfig {
 
     pub fn with_leader(mut self, leader: ReplicaId) -> Self {
         self.leader = leader;
-        self
-    }
-
-    pub fn with_hints(mut self, hints: ContentionHints) -> Self {
-        self.hints = hints;
         self
     }
 }
@@ -311,9 +303,9 @@ pub fn make_scheduler_inline(cfg: &SchedConfig) -> AnyScheduler {
             crate::mat::MatMode::LastLock,
             cfg.lock_table.clone(),
         )),
-        SchedulerKind::Pmat => AnyScheduler::Pmat(
-            crate::pmat::PmatScheduler::new(cfg.lock_table.clone()).with_hints(cfg.hints.clone()),
-        ),
+        SchedulerKind::Pmat => {
+            AnyScheduler::Pmat(crate::pmat::PmatScheduler::new(cfg.lock_table.clone()))
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! * [`profile`] — folds one replica's Defer/Grant/Release stream into
 //!   a per-mutex contention profile (defer counts by reason, wait/hold
 //!   histograms, waits-for edges) with a flamegraph-style collapsed
-//!   rendering and derived [`dmt_core::ContentionHints`].
+//!   rendering.
 //! * [`chrome`] — exports a trace to the Chrome `chrome://tracing` /
 //!   Perfetto JSON array format for interactive inspection.
 //!

@@ -24,7 +24,7 @@
 //! reruns and worker counts.
 
 use crate::trace::{TraceEvent, TraceRecord};
-use dmt_core::{ContentionHints, Decision, DeferReason, ThreadId};
+use dmt_core::{Decision, DeferReason, ThreadId};
 use dmt_lang::MutexId;
 use dmt_sim::LogHistogram;
 use std::collections::BTreeMap;
@@ -242,22 +242,18 @@ impl ContentionProfile {
         out
     }
 
-    /// Derives scheduler hints: a mutex is *hot* when it accounts for at
-    /// least `pct` percent of the profile's total contended-wait time
-    /// (integer arithmetic — deterministic). An uncontended profile
-    /// yields empty hints.
-    pub fn hints(&self, pct: u32) -> ContentionHints {
+    /// The number of *hot* mutexes: those accounting for at least `pct`
+    /// percent of the profile's total contended-wait time (integer
+    /// arithmetic — deterministic). An uncontended profile has none.
+    pub fn hot_count(&self, pct: u32) -> usize {
         let total = self.wait_ns_total();
-        let mut hints = ContentionHints::new();
         if total == 0 {
-            return hints;
+            return 0;
         }
-        for (id, p) in &self.mutexes {
-            if p.wait_ns_total() * 100 >= total * pct as u64 {
-                hints.mark_hot(*id);
-            }
-        }
-        hints
+        self.mutexes
+            .iter()
+            .filter(|(_, p)| p.wait_ns_total() * 100 >= total * pct as u64)
+            .count()
     }
 }
 
@@ -367,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn hints_mark_dominant_waiters_only() {
+    fn hot_count_counts_dominant_waiters_only() {
         let records = vec![
             // m0: 90ns of waiting. m1: 10ns.
             grant(0, t(0), m(0)),
@@ -382,10 +378,8 @@ mod tests {
             release(116, t(1), m(1)),
         ];
         let p = ContentionProfile::from_records(&records, 0);
-        let hints = p.hints(50);
-        assert!(hints.is_hot(m(0)));
-        assert!(!hints.is_hot(m(1)));
-        assert_eq!(hints.hot_count(), 1);
-        assert!(ContentionProfile::default().hints(50).is_empty());
+        assert_eq!(p.hot_count(50), 1, "m1's 10% share is below 50%");
+        assert_eq!(p.hot_count(10), 2);
+        assert_eq!(ContentionProfile::default().hot_count(50), 0);
     }
 }

@@ -44,10 +44,6 @@ pub struct EngineConfig {
     /// disabled path is branch-cheap and allocation-free, pinned by the
     /// dmt-bench overhead guard.
     pub trace: Option<usize>,
-    /// Observed-contention feedback handed to every replica's scheduler
-    /// (PMAT hot-mutex serialisation). Empty = no feedback. Identical
-    /// on all replicas by construction, so determinism is unaffected.
-    pub hints: dmt_core::ContentionHints,
     /// Sample queue depths ([`dmt_core::DepthSample`]) after every
     /// scheduler dispatch into the metrics registry (the `figures obs`
     /// experiment). Off by default for the same reason.
@@ -124,7 +120,6 @@ impl EngineConfig {
             max_time: SimDuration::from_secs(3600),
             detect_delay: SimDuration::from_millis(5),
             trace: None,
-            hints: dmt_core::ContentionHints::new(),
             sample_depths: false,
             batch_admission: true,
             fastpath: true,
@@ -170,13 +165,6 @@ impl EngineConfig {
     /// records; overflow is dropped and counted in `trace.dropped`.
     pub fn with_trace_cap(mut self, cap: usize) -> Self {
         self.trace = Some(cap);
-        self
-    }
-
-    /// Installs observed-contention feedback for prediction-aware
-    /// schedulers (see [`dmt_core::ContentionHints`]).
-    pub fn with_hints(mut self, hints: dmt_core::ContentionHints) -> Self {
-        self.hints = hints;
         self
     }
 
@@ -1213,8 +1201,7 @@ impl Host {
         let sc = SchedConfig::new(self.cfg.scheduler, ReplicaId::new(replica as u32))
             .with_lock_table(self.scenario.lock_table.clone())
             .with_pds(self.cfg.pds)
-            .with_leader(ReplicaId::new(self.leader as u32))
-            .with_hints(self.cfg.hints.clone());
+            .with_leader(ReplicaId::new(self.leader as u32));
         Box::new(dmt_core::make_scheduler_inline(&sc))
     }
 

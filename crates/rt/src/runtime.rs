@@ -189,7 +189,6 @@ pub struct DetRuntime {
     kind: SchedulerKind,
     n_cells: usize,
     pds_batch: usize,
-    hints: dmt_core::ContentionHints,
 }
 
 impl DetRuntime {
@@ -198,20 +197,11 @@ impl DetRuntime {
             kind,
             n_cells: 16,
             pds_batch: 2,
-            hints: dmt_core::ContentionHints::new(),
         }
     }
 
     pub fn with_cells(mut self, n: usize) -> Self {
         self.n_cells = n;
-        self
-    }
-
-    /// Installs observed-contention feedback (hot-mutex serialisation
-    /// for PMAT) — the same hints a `dmt-obs` contention profile derives
-    /// for the simulated engine apply to real-thread runs.
-    pub fn with_hints(mut self, hints: dmt_core::ContentionHints) -> Self {
-        self.hints = hints;
         self
     }
 
@@ -222,12 +212,10 @@ impl DetRuntime {
     where
         F: Fn(usize, &DetHandle<'_>) + Sync,
     {
-        let cfg = SchedConfig::new(self.kind, ReplicaId::new(0))
-            .with_pds(dmt_core::PdsConfig {
-                batch_size: self.pds_batch.min(n_threads.max(1)),
-                locks_per_round: 1,
-            })
-            .with_hints(self.hints.clone());
+        let cfg = SchedConfig::new(self.kind, ReplicaId::new(0)).with_pds(dmt_core::PdsConfig {
+            batch_size: self.pds_batch.min(n_threads.max(1)),
+            locks_per_round: 1,
+        });
         let inner = Inner {
             state: Mutex::new(RtState {
                 sched: make_scheduler(&cfg),
@@ -349,18 +337,18 @@ mod tests {
     #[test]
     fn disjoint_mutexes_run_concurrently_under_pmat_order() {
         // Threads on distinct mutexes: grant log per mutex is one thread's
-        // grants; totals must match.
-        let rep = DetRuntime::new(SchedulerKind::Free)
-            .with_cells(4)
-            .run(4, |t, h| {
+        // grants; totals must match under every kind.
+        for kind in SchedulerKind::ALL {
+            let rep = DetRuntime::new(kind).with_cells(4).run(4, |t, h| {
                 for _ in 0..5 {
                     h.sync(m(t as u32), || {
                         h.set_cell(t, h.cell(t) + 1);
                     });
                 }
             });
-        assert_eq!(rep.cells, vec![5, 5, 5, 5]);
-        assert_eq!(rep.grant_log.len(), 20);
+            assert_eq!(rep.cells, vec![5, 5, 5, 5], "{kind}");
+            assert_eq!(rep.grant_log.len(), 20, "{kind}");
+        }
     }
 
     #[test]
@@ -401,26 +389,6 @@ mod tests {
                 }
             });
         assert_eq!(rep.cells, vec![1, 1]);
-    }
-
-    #[test]
-    fn hot_hints_serialise_real_threads_in_age_order_under_pmat() {
-        // All threads hammer one hot mutex: hinted PMAT must grant it
-        // strictly in thread (age) order, every run, despite real-OS
-        // scheduling noise.
-        let mut hints = dmt_core::ContentionHints::new();
-        hints.mark_hot(m(3));
-        for _ in 0..4 {
-            let rep = DetRuntime::new(SchedulerKind::Pmat)
-                .with_hints(hints.clone())
-                .with_cells(1)
-                .run(3, |t, h| {
-                    h.sync(m(3), || {
-                        h.set_cell(0, 10 * h.cell(0) + t as i64 + 1);
-                    });
-                });
-            assert_eq!(rep.cells[0], 123, "hot mutex must flow in age order");
-        }
     }
 
     #[test]

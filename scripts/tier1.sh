@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the gate every PR must pass, plus a quick smoke
-# of the figures binary (regenerates a small sweep and the engine
-# hot-path benchmark without overwriting checked-in outputs).
+# of the figures binary (regenerates a small sweep and the engine work
+# counters without overwriting checked-in outputs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
