@@ -14,7 +14,7 @@ fn main() {
     let params = fig1::Fig1Params {
         n_clients: 4,
         requests_per_client: 2,
-        n_mutexes: 1, // fully conflicting: prediction cannot help
+        mutexes: fig1::Mutexes::Pool(1), // fully conflicting: prediction cannot help
         ..Default::default()
     };
     let pair = fig1::scenario(&params);

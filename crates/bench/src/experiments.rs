@@ -12,7 +12,7 @@ use dmt_replica::{
     check_determinism, run_sharded, Engine, EngineConfig, FaultPlan, PerfCounters, RunResult,
 };
 use dmt_sim::SimDuration;
-use dmt_workload::{bank, buffer, fig1, fig2, fig3};
+use dmt_workload::{bank, buffer, fig1};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The parallel sweep driver: runs `f(0..n_jobs)` across `threads`
@@ -342,11 +342,11 @@ pub fn fig2_experiment(final_ms_values: &[f64]) -> Table {
     let means = run_jobs(final_ms_values.len() * 2, sweep_threads(), |job| {
         let f = final_ms_values[job / 2];
         let kind = kinds[job % 2];
-        let p = fig2::Fig2Params {
+        let p = fig1::Fig1Params {
             final_ms: f,
-            ..fig2::Fig2Params::default()
+            ..fig1::Fig1Params::last_lock()
         };
-        let pair = fig2::scenario(&p);
+        let pair = fig1::scenario(&p);
         let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(3)).run();
         assert!(!res.deadlocked);
         res.response_ms().mean()
@@ -379,22 +379,15 @@ pub fn fig3_experiment(client_counts: &[usize]) -> Table {
     let means = run_jobs(client_counts.len() * 3, sweep_threads(), |job| {
         let n = client_counts[job / 3];
         let kind = kinds[job % 3];
-        let p = fig3::Fig3Params {
-            n_clients: n,
-            ..fig3::Fig3Params::default()
-        };
-        let pair = fig3::scenario(&p);
+        let pair = fig1::scenario(&fig1::Fig1Params::disjoint().with_clients(n));
         let res = Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(3)).run();
         assert!(!res.deadlocked);
         res.response_ms().mean()
     });
+    // Ideal: full overlap — a request costs its own work plus wire.
+    let p = fig1::Fig1Params::disjoint();
+    let ideal = p.compute_ms + p.cs_ms + 4.0 * NetConfig::lan().one_way.as_millis_f64();
     for (i, &n) in client_counts.iter().enumerate() {
-        let p = fig3::Fig3Params {
-            n_clients: n,
-            ..fig3::Fig3Params::default()
-        };
-        // Ideal: full overlap — a request costs its own work plus wire.
-        let ideal = p.pre_ms + p.cs_ms + 4.0 * NetConfig::lan().one_way.as_millis_f64();
         t.push_row(vec![
             n.to_string(),
             ms(means[i * 3]),
@@ -436,8 +429,8 @@ pub fn fig4_experiment() -> String {
 pub fn analysis_experiment() -> String {
     let objects = [
         fig1::build_object(&fig1::Fig1Params::default()),
-        fig2::build_object(&fig2::Fig2Params::default()),
-        fig3::build_object(&fig3::Fig3Params::default()),
+        fig1::build_object(&fig1::Fig1Params::last_lock()),
+        fig1::build_object(&fig1::Fig1Params::disjoint()),
         bank::build_object(&bank::BankParams::default()),
         buffer::build_object(&buffer::BufferParams::default()),
     ];
@@ -625,7 +618,7 @@ pub fn determinism_experiment() -> Table {
     let p = fig1::Fig1Params {
         n_clients: 6,
         requests_per_client: 3,
-        n_mutexes: 5,
+        mutexes: fig1::Mutexes::Pool(5),
         ..fig1::Fig1Params::default()
     };
     let pair = &fig1::scenario(&p);

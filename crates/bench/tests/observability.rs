@@ -19,7 +19,7 @@ fn scenario_pair() -> dmt_workload::ScenarioPair {
     let p = fig1::Fig1Params {
         n_clients: 5,
         requests_per_client: 3,
-        n_mutexes: 4,
+        mutexes: fig1::Mutexes::Pool(4),
         ..fig1::Fig1Params::default()
     };
     fig1::scenario(&p)
@@ -160,7 +160,7 @@ fn chrome_trace_export_matches_golden() {
     let p = fig1::Fig1Params {
         n_clients: 2,
         requests_per_client: 2,
-        n_mutexes: 2,
+        mutexes: fig1::Mutexes::Pool(2),
         ..fig1::Fig1Params::default()
     };
     let pair = fig1::scenario(&p);

@@ -3,15 +3,14 @@
 //! Builds the objects and client scripts behind every experiment in
 //! EXPERIMENTS.md:
 //!
-//! * [`fig1`] — the paper's §3.5 benchmark: ten iterations of
-//!   {maybe-nested-invocation, maybe-local-computation,
+//! * [`fig1`] — the lock-pattern generator: the paper's §3.5 benchmark
+//!   (ten iterations of {maybe-nested-invocation, maybe-local-computation,
 //!   lock/update/unlock on one of 100 mutexes}, all random decisions made
-//!   by the clients and passed as parameters;
-//! * [`fig2`] — the last-lock scenario of Figure 2: a long final
-//!   computation after the last unlock, where MAT-LL's early primacy
-//!   hand-off pays off;
-//! * [`fig3`] — the lock-prediction scenario of Figure 3: threads with
-//!   disjoint, client-announced lock sets that PMAT can run concurrently;
+//!   by the clients and passed as parameters), plus computation inside
+//!   and after the lock, and private per-client mutexes. Figure 2's
+//!   last-lock scenario and Figure 3's disjoint-lock scenario are its
+//!   named slices [`fig1::Fig1Params::last_lock`] and
+//!   [`fig1::Fig1Params::disjoint`];
 //! * [`bank`] — a two-lock transfer workload (realistic fine-grained
 //!   locking with nested monitors);
 //! * [`buffer`] — a bounded producer/consumer buffer exercising
@@ -37,8 +36,6 @@
 pub mod bank;
 pub mod buffer;
 pub mod fig1;
-pub mod fig2;
-pub mod fig3;
 pub mod inversion;
 pub mod openloop;
 pub mod relay;

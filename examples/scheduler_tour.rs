@@ -14,7 +14,7 @@ fn main() {
     let params = fig1::Fig1Params {
         n_clients: 6,
         requests_per_client: 3,
-        n_mutexes: 20,
+        mutexes: fig1::Mutexes::Pool(20),
         ..Default::default()
     };
     let pair = fig1::scenario(&params);

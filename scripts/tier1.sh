@@ -20,6 +20,11 @@ cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "== tier-1: cargo test -q =="
 cargo test -q --workspace
 
+# `cargo build`, `test` and `clippy --workspace` skip bench targets;
+# compile every dmt-bench bench so none of them can rot unnoticed.
+echo "== tier-1: cargo bench --no-run =="
+cargo bench --no-run --offline -q -p dmt-bench
+
 echo "== tier-1: cargo clippy (warnings are errors) =="
 cargo clippy --workspace -- -D warnings
 

@@ -12,7 +12,7 @@ fn fig1_contended_multi_seed_convergence() {
     let p = fig1::Fig1Params {
         n_clients: 5,
         requests_per_client: 2,
-        n_mutexes: 4, // heavy contention
+        mutexes: fig1::Mutexes::Pool(4), // heavy contention
         iterations: 6,
         ..Default::default()
     };
@@ -34,7 +34,7 @@ fn nested_heavy_workload_convergence() {
         n_clients: 6,
         requests_per_client: 2,
         p_nested: 0.6,
-        n_mutexes: 3,
+        mutexes: fig1::Mutexes::Pool(3),
         iterations: 5,
         ..Default::default()
     };
@@ -143,7 +143,7 @@ fn dense_id_hot_path_trace_regression() {
     let p = fig1::Fig1Params {
         n_clients: 4,
         requests_per_client: 3,
-        n_mutexes: 3,
+        mutexes: fig1::Mutexes::Pool(3),
         iterations: 4,
         ..Default::default()
     };

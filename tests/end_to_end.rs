@@ -3,7 +3,7 @@
 
 use dmt::core::SchedulerKind;
 use dmt::replica::{Engine, EngineConfig};
-use dmt::workload::{bank, buffer, fig1, fig2, fig3};
+use dmt::workload::{bank, buffer, fig1};
 
 #[test]
 fn fig1_workload_completes_under_every_scheduler() {
@@ -81,12 +81,12 @@ fn lsa_pays_in_network_traffic() {
 
 #[test]
 fn fig2_lastlock_handoff_beats_plain_mat() {
-    let p = fig2::Fig2Params {
+    let p = fig1::Fig1Params {
         n_clients: 5,
         requests_per_client: 2,
-        ..Default::default()
+        ..fig1::Fig1Params::last_lock()
     };
-    let pair = fig2::scenario(&p);
+    let pair = fig1::scenario(&p);
     let mean = |kind: SchedulerKind| {
         Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(2))
             .run()
@@ -98,11 +98,8 @@ fn fig2_lastlock_handoff_beats_plain_mat() {
 
 #[test]
 fn fig3_prediction_approaches_ideal_overlap() {
-    let p = fig3::Fig3Params {
-        n_clients: 6,
-        ..Default::default()
-    };
-    let pair = fig3::scenario(&p);
+    let p = fig1::Fig1Params::disjoint().with_clients(6);
+    let pair = fig1::scenario(&p);
     let mean = |kind: SchedulerKind| {
         Engine::new(pair.for_kind(kind), EngineConfig::new(kind).with_seed(2))
             .run()
@@ -115,7 +112,7 @@ fn fig3_prediction_approaches_ideal_overlap() {
     // near the single-request cost while MAT serialises.
     assert!(pmat < mat / 2.0, "PMAT {pmat:.2} vs MAT {mat:.2}");
     assert!(
-        pmat < 2.0 * (p.pre_ms + p.cs_ms),
+        pmat < 2.0 * (p.compute_ms + p.cs_ms),
         "PMAT {pmat:.2} should be near ideal"
     );
 }
