@@ -12,7 +12,7 @@
 use dmt_lang::interp::StepOutcome;
 use dmt_lang::{
     ast::IntExpr, ast::MutexExpr, compile, MethodIdx, MutexId, ObjectBuilder, ObjectState,
-    RequestArgs, Value, VmPool,
+    RequestArgs, ThreadVm, Value, VmPool,
 };
 use dmt_sim::{EventQueue, SimDuration, SplitMix64};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -112,12 +112,14 @@ fn warm_substrate_paths_do_not_allocate() {
     let args = RequestArgs::new(vec![Value::Int(1)]);
     let mut pool = VmPool::new();
 
+    // The pool hands out boxed VMs (a replica's table holds one pointer
+    // per thread id): acquire and release move the box, never the VM.
     let cycle = |pool: &mut VmPool, state: &mut ObjectState| {
-        let mut vm = pool.acquire(program.clone(), MethodIdx::new(0), &args);
+        let mut vm: Box<ThreadVm> = pool.acquire(program.clone(), MethodIdx::new(0), &args);
         while !matches!(vm.step(state), StepOutcome::Finished) {}
         pool.release(vm);
     };
-    // First cycle allocates the VM and grows its arenas; everything
+    // First cycle allocates the boxed VM and grows its arenas; everything
     // after runs out of the free list.
     cycle(&mut pool, &mut state);
     let before = allocations();
@@ -127,7 +129,7 @@ fn warm_substrate_paths_do_not_allocate() {
     let vm_delta = allocations() - before;
     assert_eq!(
         vm_delta, 0,
-        "warm VM acquire/run/release cycle allocated {vm_delta} times"
+        "warm boxed VM acquire/run/release cycle allocated {vm_delta} times"
     );
 
     // --- Admission ready ring: the engine's batched-admission buffer
@@ -288,6 +290,40 @@ fn warm_substrate_paths_do_not_allocate() {
     assert_eq!(
         reset_delta, 0,
         "reset-reuse queue churn allocated {reset_delta} times"
+    );
+
+    // --- Arrival lane reset-reuse: an open-loop run loads its whole
+    // arrival schedule into the queue's presorted lane. A queue reset
+    // between runs keeps the lane's capacity, so loading, sealing and
+    // draining the next run's lane (merged with ordinary events) must
+    // not allocate either.
+    let lane_run = |q: &mut EventQueue<u32>, rng: &mut SplitMix64| {
+        q.reset();
+        for i in 0..4_096u32 {
+            q.push_lane(dmt_sim::SimTime::from_nanos(rng.next_below(50_000_000)), i);
+        }
+        q.seal_lane();
+        let mut acc = 0;
+        while let Some((_, e)) = q.pop() {
+            acc ^= e;
+            if e < 4_096 {
+                q.push_after(SimDuration::from_nanos(delay(rng) % 400_000), e + 4_096);
+            }
+        }
+        acc
+    };
+    std::hint::black_box(lane_run(&mut q, &mut rng2));
+    let lane_delta = (0..3)
+        .map(|_| {
+            let before = allocations();
+            std::hint::black_box(lane_run(&mut q, &mut rng2));
+            allocations() - before
+        })
+        .min()
+        .unwrap();
+    assert_eq!(
+        lane_delta, 0,
+        "reset queue draining a second lane allocated {lane_delta} times"
     );
 
     // --- Fused fast path: the same-instant grant fusion in the step

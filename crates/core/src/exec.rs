@@ -97,7 +97,9 @@ pub struct ReplicaExec<S: ?Sized, T> {
     pub sched: Box<S>,
     pub state: ObjectState,
     pub(crate) program: Arc<CompiledObject>,
-    vms: SlotMap<ThreadVm>,
+    /// Live VMs by thread id, boxed: a run-wide id costs one pointer of
+    /// table, and admit/finish move the pointer, not the VM.
+    vms: SlotMap<Box<ThreadVm>>,
     /// Reset-on-reuse free list: finished threads return their VM here,
     /// admissions recycle it (allocation-free once warm).
     vm_pool: VmPool,

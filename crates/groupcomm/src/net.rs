@@ -1,7 +1,7 @@
 //! The sequencer-based atomic broadcast model.
 
 use crate::stats::NetStats;
-use dmt_sim::{SimDuration, SplitMix64};
+use dmt_sim::{SimDuration, SimTime, SplitMix64};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -97,11 +97,19 @@ pub struct GroupComm<M> {
     /// arrivals of an already-delivered sequence number are re-delivered —
     /// a deliberately broken mode for adversarial testing.
     dedup: bool,
-    /// Latest sequencer-arrival instant per FIFO source, sorted by
-    /// source id. Source ids are few and reused (replica indices plus a
-    /// handful of synthetic client/remote ids), so a sorted vec with
-    /// binary search beats a tree map on the submit hot path.
-    fifo_horizon: Vec<(u64, dmt_sim::SimTime)>,
+    /// Latest sequencer-arrival instant per FIFO source, for the sources
+    /// with a submission still in flight only (in no particular order).
+    /// Source ids can be many (one per open-loop client: 1e5 in a
+    /// sharded run), but few are in flight at once: an entry whose
+    /// horizon lies strictly before the submit clock can never bump a
+    /// later arrival (every arrival is at least `now`), so
+    /// [`GroupComm::submit_delay_fifo`] drops it. The vec stays as small
+    /// as the in-flight set, so one linear pass that both prunes it and
+    /// finds the submitting source is the whole per-submit cost.
+    fifo_horizon: Vec<(u64, SimTime)>,
+    /// Clock of the latest FIFO submission; pruning relies on it never
+    /// going backwards.
+    fifo_now: SimTime,
 }
 
 impl<M: Clone> GroupComm<M> {
@@ -121,6 +129,7 @@ impl<M: Clone> GroupComm<M> {
             stats: NetStats::default(),
             dedup: true,
             fifo_horizon: Vec::new(),
+            fifo_now: SimTime::ZERO,
         }
     }
 
@@ -205,21 +214,46 @@ impl<M: Clone> GroupComm<M> {
     /// submissions from the same `source` never overtake each other on
     /// the way to the sequencer (the FIFO-total order real group
     /// communication systems provide — LSA's numbered announcements
-    /// depend on it).
-    pub fn submit_delay_fifo(&mut self, source: u64, now: dmt_sim::SimTime) -> SimDuration {
+    /// depend on it). `now` must never decrease between calls.
+    pub fn submit_delay_fifo(&mut self, source: u64, now: SimTime) -> SimDuration {
+        debug_assert!(now >= self.fifo_now, "FIFO submit clock went backwards");
+        self.fifo_now = now;
         self.stats.submissions += 1;
+        // One pass drops the horizons strictly before `now` (they cannot
+        // bump this or any later arrival) and finds `source`'s entry. A
+        // horizon equal to `now` must stay: a zero-latency hop arrives at
+        // `now` and has to queue behind it.
+        let mut hit = None;
+        let mut kept = 0;
+        for k in 0..self.fifo_horizon.len() {
+            let e = self.fifo_horizon[k];
+            if e.1 >= now {
+                if e.0 == source {
+                    hit = Some(kept);
+                }
+                self.fifo_horizon[kept] = e;
+                kept += 1;
+            }
+        }
+        self.fifo_horizon.truncate(kept);
         let mut arrival = now + self.hop_latency();
-        match self.fifo_horizon.binary_search_by_key(&source, |e| e.0) {
-            Ok(i) => {
+        match hit {
+            Some(i) => {
                 let last = self.fifo_horizon[i].1;
                 if arrival <= last {
                     arrival = last + SimDuration::from_nanos(1);
                 }
                 self.fifo_horizon[i].1 = arrival;
             }
-            Err(i) => self.fifo_horizon.insert(i, (source, arrival)),
+            None => self.fifo_horizon.push((source, arrival)),
         }
         arrival - now
+    }
+
+    /// Sources currently tracked by the FIFO horizon.
+    #[cfg(test)]
+    fn fifo_horizon_len(&self) -> usize {
+        self.fifo_horizon.len()
     }
 
     /// The sequencer stamps `msg` and broadcasts it: returns the stamped
@@ -523,6 +557,39 @@ mod tests {
         let mut lan: GroupComm<&str> = GroupComm::new(1, NetConfig::lan(), 1);
         let mut wan: GroupComm<&str> = GroupComm::new(1, NetConfig::wan(20), 1);
         assert!(wan.submit_delay() > lan.submit_delay() * 10);
+    }
+
+    #[test]
+    fn fifo_zero_latency_tie_still_queues_behind() {
+        // With zero latency the first submission arrives at `now` itself:
+        // its horizon equals `now` and must survive pruning, so the second
+        // submission from the same source at the same `now` is bumped.
+        let cfg = NetConfig {
+            one_way: SimDuration::ZERO,
+            jitter: 0.0,
+        };
+        let mut g: GroupComm<()> = GroupComm::new(1, cfg, 1);
+        let now = SimTime::from_nanos(1_000);
+        assert_eq!(g.submit_delay_fifo(7, now), SimDuration::ZERO);
+        assert_eq!(g.submit_delay_fifo(7, now), SimDuration::from_nanos(1));
+        assert_eq!(g.submit_delay_fifo(8, now), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn fifo_horizon_holds_only_sources_in_flight() {
+        // 10 000 one-shot sources, one submission every 100 µs with a
+        // 250–350 µs hop: at most 4 are ever in flight, and the horizon
+        // must not keep the ones that have arrived.
+        let mut g = gc(1, 3);
+        let mut in_flight: Vec<SimTime> = Vec::new();
+        for src in 0..10_000u64 {
+            let now = SimTime::from_nanos(src * 100_000);
+            let d = g.submit_delay_fifo(1_000_000 + src, now);
+            in_flight.retain(|&a| a >= now);
+            in_flight.push(now + d);
+            assert_eq!(g.fifo_horizon_len(), in_flight.len(), "source {src}");
+            assert!(g.fifo_horizon_len() <= 4);
+        }
     }
 
     #[test]

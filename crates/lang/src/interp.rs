@@ -877,14 +877,21 @@ fn push_frame_on(
     });
 }
 
-/// A reset-on-reuse free list of [`ThreadVm`]s. A replica acquires a VM
-/// per admitted request and releases it when the thread finishes; after
-/// the pool warms up to the peak number of concurrently live threads,
-/// admission stops allocating entirely. The `allocs`/`reuses` counters
-/// make that claim checkable from the outside.
+/// A reset-on-reuse free list of boxed [`ThreadVm`]s. A replica acquires
+/// a VM per admitted request and releases it when the thread finishes;
+/// after the pool warms up to the peak number of concurrently live
+/// threads, admission stops allocating entirely. VMs travel boxed so a
+/// replica's per-thread table holds one pointer per thread id, and admit
+/// and finish move that pointer rather than the whole VM. The
+/// `allocs`/`reuses` counters make the reuse claim checkable from the
+/// outside.
 #[derive(Default)]
 pub struct VmPool {
-    free: Vec<ThreadVm>,
+    // The boxes are the point: `acquire`/`release` hand the same
+    // allocation back and forth, so storing them unboxed would
+    // re-allocate on every acquire.
+    #[allow(clippy::vec_box)]
+    free: Vec<Box<ThreadVm>>,
     allocs: u64,
     reuses: u64,
 }
@@ -901,7 +908,7 @@ impl VmPool {
         program: Arc<CompiledObject>,
         method: MethodIdx,
         args: &RequestArgs,
-    ) -> ThreadVm {
+    ) -> Box<ThreadVm> {
         match self.free.pop() {
             Some(mut vm) => {
                 self.reuses += 1;
@@ -910,13 +917,13 @@ impl VmPool {
             }
             None => {
                 self.allocs += 1;
-                ThreadVm::new(program, method, args.clone())
+                Box::new(ThreadVm::new(program, method, args.clone()))
             }
         }
     }
 
     /// Returns a finished VM's buffers to the pool.
-    pub fn release(&mut self, vm: ThreadVm) {
+    pub fn release(&mut self, vm: Box<ThreadVm>) {
         self.free.push(vm);
     }
 

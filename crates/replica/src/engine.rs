@@ -11,7 +11,7 @@
 //! deterministic scheduler must produce identical traces anyway.
 
 use crate::fault::{FaultKind, FaultPlan, FaultRecord, FaultRecordKind};
-use crate::msg::{ClientScript, GcMsg, RequestId, Scenario};
+use crate::msg::{GcMsg, RequestId, Scenario};
 use crate::trace::ExecutionTrace;
 use dmt_core::{
     AnyScheduler, CtrlMsg, ExecHost, ReplicaExec, ReplicaId, SchedConfig, SchedEvent, SchedOutput,
@@ -697,19 +697,20 @@ impl Engine {
         self.finish(deadlocked)
     }
 
-    /// Seeds the calendar queue: client submissions (closed-loop clients
+    /// Seeds the event queue: client submissions (closed-loop clients
     /// submit their first request now and chain on replies; open-loop
-    /// clients get their whole arrival schedule queued up front) and the
-    /// fault plan.
+    /// clients' arrival schedules load the queue's presorted arrival lane,
+    /// so only in-flight events ever occupy the calendar) and the fault
+    /// plan. Every event takes its insertion seq in client order, exactly
+    /// as if each arrival had been pushed on the calendar here.
     pub(crate) fn start(&mut self) {
         let h = &mut self.host;
         h.client_pos = vec![0; h.scenario.clients.len()];
-        let scripts: Vec<ClientScript> = h.scenario.clients.clone();
-        for (c, script) in scripts.iter().enumerate() {
-            match &script.arrivals {
+        for c in 0..h.scenario.clients.len() {
+            match &h.scenario.clients[c].arrivals {
                 Some(schedule) => {
                     for (req_no, &at) in schedule.iter().enumerate() {
-                        h.queue.push_at(
+                        h.queue.push_lane(
                             at,
                             Ev::ClientSubmit {
                                 client: c as u32,
@@ -719,13 +720,14 @@ impl Engine {
                     }
                 }
                 None => {
-                    if !script.requests.is_empty() {
+                    if !h.scenario.clients[c].requests.is_empty() {
                         h.client_pos[c] = 1;
                         h.submit_request(c as u32, 0);
                     }
                 }
             }
         }
+        h.queue.seal_lane();
         // Faults are ordinary calendar events: same (time, seq) total
         // order, same replayability, as the workload they perturb.
         for idx in 0..h.cfg.faults.events.len() {

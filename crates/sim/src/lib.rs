@@ -7,7 +7,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — virtual time with nanosecond resolution,
 //! * [`EventQueue`] — a priority queue over virtual time with deterministic
-//!   FIFO tie-breaking for simultaneous events,
+//!   FIFO tie-breaking for simultaneous events, plus a presorted arrival
+//!   lane for schedules known before the run (open-loop arrivals) that
+//!   merges with the calendar in exact `(time, insertion seq)` order,
 //! * [`SplitMix64`] — a small, fully deterministic PRNG (implemented in-tree
 //!   so the determinism guarantees are auditable),
 //! * [`arrival`] — deterministic open-loop arrival processes:

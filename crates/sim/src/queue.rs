@@ -48,6 +48,19 @@
 //!   gate calls once per decision — is O(1) instead of a bitmap rescan,
 //!   and the slot-fill test above is a single compare.
 //!
+//! * **Arrival lane.** A schedule known before the run starts (an
+//!   open-loop client population's arrivals) need not live in the
+//!   calendar at all. [`EventQueue::push_lane`] gives each such event the
+//!   insertion sequence number [`EventQueue::push_at`] would have given it,
+//!   in call order, and [`EventQueue::seal_lane`] sorts the lane once by
+//!   `(time, seq)`. `pop` then merges the lane head with the calendar head
+//!   (front slot, else slab): the lane head goes first when its time is
+//!   earlier, or when the times are equal and its seq is smaller. The pop
+//!   stream is therefore exactly the stream of the same events pushed
+//!   through `push_at` in the same call order, while the calendar only
+//!   ever holds the events in flight — thousands of far-future arrivals no
+//!   longer sit in the overflow heap paying for every window advance.
+//!
 //! Ordering is decided *only* by `(time, seq)` comparisons in all tiers,
 //! so the FIFO tie-break contract of the old heap is preserved exactly;
 //! the differential test at the bottom of this file drives both
@@ -96,6 +109,12 @@ const EMPTY_BUCKET: Bucket = Bucket {
     tail: NIL,
 };
 
+struct LaneEntry<E> {
+    at: u64,
+    seq: u64,
+    event: E,
+}
+
 /// A deterministic discrete-event queue. `pop` advances the clock.
 pub struct EventQueue<E> {
     nodes: Vec<Node<E>>,
@@ -126,6 +145,13 @@ pub struct EventQueue<E> {
     /// when both are empty). Exact at all times; the slot is *not*
     /// included.
     next_at: u64,
+    /// Arrival lane (see the module docs), kept in *descending* `(at,
+    /// seq)` order once sealed so the head is the last element and taking
+    /// it is a `Vec::pop`.
+    lane: Vec<LaneEntry<E>>,
+    /// `false` between a `push_lane` and the `seal_lane` that sorts it;
+    /// `pop` and `peek_time` require a sealed lane.
+    lane_sealed: bool,
     /// `false` routes every push through the slab (reference semantics
     /// for the fused-vs-reference differential tests).
     fastpath: bool,
@@ -156,6 +182,8 @@ impl<E> EventQueue<E> {
             slot_at: 0,
             slot_seq: 0,
             next_at: u64::MAX,
+            lane: Vec::new(),
+            lane_sealed: true,
             fastpath: true,
             seq: 0,
             now: SimTime::ZERO,
@@ -185,7 +213,7 @@ impl<E> EventQueue<E> {
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.in_buckets + self.n_overflow + usize::from(self.slot.is_some())
+        self.in_buckets + self.n_overflow + usize::from(self.slot.is_some()) + self.lane.len()
     }
 
     #[inline]
@@ -270,6 +298,73 @@ impl<E> EventQueue<E> {
             }
         }
         self.insert_slab(at_ns, seq, event);
+    }
+
+    /// Loads `event` into the arrival lane at the absolute instant `at`,
+    /// consuming the same insertion sequence number a [`push_at`] in this
+    /// position would. Call [`seal_lane`] after the last `push_lane` and
+    /// before the next `pop` or `peek_time`. Panics if `at` lies in the
+    /// past.
+    ///
+    /// [`push_at`]: EventQueue::push_at
+    /// [`seal_lane`]: EventQueue::seal_lane
+    pub fn push_lane(&mut self, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "scheduling into the past ({at:?} < {:?})",
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        self.lane.push(LaneEntry {
+            at: at.as_nanos(),
+            seq,
+            event,
+        });
+        self.lane_sealed = false;
+    }
+
+    /// Sorts the arrival lane by `(time, seq)` so `pop` can merge it with
+    /// the calendar. Idempotent; sealing an already sealed lane is free.
+    pub fn seal_lane(&mut self) {
+        if !self.lane_sealed {
+            // Descending, so the head is the last element. Keys are
+            // unique (distinct seqs), so an unstable sort is exact.
+            self.lane
+                .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+            self.lane_sealed = true;
+        }
+    }
+
+    /// The lane head `(at, seq)` orders before the calendar head (front
+    /// slot, else slab). Seqs are only compared on a time tie.
+    #[inline]
+    fn lane_leads(&self, at: u64, seq: u64) -> bool {
+        let cal_at = if self.slot.is_some() {
+            self.slot_at
+        } else {
+            self.next_at
+        };
+        at < cal_at || (at == cal_at && seq < self.calendar_head_seq())
+    }
+
+    /// Insertion seq of the calendar's `(time, seq)` minimum (`u64::MAX`
+    /// when the calendar is empty).
+    fn calendar_head_seq(&self) -> u64 {
+        if self.slot.is_some() {
+            return self.slot_seq;
+        }
+        let head = if self.in_buckets > 0 {
+            let b = self.first_occupied(self.cursor).expect("in_buckets > 0");
+            self.buckets[b].head
+        } else {
+            self.overflow
+        };
+        if head == NIL {
+            u64::MAX
+        } else {
+            self.nodes[head as usize].seq
+        }
     }
 
     /// Inserts into the bucket window or the overflow heap, maintaining
@@ -359,6 +454,22 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Ties pop in insertion order.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        debug_assert!(self.lane_sealed, "pop with an unsealed arrival lane");
+        if let Some(head) = self.lane.last() {
+            if self.lane_leads(head.at, head.seq) {
+                let LaneEntry { at, event, .. } = self.lane.pop().expect("lane head exists");
+                let at = SimTime::from_nanos(at);
+                debug_assert!(at >= self.now);
+                self.now = at;
+                return Some((at, event));
+            }
+        }
+        self.pop_calendar()
+    }
+
+    /// [`EventQueue::pop`] restricted to the calendar tiers (front slot,
+    /// buckets, overflow heap).
+    fn pop_calendar(&mut self) -> Option<(SimTime, E)> {
         // Slot first: while occupied it is the unique (time, seq) minimum
         // (filled strictly earlier than everything pending; later pushes
         // carry larger seqs), so no slab consultation is needed.
@@ -409,19 +520,25 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next event without popping it. O(1): the slot is
-    /// the minimum while occupied, and `next_at` is maintained exactly.
+    /// the calendar minimum while occupied, `next_at` is maintained
+    /// exactly, and the lane head is its last element.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.slot.is_some() {
-            return Some(SimTime::from_nanos(self.slot_at));
+        debug_assert!(self.lane_sealed, "peek with an unsealed arrival lane");
+        let cal_at = if self.slot.is_some() {
+            self.slot_at
+        } else {
+            self.next_at
+        };
+        match self.lane.last() {
+            Some(head) if head.at <= cal_at => Some(SimTime::from_nanos(head.at)),
+            _ if cal_at != u64::MAX => Some(SimTime::from_nanos(cal_at)),
+            _ => None,
         }
-        if self.next_at != u64::MAX {
-            return Some(SimTime::from_nanos(self.next_at));
-        }
-        None
     }
 
-    /// Drops every pending event (clock is left where it is) and resets
+    /// Drops every pending event, lane included (clock is left where it
+    /// is; lane capacity is kept for the next load), and resets
     /// the insertion sequence to 0. The reset is safe for replay: `seq`
     /// only ever disambiguates *coexisting* same-instant entries, and an
     /// empty queue has none — restarting at 0 keeps a reused queue's pop
@@ -439,6 +556,8 @@ impl<E> EventQueue<E> {
         self.n_overflow = 0;
         self.slot = None;
         self.next_at = u64::MAX;
+        self.lane.clear();
+        self.lane_sealed = true;
         self.seq = 0;
     }
 
@@ -533,7 +652,7 @@ impl<E> EventQueue<E> {
 /// for the differential test below (and nothing else).
 #[cfg(test)]
 mod reference {
-    use crate::time::{SimDuration, SimTime};
+    use crate::time::SimTime;
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
@@ -594,8 +713,8 @@ mod reference {
             self.heap.push(Entry { at, seq, event });
         }
 
-        pub fn push_after(&mut self, delay: SimDuration, event: E) {
-            self.push_at(self.now + delay, event);
+        pub fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.at)
         }
 
         pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -930,46 +1049,167 @@ mod tests {
         }
     }
 
-    /// One op of the differential schedule.
-    fn differential_run(seed: u64, ops: usize) {
+    /// One op of a differential script. Times are absolute, fixed when
+    /// the script is generated, so one script replays identically on
+    /// every queue configuration.
+    #[derive(Clone, Copy)]
+    enum Op {
+        /// Calendar push (`push_at`).
+        Push(u64),
+        /// Arrival-lane load (`push_lane`); the reference heap gets a
+        /// plain `push_at` in the same position.
+        Lane(u64),
+        Seal,
+        Pop,
+    }
+
+    /// Builds a script from `gen`, which sees the reference heap's clock
+    /// (the clock every correct queue shares at that point of the run).
+    fn script(mut gen: impl FnMut(SimTime, &mut Vec<Op>) -> bool) -> Vec<Op> {
+        let mut heap: HeapQueue<()> = HeapQueue::new();
+        let mut ops = Vec::new();
+        loop {
+            let from = ops.len();
+            let more = gen(heap.now(), &mut ops);
+            for op in &ops[from..] {
+                match *op {
+                    Op::Push(at) | Op::Lane(at) => heap.push_at(SimTime::from_nanos(at), ()),
+                    Op::Seal => {}
+                    Op::Pop => {
+                        heap.pop();
+                    }
+                }
+            }
+            if !more {
+                return ops;
+            }
+        }
+    }
+
+    /// Replays `ops` on the calendar queue — fastpath on and off, each
+    /// on a fresh queue and on one reused after `reset()` — and on the
+    /// reference heap fed every event through `push_at` in script order,
+    /// asserting identical pop streams, lengths and clocks, then drains.
+    fn check_script(ops: &[Op], label: &str) {
+        for fastpath in [true, false] {
+            for reuse in [false, true] {
+                let mut cal: EventQueue<u64> = EventQueue::new();
+                cal.set_fastpath(fastpath);
+                if reuse {
+                    // Pollute every tier and the lane, then reset.
+                    let mut rng = SplitMix64::new(ops.len() as u64);
+                    for i in 0..300 {
+                        let d = SimDuration::from_nanos(match rng.next_below(3) {
+                            0 => 0,
+                            1 => rng.next_below(WINDOW_NS),
+                            _ => rng.next_below(50_000_000),
+                        });
+                        cal.push_lane(cal.now() + d, i);
+                        cal.push_after(d, i);
+                        if i % 50 == 49 {
+                            cal.seal_lane();
+                            for _ in 0..40 {
+                                cal.pop();
+                            }
+                        }
+                    }
+                    cal.reset();
+                }
+                let mut heap: HeapQueue<u64> = HeapQueue::new();
+                let ctx = format!("{label}, fastpath={fastpath}, reuse={reuse}");
+                for (payload, op) in ops.iter().enumerate() {
+                    let payload = payload as u64;
+                    match *op {
+                        Op::Push(at) => {
+                            cal.push_at(SimTime::from_nanos(at), payload);
+                            heap.push_at(SimTime::from_nanos(at), payload);
+                        }
+                        Op::Lane(at) => {
+                            cal.push_lane(SimTime::from_nanos(at), payload);
+                            heap.push_at(SimTime::from_nanos(at), payload);
+                        }
+                        Op::Seal => cal.seal_lane(),
+                        Op::Pop => {
+                            assert_eq!(cal.peek_time(), heap.peek_time(), "peek diverged ({ctx})");
+                            assert_eq!(cal.pop(), heap.pop(), "pop stream diverged ({ctx})");
+                        }
+                    }
+                    assert_eq!(cal.len(), heap.len(), "length diverged ({ctx})");
+                    assert_eq!(cal.now(), heap.now(), "clock diverged ({ctx})");
+                }
+                // Drain both completely: the tails must agree too.
+                loop {
+                    let a = cal.pop();
+                    assert_eq!(a, heap.pop(), "drain diverged ({ctx})");
+                    if a.is_none() {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Instants shared by the lane and the calendar: the start (front-slot
+    /// ties), in-window bucket times and far overflow times.
+    fn tie_instants(rng: &mut SplitMix64) -> Vec<u64> {
+        let mut v = vec![0];
+        v.extend((0..6).map(|_| rng.next_below(WINDOW_NS)));
+        v.extend((0..6).map(|_| WINDOW_NS + rng.next_below(4 * WINDOW_NS)));
+        v.extend((0..6).map(|_| rng.next_below(50_000_000)));
+        v
+    }
+
+    /// A lane load of `n` arrivals interleaved with calendar pushes, half
+    /// of them at shared instants (so lane and calendar entries tie at
+    /// one instant in both seq orders), then sealed.
+    fn lane_load(rng: &mut SplitMix64, now: u64, inst: &[u64], n: usize, ops: &mut Vec<Op>) {
+        for _ in 0..n {
+            let at = if rng.next_below(2) == 0 {
+                inst[rng.next_below(inst.len() as u64) as usize].max(now)
+            } else {
+                now + rng.next_below(3_600_000_000_000)
+            };
+            ops.push(if rng.next_below(3) == 0 {
+                Op::Push(at)
+            } else {
+                Op::Lane(at)
+            });
+        }
+        ops.push(Op::Seal);
+    }
+
+    fn differential_run(seed: u64, n_ops: usize) {
         let mut rng = SplitMix64::new(seed);
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let mut payload = 0u64;
-        for _ in 0..ops {
+        let inst = tie_instants(&mut rng);
+        let mut issued = 0;
+        let ops = script(|now, ops| {
+            let now = now.as_nanos();
+            if issued == 0 || issued == n_ops / 2 {
+                // Load a lane at the start and once more mid-run.
+                lane_load(&mut rng, now, &inst, 200, ops);
+            }
+            issued += 1;
             let r = rng.next_u64() % 100;
             if r < 60 {
                 // Push with a delay profile spanning all tiers: heavy
-                // same-instant ties, sub-bucket, in-window, overflow.
-                let delay = match rng.next_u64() % 8 {
-                    0 | 1 | 2 => 0,                                    // same instant
+                // same-instant ties, sub-bucket, in-window, overflow —
+                // plus pushes at the lane's instants.
+                let delay = match rng.next_u64() % 9 {
+                    0..=2 => 0,                                        // same instant
                     3 => rng.next_u64() % BUCKET_NS,                   // same bucket
                     4 => rng.next_u64() % WINDOW_NS,                   // in window
                     5 => WINDOW_NS + rng.next_u64() % (4 * WINDOW_NS), // near overflow
                     6 => rng.next_u64() % 50_000_000,                  // ~50 ms
-                    _ => rng.next_u64() % 3_600_000_000_000,           // ~1 h horizon
+                    7 => rng.next_u64() % 3_600_000_000_000,           // ~1 h horizon
+                    _ => inst[rng.next_below(inst.len() as u64) as usize].saturating_sub(now),
                 };
-                let d = SimDuration::from_nanos(delay);
-                cal.push_after(d, payload);
-                heap.push_after(d, payload);
-                payload += 1;
+                ops.push(Op::Push(now + delay));
             } else {
-                let a = cal.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "pop stream diverged (seed {seed})");
+                ops.push(Op::Pop);
             }
-            assert_eq!(cal.len(), heap.len(), "length diverged (seed {seed})");
-            assert_eq!(cal.now(), heap.now(), "clock diverged (seed {seed})");
-        }
-        // Drain both completely: the tails must agree too.
-        loop {
-            let a = cal.pop();
-            let b = heap.pop();
-            assert_eq!(a, b, "drain diverged (seed {seed})");
-            if a.is_none() {
-                break;
-            }
-        }
+            issued < n_ops
+        });
+        check_script(&ops, &format!("seed {seed}"));
     }
 
     #[test]
@@ -982,30 +1222,93 @@ mod tests {
     #[test]
     fn differential_heavy_same_instant_ties() {
         // Bursts of same-instant pushes interleaved with partial drains —
-        // the pattern the engine produces with zero-delay Step events.
+        // the pattern the engine produces with zero-delay Step events —
+        // half of them landing on an instant the lane holds arrivals at.
         let mut rng = SplitMix64::new(99);
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let mut payload = 0u64;
-        for _ in 0..200 {
+        let mut lane_at = Vec::new();
+        let mut at = 0;
+        for _ in 0..300 {
+            at += rng.next_u64() % 2_000_000;
+            for _ in 0..1 + rng.next_u64() % 4 {
+                lane_at.push(at);
+            }
+        }
+        let mut round = 0;
+        let ops = script(|now, ops| {
+            let now = now.as_nanos();
+            if round == 0 {
+                // Arrivals in client order: not sorted by time.
+                let mut order = lane_at.clone();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.next_below(i as u64 + 1) as usize);
+                }
+                ops.extend(order.into_iter().map(Op::Lane));
+                ops.push(Op::Seal);
+            }
+            round += 1;
             let burst = 1 + rng.next_u64() % 40;
-            let gap = SimDuration::from_nanos(rng.next_u64() % 2_000_000);
-            for _ in 0..burst {
-                cal.push_after(gap, payload);
-                heap.push_after(gap, payload);
-                payload += 1;
-            }
-            let drains = rng.next_u64() % (burst + 2);
-            for _ in 0..drains {
-                assert_eq!(cal.pop(), heap.pop());
-            }
+            let at = match lane_at.iter().find(|&&t| t >= now) {
+                Some(&t) if rng.next_below(2) == 0 => t,
+                _ => now + rng.next_u64() % 2_000_000,
+            };
+            ops.extend((0..burst).map(|_| Op::Push(at)));
+            ops.extend((0..rng.next_u64() % (burst + 2)).map(|_| Op::Pop));
+            round < 200
+        });
+        check_script(&ops, "heavy ties");
+    }
+
+    #[test]
+    fn lane_keeps_the_slab_at_the_in_flight_high_water_mark() {
+        // 100 000 arrivals, one every 100 µs, each spawning one ordinary
+        // event 300 µs later (overflow tier): at most 3–4 ordinary events
+        // are ever pending, and the slab must stay that small — arrivals
+        // never enter it.
+        const N: u64 = 100_000;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for i in 0..N {
+            q.push_lane(SimTime::from_nanos(i * 100_000), i);
         }
-        loop {
-            let a = cal.pop();
-            assert_eq!(a, heap.pop());
-            if a.is_none() {
-                break;
+        q.seal_lane();
+        let (mut arrivals, mut pending) = (0, 0);
+        while let Some((_, e)) = q.pop() {
+            if e < N {
+                arrivals += 1;
+                pending += 1;
+                q.push_after(SimDuration::from_micros(300), N + e);
+            } else {
+                pending -= 1;
             }
+            assert!(pending <= 8, "{pending} ordinary events pending");
         }
+        assert_eq!(arrivals, N);
+        assert!(
+            q.nodes.len() <= 8,
+            "slab grew to {} nodes for at most 8 pending events",
+            q.nodes.len()
+        );
+    }
+
+    #[test]
+    fn lane_and_calendar_tie_by_insertion_seq() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        q.push_at(t, "cal-0");
+        q.push_lane(t, "lane-1");
+        q.push_at(t, "cal-2");
+        q.push_lane(SimTime::from_nanos(3), "lane-early");
+        q.push_lane(t, "lane-4");
+        q.seal_lane();
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            vec!["lane-early", "cal-0", "lane-1", "cal-2", "lane-4"]
+        );
+        q.push_lane(t, "after-clear");
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 }

@@ -20,6 +20,12 @@ cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "== tier-1: cargo test -q =="
 cargo test -q --workspace
 
+# The calendar queue's arrival-lane merge and the FIFO-horizon pruning
+# sit on the simulator's hot path: run their differential tests on the
+# optimised build the benchmark measures, too.
+echo "== tier-1: cargo test -q --release (dmt-sim, dmt-groupcomm) =="
+cargo test -q --release -p dmt-sim -p dmt-groupcomm
+
 # `cargo build`, `test` and `clippy --workspace` skip bench targets;
 # compile every dmt-bench bench so none of them can rot unnoticed.
 echo "== tier-1: cargo bench --no-run =="
