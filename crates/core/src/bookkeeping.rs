@@ -29,7 +29,47 @@ pub struct StaticSyncEntry {
 /// when the method was not analysed — e.g. it recurses, §4.4).
 #[derive(Clone, Debug, Default)]
 pub struct LockTable {
-    per_method: Vec<Option<Vec<StaticSyncEntry>>>,
+    per_method: Vec<Option<Row>>,
+}
+
+/// One start method's syncid list, with a syncid → position map.
+#[derive(Clone, Debug)]
+struct Row {
+    entries: Vec<StaticSyncEntry>,
+    /// The smallest syncid in `entries`.
+    base: u32,
+    /// `first[s - base]` is the position of syncid `s`'s first entry, or
+    /// [`NOT_LISTED`]. Dense over the row's syncid range, which the
+    /// object's syncid count bounds (the builder numbers syncids densely).
+    /// Per method, because a multiply-invoked callee's syncid sits at a
+    /// different position in each caller's row.
+    first: Vec<u32>,
+}
+
+const NOT_LISTED: u32 = u32::MAX;
+
+impl Row {
+    fn new(entries: Vec<StaticSyncEntry>) -> Self {
+        let ids = entries.iter().map(|e| e.sync_id.0);
+        let base = ids.clone().min().unwrap_or(0);
+        let span = ids.max().map_or(0, |max| (max - base) as usize + 1);
+        let mut first = vec![NOT_LISTED; span];
+        // Backwards, so a syncid listed twice maps to its first entry.
+        for (i, e) in entries.iter().enumerate().rev() {
+            first[(e.sync_id.0 - base) as usize] = i as u32;
+        }
+        Row {
+            entries,
+            base,
+            first,
+        }
+    }
+
+    /// The position of `sync_id`'s first entry, if the row lists it.
+    fn position(&self, sync_id: SyncId) -> Option<usize> {
+        let i = *self.first.get(sync_id.0.checked_sub(self.base)? as usize)?;
+        (i != NOT_LISTED).then_some(i as usize)
+    }
 }
 
 impl LockTable {
@@ -42,13 +82,17 @@ impl LockTable {
     }
 
     pub fn new(per_method: Vec<Option<Vec<StaticSyncEntry>>>) -> Self {
-        LockTable { per_method }
+        LockTable {
+            per_method: per_method.into_iter().map(|r| r.map(Row::new)).collect(),
+        }
+    }
+
+    fn row(&self, method: MethodIdx) -> Option<&Row> {
+        self.per_method.get(method.index())?.as_ref()
     }
 
     pub fn entries(&self, method: MethodIdx) -> Option<&[StaticSyncEntry]> {
-        self.per_method
-            .get(method.index())
-            .and_then(|e| e.as_deref())
+        self.row(method).map(|r| r.entries.as_slice())
     }
 
     pub fn n_methods(&self) -> usize {
@@ -80,11 +124,27 @@ impl EntryState {
         }
     }
 
-    /// True when no *future* acquisition can come from this entry and its
-    /// target is known (i.e. it does not block prediction).
-    fn resolved(self) -> bool {
-        !matches!(self, EntryState::Pending)
+    /// True when the entry's target is still unknown (it blocks
+    /// prediction).
+    fn unresolved(self) -> bool {
+        matches!(self, EntryState::Pending)
     }
+
+    /// True while the entry can still lead to an acquisition.
+    fn live(self) -> bool {
+        !matches!(self, EntryState::Done | EntryState::Ignored)
+    }
+}
+
+/// What one per-entry bookkeeping call changed: the entry's pin before
+/// and after, and whether the thread was predicted before and is now.
+/// A call on an untracked thread changes nothing (all `None`/`false`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EntryChange {
+    pub old_pin: Option<MutexId>,
+    pub new_pin: Option<MutexId>,
+    pub was_predicted: bool,
+    pub predicted: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -97,12 +157,30 @@ struct ThreadBook {
     /// a lock at a syncid outside its table (analysis was incomplete) —
     /// such a thread is never considered predicted.
     analyzed: bool,
+    /// Entries still `Pending`.
+    unresolved: u32,
+    /// Entries not `Done`/`Ignored`.
+    live: u32,
+}
+
+impl ThreadBook {
+    /// Paper §4.2: "a thread is predicted if all entries in the list are
+    /// marked".
+    fn predicted(&self) -> bool {
+        self.analyzed && self.unresolved == 0
+    }
+
+    /// True when some entry is `Announced` or `Held`.
+    fn pins_any(&self) -> bool {
+        self.live > self.unresolved
+    }
 }
 
 /// Per-replica bookkeeping: static table + per-thread dynamic tables.
-/// Thread tables sit in a dense slot map indexed by `ThreadId`; syncid
-/// lookups are linear scans over the method's (short) static entry list,
-/// which beats hashing at these sizes and allocates nothing.
+/// Thread tables sit in a dense slot map indexed by `ThreadId`. Each
+/// thread counts its unresolved and live entries, and the static table
+/// maps a syncid to its row position, so every per-entry call and every
+/// `is_predicted`/`no_more_locks` query costs O(1) in the table width.
 #[derive(Clone, Debug)]
 pub struct Bookkeeping {
     table: Arc<LockTable>,
@@ -134,33 +212,35 @@ impl Bookkeeping {
             }
             None => false,
         };
+        let width = states.len() as u32;
         let prev = self.threads.insert(
             tid.index(),
             ThreadBook {
                 method,
                 states,
                 analyzed,
+                unresolved: width,
+                live: width,
             },
         );
         debug_assert!(prev.is_none(), "thread {tid} registered twice");
     }
 
-    pub fn on_lock_info(&mut self, tid: ThreadId, sync_id: SyncId, mutex: MutexId) {
-        self.transition(tid, sync_id, |st| match st {
+    pub fn on_lock_info(&mut self, tid: ThreadId, sync_id: SyncId, mutex: MutexId) -> EntryChange {
+        self.transition(tid, sync_id, |st, _| match st {
             EntryState::Pending | EntryState::Announced(_) => EntryState::Announced(mutex),
             // A repeatable block can be re-announced after an unlock.
             EntryState::Done | EntryState::Ignored => EntryState::Announced(mutex),
             held @ EntryState::Held(_) => held,
-        });
+        })
     }
 
-    pub fn on_lock(&mut self, tid: ThreadId, sync_id: SyncId, mutex: MutexId) {
-        self.transition(tid, sync_id, |_| EntryState::Held(mutex));
+    pub fn on_lock(&mut self, tid: ThreadId, sync_id: SyncId, mutex: MutexId) -> EntryChange {
+        self.transition(tid, sync_id, |_, _| EntryState::Held(mutex))
     }
 
-    pub fn on_unlock(&mut self, tid: ThreadId, sync_id: SyncId, mutex: MutexId) {
-        let repeatable = self.is_repeatable(tid, sync_id);
-        self.transition(tid, sync_id, |st| match st {
+    pub fn on_unlock(&mut self, tid: ThreadId, sync_id: SyncId, mutex: MutexId) -> EntryChange {
+        self.transition(tid, sync_id, |st, repeatable| match st {
             EntryState::Held(m) => {
                 debug_assert_eq!(m, mutex);
                 if repeatable {
@@ -172,18 +252,18 @@ impl Bookkeeping {
                 }
             }
             other => other,
-        });
+        })
     }
 
-    pub fn on_ignore(&mut self, tid: ThreadId, sync_id: SyncId) {
-        self.transition(tid, sync_id, |st| match st {
+    pub fn on_ignore(&mut self, tid: ThreadId, sync_id: SyncId) -> EntryChange {
+        self.transition(tid, sync_id, |st, _| match st {
             EntryState::Held(m) => {
                 // Ignoring a held entry is an instrumentation bug.
                 panic!("ignore for held entry ({m})")
             }
             EntryState::Done => EntryState::Done,
             _ => EntryState::Ignored,
-        });
+        })
     }
 
     pub fn on_finish(&mut self, tid: ThreadId) {
@@ -192,40 +272,41 @@ impl Bookkeeping {
         }
     }
 
-    fn is_repeatable(&self, tid: ThreadId, sync_id: SyncId) -> bool {
-        // Syncids are globally unique (paper §4.1), so looking only in
-        // the thread's own method row is exact: an unlock at a foreign
-        // syncid never reaches the `Held` branch that consults this flag.
-        let Some(book) = self.threads.get(tid.index()) else {
-            return false;
-        };
-        self.table
-            .entries(book.method)
-            .and_then(|entries| entries.iter().find(|e| e.sync_id == sync_id))
-            .map(|e| e.repeatable)
-            .unwrap_or(false)
-    }
-
+    /// Moves `tid`'s entry at `sync_id` to `f(state, repeatable)` and
+    /// reports the change. Syncids are globally unique (paper §4.1), so
+    /// looking only in the thread's own method row is exact.
     fn transition(
         &mut self,
         tid: ThreadId,
         sync_id: SyncId,
-        f: impl FnOnce(EntryState) -> EntryState,
-    ) {
+        f: impl FnOnce(EntryState, bool) -> EntryState,
+    ) -> EntryChange {
         let Some(book) = self.threads.get_mut(tid.index()) else {
-            return;
+            return EntryChange::default();
         };
-        let entries = self.table.entries(book.method).unwrap_or(&[]);
-        match entries.iter().position(|e| e.sync_id == sync_id) {
-            Some(i) => {
-                book.states[i] = f(book.states[i]);
-            }
-            None => {
-                // The thread locked at a syncid its table does not list:
-                // the static information was incomplete — degrade the
-                // thread to unanalysed rather than predict wrongly.
-                book.analyzed = false;
-            }
+        let was_predicted = book.predicted();
+        let row = self.table.row(book.method);
+        let Some((i, row)) = row.and_then(|r| Some((r.position(sync_id)?, r))) else {
+            // The thread locked at a syncid its table does not list:
+            // the static information was incomplete — degrade the
+            // thread to unanalysed rather than predict wrongly.
+            book.analyzed = false;
+            return EntryChange {
+                was_predicted,
+                ..EntryChange::default()
+            };
+        };
+        let old = book.states[i];
+        let new = f(old, row.entries[i].repeatable);
+        book.states[i] = new;
+        book.unresolved =
+            book.unresolved + u32::from(new.unresolved()) - u32::from(old.unresolved());
+        book.live = book.live + u32::from(new.live()) - u32::from(old.live());
+        EntryChange {
+            old_pin: old.pinned_mutex(),
+            new_pin: new.pinned_mutex(),
+            was_predicted,
+            predicted: book.predicted(),
         }
     }
 
@@ -235,56 +316,36 @@ impl Bookkeeping {
     pub fn is_predicted(&self, tid: ThreadId) -> bool {
         self.threads
             .get(tid.index())
-            .is_some_and(|b| b.analyzed && b.states.iter().all(|s| s.resolved()))
+            .is_some_and(ThreadBook::predicted)
     }
 
     /// Calls `f` with each mutex this thread has announced or holds — its
     /// possible future (or current) lock targets — once per entry, in
-    /// table order. Allocation-free: PMAT's blocker index calls it on
-    /// every bookkeeping event.
+    /// table order. Allocation-free, and O(1) for a thread that pins
+    /// nothing (just born, or every entry retired): PMAT's blocker index
+    /// calls it on thread birth and death.
     pub fn for_each_pinned(&self, tid: ThreadId, f: impl FnMut(MutexId)) {
-        if let Some(b) = self.threads.get(tid.index()) {
+        if let Some(b) = self.threads.get(tid.index()).filter(|b| b.pins_any()) {
             b.states.iter().filter_map(|s| s.pinned_mutex()).for_each(f);
         }
-    }
-
-    /// The mutex `tid`'s entry at `sync_id` pins (announced or held), if
-    /// any. Allocation-free: PMAT's blocker index reads it around every
-    /// per-entry bookkeeping event.
-    pub fn entry_pin(&self, tid: ThreadId, sync_id: SyncId) -> Option<MutexId> {
-        let book = self.threads.get(tid.index())?;
-        let entries = self.table.entries(book.method)?;
-        let i = entries.iter().position(|e| e.sync_id == sync_id)?;
-        book.states[i].pinned_mutex()
     }
 
     /// Could `tid` lock `mutex` now or in the future? Pessimistic: an
     /// unpredicted thread may lock anything.
     pub fn may_lock(&self, tid: ThreadId, mutex: MutexId) -> bool {
         match self.threads.get(tid.index()) {
-            None => false, // finished / unknown thread locks nothing
-            Some(b) => {
-                if !b.analyzed {
-                    return true;
-                }
-                b.states.iter().any(|s| match s {
-                    EntryState::Pending => true, // unknown target: assume conflict
-                    EntryState::Announced(m) | EntryState::Held(m) => *m == mutex,
-                    EntryState::Done | EntryState::Ignored => false,
-                })
-            }
+            None => false,                     // finished / unknown thread locks nothing
+            Some(b) if !b.predicted() => true, // unknown target: assume conflict
+            Some(b) => b.states.iter().any(|s| s.pinned_mutex() == Some(mutex)),
         }
     }
 
     /// Last-lock analysis predicate (paper §4.1): the thread has requested
     /// and released all of its locks and will never request one again.
     pub fn no_more_locks(&self, tid: ThreadId) -> bool {
-        self.threads.get(tid.index()).is_some_and(|b| {
-            b.analyzed
-                && b.states
-                    .iter()
-                    .all(|s| matches!(s, EntryState::Done | EntryState::Ignored))
-        })
+        self.threads
+            .get(tid.index())
+            .is_some_and(|b| b.analyzed && b.live == 0)
     }
 
     pub fn is_tracked(&self, tid: ThreadId) -> bool {
@@ -451,6 +512,141 @@ mod tests {
         bk.on_lock_info(t(0), s(0), m(2));
         assert!(!bk.no_more_locks(t(0)));
         assert!(bk.may_lock(t(0), m(2)));
+    }
+
+    /// Syncid scan of `tid`'s row: the state of the first entry listing
+    /// `sync_id`, if the thread is tracked and its row lists it.
+    fn scan_state(bk: &Bookkeeping, tid: ThreadId, sync_id: SyncId) -> Option<EntryState> {
+        let book = bk.threads.get(tid.index())?;
+        let entries = bk.table.entries(book.method)?;
+        let i = entries.iter().position(|e| e.sync_id == sync_id)?;
+        Some(book.states[i])
+    }
+
+    /// The scan-based answers the counted ones replace: the oracle of
+    /// [`counted_bookkeeping_matches_the_scan_oracle`].
+    fn scan_is_predicted(bk: &Bookkeeping, tid: ThreadId) -> bool {
+        bk.threads
+            .get(tid.index())
+            .is_some_and(|b| b.analyzed && b.states.iter().all(|s| *s != EntryState::Pending))
+    }
+
+    fn scan_no_more_locks(bk: &Bookkeeping, tid: ThreadId) -> bool {
+        bk.threads.get(tid.index()).is_some_and(|b| {
+            b.analyzed
+                && b.states
+                    .iter()
+                    .all(|s| matches!(s, EntryState::Done | EntryState::Ignored))
+        })
+    }
+
+    fn scan_may_lock(bk: &Bookkeeping, tid: ThreadId, mutex: MutexId) -> bool {
+        bk.threads.get(tid.index()).is_some_and(|b| {
+            !b.analyzed
+                || b.states.iter().any(|s| match s {
+                    EntryState::Pending => true,
+                    EntryState::Announced(m) | EntryState::Held(m) => *m == mutex,
+                    EntryState::Done | EntryState::Ignored => false,
+                })
+        })
+    }
+
+    fn scan_entry_pin(bk: &Bookkeeping, tid: ThreadId, sync_id: SyncId) -> Option<MutexId> {
+        scan_state(bk, tid, sync_id)?.pinned_mutex()
+    }
+
+    #[test]
+    fn counted_bookkeeping_matches_the_scan_oracle() {
+        use dmt_sim::SplitMix64;
+        const THREADS: u32 = 3;
+        const MUTEXES: u32 = 4;
+        // Syncids 0..=9 are drawn; 8 and 9 sit in no row, so a lock there
+        // degrades the thread.
+        const SYNCIDS: u64 = 10;
+        let r = |sid: u32| StaticSyncEntry {
+            sync_id: s(sid),
+            repeatable: true,
+        };
+        let table = Arc::new(LockTable::new(vec![
+            // Unanalysed.
+            None,
+            // s1 is a repeatable block listed here at position 1 and in
+            // method 2's row at position 2.
+            Some(vec![e(0), r(1), e(2)]),
+            Some(vec![e(4), e(5), r(1), e(3)]),
+            // s6 listed twice: the first entry is the one that moves.
+            Some(vec![e(6), e(7), r(6)]),
+            // Lock-free.
+            Some(vec![]),
+        ]));
+        let mut rng = SplitMix64::new(0x5eed_b00c);
+        for seq in 0..3000 {
+            let mut bk = Bookkeeping::new(table.clone());
+            for step in 0..40 {
+                let tid = t(rng.next_below(THREADS as u64) as u32);
+                // Mostly a syncid of the thread's own row, so its entries
+                // get to run their whole life cycle.
+                let row = bk
+                    .threads
+                    .get(tid.index())
+                    .and_then(|b| table.entries(b.method))
+                    .unwrap_or(&[]);
+                let sid = match rng.choose(row) {
+                    Some(entry) if rng.next_below(8) != 0 => entry.sync_id,
+                    _ => s(rng.next_below(SYNCIDS) as u32),
+                };
+                let mx = m(rng.next_below(MUTEXES as u64) as u32);
+                let was = (scan_entry_pin(&bk, tid, sid), scan_is_predicted(&bk, tid));
+                let change = match rng.next_below(7) {
+                    0 => {
+                        if bk.is_tracked(tid) {
+                            bk.on_finish(tid);
+                        } else {
+                            let method = rng.next_below(table.n_methods() as u64) as u32;
+                            bk.on_request(tid, MethodIdx::new(method));
+                        }
+                        None
+                    }
+                    1 | 2 => Some(bk.on_lock_info(tid, sid, mx)),
+                    3 => Some(bk.on_lock(tid, sid, mx)),
+                    4 | 5 => {
+                        // Unlock what the entry holds, as the VM would.
+                        let held = match scan_state(&bk, tid, sid) {
+                            Some(EntryState::Held(h)) => h,
+                            _ => mx,
+                        };
+                        Some(bk.on_unlock(tid, sid, held))
+                    }
+                    _ => {
+                        if matches!(scan_state(&bk, tid, sid), Some(EntryState::Held(_))) {
+                            continue;
+                        }
+                        Some(bk.on_ignore(tid, sid))
+                    }
+                };
+                if let Some(change) = change {
+                    let expect = EntryChange {
+                        old_pin: was.0,
+                        new_pin: scan_entry_pin(&bk, tid, sid),
+                        was_predicted: was.1,
+                        predicted: scan_is_predicted(&bk, tid),
+                    };
+                    assert_eq!(change, expect, "sequence {seq} step {step}: {tid} at {sid}");
+                }
+                for u in (0..THREADS).map(t) {
+                    let at = format!("sequence {seq} step {step}: {u}");
+                    assert_eq!(bk.is_predicted(u), scan_is_predicted(&bk, u), "{at}");
+                    assert_eq!(bk.no_more_locks(u), scan_no_more_locks(&bk, u), "{at}");
+                    for mx in (0..MUTEXES).map(m) {
+                        assert_eq!(bk.may_lock(u, mx), scan_may_lock(&bk, u, mx), "{at}");
+                    }
+                    let scanned: Vec<MutexId> = bk.threads.get(u.index()).map_or(vec![], |b| {
+                        b.states.iter().filter_map(|s| s.pinned_mutex()).collect()
+                    });
+                    assert_eq!(pinned(&bk, u), scanned, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod seq;
 pub mod slot;
 pub mod sync_core;
 
-pub use bookkeeping::{Bookkeeping, EntryState, LockTable, StaticSyncEntry};
+pub use bookkeeping::{Bookkeeping, EntryChange, EntryState, LockTable, StaticSyncEntry};
 pub use event::{CtrlMsg, SchedAction, SchedEvent};
 pub use exec::{Blocked, ExecHost, ReplicaExec};
 pub use ids::{ReplicaId, ThreadId};

@@ -10,7 +10,10 @@
 //! the queue, the first unpredicted predecessor leaves the queue, or it
 //! becomes predicted. Each such event puts the requests it can unblock
 //! on a wake list, and a recheck evaluates only those, so its cost is
-//! O(woken) rather than O(pending).
+//! O(woken) rather than O(pending). A lock request that wakes nothing is
+//! decided on the spot, off the wake list. The bookkeeping reports what
+//! each event changed, so every event costs O(1) in the width of the
+//! thread's lock table.
 //!
 //! Race-safety (why this is deterministic per mutex without extra
 //! communication): partial knowledge always blocks — if a predecessor has
@@ -29,13 +32,13 @@
 //! predecessor simply keeps blocking younger conflicting threads. That is
 //! pessimistic but deterministic, and it needs no new mechanism.
 
-use crate::bookkeeping::{Bookkeeping, LockTable};
+use crate::bookkeeping::{Bookkeeping, EntryChange, LockTable};
 use crate::event::{SchedAction, SchedEvent};
 use crate::ids::ThreadId;
 use crate::obs::{Decision, DepthSample, SchedOutput};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sync_core::{LockOutcome, SyncCore};
-use dmt_lang::{MutexId, SyncId};
+use dmt_lang::MutexId;
 use std::sync::Arc;
 
 pub struct PmatScheduler {
@@ -85,17 +88,19 @@ fn grow(lists: &mut Vec<Vec<ThreadId>>, mutex: MutexId) -> &mut Vec<ThreadId> {
     &mut lists[i]
 }
 
-/// The threads of the pending requests on `mutex` younger than `actor`
-/// (all of them for `None`), in age order.
-fn requests_on(
+/// The oldest pending request on `mutex` younger than `actor` (of all
+/// of them for `None`). It is the only one of them that can be
+/// grantable: every thread with a pending request on `mutex` pins it
+/// (its lock moved an entry to `Held`) or is unpredicted, and sits in no
+/// wait set, so it blocks every younger request on `mutex`.
+fn first_request_on(
     pending_on: &[Vec<ThreadId>],
     mutex: MutexId,
     actor: Option<ThreadId>,
-) -> &[ThreadId] {
-    let Some(on) = pending_on.get(mutex.index()) else {
-        return &[];
-    };
-    &on[actor.map_or(0, |a| on.partition_point(|&u| u <= a))..]
+) -> Option<ThreadId> {
+    let on = pending_on.get(mutex.index())?;
+    on.get(actor.map_or(0, |a| on.partition_point(|&u| u <= a)))
+        .copied()
 }
 
 /// Adds one occurrence of `tid` to the age-sorted multiset `v`.
@@ -119,9 +124,12 @@ impl PmatScheduler {
             sync: SyncCore::new(false),
             book: Bookkeeping::new(table),
             queue: Vec::new(),
-            pending: Vec::new(),
+            // Pre-sized: quiet lock requests never touch these, so their
+            // first allocation would come mid-run, where it moved the
+            // heap top and the open-loop benchmark's peak RSS.
+            pending: Vec::with_capacity(16),
             pending_on: Vec::new(),
-            woken: Vec::new(),
+            woken: Vec::with_capacity(16),
             unpredicted: Vec::new(),
             pinners: Vec::new(),
             #[cfg(test)]
@@ -139,32 +147,23 @@ impl PmatScheduler {
         self.reindex(tid, index_insert);
     }
 
-    /// Applies a bookkeeping call that changes at most `tid`'s entry at
-    /// `sync_id` (plus, through it, whether `tid` is predicted): the
-    /// per-event form of [`PmatScheduler::rebook`], which moves only that
-    /// entry's pin instead of re-indexing the whole table. A pin leaving
-    /// `m` wakes the younger requests on `m`; `tid` becoming predicted
-    /// wakes every younger request.
-    fn rebook_entry(
-        &mut self,
-        tid: ThreadId,
-        sync_id: SyncId,
-        call: impl FnOnce(&mut Bookkeeping),
-    ) {
-        let was_predicted = self.book.is_predicted(tid);
-        let old = self.book.entry_pin(tid, sync_id);
-        call(&mut self.book);
-        let new = self.book.entry_pin(tid, sync_id);
-        if old != new {
-            if let Some(m) = old {
+    /// Applies the change a per-entry bookkeeping call reports for `tid`
+    /// to the blocker index: the per-event form of
+    /// [`PmatScheduler::rebook`], which moves only that entry's pin
+    /// instead of re-indexing the whole table. A pin leaving `m` wakes
+    /// the younger requests on `m`; `tid` becoming predicted wakes every
+    /// younger request.
+    fn rebook_entry(&mut self, tid: ThreadId, change: EntryChange) {
+        if change.old_pin != change.new_pin {
+            if let Some(m) = change.old_pin {
                 index_remove(grow(&mut self.pinners, m), tid);
                 self.wake_on(m, Some(tid));
             }
-            if let Some(m) = new {
+            if let Some(m) = change.new_pin {
                 index_insert(grow(&mut self.pinners, m), tid);
             }
         }
-        match (was_predicted, self.book.is_predicted(tid)) {
+        match (change.was_predicted, change.predicted) {
             (false, true) => {
                 index_remove(&mut self.unpredicted, tid);
                 self.wake_younger(tid);
@@ -241,18 +240,18 @@ impl PmatScheduler {
             && self.pinners.iter().all(Vec::is_empty)
     }
 
-    /// Wakes the pending requests on `mutex` younger than `actor`, or all
-    /// of them for `None`.
+    /// Wakes the oldest pending request on `mutex` younger than `actor`,
+    /// or the oldest of all for `None` (see [`first_request_on`]).
     fn wake_on(&mut self, mutex: MutexId, actor: Option<ThreadId>) {
         self.woken
-            .extend_from_slice(requests_on(&self.pending_on, mutex, actor));
+            .extend(first_request_on(&self.pending_on, mutex, actor));
     }
 
     /// Wakes what `tid` leaving the queue can unblock: the requests its
     /// remaining index entries gate (every younger one while it is
-    /// unpredicted, the younger ones on each mutex it still pins). What a
-    /// predicted thread stopped gating earlier was woken when its pin
-    /// left.
+    /// unpredicted, the oldest younger one on each mutex it still pins).
+    /// What a predicted thread stopped gating earlier was woken when its
+    /// pin left.
     fn wake_finished(&mut self, tid: ThreadId) {
         if !self.book.is_predicted(tid) {
             self.wake_younger(tid);
@@ -260,7 +259,7 @@ impl PmatScheduler {
         }
         let (pending_on, woken) = (&self.pending_on, &mut self.woken);
         self.book.for_each_pinned(tid, |m| {
-            woken.extend_from_slice(requests_on(pending_on, m, Some(tid)))
+            woken.extend(first_request_on(pending_on, m, Some(tid)))
         });
     }
 
@@ -278,8 +277,9 @@ impl PmatScheduler {
     /// recheck, so this grants exactly what re-testing every pending
     /// request would.
     fn recheck(&mut self, out: &mut SchedOutput) {
-        if self.pending.is_empty() {
-            debug_assert!(self.woken.is_empty(), "woken requests are pending");
+        if self.woken.is_empty() {
+            #[cfg(debug_assertions)]
+            self.assert_settled();
             return;
         }
         // `Unlocked` and `WaitCalled` hand a freed monitor to its
@@ -322,12 +322,56 @@ impl PmatScheduler {
         woken.clear();
         self.woken = woken;
         #[cfg(debug_assertions)]
+        self.assert_settled();
+    }
+
+    /// Asserts that no pending request is grantable: what a recheck
+    /// leaves behind when the wake list missed nothing.
+    #[cfg(debug_assertions)]
+    fn assert_settled(&self) {
         assert!(
             self.pending
                 .iter()
                 .all(|&(tid, m)| !self.sync.is_free(m) || !self.eligible(tid, m)),
             "a request left pending is grantable: the wake list missed it"
         );
+    }
+
+    /// Adds `tid`'s request for `mutex` to the pending requests.
+    fn park(&mut self, tid: ThreadId, mutex: MutexId) {
+        let pos = self.pending.partition_point(|&(u, _)| u < tid);
+        self.pending.insert(pos, (tid, mutex));
+        index_insert(grow(&mut self.pending_on, mutex), tid);
+    }
+
+    /// Decides a lock request that woke nothing: grants it now if the
+    /// rule and the monitor allow, in the decision order a recheck would
+    /// record (`Predict`, then `Grant`), or parks it. No recheck follows:
+    /// every other pending request stayed blocked.
+    fn decide_quiet(&mut self, tid: ThreadId, mutex: MutexId, out: &mut SchedOutput) {
+        let granted = self.sync.is_free(mutex) && self.eligible(tid, mutex);
+        out.decision(|| Decision::Predict {
+            tid,
+            mutex,
+            granted,
+        });
+        if !granted {
+            #[cfg(debug_assertions)]
+            assert!(
+                !(self.sync.is_free(mutex) && self.eligible_reference(tid, mutex)),
+                "quiet request of {tid} on {mutex} parked but grantable"
+            );
+            self.park(tid, mutex);
+            return;
+        }
+        let outcome = self.sync.lock(tid, mutex);
+        debug_assert_eq!(outcome, LockOutcome::Acquired);
+        out.decision(|| Decision::Grant {
+            tid,
+            mutex,
+            from_wait: false,
+        });
+        out.push(SchedAction::Resume(tid));
     }
 
     /// Grants queued re-acquirers of `mutex` if it is free.
@@ -379,7 +423,8 @@ impl Scheduler for PmatScheduler {
                 sync_id,
                 mutex,
             } => {
-                self.rebook_entry(tid, sync_id, |b| b.on_lock(tid, sync_id, mutex));
+                let change = self.book.on_lock(tid, sync_id, mutex);
+                self.rebook_entry(tid, change);
                 if self.sync.holds(tid, mutex) {
                     let outcome = self.sync.lock(tid, mutex);
                     debug_assert_eq!(outcome, LockOutcome::Acquired);
@@ -393,9 +438,14 @@ impl Scheduler for PmatScheduler {
                     // waits on the list for the next one.
                     return;
                 }
-                let pos = self.pending.partition_point(|&(u, _)| u < tid);
-                self.pending.insert(pos, (tid, mutex));
-                index_insert(grow(&mut self.pending_on, mutex), tid);
+                if self.woken.is_empty() {
+                    // A quiet request: the bookkeeping call woke nothing,
+                    // so this request is the only one a recheck would
+                    // evaluate. Decide it here, off the wake list.
+                    self.decide_quiet(tid, mutex, out);
+                    return;
+                }
+                self.park(tid, mutex);
                 self.woken.push(tid);
                 // The §4.3 prediction verdict at request time; a `false`
                 // here shows up as a later Grant once a recheck passes.
@@ -411,7 +461,8 @@ impl Scheduler for PmatScheduler {
                 sync_id,
                 mutex,
             } => {
-                self.rebook_entry(tid, sync_id, |b| b.on_unlock(tid, sync_id, mutex));
+                let change = self.book.on_unlock(tid, sync_id, mutex);
+                self.rebook_entry(tid, change);
                 self.sync.unlock(tid, mutex);
                 self.drain_reacquirers(mutex, out);
                 // The paper's "thread conflicting with t releases the
@@ -455,12 +506,14 @@ impl Scheduler for PmatScheduler {
                 sync_id,
                 mutex,
             } => {
-                self.rebook_entry(tid, sync_id, |b| b.on_lock_info(tid, sync_id, mutex));
+                let change = self.book.on_lock_info(tid, sync_id, mutex);
+                self.rebook_entry(tid, change);
                 // "t_u becomes predicted" may now hold.
                 self.recheck(out);
             }
             SchedEvent::SyncIgnored { tid, sync_id } => {
-                self.rebook_entry(tid, sync_id, |b| b.on_ignore(tid, sync_id));
+                let change = self.book.on_ignore(tid, sync_id);
+                self.rebook_entry(tid, change);
                 self.recheck(out);
             }
             SchedEvent::Control(_) => {}
@@ -979,6 +1032,129 @@ mod tests {
         s.on_event(&unlock(0, 99, 9), &mut out);
         s.on_event(&finish(0), &mut out);
         s.on_event(&finish(1), &mut out);
+        assert!(s.index_drained());
+    }
+
+    #[test]
+    fn quiet_grant_skips_the_wake_list() {
+        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::new();
+        s.on_event(&arrive_m(0, 0), &mut out);
+        s.on_event(&arrive_m(1, 1), &mut out);
+        s.on_event(&info(0, 0, 5), &mut out);
+        out.clear();
+        s.evaluated = 0;
+        // t0 is predicted and pins only m5: t1's request for m9 wakes
+        // nothing and is granted on the spot.
+        s.on_event(&lock(1, 1, 9), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        assert!(s.pending.is_empty() && s.woken.is_empty());
+        assert!(s.pending_on.iter().all(Vec::is_empty));
+        assert_eq!(s.evaluated, 0);
+    }
+
+    #[test]
+    fn quiet_blocked_request_is_granted_by_its_blockers_release() {
+        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::recording();
+        s.on_event(&arrive_m(0, 0), &mut out);
+        s.on_event(&arrive_m(1, 1), &mut out);
+        s.on_event(&lock(0, 0, 9), &mut out);
+        out.clear();
+        s.evaluated = 0;
+        // t0 holds m9: t1's request wakes nothing and is parked.
+        s.on_event(&lock(1, 1, 9), &mut out);
+        assert!(out.actions.is_empty());
+        assert_eq!(
+            out.decisions(),
+            [Decision::Predict {
+                tid: t(1),
+                mutex: m(9),
+                granted: false
+            }]
+        );
+        assert_eq!(s.pending, vec![(t(1), m(9))]);
+        assert_eq!(s.evaluated, 0);
+        s.on_event(&unlock(0, 0, 9), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        assert_eq!(s.sync_core().owner(m(9)), Some(t(1)));
+        s.on_event(&unlock(1, 1, 9), &mut out);
+        s.on_event(&finish(0), &mut out);
+        s.on_event(&finish(1), &mut out);
+        assert!(s.index_drained());
+    }
+
+    #[test]
+    fn granted_request_records_predict_then_grant_on_both_paths() {
+        let grant = |tid, mx| {
+            [
+                Decision::Predict {
+                    tid: t(tid),
+                    mutex: m(mx),
+                    granted: true,
+                },
+                Decision::Grant {
+                    tid: t(tid),
+                    mutex: m(mx),
+                    from_wait: false,
+                },
+            ]
+        };
+        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::recording();
+        s.on_event(&arrive_m(0, 0), &mut out);
+        s.on_event(&arrive_m(1, 1), &mut out);
+        // The unpredicted t0 blocks t1's request for m9.
+        s.on_event(&lock(1, 1, 9), &mut out);
+        out.clear();
+        // t0's own request makes it predicted and so wakes t1: the woken
+        // path grants both, t0 first.
+        s.on_event(&lock(0, 0, 5), &mut out);
+        let [predict, grant_t0] = grant(0, 5);
+        assert_eq!(out.decisions(), [predict, grant_t0, grant(1, 9)[1]]);
+        assert_eq!(s.evaluated, 2);
+        s.on_event(&unlock(0, 0, 5), &mut out);
+        s.on_event(&unlock(1, 1, 9), &mut out);
+        s.on_event(&finish(0), &mut out);
+        s.on_event(&finish(1), &mut out);
+        // A lone request on the now empty queue takes the quiet path.
+        s.on_event(&arrive_m(2, 0), &mut out);
+        out.clear();
+        s.evaluated = 0;
+        s.on_event(&lock(2, 0, 5), &mut out);
+        assert_eq!(out.decisions(), grant(2, 5));
+        assert_eq!(s.evaluated, 0);
+    }
+
+    #[test]
+    fn release_wakes_only_the_oldest_request_on_the_mutex() {
+        let table = Arc::new(LockTable::new(vec![Some(vec![e(0)]), Some(vec![e(1)])]));
+        let mut s = PmatScheduler::new(table);
+        let mut out = SchedOutput::new();
+        for i in 0..3 {
+            s.on_event(&arrive_m(i, i.min(1)), &mut out);
+        }
+        s.on_event(&lock(0, 0, 9), &mut out);
+        s.on_event(&lock(1, 1, 9), &mut out);
+        s.on_event(&lock(2, 1, 9), &mut out);
+        out.clear();
+        s.evaluated = 0;
+        // t1 pins m9 by its own request, so t2 stays blocked whoever
+        // holds m9: the release evaluates t1 alone.
+        s.on_event(&unlock(0, 0, 9), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(1))]);
+        assert_eq!(s.evaluated, 1);
+        out.clear();
+        s.on_event(&unlock(1, 1, 9), &mut out);
+        assert_eq!(out.actions, vec![SchedAction::Resume(t(2))]);
+        assert_eq!(s.evaluated, 2);
+        s.on_event(&unlock(2, 1, 9), &mut out);
+        for i in 0..3 {
+            s.on_event(&finish(i), &mut out);
+        }
         assert!(s.index_drained());
     }
 

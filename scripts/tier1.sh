@@ -20,11 +20,12 @@ cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "== tier-1: cargo test -q =="
 cargo test -q --workspace
 
-# The calendar queue's arrival-lane merge and the FIFO-horizon pruning
-# sit on the simulator's hot path: run their differential tests on the
+# The calendar queue's arrival-lane merge, the FIFO-horizon pruning and
+# PMAT's counted bookkeeping and quiet-request path sit on the
+# simulator's hot path: run their differential and unit tests on the
 # optimised build the benchmark measures, too.
-echo "== tier-1: cargo test -q --release (dmt-sim, dmt-groupcomm) =="
-cargo test -q --release -p dmt-sim -p dmt-groupcomm
+echo "== tier-1: cargo test -q --release (dmt-sim, dmt-groupcomm, dmt-core) =="
+cargo test -q --release -p dmt-sim -p dmt-groupcomm -p dmt-core
 
 # `cargo build`, `test` and `clippy --workspace` skip bench targets;
 # compile every dmt-bench bench so none of them can rot unnoticed.
@@ -79,12 +80,13 @@ cargo test -q --release -p dmt-bench --test contention_determinism
 echo "== smoke: shard determinism =="
 cargo test -q --release -p dmt-bench --test shard_determinism
 
-# PMAT scaling guards: ns/engine-event must stay within 1.35× along two
+# PMAT scaling guards: ns/engine-event must stay within 1.35× along three
 # axes (interleaved best-of-5, same process): 160 vs 10 requests per
 # client, so a grant check that grows with the run-wide thread-id range
-# cannot come back; and 64 vs 8 fig1 clients, so a recheck that re-tests
-# every pending request cannot come back. Same-host ratios, not absolute
-# pins; release-only.
+# cannot come back; 64 vs 8 fig1 clients, so a recheck that re-tests
+# every pending request cannot come back; and 50- vs 5-entry lock
+# tables, so bookkeeping that scans a thread's table cannot come back.
+# Same-host ratios, not absolute pins; release-only.
 echo "== smoke: PMAT scaling =="
 cargo test -q --release -p dmt-bench --test pmat_scaling
 

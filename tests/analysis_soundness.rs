@@ -94,8 +94,12 @@ fn bookkeeping_prediction_is_sound() {
                 let mut done_at: Option<usize> = None;
                 for (i, a) in trace.iter().enumerate() {
                     match *a {
-                        Action::LockInfo { sync_id, mutex } => bk.on_lock_info(tid, sync_id, mutex),
-                        Action::Ignore { sync_id } => bk.on_ignore(tid, sync_id),
+                        Action::LockInfo { sync_id, mutex } => {
+                            bk.on_lock_info(tid, sync_id, mutex);
+                        }
+                        Action::Ignore { sync_id } => {
+                            bk.on_ignore(tid, sync_id);
+                        }
                         Action::Lock { sync_id, mutex } => {
                             assert!(
                                 bk.may_lock(tid, mutex),
