@@ -103,8 +103,8 @@ pub struct ReplicaExec<S: ?Sized, T> {
     /// Reset-on-reuse free list: finished threads return their VM here,
     /// admissions recycle it (allocation-free once warm).
     vm_pool: VmPool,
-    /// Delivered, unfinished requests: method, arguments (taken by the
-    /// VM start at admission) and tag.
+    /// Delivered, unfinished requests: method, arguments (borrowed by
+    /// the VM start at admission, dropped at finish) and tag.
     requests: SlotMap<(MethodIdx, RequestArgs, T)>,
     blocked: SlotMap<Blocked>,
     /// Threads admitted or resumed and not since blocked or finished.
@@ -242,12 +242,11 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
                 SchedAction::Admit(tid) => {
                     let req = self
                         .requests
-                        .get_mut(tid.index())
+                        .get(tid.index())
                         .expect("admit without request");
-                    let args = std::mem::take(&mut req.1);
                     let was = self.blocked.remove(tid.index());
                     debug_assert_eq!(was, Some(Blocked::Admission));
-                    let vm = self.vm_pool.acquire(self.program.clone(), req.0, &args);
+                    let vm = self.vm_pool.acquire(self.program.clone(), req.0, &req.1);
                     self.vms.insert(tid.index(), vm);
                     self.running.insert(tid.index());
                     host.schedule(tid);

@@ -15,7 +15,7 @@ use crate::msg::{GcMsg, RequestId, Scenario};
 use crate::trace::ExecutionTrace;
 use dmt_core::{
     AnyScheduler, CtrlMsg, ExecHost, ReplicaExec, ReplicaId, SchedConfig, SchedEvent, SchedOutput,
-    Scheduler, SchedulerKind, SlotMap, ThreadId,
+    Scheduler, SchedulerKind, ThreadId,
 };
 use dmt_groupcomm::{Delivery, GroupComm, NetConfig, NodeId, Sequenced};
 use dmt_lang::{MethodIdx, MutexId, RequestArgs, ServiceId};
@@ -415,8 +415,13 @@ struct Host {
     alive: Vec<bool>,
     /// Per-replica CPU-speed jitter streams.
     jitter: Vec<SplitMix64>,
-    /// Request bookkeeping, indexed `[client][req_no]` (both dense).
-    req_state: Vec<SlotMap<ReqState>>,
+    /// Request bookkeeping, one flat table indexed `req_base[client] +
+    /// req_no` (both dense): no per-client allocation. Allocated by `start`,
+    /// so an engine built but not yet run holds none of it.
+    req_state: Vec<Option<ReqState>>,
+    /// Per-client prefix offset into `req_state` (the client's first
+    /// request's slot).
+    req_base: Vec<usize>,
     client_pos: Vec<usize>,
     completed_requests: u64,
     latencies: Vec<RequestLatency>,
@@ -545,7 +550,7 @@ const REMOTE_CLIENT: u32 = u32::MAX - 1;
 
 /// Target-side record of one routed-in call: where to send the reply,
 /// and whether the first replica already finished it (first-reply
-/// dedup, the remote analogue of `ReqState::first_finish`).
+/// dedup, the remote analogue of `ReqState::replied`).
 struct RemoteCall {
     from_group: u32,
     tid: ThreadId,
@@ -553,9 +558,11 @@ struct RemoteCall {
     done: bool,
 }
 
+#[derive(Clone, Copy)]
 struct ReqState {
     submitted: SimTime,
-    first_finish: Option<SimTime>,
+    /// A replica already finished it (first-reply dedup).
+    replied: bool,
 }
 
 /// An [`Engine`]'s calendar queue, detached for reuse: a shard worker
@@ -608,8 +615,14 @@ impl Engine {
             gc.set_node_latency(NodeId::new(node as u32), Some(one_way));
         }
         let jitter = (0..n).map(|i| rng.split(100 + i as u64)).collect();
-        let req_state = (0..scenario.clients.len())
-            .map(|_| SlotMap::new())
+        let req_base = scenario
+            .clients
+            .iter()
+            .scan(0, |next, cl| {
+                let base = *next;
+                *next += cl.requests.len();
+                Some(base)
+            })
             .collect();
         let mut metrics = MetricsRegistry::new();
         let depth_ids = cfg.sample_depths.then(|| DepthIds {
@@ -628,7 +641,8 @@ impl Engine {
             gc,
             alive: vec![true; n],
             jitter,
-            req_state,
+            req_state: Vec::new(),
+            req_base,
             client_pos: Vec::new(),
             completed_requests: 0,
             latencies: Vec::new(),
@@ -706,6 +720,7 @@ impl Engine {
     pub(crate) fn start(&mut self) {
         let h = &mut self.host;
         h.client_pos = vec![0; h.scenario.clients.len()];
+        h.req_state = vec![None; h.scenario.total_requests()];
         for c in 0..h.scenario.clients.len() {
             match &h.scenario.clients[c].arrivals {
                 Some(schedule) => {
@@ -1253,13 +1268,10 @@ impl Host {
     fn submit_request(&mut self, client: u32, req_no: u32) {
         let c = client as usize;
         let (method, args) = self.scenario.clients[c].requests[req_no as usize].clone();
-        self.req_state[c].insert(
-            req_no as usize,
-            ReqState {
-                submitted: self.queue.now(),
-                first_finish: None,
-            },
-        );
+        self.req_state[self.req_base[c] + req_no as usize] = Some(ReqState {
+            submitted: self.queue.now(),
+            replied: false,
+        });
         self.submit_to_gc(
             CLIENT_SRC + c as u64,
             GcMsg::Request {
@@ -1425,13 +1437,13 @@ impl ExecHost for Leg<'_> {
         }
         // First-reply semantics: the fastest replica answers the client.
         let reply_leg = h.reply_latency();
-        let st = h.req_state[id.client as usize]
-            .get_mut(id.req_no as usize)
+        let st = h.req_state[h.req_base[id.client as usize] + id.req_no as usize]
+            .as_mut()
             .expect("request state exists");
-        if st.first_finish.is_some() {
+        if st.replied {
             return;
         }
-        st.first_finish = Some(now);
+        st.replied = true;
         let replied = now + reply_leg;
         h.tracer
             .record(replied.as_nanos(), self.replica as u32, || {

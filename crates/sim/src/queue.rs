@@ -17,14 +17,31 @@
 //!   nodes are chained into a free list and recycled, so a warmed-up queue
 //!   never allocates on push — the buffer grows to the high-water mark of
 //!   pending events and stays there.
-//! * **Near future: buckets.** A window of `N_BUCKETS` buckets, each
-//!   `BUCKET_NS` wide, covers the next ~262 µs of virtual time. Each
-//!   bucket is a singly linked list kept sorted by `(time, seq)` with a
-//!   tail pointer: the overwhelmingly common pushes — at the current
+//! * **Near future: buckets.** A window of `N_BUCKETS` = 4096 buckets,
+//!   each `BUCKET_NS` = 1.024 µs wide, covers ~4.19 ms of virtual time.
+//!   Each bucket is a singly linked list kept sorted by `(time, seq)` with
+//!   a tail pointer: the overwhelmingly common pushes — at the current
 //!   instant (`push_after(ZERO)`) or monotonically forward — append at the
 //!   tail in O(1); only a push that lands *behind* an existing same-bucket
-//!   entry walks the (short) bucket list. A 256-bit occupancy bitmap lets
-//!   `pop` skip empty buckets word-at-a-time.
+//!   entry walks the (short) bucket list. A two-level occupancy bitmap —
+//!   64 words, plus one summary word whose bit `w` is set iff word `w` is
+//!   non-empty — finds the earliest occupied bucket with two
+//!   `trailing_zeros`, however many empty buckets lie before it, so no
+//!   scan cursor is kept.
+//! * **Window geometry.** The window is sized to the engine's push
+//!   delays. Measured over every scheduler kind on the three perfbench
+//!   workloads (seed 1), the pushes split as: `fig1-closed` 2 % zero,
+//!   8 % 131–262 µs, 62 % 262–524 µs (network legs), 22 % 1–2 ms
+//!   (compute), 7 % 8–17 ms (the 12 ms nested calls); `openloop-store`
+//!   31 % 131–262 µs, 57 % 262–524 µs, 12 % 0.5–1 ms (lock holds);
+//!   `shard-1e5` 32 % 131–262 µs, 64 % 262–524 µs, 3 % 0.5–1 ms. The
+//!   old 256-bucket (262 µs) window sent 69–98 % of pushes to the
+//!   overflow heap (fig1 MAT 93 %, LSA 98 %; openloop MAT 81 %; shard
+//!   MAT 89 %), each paying a meld, a heap pop and a bucket re-insert.
+//!   At 4.19 ms only the nested-call tail and pushes past the window's
+//!   far edge overflow: 13–21 % on `fig1-closed`, 8–9 % on
+//!   `openloop-store`, 7 % on `shard-1e5`. The bucket array costs 32 KB
+//!   per queue.
 //! * **Far future: pairing heap.** Events beyond the window are melded
 //!   into a pairing heap over the same slab (O(1) push, amortised
 //!   O(log n) pop). When the window drains, it jumps straight to the
@@ -71,19 +88,21 @@ use crate::time::{SimDuration, SimTime};
 
 const NIL: u32 = u32::MAX;
 
-/// Buckets per calendar window. 256 keeps the occupancy bitmap at four
-/// words and the whole bucket directory inside two cache lines' worth of
-/// scanning.
-const N_BUCKETS: usize = 256;
+/// Buckets per calendar window: 4096, so the window spans every engine
+/// delay but the nested-call tail (see the module docs). The occupancy
+/// bitmap is 64 words under one summary word.
+const N_BUCKETS: usize = 4096;
 
-/// log2 of the bucket width in nanoseconds: 1.024 µs buckets. Engine
-/// delays cluster at zero (thread steps), ~100 µs (compute segments) and
-/// ~250 µs (network legs): the first is a same-bucket tail append, the
-/// other two land in-window or one window ahead.
+/// Occupancy words (64 buckets each); one summary bit per word.
+const N_WORDS: usize = N_BUCKETS / 64;
+const _: () = assert!(N_WORDS == 64, "the summary word indexes exactly 64 words");
+
+/// log2 of the bucket width in nanoseconds: 1.024 µs buckets. Zero-delay
+/// thread steps stay same-bucket tail appends.
 const BUCKET_SHIFT: u32 = 10;
 const BUCKET_NS: u64 = 1 << BUCKET_SHIFT;
 
-/// Virtual-time span covered by the bucket window (~262 µs).
+/// Virtual-time span covered by the bucket window (~4.19 ms).
 const WINDOW_NS: u64 = BUCKET_NS * N_BUCKETS as u64;
 
 struct Node<E> {
@@ -98,16 +117,14 @@ struct Node<E> {
     child: u32,
 }
 
-#[derive(Clone, Copy)]
+/// A bucket's list ends. Meaningful only while the bucket's occupancy
+/// bit is set: the bitmap alone says which buckets are empty, so emptying
+/// the calendar never sweeps the bucket array.
+#[derive(Clone, Copy, Default)]
 struct Bucket {
     head: u32,
     tail: u32,
 }
-
-const EMPTY_BUCKET: Bucket = Bucket {
-    head: NIL,
-    tail: NIL,
-};
 
 struct LaneEntry<E> {
     at: u64,
@@ -122,15 +139,18 @@ pub struct EventQueue<E> {
     free: u32,
     buckets: Vec<Bucket>,
     /// Occupancy bitmap over `buckets` (bit set ⇔ bucket non-empty).
-    occ: [u64; N_BUCKETS / 64],
+    occ: [u64; N_WORDS],
+    /// Summary over `occ`: bit `w` set ⇔ `occ[w] != 0`.
+    summary: u64,
     /// Left edge (nanos) of bucket 0.
     win_start: u64,
-    /// First bucket that may be non-empty (monotone within a window).
-    cursor: usize,
     in_buckets: usize,
     /// Pairing-heap root for events at or beyond `win_start + WINDOW_NS`.
     overflow: u32,
     n_overflow: usize,
+    /// Inserts that went to the overflow heap (the tier-share guard).
+    #[cfg(test)]
+    overflow_inserts: u64,
     /// Reused scratch for the pairing heap's two-pass merge.
     pair_scratch: Vec<u32>,
     /// Front slot: a pushed event strictly earlier than every pending
@@ -170,13 +190,15 @@ impl<E> EventQueue<E> {
         EventQueue {
             nodes: Vec::new(),
             free: NIL,
-            buckets: vec![EMPTY_BUCKET; N_BUCKETS],
-            occ: [0; N_BUCKETS / 64],
+            buckets: vec![Bucket::default(); N_BUCKETS],
+            occ: [0; N_WORDS],
+            summary: 0,
             win_start: 0,
-            cursor: 0,
             in_buckets: 0,
             overflow: NIL,
             n_overflow: 0,
+            #[cfg(test)]
+            overflow_inserts: 0,
             pair_scratch: Vec::new(),
             slot: None,
             slot_at: 0,
@@ -355,8 +377,7 @@ impl<E> EventQueue<E> {
             return self.slot_seq;
         }
         let head = if self.in_buckets > 0 {
-            let b = self.first_occupied(self.cursor).expect("in_buckets > 0");
-            self.buckets[b].head
+            self.buckets[self.first_occupied()].head
         } else {
             self.overflow
         };
@@ -380,6 +401,10 @@ impl<E> EventQueue<E> {
         } else {
             self.overflow = self.meld(self.overflow, idx);
             self.n_overflow += 1;
+            #[cfg(test)]
+            {
+                self.overflow_inserts += 1;
+            }
         }
     }
 
@@ -393,19 +418,14 @@ impl<E> EventQueue<E> {
         let at = self.nodes[idx as usize].at;
         let b = ((at - self.win_start) >> BUCKET_SHIFT) as usize;
         debug_assert!(b < N_BUCKETS);
-        // A push at the current instant can land in a bucket the cursor
-        // already walked past (it was empty then); pull the cursor back —
-        // re-scanning empties costs a few bitmap words, never correctness.
-        if b < self.cursor {
-            self.cursor = b;
-        }
         let bucket = self.buckets[b];
-        if bucket.head == NIL {
+        if self.occ[b >> 6] & (1 << (b & 63)) == 0 {
             self.buckets[b] = Bucket {
                 head: idx,
                 tail: idx,
             };
             self.occ[b >> 6] |= 1 << (b & 63);
+            self.summary |= 1 << (b >> 6);
         } else if self.before(bucket.tail, idx) {
             // Monotone pushes (and all same-instant ties, seq ascending)
             // append at the tail: the steady-state O(1) path.
@@ -431,24 +451,13 @@ impl<E> EventQueue<E> {
         self.in_buckets += 1;
     }
 
-    /// First non-empty bucket at or after `from`, via the occupancy bitmap.
+    /// The earliest non-empty bucket: the first word the summary marks,
+    /// then that word's first set bit. Requires `in_buckets > 0`.
     #[inline]
-    fn first_occupied(&self, from: usize) -> Option<usize> {
-        if from >= N_BUCKETS {
-            return None;
-        }
-        let mut w = from >> 6;
-        let mut bits = self.occ[w] & (!0u64 << (from & 63));
-        loop {
-            if bits != 0 {
-                return Some((w << 6) + bits.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w == N_BUCKETS / 64 {
-                return None;
-            }
-            bits = self.occ[w];
-        }
+    fn first_occupied(&self) -> usize {
+        debug_assert_ne!(self.summary, 0, "no occupied bucket");
+        let w = self.summary.trailing_zeros() as usize;
+        (w << 6) + self.occ[w].trailing_zeros() as usize
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
@@ -486,8 +495,7 @@ impl<E> EventQueue<E> {
             }
             self.advance_window();
         }
-        let b = self.first_occupied(self.cursor).expect("in_buckets > 0");
-        self.cursor = b;
+        let b = self.first_occupied();
         let idx = self.buckets[b].head;
         let node = &mut self.nodes[idx as usize];
         let at = SimTime::from_nanos(node.at);
@@ -495,8 +503,10 @@ impl<E> EventQueue<E> {
         let next = node.next;
         self.buckets[b].head = next;
         if next == NIL {
-            self.buckets[b].tail = NIL;
             self.occ[b >> 6] &= !(1 << (b & 63));
+            if self.occ[b >> 6] == 0 {
+                self.summary &= !(1 << (b >> 6));
+            }
         }
         self.in_buckets -= 1;
         self.release(idx);
@@ -506,9 +516,7 @@ impl<E> EventQueue<E> {
         self.next_at = if next != NIL {
             self.nodes[next as usize].at
         } else if self.in_buckets > 0 {
-            let nb = self.first_occupied(b + 1).expect("in_buckets > 0");
-            self.cursor = nb;
-            self.nodes[self.buckets[nb].head as usize].at
+            self.nodes[self.buckets[self.first_occupied()].head as usize].at
         } else if self.overflow != NIL {
             self.nodes[self.overflow as usize].at
         } else {
@@ -547,10 +555,9 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.free = NIL;
-        self.buckets.iter_mut().for_each(|b| *b = EMPTY_BUCKET);
-        self.occ = [0; N_BUCKETS / 64];
+        self.occ = [0; N_WORDS];
+        self.summary = 0;
         self.win_start = self.now.as_nanos() & !(BUCKET_NS - 1);
-        self.cursor = 0;
         self.in_buckets = 0;
         self.overflow = NIL;
         self.n_overflow = 0;
@@ -573,7 +580,6 @@ impl<E> EventQueue<E> {
         self.now = SimTime::ZERO;
         self.clear();
         debug_assert_eq!(self.win_start, 0);
-        self.cursor = 0;
     }
 
     /// Moves the bucket window to the earliest overflow event and drains
@@ -584,7 +590,6 @@ impl<E> EventQueue<E> {
         debug_assert_ne!(self.overflow, NIL);
         let min_at = self.nodes[self.overflow as usize].at;
         self.win_start = min_at & !(BUCKET_NS - 1);
-        self.cursor = 0;
         while self.overflow != NIL {
             let root = self.overflow;
             let at = self.nodes[root as usize].at;
@@ -951,7 +956,7 @@ mod tests {
         let mut q = EventQueue::new();
         for round in 0..1000u64 {
             q.push_after(SimDuration::from_nanos(1 + round % 7), round);
-            q.push_after(SimDuration::from_micros(300), round); // overflow tier
+            q.push_after(SimDuration::from_millis(5), round); // overflow tier
             q.pop();
             q.pop();
         }
@@ -1259,9 +1264,98 @@ mod tests {
     }
 
     #[test]
+    fn bitmap_word_edges_match_reference() {
+        // Each round fills one window at bucket edges relative to its
+        // start `s` — both sides of the occupancy-word edges 63/64 and
+        // 4031/4032 (summary bits 0/1 and 62/63), bucket 4095, the last
+        // in-window nanosecond `s + WINDOW_NS - 1` — then pops through
+        // it, re-pushing at the popped instant halfway. The round's one
+        // overflow event (`s + WINDOW_NS`, or a later bucket edge) starts
+        // the next window, whose first pushes land right after the
+        // advance. Word sets vary so a stale or missing summary bit, or
+        // a search that lands one word or bucket off, meets an occupied
+        // or empty word it would misread.
+        const ROUNDS: [(&[u64], u64); 6] = [
+            (&[63, 64, 4031, 4032, 4095], 0),
+            (&[0, 64, 4095], 1),
+            (&[0, 4032], 63),
+            (&[1, 63, 4031, 4033], 64),
+            (&[62, 65, 4030, 4094], 4031),
+            (&[0, 63, 64, 4031, 4032, 4095], 0),
+        ];
+        let mut call = 0;
+        let ops = script(|now, ops| {
+            let now = now.as_nanos();
+            let (buckets, next_k) = ROUNDS[call / 2];
+            // Events the round puts in its own window: two per bucket plus
+            // the last in-window nanosecond.
+            let in_window = 2 * buckets.len() + 1;
+            if call % 2 == 0 {
+                // `now` is the window start (bucket-aligned anchor).
+                let s = now;
+                if call == 0 {
+                    ops.push(Op::Push(s + 100 * WINDOW_NS)); // stays in overflow
+                }
+                for &b in buckets {
+                    ops.push(Op::Push(s + b * BUCKET_NS));
+                    ops.push(Op::Push(s + (b + 1) * BUCKET_NS - 1));
+                }
+                ops.push(Op::Push(s + WINDOW_NS - 1));
+                ops.push(Op::Push(s + WINDOW_NS + next_k * BUCKET_NS));
+                ops.extend((0..in_window / 2).map(|_| Op::Pop));
+            } else {
+                // Same-instant re-push into the bucket just popped, then
+                // drain the window and pop the overflow anchor (advance).
+                ops.push(Op::Push(now));
+                ops.extend((0..in_window - in_window / 2 + 2).map(|_| Op::Pop));
+            }
+            call += 1;
+            call < 2 * ROUNDS.len()
+        });
+        check_script(&ops, "bitmap word edges");
+    }
+
+    #[test]
+    fn engine_delay_mix_mostly_stays_in_the_window() {
+        // A steady in-flight population whose delays follow the engine's
+        // measured push-delay mix (module docs): 131–262 µs and 262–524 µs
+        // network legs, 0.5–1 ms lock holds, 1–2 ms compute, a 12 ms
+        // nested-call tail. Only the tail and pushes past the window's
+        // far edge may reach the overflow heap; a 262 µs window sends
+        // over nine in ten there.
+        let mut rng = SplitMix64::new(0x7135);
+        let mut delay = move || {
+            let (lo, span) = match rng.next_below(100) {
+                0..=29 => (131_072, 131_072),
+                30..=91 => (262_144, 262_144),
+                92..=95 => (524_288, 524_288),
+                96..=98 => (1_048_576, 1_048_576),
+                _ => (12_000_000, 500_000),
+            };
+            SimDuration::from_nanos(lo + rng.next_below(span))
+        };
+        const IN_FLIGHT: u64 = 96;
+        const PUSHES: u64 = 100_000;
+        let mut q: EventQueue<()> = EventQueue::new();
+        for _ in 0..IN_FLIGHT {
+            q.push_after(delay(), ());
+        }
+        for _ in IN_FLIGHT..PUSHES {
+            q.pop().expect("steady population");
+            q.push_after(delay(), ());
+        }
+        let share = q.overflow_inserts as f64 / PUSHES as f64;
+        assert!(
+            share < 0.25,
+            "{:.1} % of pushes reached the overflow heap",
+            100.0 * share
+        );
+    }
+
+    #[test]
     fn lane_keeps_the_slab_at_the_in_flight_high_water_mark() {
         // 100 000 arrivals, one every 100 µs, each spawning one ordinary
-        // event 300 µs later (overflow tier): at most 3–4 ordinary events
+        // event 300 µs later: at most 3–4 ordinary events
         // are ever pending, and the slab must stay that small — arrivals
         // never enter it.
         const N: u64 = 100_000;

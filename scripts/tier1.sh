@@ -23,7 +23,13 @@ cargo test -q --workspace
 # The calendar queue's arrival-lane merge, the FIFO-horizon pruning and
 # PMAT's counted bookkeeping and quiet-request path sit on the
 # simulator's hot path: run their differential and unit tests on the
-# optimised build the benchmark measures, too.
+# optimised build the benchmark measures, too. For dmt-sim that
+# includes the calendar-window tier-share guard
+# (`engine_delay_mix_mostly_stays_in_the_window`: the engine's delay
+# mix must mostly stay out of the overflow heap) and the bitmap-boundary
+# differential (`bitmap_word_edges_match_reference`: pushes on the
+# summary-word edges, the last bucket and the window edge, against the
+# reference heap).
 echo "== tier-1: cargo test -q --release (dmt-sim, dmt-groupcomm, dmt-core) =="
 cargo test -q --release -p dmt-sim -p dmt-groupcomm -p dmt-core
 
