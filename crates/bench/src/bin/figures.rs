@@ -12,64 +12,14 @@
 //! cargo run -p dmt-bench --release --bin figures -- trace --out trace.json [--sched MAT]
 //! ```
 //!
-//! `--shards N` routes every sweep's cluster runs through the sharded
-//! engine with `N` intra-run workers; tables and artifacts are
-//! byte-identical for every `N` (that is the point).
+//! `--shards N` routes the fig1 and openloop sweeps' cluster runs
+//! through the sharded engine with `N` intra-run workers; tables and
+//! artifacts are byte-identical for every `N` (that is the point).
 
 use dmt_bench::*;
 use dmt_core::SchedulerKind;
 use dmt_replica::{Engine, EngineConfig};
 use dmt_workload::fig1;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn engine_bench(client_counts: &[usize], requests: usize, quick: bool) {
-    let rows = engine_bench_experiment(client_counts, requests);
-    let mut total = dmt_replica::PerfCounters::default();
-    for r in &rows {
-        total.merge(&r.perf);
-    }
-    let counters = |p: &dmt_replica::PerfCounters| {
-        format!(
-            "\"events\": {}, \"sched_events\": {}, \"sched_fanout\": {:.4}, \"sched_actions\": {}, \"vm_steps\": {}, \"fused_steps\": {}, \"batched_steps\": {}, \"vm_allocs\": {}, \"vm_reuses\": {}",
-            p.events,
-            p.sched_events,
-            p.sched_fanout(),
-            p.sched_actions,
-            p.vm_steps,
-            p.fused_steps,
-            p.batched_steps,
-            p.vm_allocs,
-            p.vm_reuses,
-        )
-    };
-
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str(&format!(
-        "  \"sweep\": {{\"clients\": {client_counts:?}, \"requests_per_client\": {requests}, \"quick\": {quick}}},\n"
-    ));
-    j.push_str("  \"per_kind\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"kind\": \"{}\", {}}}{}\n",
-            json_escape(r.kind.name()),
-            counters(&r.perf),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    j.push_str(&format!(
-        "  ],\n  \"total\": {{{}}}\n}}\n",
-        counters(&total)
-    ));
-
-    let path = artifact_path("BENCH_engine.json", quick);
-    std::fs::write(&path, &j).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("{j}");
-    eprintln!("wrote {path}");
-}
 
 /// Quick runs use smoke-test grids, so their JSON must not overwrite
 /// the checked-in full-sweep artifacts; they land in `target/` instead.
@@ -80,26 +30,6 @@ fn artifact_path(name: &str, quick: bool) -> String {
     } else {
         name.to_string()
     }
-}
-
-fn obs_bench(quick: bool, csv: bool) {
-    let grid = if quick {
-        ObsGrid::quick()
-    } else {
-        ObsGrid::default()
-    };
-    let rows = obs_experiment(&grid);
-    let t = obs_table(&rows);
-    if csv {
-        println!("# {}", t.title);
-        print!("{}", t.to_csv());
-    } else {
-        println!("{t}");
-    }
-    let j = obs_json(&grid, &rows);
-    let path = artifact_path("BENCH_obs.json", quick);
-    std::fs::write(&path, &j).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
 }
 
 /// One traced cluster run exported in Chrome's Trace Event Format —
@@ -142,100 +72,17 @@ fn trace_export(out: Option<&str>, sched: Option<&str>, quick: bool) {
     );
 }
 
-fn openloop_bench(quick: bool, csv: bool) {
-    let grid = if quick {
-        OpenLoopGrid::quick()
-    } else {
-        OpenLoopGrid::default()
-    };
-    let rows = openloop_experiment(&grid);
-    let t = openloop_table(&rows);
-    if csv {
-        println!("# {}", t.title);
-        print!("{}", t.to_csv());
-    } else {
-        println!("{t}");
-    }
-    let j = openloop_json(&grid, &rows);
-    let path = artifact_path("BENCH_openloop.json", quick);
-    std::fs::write(&path, &j).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
-}
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &str = "fig1 fig1x fig2 fig3 fig4 analysis abl-mutexes abl-overhead abl-wan \
+                           abl-passive determinism openloop faults obs contention shard trace bench";
 
-fn faults_bench(quick: bool, csv: bool) {
-    let grid = if quick {
-        FaultGrid::quick()
+/// The smoke-test grid under `--quick`, the published one otherwise.
+fn grid<G: Default>(quick: bool, quick_grid: fn() -> G) -> G {
+    if quick {
+        quick_grid()
     } else {
-        FaultGrid::default()
-    };
-    let rows = faults_experiment(&grid);
-    let t = faults_table(&rows);
-    if csv {
-        println!("# {}", t.title);
-        print!("{}", t.to_csv());
-    } else {
-        println!("{t}");
+        G::default()
     }
-    let j = faults_json(&grid, &rows);
-    let path = artifact_path("BENCH_faults.json", quick);
-    std::fs::write(&path, &j).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
-}
-
-fn contention_bench(quick: bool, csv: bool) {
-    let grid = if quick {
-        ContentionGrid::quick()
-    } else {
-        ContentionGrid::default()
-    };
-    let report = contention_experiment(&grid);
-    for t in [contention_table(&report), autopilot_table(&report)] {
-        if csv {
-            println!("# {}", t.title);
-            print!("{}", t.to_csv());
-        } else {
-            println!("{t}");
-        }
-    }
-    let j = contention_json(&grid, &report);
-    let path = artifact_path("BENCH_contention.json", quick);
-    std::fs::write(&path, &j).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
-    let folded_path = artifact_path("CONTENTION_mat_openloop.folded", quick);
-    std::fs::write(&folded_path, &report.folded)
-        .unwrap_or_else(|e| panic!("write {folded_path}: {e}"));
-    eprintln!(
-        "wrote {folded_path} ({} frames) — feed to any flamegraph.pl-compatible renderer",
-        report.folded.lines().count()
-    );
-}
-
-fn shard_bench(quick: bool, csv: bool) {
-    let grid = if quick {
-        ShardGrid::quick()
-    } else {
-        ShardGrid::default()
-    };
-    let report = shard_experiment(&grid);
-    let t = shard_table(&report);
-    if csv {
-        println!("# {}", t.title);
-        print!("{}", t.to_csv());
-    } else {
-        println!("{t}");
-    }
-    // Host time stays out of the artifact: it is the one measure of
-    // intra-run worker speedup, so it goes to stderr.
-    for r in &report.rows {
-        eprintln!(
-            "shard workers {}: wall {:.1} ms, merge {:.2} ms",
-            r.workers, r.wall_ms, r.merge_ms
-        );
-    }
-    let j = shard_json(&grid, &report);
-    let path = artifact_path("BENCH_shard.json", quick);
-    std::fs::write(&path, &j).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
 }
 
 fn main() {
@@ -245,6 +92,7 @@ fn main() {
     let mut what: Option<&str> = None;
     let mut out: Option<&str> = None;
     let mut sched: Option<&str> = None;
+    let mut shards = 1;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -257,7 +105,7 @@ fn main() {
                     "--out" => out = Some(v.as_str()),
                     "--sched" => sched = Some(v.as_str()),
                     _ => match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => set_sweep_shards(n),
+                        Ok(n) if n >= 1 => shards = n,
                         _ => {
                             eprintln!("--shards needs a positive integer, got `{v}`");
                             std::process::exit(2);
@@ -284,66 +132,104 @@ fn main() {
     };
     let requests = if quick { 2 } else { 4 };
 
-    let emit = |t: &Table| {
-        if csv {
-            println!("# {}", t.title);
-            print!("{}", t.to_csv());
-        } else {
-            println!("{t}");
+    let threads = sweep_threads();
+
+    // Prints each table (or its CSV) and writes each artifact.
+    let emit = |tables: &[Table], artifacts: &[(&str, &str)]| {
+        for t in tables {
+            if csv {
+                println!("# {}", t.title);
+                print!("{}", t.to_csv());
+            } else {
+                println!("{t}");
+            }
+        }
+        for (name, body) in artifacts {
+            let path = artifact_path(name, quick);
+            std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            eprintln!("wrote {path}");
         }
     };
+    let fig1 =
+        |kinds: &[SchedulerKind]| fig1_experiment(&client_counts, requests, kinds, threads, shards);
 
     let run_one = |name: &str| match name {
-        "fig1" => emit(&fig1_experiment(&client_counts, requests, false)),
-        "fig1x" => emit(&fig1_experiment(&client_counts, requests, true)),
-        "fig2" => emit(&fig2_experiment(&[0.0, 1.0, 2.0, 5.0, 10.0])),
-        "fig3" => emit(&fig3_experiment(&client_counts)),
+        "fig1" => emit(&[fig1(&FIG1_KINDS)], &[]),
+        "fig1x" => emit(&[fig1(&ALL_KINDS)], &[]),
+        "fig2" => emit(&[fig2_experiment(&[0.0, 1.0, 2.0, 5.0, 10.0])], &[]),
+        "fig3" => emit(&[fig3_experiment(&client_counts)], &[]),
         "fig4" => println!("{}", fig4_experiment()),
         "analysis" => println!("{}", analysis_experiment()),
-        "abl-mutexes" => emit(&abl_mutexes_experiment(&[1, 10, 100, 1000])),
-        "abl-overhead" => emit(&abl_overhead_experiment()),
-        "abl-wan" => emit(&abl_wan_experiment(&[0, 2, 10, 50])),
-        "abl-passive" => emit(&abl_passive_experiment()),
-        "determinism" => emit(&determinism_experiment()),
-        "bench" => engine_bench(&client_counts, requests, quick),
-        "openloop" => openloop_bench(quick, csv),
-        "faults" => faults_bench(quick, csv),
-        "obs" => obs_bench(quick, csv),
-        "contention" => contention_bench(quick, csv),
-        "shard" => shard_bench(quick, csv),
+        "abl-mutexes" => emit(&[abl_mutexes_experiment(&[1, 10, 100, 1000])], &[]),
+        "abl-overhead" => emit(&[abl_overhead_experiment()], &[]),
+        "abl-wan" => emit(&[abl_wan_experiment(&[0, 2, 10, 50])], &[]),
+        "abl-passive" => emit(&[abl_passive_experiment()], &[]),
+        "determinism" => emit(&[determinism_experiment()], &[]),
+        "bench" => {
+            let bench = engine_bench_experiment(&client_counts, requests);
+            let j = engine_bench_json(&client_counts, requests, quick, &bench);
+            println!("{j}");
+            emit(&[], &[("BENCH_engine.json", &j)]);
+        }
+        "openloop" => {
+            let g = grid(quick, OpenLoopGrid::quick);
+            let rows = openloop_experiment(&g, threads, shards);
+            emit(
+                &[rows.table()],
+                &[("BENCH_openloop.json", &openloop_json(&g, &rows))],
+            );
+        }
+        "faults" => {
+            let g = grid(quick, FaultGrid::quick);
+            let rows = faults_experiment(&g, threads);
+            emit(
+                &[rows.table()],
+                &[("BENCH_faults.json", &faults_json(&g, &rows))],
+            );
+        }
+        "obs" => {
+            let g = grid(quick, ObsGrid::quick);
+            let rows = obs_experiment(&g, threads);
+            emit(&[rows.table()], &[("BENCH_obs.json", &obs_json(&g, &rows))]);
+        }
+        "contention" => {
+            let g = grid(quick, ContentionGrid::quick);
+            let r = contention_experiment(&g, threads);
+            emit(
+                &[r.profiles.table(), r.autopilot.table()],
+                &[
+                    ("BENCH_contention.json", &contention_json(&g, &r)),
+                    // Collapsed stacks for any flamegraph.pl-compatible renderer.
+                    ("CONTENTION_mat_openloop.folded", &r.folded),
+                ],
+            );
+        }
+        "shard" => {
+            let g = grid(quick, ShardGrid::quick);
+            let r = shard_experiment(&g);
+            emit(
+                &[shard_table(&r)],
+                &[("BENCH_shard.json", &shard_json(&g, &r))],
+            );
+            // Host time stays out of the artifact: it is the one measure
+            // of intra-run worker speedup, so it goes to stderr.
+            for w in &r.rows {
+                eprintln!(
+                    "shard workers {}: wall {:.1} ms, merge {:.2} ms",
+                    w.workers, w.wall_ms, w.merge_ms
+                );
+            }
+        }
         "trace" => trace_export(out, sched, quick),
         other => {
             eprintln!("unknown experiment `{other}`");
-            eprintln!(
-                "known: fig1 fig1x fig2 fig3 fig4 analysis abl-mutexes \
-                 abl-overhead abl-wan abl-passive determinism bench openloop \
-                 faults obs contention shard trace all"
-            );
+            eprintln!("known: {EXPERIMENTS} all");
             std::process::exit(2);
         }
     };
 
     if what == "all" {
-        for name in [
-            "fig1",
-            "fig1x",
-            "fig2",
-            "fig3",
-            "fig4",
-            "analysis",
-            "abl-mutexes",
-            "abl-overhead",
-            "abl-wan",
-            "abl-passive",
-            "determinism",
-            "openloop",
-            "faults",
-            "obs",
-            "contention",
-            "shard",
-            "trace",
-            "bench",
-        ] {
+        for name in EXPERIMENTS.split_whitespace() {
             run_one(name);
             println!();
         }

@@ -22,15 +22,14 @@
 //! reruns and sweep worker counts;
 //! `crates/bench/tests/contention_determinism.rs` holds it to that.
 
-use crate::experiments::{run_jobs_prioritized, sweep_threads, ALL_KINDS, FIG1_KINDS};
-use crate::table::Table;
+use crate::experiments::{fig1_cell, run_jobs_prioritized, ALL_KINDS, FIG1_KINDS};
+use crate::openloop::{load_mix_points, openloop_cell};
+use crate::schema::{col, cols::*, json_doc, Fmt::*, Rows, Schema, Src::*, Value};
 use dmt_analysis::predict_races;
 use dmt_core::SchedulerKind;
-use dmt_obs::ContentionProfile;
+use dmt_obs::{ContentionProfile, MetricsSnapshot};
 use dmt_replica::{Engine, EngineConfig, RunResult};
-use dmt_workload::inversion::InversionParams;
-use dmt_workload::openloop::OpenLoopParams;
-use dmt_workload::{fig1, inversion, openloop};
+use dmt_workload::inversion::{self, InversionParams};
 
 /// A mutex is *hot* when it carries at least this percentage of the
 /// profile's total contended-wait time ([`ContentionProfile::hot_count`]).
@@ -78,92 +77,88 @@ impl ContentionGrid {
 }
 
 /// One (scenario, scheduler) contention profile, flattened to integers.
-#[derive(Clone, Debug)]
-pub struct ProfileRow {
-    pub scenario: &'static str,
-    pub kind: SchedulerKind,
-    /// The run stalled (only the inversion scenario is allowed to — the
-    /// AB/BA deadlock is realisable under concurrent admission).
-    pub deadlocked: bool,
-    /// Trace records the run's trace buffer kept.
-    pub records: u64,
-    pub grants: u64,
-    pub defers: u64,
-    /// Contended acquisitions (a Defer preceded the Grant).
-    pub contended: u64,
-    pub wait_ns: u64,
-    pub wait_p95_ns: u64,
-    /// Mutexes crossing the [`HOT_PCT`] wait-share threshold.
-    pub hot_mutexes: u64,
-    /// Distinct held→acquired lock-order edges.
-    pub edges: u64,
-}
+/// `deadlocked`: the run stalled (only the inversion scenario is
+/// allowed to — the AB/BA deadlock is realisable under concurrent
+/// admission). `records`: trace records the run's buffer kept.
+/// `contended`: acquisitions a Defer preceded. `hot_mutexes`: mutexes
+/// crossing the [`HOT_PCT`] wait-share threshold. `edges`: distinct
+/// held→acquired lock-order edges.
+#[rustfmt::skip]
+static PROFILES: Schema = Schema {
+    title: "Contention profiles: per-mutex defer/wait analytics per scheduler (3 replicas, LAN)",
+    cols: &[
+        SCENARIO,
+        SCHEDULER,
+        col("deadlocked",  Some("stalled"),       Plain, Flag("yes", "no"), Cell),
+        col("records",     Some("records"),       Plain, Plain,             Counter("trace.recorded")),
+        col("grants",      Some("grants"),        Plain, Plain,             Cell),
+        col("defers",      Some("defers"),        Plain, Plain,             Cell),
+        col("contended",   Some("contended"),     Plain, Plain,             Cell),
+        col("wait_ns",     Some("wait (ms)"),     Plain, Ms,                Cell),
+        col("wait_p95_ns", Some("wait p95 (ms)"), Plain, Ms,                Cell),
+        col("hot_mutexes", Some("hot"),           Plain, Plain,             Cell),
+        EDGES,
+    ],
+    table: Some(&[
+        "scenario", "scheduler", "records", "grants", "defers", "contended", "wait_ns",
+        "wait_p95_ns", "hot_mutexes", "edges", "deadlocked",
+    ]),
+};
 
-/// One race-prediction verdict.
-#[derive(Clone, Debug)]
-pub struct RaceRow {
-    pub scenario: &'static str,
-    /// Critical sections reconstructed from the trace.
-    pub sections: u64,
-    pub edges: u64,
-    /// Lock-order cycles — the findings. Must be >0 on the seeded
-    /// inversion and 0 on the clean Figure-1 run.
-    pub findings: u64,
-    /// Schedule-sensitive adjacent same-mutex pairs (statistics, not
-    /// findings).
-    pub reorderable: u64,
-}
+/// One race-prediction verdict per scenario (JSON only). `sections`:
+/// critical sections reconstructed from the trace. `findings`:
+/// lock-order cycles — must be >0 on the seeded inversion and 0 on the
+/// clean Figure-1 run. `reorderable`: schedule-sensitive adjacent
+/// same-mutex pairs (statistics, not findings).
+#[rustfmt::skip]
+static RACES: Schema = Schema {
+    title: "Race prediction",
+    cols: &[
+        SCENARIO,
+        col("sections",    None, Plain, Plain, Cell),
+        EDGES,
+        col("findings",    None, Plain, Plain, Cell),
+        col("reorderable", None, Plain, Plain, Cell),
+    ],
+    table: Some(&[]),
+};
 
-/// One open-loop autopilot cell.
-#[derive(Clone, Debug)]
-pub struct AutopilotRow {
-    pub offered_rps: f64,
-    pub read_fraction: f64,
-    /// Probe statistics (traced MAT run of the same cell).
-    pub probe_grants: u64,
-    pub probe_contended: u64,
-    pub probe_wait_ns: u64,
-    /// What [`recommend`] picked from the probe profile.
-    pub recommended: SchedulerKind,
-    /// p95 latency of every static scheduler, in [`FIG1_KINDS`] order.
-    pub static_p95_ns: Vec<u64>,
-    /// The best static scheduler on this cell and its p95.
-    pub best_kind: SchedulerKind,
-    pub best_p95_ns: u64,
-    /// p95 of the recommended scheduler (= its static run).
-    pub adaptive_p95_ns: u64,
-    /// The pick beat or matched the best static scheduler.
-    pub matched: bool,
-}
+/// One open-loop autopilot cell: the probe statistics (traced MAT run of
+/// the same cell), what [`recommend`] picked from them, the p95 latency
+/// of every static scheduler in [`FIG1_KINDS`] order, the best static
+/// scheduler and its p95, the pick's p95 (= its static run), and whether
+/// the pick beat or matched the best.
+#[rustfmt::skip]
+static AUTOPILOT: Schema = Schema {
+    title: "Autopilot: probe-profile scheduler pick vs best static (open loop)",
+    cols: &[
+        OFFERED,
+        READ_FRAC,
+        col("probe_grants",    Some("grants"),        Plain, Plain,             Cell),
+        col("probe_contended", Some("contended"),     Plain, Plain,             Cell),
+        col("probe_wait_ns",   None,                  Plain, Plain,             Cell),
+        col("recommended",     Some("pick"),          Plain, Plain,             Cell),
+        col("static_p95_ns",   None,                  Plain, Plain,             Cell),
+        col("best",            Some("best"),          Plain, Plain,             Cell),
+        col("best_p95_ns",     Some("best p95 (ms)"), Plain, Ms,                Cell),
+        col("adaptive_p95_ns", Some("pick p95 (ms)"), Plain, Ms,                Cell),
+        col("matched",         Some("matched"),       Plain, Flag("yes", "no"), Cell),
+    ],
+    table: Some(&[
+        "offered_rps", "read_fraction", "probe_grants", "probe_contended", "recommended",
+        "adaptive_p95_ns", "best", "best_p95_ns", "matched",
+    ]),
+};
 
 /// Everything the `contention` experiment produces.
 #[derive(Clone, Debug)]
 pub struct ContentionReport {
-    pub profiles: Vec<ProfileRow>,
-    pub races: Vec<RaceRow>,
-    pub autopilot: Vec<AutopilotRow>,
+    pub profiles: Rows,
+    pub races: Rows,
+    pub autopilot: Rows,
     /// Collapsed-stack flamegraph lines of the heaviest open-loop cell
     /// under MAT (the `CONTENTION_mat_openloop.folded` artifact).
     pub folded: String,
-}
-
-/// A traced Figure-1 cluster run (same seeds as the fig1 sweep).
-fn fig1_traced(grid: &ContentionGrid, kind: SchedulerKind) -> RunResult {
-    let params = fig1::Fig1Params::default()
-        .with_clients(grid.n_clients)
-        .with_seed(1000 + grid.n_clients as u64);
-    let params = fig1::Fig1Params {
-        requests_per_client: grid.requests_per_client,
-        ..params
-    };
-    let pair = fig1::scenario(&params);
-    let cfg = EngineConfig::new(kind)
-        .with_seed(7)
-        .with_cpu_jitter(0.05)
-        .with_tracing();
-    let res = Engine::new(pair.for_kind(kind), cfg).run();
-    assert!(!res.deadlocked, "{kind} stalled on fig1");
-    res
 }
 
 /// A traced inversion run. No deadlock assert: the whole point of the
@@ -176,36 +171,6 @@ fn inversion_traced(kind: SchedulerKind) -> RunResult {
         .with_cpu_jitter(0.05)
         .with_tracing();
     Engine::new(pair.for_kind(kind), cfg).run()
-}
-
-/// A traced open-loop probe / untraced static run of one cell (same
-/// seeding rule as the openloop sweep, so cells line up).
-fn openloop_run(
-    grid: &ContentionGrid,
-    rps: f64,
-    rf: f64,
-    kind: SchedulerKind,
-    traced: bool,
-) -> RunResult {
-    let p = OpenLoopParams {
-        n_clients: grid.autopilot_clients,
-        requests_per_client: grid.autopilot_requests_per_client,
-        ..OpenLoopParams::default()
-    }
-    .with_offered_rps(rps)
-    .with_read_fraction(rf)
-    .with_seed(9000 + (rps as u64) * 31 + (rf * 100.0) as u64);
-    let pair = openloop::scenario(&p);
-    let mut cfg = EngineConfig::new(kind).with_seed(7).with_cpu_jitter(0.05);
-    if traced {
-        cfg = cfg.with_tracing();
-    }
-    let res = Engine::new(pair.for_kind(kind), cfg).run();
-    assert!(
-        !res.deadlocked,
-        "{kind} stalled at {rps} req/s, {rf} read mix"
-    );
-    res
 }
 
 /// The autopilot's decision rule — deliberately crude, integer-only,
@@ -235,30 +200,32 @@ pub fn recommend(profile: &ContentionProfile) -> SchedulerKind {
     }
 }
 
-fn profile_row(scenario: &'static str, kind: SchedulerKind, res: &RunResult) -> ProfileRow {
+fn profile_row(scenario: &'static str, kind: SchedulerKind, res: &RunResult) -> Vec<Value> {
     let p = ContentionProfile::from_records(&res.trace_records, 0);
-    ProfileRow {
-        scenario,
-        kind,
-        deadlocked: res.deadlocked,
-        records: res.trace_records.len() as u64,
-        grants: p.grants_total(),
-        defers: p.defers_total(),
-        contended: p.contended_total(),
-        wait_ns: p.wait_ns_total(),
-        wait_p95_ns: p.wait_percentile_ns(95.0),
-        hot_mutexes: p.hot_count(HOT_PCT) as u64,
-        edges: p.edges.len() as u64,
-    }
+    let cells = vec![
+        Value::S(scenario),
+        Value::Kind(kind),
+        Value::B(res.deadlocked),
+        Value::U(p.grants_total()),
+        Value::U(p.defers_total()),
+        Value::U(p.contended_total()),
+        Value::U(p.wait_ns_total()),
+        Value::U(p.wait_percentile_ns(95.0)),
+        Value::U(p.hot_count(HOT_PCT) as u64),
+        Value::U(p.edges.len() as u64),
+    ];
+    PROFILES.row(&res.metrics, cells)
 }
 
-/// Runs the full experiment with an explicit worker count. Jobs are
-/// slotted by grid index, so output bytes are identical for any
-/// `threads`.
-pub fn contention_experiment_with_threads(
-    grid: &ContentionGrid,
-    threads: usize,
-) -> ContentionReport {
+/// Runs the full experiment on `threads` workers. Jobs are slotted by
+/// grid index, so output bytes are identical for any `threads`.
+pub fn contention_experiment(grid: &ContentionGrid, threads: usize) -> ContentionReport {
+    let traced = |kind| EngineConfig::new(kind).with_tracing();
+    let fig1 = |kind| fig1_cell(grid.n_clients, grid.requests_per_client, traced(kind));
+    // A traced probe or untraced static run of one autopilot cell: the
+    // openloop sweep's cell, so cells line up.
+    let (n, r) = (grid.autopilot_clients, grid.autopilot_requests_per_client);
+    let openloop_run = |rps, rf, cfg| openloop_cell(n, r, rps, rf, cfg);
     // Section 1: (scenario × scheduler) profile sweep. fig1 jobs are
     // the long ones, so they get priority.
     let n_kinds = ALL_KINDS.len();
@@ -269,7 +236,7 @@ pub fn contention_experiment_with_threads(
         |job| {
             let kind = ALL_KINDS[job % n_kinds];
             if job < n_kinds {
-                profile_row("fig1", kind, &fig1_traced(grid, kind))
+                profile_row("fig1", kind, &fig1(kind))
             } else {
                 profile_row("inversion", kind, &inversion_traced(kind))
             }
@@ -281,72 +248,58 @@ pub fn contention_experiment_with_threads(
     // locking) must produce zero findings.
     let race_row = |scenario: &'static str, res: &RunResult| {
         let r = predict_races(&res.trace_records, 0);
-        RaceRow {
-            scenario,
-            sections: r.sections.len() as u64,
-            edges: r.edges.len() as u64,
-            findings: r.findings() as u64,
-            reorderable: r.reorderable_total(),
-        }
+        let cells = vec![
+            Value::S(scenario),
+            Value::U(r.sections.len() as u64),
+            Value::U(r.edges.len() as u64),
+            Value::U(r.findings() as u64),
+            Value::U(r.reorderable_total()),
+        ];
+        RACES.row(&MetricsSnapshot::default(), cells)
     };
     let races = vec![
         race_row("inversion", &inversion_traced(SchedulerKind::Seq)),
-        race_row("fig1", &fig1_traced(grid, SchedulerKind::Seq)),
+        race_row("fig1", &fig1(SchedulerKind::Seq)),
     ];
 
     // Section 3: the autopilot over the open-loop grid. Each cell is
     // one job: probe, recommend, then price every static scheduler.
-    let cells: Vec<(f64, f64)> = grid
-        .autopilot_rps
-        .iter()
-        .flat_map(|&rps| {
-            grid.autopilot_read_fractions
-                .iter()
-                .map(move |&rf| (rps, rf))
-        })
-        .collect();
+    let cells = load_mix_points(&grid.autopilot_rps, &grid.autopilot_read_fractions);
     let autopilot = run_jobs_prioritized(
         cells.len(),
         threads,
         |job| (cells[job].0 * 1e3) as u64,
         |job| {
             let (rps, rf) = cells[job];
-            let probe = openloop_run(grid, rps, rf, SchedulerKind::Mat, true);
+            let probe = openloop_run(rps, rf, traced(SchedulerKind::Mat));
             let prof = ContentionProfile::from_records(&probe.trace_records, 0);
             let recommended = recommend(&prof);
-            let static_p95_ns: Vec<u64> = FIG1_KINDS
+            let static_p95: Vec<(SchedulerKind, u64)> = FIG1_KINDS
                 .iter()
                 .map(|&k| {
-                    openloop_run(grid, rps, rf, k, false)
-                        .latency_ns()
-                        .p95_ns()
-                        .unwrap_or(0)
+                    let res = openloop_run(rps, rf, EngineConfig::new(k));
+                    (k, res.latency_ns().p95_ns().unwrap_or(0))
                 })
                 .collect();
-            let best = FIG1_KINDS
+            let (best_kind, best_p95) = *static_p95.iter().min_by_key(|(_, p95)| p95).unwrap();
+            let adaptive_p95 = static_p95
                 .iter()
-                .zip(&static_p95_ns)
-                .min_by_key(|(_, &p95)| p95)
-                .map(|(&k, &p95)| (k, p95))
-                .unwrap();
-            let adaptive_p95_ns = FIG1_KINDS
-                .iter()
-                .position(|&k| k == recommended)
-                .map(|i| static_p95_ns[i])
-                .unwrap_or(0);
-            AutopilotRow {
-                offered_rps: rps,
-                read_fraction: rf,
-                probe_grants: prof.grants_total(),
-                probe_contended: prof.contended_total(),
-                probe_wait_ns: prof.wait_ns_total(),
-                recommended,
-                static_p95_ns,
-                best_kind: best.0,
-                best_p95_ns: best.1,
-                adaptive_p95_ns,
-                matched: adaptive_p95_ns <= best.1,
-            }
+                .find(|(k, _)| *k == recommended)
+                .map_or(0, |&(_, p95)| p95);
+            let cells = vec![
+                Value::F(rps),
+                Value::F(rf),
+                Value::U(prof.grants_total()),
+                Value::U(prof.contended_total()),
+                Value::U(prof.wait_ns_total()),
+                Value::Kind(recommended),
+                Value::PerKind(static_p95),
+                Value::Kind(best_kind),
+                Value::U(best_p95),
+                Value::U(adaptive_p95),
+                Value::B(adaptive_p95 <= best_p95),
+            ];
+            AUTOPILOT.row(&MetricsSnapshot::default(), cells)
         },
     );
 
@@ -356,172 +309,41 @@ pub fn contention_experiment_with_threads(
     // fig1's lock/update/unlock sections are instantaneous in virtual
     // time and would fold to wait frames only.
     let folded_src = openloop_run(
-        grid,
         *grid.autopilot_rps.last().unwrap(),
         *grid.autopilot_read_fractions.last().unwrap(),
-        SchedulerKind::Mat,
-        true,
+        traced(SchedulerKind::Mat),
     );
     let folded = ContentionProfile::from_records(&folded_src.trace_records, 0).collapsed();
 
     ContentionReport {
-        profiles,
-        races,
-        autopilot,
+        profiles: Rows::new(&PROFILES, profiles),
+        races: Rows::new(&RACES, races),
+        autopilot: Rows::new(&AUTOPILOT, autopilot),
         folded,
     }
-}
-
-/// [`contention_experiment_with_threads`] at the default worker count.
-pub fn contention_experiment(grid: &ContentionGrid) -> ContentionReport {
-    contention_experiment_with_threads(grid, sweep_threads())
-}
-
-/// The per-scheduler profile table.
-pub fn contention_table(report: &ContentionReport) -> Table {
-    let mut t = Table::new(
-        "Contention profiles: per-mutex defer/wait analytics per scheduler (3 replicas, LAN)",
-        &[
-            "scenario",
-            "sched",
-            "records",
-            "grants",
-            "defers",
-            "contended",
-            "wait (ms)",
-            "wait p95 (ms)",
-            "hot",
-            "edges",
-            "stalled",
-        ],
-    );
-    for r in &report.profiles {
-        t.push_row(vec![
-            r.scenario.to_string(),
-            r.kind.to_string(),
-            r.records.to_string(),
-            r.grants.to_string(),
-            r.defers.to_string(),
-            r.contended.to_string(),
-            format!("{:.3}", r.wait_ns as f64 / 1e6),
-            format!("{:.3}", r.wait_p95_ns as f64 / 1e6),
-            r.hot_mutexes.to_string(),
-            r.edges.to_string(),
-            if r.deadlocked { "yes" } else { "no" }.to_string(),
-        ]);
-    }
-    t
-}
-
-/// The autopilot table: probe ratio, pick, and how it priced out.
-pub fn autopilot_table(report: &ContentionReport) -> Table {
-    let mut t = Table::new(
-        "Autopilot: probe-profile scheduler pick vs best static (open loop)",
-        &[
-            "offered req/s",
-            "read %",
-            "grants",
-            "contended",
-            "pick",
-            "pick p95 (ms)",
-            "best",
-            "best p95 (ms)",
-            "matched",
-        ],
-    );
-    for r in &report.autopilot {
-        t.push_row(vec![
-            format!("{:.0}", r.offered_rps),
-            format!("{:.0}", r.read_fraction * 100.0),
-            r.probe_grants.to_string(),
-            r.probe_contended.to_string(),
-            r.recommended.to_string(),
-            format!("{:.3}", r.adaptive_p95_ns as f64 / 1e6),
-            r.best_kind.to_string(),
-            format!("{:.3}", r.best_p95_ns as f64 / 1e6),
-            if r.matched { "yes" } else { "no" }.to_string(),
-        ]);
-    }
-    t
 }
 
 /// Serialises the experiment as the `BENCH_contention.json` artifact.
 /// Every value is virtual-time or integer-count derived, so the byte
 /// stream is reproducible across reruns and worker counts.
 pub fn contention_json(grid: &ContentionGrid, report: &ContentionReport) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"experiment\": \"contention\",\n");
-    j.push_str(&format!(
-        "  \"grid\": {{\"n_clients\": {}, \"requests_per_client\": {}, \"hot_pct\": {}, \"autopilot_rps\": {:?}, \"autopilot_read_fractions\": {:?}, \"autopilot_clients\": {}, \"autopilot_requests_per_client\": {}}},\n",
-        grid.n_clients,
-        grid.requests_per_client,
-        HOT_PCT,
-        grid.autopilot_rps,
-        grid.autopilot_read_fractions,
-        grid.autopilot_clients,
-        grid.autopilot_requests_per_client,
-    ));
-    j.push_str("  \"note\": \"per-mutex contention profiles folded from the trace buffer; virtual-time integers only; byte-identical across reruns and sweep worker counts\",\n");
-    j.push_str("  \"profiles\": [\n");
-    for (i, r) in report.profiles.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"scheduler\": \"{}\", \"deadlocked\": {}, \"records\": {}, \"grants\": {}, \"defers\": {}, \"contended\": {}, \"wait_ns\": {}, \"wait_p95_ns\": {}, \"hot_mutexes\": {}, \"edges\": {}}}{}\n",
-            r.scenario,
-            r.kind.name(),
-            r.deadlocked,
-            r.records,
-            r.grants,
-            r.defers,
-            r.contended,
-            r.wait_ns,
-            r.wait_p95_ns,
-            r.hot_mutexes,
-            r.edges,
-            if i + 1 < report.profiles.len() { "," } else { "" },
-        ));
-    }
-    j.push_str("  ],\n");
-    j.push_str("  \"race_prediction\": [\n");
-    for (i, r) in report.races.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"sections\": {}, \"edges\": {}, \"findings\": {}, \"reorderable\": {}}}{}\n",
-            r.scenario,
-            r.sections,
-            r.edges,
-            r.findings,
-            r.reorderable,
-            if i + 1 < report.races.len() { "," } else { "" },
-        ));
-    }
-    j.push_str("  ],\n");
-    j.push_str("  \"autopilot\": [\n");
-    for (i, r) in report.autopilot.iter().enumerate() {
-        let statics = FIG1_KINDS
-            .iter()
-            .zip(&r.static_p95_ns)
-            .map(|(k, p95)| format!("\"{}\": {}", k.name(), p95))
-            .collect::<Vec<_>>()
-            .join(", ");
-        j.push_str(&format!(
-            "    {{\"offered_rps\": {:.0}, \"read_fraction\": {:.2}, \"probe_grants\": {}, \"probe_contended\": {}, \"probe_wait_ns\": {}, \"recommended\": \"{}\", \"static_p95_ns\": {{{}}}, \"best\": \"{}\", \"best_p95_ns\": {}, \"adaptive_p95_ns\": {}, \"matched\": {}}}{}\n",
-            r.offered_rps,
-            r.read_fraction,
-            r.probe_grants,
-            r.probe_contended,
-            r.probe_wait_ns,
-            r.recommended.name(),
-            statics,
-            r.best_kind.name(),
-            r.best_p95_ns,
-            r.adaptive_p95_ns,
-            r.matched,
-            if i + 1 < report.autopilot.len() { "," } else { "" },
-        ));
-    }
-    j.push_str("  ]\n");
-    j.push_str("}\n");
-    j
+    json_doc(&[
+        ("experiment", "\"contention\"".into()),
+        ("grid", format!(
+            "{{\"n_clients\": {}, \"requests_per_client\": {}, \"hot_pct\": {}, \"autopilot_rps\": {:?}, \"autopilot_read_fractions\": {:?}, \"autopilot_clients\": {}, \"autopilot_requests_per_client\": {}}}",
+            grid.n_clients,
+            grid.requests_per_client,
+            HOT_PCT,
+            grid.autopilot_rps,
+            grid.autopilot_read_fractions,
+            grid.autopilot_clients,
+            grid.autopilot_requests_per_client,
+        )),
+        ("note", "\"per-mutex contention profiles folded from the trace buffer; virtual-time integers only; byte-identical across reruns and sweep worker counts\"".into()),
+        ("profiles", report.profiles.json_array()),
+        ("race_prediction", report.races.json_array()),
+        ("autopilot", report.autopilot.json_array()),
+    ])
 }
 
 #[cfg(test)]
@@ -531,25 +353,29 @@ mod tests {
     #[test]
     fn quick_grid_covers_all_sections_and_flags_the_inversion() {
         let grid = ContentionGrid::quick();
-        let report = contention_experiment_with_threads(&grid, 2);
+        let report = contention_experiment(&grid, 2);
         assert_eq!(report.profiles.len(), 2 * ALL_KINDS.len());
-        for r in &report.profiles {
-            assert!(r.records > 0, "{} captured no records", r.kind);
-            assert!(r.grants > 0, "{} granted nothing", r.kind);
-            assert!(!(r.scenario == "fig1" && r.deadlocked));
+        for r in report.profiles.iter() {
+            let kind = r.kind("scheduler");
+            assert!(r.u64("records") > 0, "{kind} captured no records");
+            assert!(r.u64("grants") > 0, "{kind} granted nothing");
+            assert!(!(r.str("scenario") == "fig1" && r.flag("deadlocked")));
         }
         // The seeded inversion must be the positive control and the
         // clean fig1 trace the negative one.
-        let inv = &report.races[0];
-        assert_eq!(inv.scenario, "inversion");
-        assert!(inv.findings > 0, "inversion cycle not flagged");
-        let clean = &report.races[1];
-        assert_eq!(clean.scenario, "fig1");
-        assert_eq!(clean.findings, 0, "false positive on clean fig1");
+        let inv = report.races.row(0);
+        assert_eq!(inv.str("scenario"), "inversion");
+        assert!(inv.u64("findings") > 0, "inversion cycle not flagged");
+        let clean = report.races.row(1);
+        assert_eq!(clean.str("scenario"), "fig1");
+        assert_eq!(clean.u64("findings"), 0, "false positive on clean fig1");
         // Autopilot rows price every static scheduler.
-        for r in &report.autopilot {
-            assert_eq!(r.static_p95_ns.len(), FIG1_KINDS.len());
-            assert!(r.adaptive_p95_ns >= r.best_p95_ns || r.matched);
+        for r in report.autopilot.iter() {
+            let Value::PerKind(static_p95) = r.get("static_p95_ns") else {
+                panic!("static_p95_ns is not per scheduler");
+            };
+            assert_eq!(static_p95.len(), FIG1_KINDS.len());
+            assert!(r.u64("adaptive_p95_ns") >= r.u64("best_p95_ns") || r.flag("matched"));
         }
         // The folded artifact has hold frames.
         assert!(report.folded.contains(";hold "));
@@ -559,8 +385,8 @@ mod tests {
             j.matches("\"scenario\"").count(),
             report.profiles.len() + report.races.len()
         );
-        assert_eq!(contention_table(&report).rows.len(), report.profiles.len());
-        assert_eq!(autopilot_table(&report).rows.len(), report.autopilot.len());
+        assert_eq!(report.profiles.table().rows.len(), report.profiles.len());
+        assert_eq!(report.autopilot.table().rows.len(), report.autopilot.len());
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! simulation, so the tables are bit-identical to the serial ones —
 //! results are written back by job index, never by completion order.
 
+use crate::schema::{col, json_doc, Fmt::*, Rows, Schema, Src::*, Value};
 use crate::table::Table;
 use dmt_core::SchedulerKind;
 use dmt_groupcomm::NetConfig;
+use dmt_obs::MetricsSnapshot;
 use dmt_replica::{
     check_determinism, run_sharded, Engine, EngineConfig, FaultPlan, PerfCounters, RunResult,
 };
@@ -103,23 +105,6 @@ pub fn sweep_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Intra-run shard worker count used by the sweep wrappers that don't
-/// take an explicit one — set by the `figures --shards N` flag. This is
-/// *orthogonal* to [`sweep_threads`]: sweep workers parallelise across
-/// independent grid points, shard workers parallelise inside one
-/// sharded cluster run. Defaults to 1 (monolithic engine).
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the default intra-run shard worker count (the `--shards` flag).
-pub fn set_sweep_shards(n: usize) {
-    DEFAULT_SHARDS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current default intra-run shard worker count.
-pub fn sweep_shards() -> usize {
-    DEFAULT_SHARDS.load(Ordering::Relaxed)
-}
-
 /// Runs one cluster scenario under `cfg`, routing through the sharded
 /// engine when `cfg.shards > 1` and through the monolithic engine
 /// otherwise. A single scenario is a single shard group, and group 0 of
@@ -163,172 +148,170 @@ pub const FIG1_KINDS: [SchedulerKind; 5] = [
 ];
 
 /// The paper's algorithms plus our predicted extensions.
-pub const ALL_KINDS: [SchedulerKind; 7] = [
-    SchedulerKind::Seq,
-    SchedulerKind::Sat,
-    SchedulerKind::Lsa,
-    SchedulerKind::Pds,
-    SchedulerKind::Mat,
-    SchedulerKind::MatLL,
-    SchedulerKind::Pmat,
-];
+pub const ALL_KINDS: [SchedulerKind; 7] = SchedulerKind::DETERMINISTIC;
 
 fn ms(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// One Figure-1 sweep point: the full cluster simulation for one
-/// (clients, scheduler) pair. Self-contained so sweep points can run on
-/// any worker thread.
-fn fig1_point(
+/// One Figure-1 cell: `n_clients` × `requests_per_client` requests
+/// under `cfg`, which names the scheduler and anything else that
+/// differs between experiments (shards, depth sampling, tracing). Client
+/// seed, engine seed and jitter are the Figure-1 sweep's, so every
+/// experiment built on this cell runs the same offered stream. A stalled
+/// run is fatal. Self-contained so cells can run on any worker thread.
+pub(crate) fn fig1_cell(
     n_clients: usize,
     requests_per_client: usize,
-    kind: SchedulerKind,
-    shards: usize,
-) -> dmt_replica::RunResult {
-    let params = fig1::Fig1Params::default()
-        .with_clients(n_clients)
-        .with_seed(1000 + n_clients as u64);
+    cfg: EngineConfig,
+) -> RunResult {
     let params = fig1::Fig1Params {
         requests_per_client,
-        ..params
+        ..fig1::Fig1Params::default()
+            .with_clients(n_clients)
+            .with_seed(1000 + n_clients as u64)
     };
+    let kind = cfg.scheduler;
     let pair = fig1::scenario(&params);
-    let cfg = EngineConfig::new(kind)
-        .with_seed(7)
-        .with_cpu_jitter(0.05)
-        .with_shards(shards);
-    let res = run_engine(pair.for_kind(kind), cfg);
+    let res = run_engine(pair.for_kind(kind), cfg.with_seed(7).with_cpu_jitter(0.05));
     assert!(!res.deadlocked, "{kind} stalled at {n_clients} clients");
     res
 }
 
-/// **fig1** — mean response time vs. number of clients, per scheduler
-/// (paper Figure 1). `extended` adds the MAT-LL and PMAT series.
+/// **fig1** — response time vs. number of clients, per scheduler in
+/// `kinds` (paper Figure 1; [`ALL_KINDS`] adds the MAT-LL and PMAT
+/// series), on `threads` sweep workers (1 = serial) and `shards`
+/// intra-run shard workers. The table is identical for every
+/// `(threads, shards)` combination — sweep workers only reorder
+/// wall-clock, and a single-group sharded run is defined to equal the
+/// monolithic engine.
 pub fn fig1_experiment(
     client_counts: &[usize],
     requests_per_client: usize,
-    extended: bool,
-) -> Table {
-    fig1_experiment_with_threads(
-        client_counts,
-        requests_per_client,
-        extended,
-        sweep_threads(),
-    )
-}
-
-/// [`fig1_experiment`] with an explicit worker count (1 = serial). The
-/// table is identical for every worker count.
-pub fn fig1_experiment_with_threads(
-    client_counts: &[usize],
-    requests_per_client: usize,
-    extended: bool,
-    threads: usize,
-) -> Table {
-    fig1_experiment_with_opts(
-        client_counts,
-        requests_per_client,
-        extended,
-        threads,
-        sweep_shards(),
-    )
-}
-
-/// [`fig1_experiment`] with explicit sweep-worker *and* shard-worker
-/// counts. The table is identical for every `(threads, shards)`
-/// combination — sweep workers only reorder wall-clock, and a
-/// single-group sharded run is defined to equal the monolithic engine.
-pub fn fig1_experiment_with_opts(
-    client_counts: &[usize],
-    requests_per_client: usize,
-    extended: bool,
+    kinds: &[SchedulerKind],
     threads: usize,
     shards: usize,
 ) -> Table {
-    let kinds: Vec<SchedulerKind> = if extended {
-        ALL_KINDS.to_vec()
-    } else {
-        FIG1_KINDS.to_vec()
-    };
-    let mut cols: Vec<String> = vec!["clients".into()];
-    for k in &kinds {
-        cols.push(format!("{k} mean"));
-        cols.push(format!("{k} p50"));
-        cols.push(format!("{k} p95"));
-        cols.push(format!("{k} p99"));
+    let mut cols = vec!["clients".to_string()];
+    for k in kinds {
+        cols.extend(["mean", "p50", "p95", "p99"].map(|s| format!("{k} {s}")));
     }
     let mut t = Table::new(
         "Figure 1: response time (ms) vs clients (3 replicas, LAN)",
         &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
     );
-    let n_jobs = client_counts.len() * kinds.len();
     // High-client points dominate the sweep's wall-clock; start them
     // first so they don't straggle. Priorities only reorder wall-clock:
     // results still slot by job index.
     let cells = run_jobs_prioritized(
-        n_jobs,
+        client_counts.len() * kinds.len(),
         threads,
         |job| client_counts[job / kinds.len()] as u64,
         |job| {
             let n = client_counts[job / kinds.len()];
-            let kind = kinds[job % kinds.len()];
-            let mut rt = fig1_point(n, requests_per_client, kind, shards).response_ms();
+            let cfg = EngineConfig::new(kinds[job % kinds.len()]).with_shards(shards);
+            let mut rt = fig1_cell(n, requests_per_client, cfg).response_ms();
             [
-                ms(rt.mean()),
-                ms(rt.percentile(50.0)),
-                ms(rt.percentile(95.0)),
-                ms(rt.percentile(99.0)),
+                rt.mean(),
+                rt.percentile(50.0),
+                rt.percentile(95.0),
+                rt.percentile(99.0),
             ]
+            .map(ms)
         },
     );
-    for (i, &n) in client_counts.iter().enumerate() {
+    for (&n, cells) in client_counts.iter().zip(cells.chunks(kinds.len())) {
         let mut row = vec![n.to_string()];
-        for cell in cells[i * kinds.len()..(i + 1) * kinds.len()]
-            .iter()
-            .flatten()
-        {
-            row.push(cell.clone());
-        }
+        row.extend(cells.iter().flatten().cloned());
         t.push_row(row);
     }
     t
 }
 
-/// One scheduler's work counters, summed over the Figure-1 sweep.
-pub struct EngineBenchRow {
-    pub kind: SchedulerKind,
-    pub perf: PerfCounters,
+/// One scheduler's work counters summed over the Figure-1 sweep (the
+/// `per_kind` rows of `BENCH_engine.json`; the `total` row leaves `kind`
+/// out). `sched_fanout` is [`PerfCounters::sched_fanout`]; the VM pool
+/// counters have no metric and come from [`PerfCounters`].
+#[rustfmt::skip]
+static ENGINE: Schema = Schema {
+    title: "Engine work counters per scheduler (Figure-1 sweep)",
+    cols: &[
+        col("kind",          None, Plain,  Plain, Cell),
+        col("events",        None, Plain,  Plain, Counter("engine.events")),
+        col("sched_events",  None, Plain,  Plain, Counter("engine.sched_events")),
+        col("sched_fanout",  None, Fix(4), Fix(4), Cell),
+        col("sched_actions", None, Plain,  Plain, Counter("engine.sched_actions")),
+        col("vm_steps",      None, Plain,  Plain, Counter("engine.vm_steps")),
+        col("fused_steps",   None, Plain,  Plain, Counter("engine.fused_steps")),
+        col("batched_steps", None, Plain,  Plain, Counter("engine.batched_steps")),
+        col("vm_allocs",     None, Plain,  Plain, Cell),
+        col("vm_reuses",     None, Plain,  Plain, Cell),
+    ],
+    table: None,
+};
+
+/// The engine's work on the Figure-1 sweep: one row per paper
+/// scheduler and the sum over all of them.
+#[derive(Clone, Debug)]
+pub struct EngineBench {
+    pub per_kind: Rows,
+    pub total: Rows,
 }
 
 /// **bench** — the engine's work on the Figure-1 sweep (all five paper
 /// schedulers), aggregated per scheduler. Only the counters are
 /// reported: they are exact, so one pass suffices. Host time per event
 /// is perfbench's to measure, against the parent commit on one host.
-pub fn engine_bench_experiment(
-    client_counts: &[usize],
-    requests_per_client: usize,
-) -> Vec<EngineBenchRow> {
-    let cells = run_jobs(
+pub fn engine_bench_experiment(client_counts: &[usize], requests_per_client: usize) -> EngineBench {
+    let runs = run_jobs(
         FIG1_KINDS.len() * client_counts.len(),
         sweep_threads(),
         |job| {
             let kind = FIG1_KINDS[job / client_counts.len()];
             let n = client_counts[job % client_counts.len()];
-            fig1_point(n, requests_per_client, kind, 1).perf
+            let res = fig1_cell(n, requests_per_client, EngineConfig::new(kind));
+            (res.metrics, res.perf)
         },
     );
-    FIG1_KINDS
+    let row = |kind: Value, runs: &[(MetricsSnapshot, PerfCounters)]| {
+        let (mut m, mut perf) = (MetricsSnapshot::default(), PerfCounters::default());
+        for (rm, rp) in runs {
+            m.merge(rm);
+            perf.merge(rp);
+        }
+        let cells = vec![
+            kind,
+            Value::F(perf.sched_fanout()),
+            Value::U(perf.vm_allocs),
+            Value::U(perf.vm_reuses),
+        ];
+        ENGINE.row(&m, cells)
+    };
+    let per_kind = FIG1_KINDS
         .iter()
-        .zip(cells.chunks(client_counts.len()))
-        .map(|(&kind, cells)| {
-            let mut agg = PerfCounters::default();
-            for perf in cells {
-                agg.merge(perf);
-            }
-            EngineBenchRow { kind, perf: agg }
-        })
-        .collect()
+        .zip(runs.chunks(client_counts.len()))
+        .map(|(&kind, runs)| row(Value::Kind(kind), runs))
+        .collect();
+    EngineBench {
+        per_kind: Rows::new(&ENGINE, per_kind),
+        total: Rows::new(&ENGINE, vec![row(Value::Absent, &runs)]),
+    }
+}
+
+/// Serialises the engine bench as the `BENCH_engine.json` artifact.
+pub fn engine_bench_json(
+    client_counts: &[usize],
+    requests_per_client: usize,
+    quick: bool,
+    bench: &EngineBench,
+) -> String {
+    json_doc(&[
+        ("sweep", format!(
+            "{{\"clients\": {client_counts:?}, \"requests_per_client\": {requests_per_client}, \"quick\": {quick}}}"
+        )),
+        ("per_kind", bench.per_kind.json_array()),
+        ("total", bench.total.json_object(0)),
+    ])
 }
 
 /// **fig2** — MAT vs MAT-LL as the post-last-lock computation grows
@@ -685,9 +668,9 @@ mod tests {
         // The guard for the parallel sweep driver: same jobs, different
         // worker counts (including more workers than jobs), rendered
         // tables must be byte-identical.
-        let serial = fig1_experiment_with_threads(&[1, 3], 2, true, 1).to_string();
+        let serial = fig1_experiment(&[1, 3], 2, &ALL_KINDS, 1, 1).to_string();
         for threads in [2, 4, 16] {
-            let parallel = fig1_experiment_with_threads(&[1, 3], 2, true, threads).to_string();
+            let parallel = fig1_experiment(&[1, 3], 2, &ALL_KINDS, threads, 1).to_string();
             assert_eq!(
                 serial, parallel,
                 "{threads}-thread sweep diverged from serial"
@@ -728,7 +711,7 @@ mod tests {
 
     #[test]
     fn small_fig1_runs() {
-        let t = fig1_experiment(&[1, 2], 2, false);
+        let t = fig1_experiment(&[1, 2], 2, &FIG1_KINDS, sweep_threads(), 1);
         assert_eq!(t.rows.len(), 2);
         // 1 + 4 cells (mean/p50/p95/p99) per scheduler.
         assert_eq!(t.rows[0].len(), 1 + 4 * FIG1_KINDS.len());

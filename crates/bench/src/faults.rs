@@ -14,9 +14,10 @@
 //! across reruns and sweep worker counts — the same contract as
 //! `BENCH_openloop.json`, held by `tests_resilience`.
 
-use crate::experiments::{run_jobs_prioritized, sweep_threads, ALL_KINDS, FIG1_KINDS};
-use crate::table::Table;
+use crate::experiments::{run_jobs_prioritized, FIG1_KINDS};
+use crate::schema::{col, cols::*, json_doc, json_kinds, Fmt::*, Rows, Schema, Src::*, Value};
 use dmt_core::SchedulerKind;
+use dmt_obs::MetricsSnapshot;
 use dmt_replica::{
     check_fault_convergence, Engine, EngineConfig, FaultPlan, FaultRecordKind, RunResult,
 };
@@ -75,10 +76,8 @@ pub const FAULT_SCENARIOS: [FaultScenario; 7] = [
     },
 ];
 
-const MS: u64 = 1_000_000;
-
 fn ms_dur(n: u64) -> SimDuration {
-    SimDuration::from_nanos(n * MS)
+    SimDuration::from_millis(n)
 }
 
 /// The engine configuration a scenario stands for: the fault schedule,
@@ -117,8 +116,8 @@ pub struct FaultGrid {
     pub seeds: Vec<u64>,
     pub n_clients: usize,
     pub requests_per_client: usize,
-    /// Add the MAT-LL / PMAT series on top of the paper's five.
-    pub extended: bool,
+    /// Schedulers run under every scenario (the paper's five by default).
+    pub kinds: Vec<SchedulerKind>,
 }
 
 impl Default for FaultGrid {
@@ -127,7 +126,7 @@ impl Default for FaultGrid {
             seeds: vec![11, 12, 13, 14, 15],
             n_clients: 4,
             requests_per_client: 10,
-            extended: false,
+            kinds: FIG1_KINDS.to_vec(),
         }
     }
 }
@@ -139,15 +138,7 @@ impl FaultGrid {
             seeds: vec![11, 12],
             n_clients: 3,
             requests_per_client: 5,
-            extended: false,
-        }
-    }
-
-    fn kinds(&self) -> Vec<SchedulerKind> {
-        if self.extended {
-            ALL_KINDS.to_vec()
-        } else {
-            FIG1_KINDS.to_vec()
+            ..FaultGrid::default()
         }
     }
 
@@ -170,34 +161,37 @@ impl FaultGrid {
     }
 }
 
-/// One (scenario, scheduler) row, aggregated over the grid's seeds.
-#[derive(Clone, Debug)]
-pub struct FaultRow {
-    pub scenario: &'static str,
-    pub kind: SchedulerKind,
-    pub seeds: usize,
-    /// Every seed's run passed [`check_fault_convergence`].
-    pub converged: bool,
-    /// Completed requests summed across seeds.
-    pub completed: u64,
-    // Fault-lifecycle counts summed across seeds.
-    pub crashes: u64,
-    pub recoveries: u64,
-    pub deferred: u64,
-    pub failovers: u64,
-    // Transport-adversary counters summed across seeds.
-    pub dup_dropped: u64,
-    pub held_back: u64,
-    /// Crash→catch-up latency percentiles across all recoveries of all
-    /// seeds (0 when the scenario has no recovery).
-    pub recovery_p50_ns: u64,
-    pub recovery_p95_ns: u64,
-    pub recovery_max_ns: u64,
-    /// Worst per-seed client p99 (virtual ns).
-    pub worst_p99_ns: u64,
-    /// Longest per-seed makespan (virtual ns).
-    pub makespan_ns: u64,
-}
+/// One row per (scenario, scheduler), aggregated over the grid's
+/// seeds: `converged` holds when every seed's run passed
+/// [`check_fault_convergence`]; completions, fault-lifecycle counts and
+/// transport-adversary counters are summed across seeds; the recovery
+/// columns are crash→catch-up latency percentiles across all recoveries
+/// of all seeds (0 when the scenario has none); `worst_p99_ns` is the
+/// worst per-seed client p99 and `makespan_ns` the longest per-seed
+/// makespan (virtual ns).
+#[rustfmt::skip]
+static FAULTS: Schema = Schema {
+    title: "Faults: re-convergence & recovery latency per scenario × scheduler (3 replicas)",
+    cols: &[
+        SCENARIO,
+        SCHEDULER,
+        col("seeds",           None,                 Plain, Plain,             Cell),
+        col("converged",       Some("conv"),         Plain, Flag("yes", "NO"), Cell),
+        COMPLETED,
+        col("crashes",         Some("crash"),        Plain, Plain,             Cell),
+        col("recoveries",      Some("recov"),        Plain, Plain,             Cell),
+        col("deferred",        Some("defer"),        Plain, Plain,             Cell),
+        col("failovers",       Some("fo"),           Plain, Plain,             Cell),
+        col("dup_dropped",     Some("dup"),          Plain, Plain,             Counter("net.dup_dropped")),
+        col("held_back",       Some("held"),         Plain, Plain,             Counter("net.held_back")),
+        col("recovery_p50_ns", Some("rec p50 (ms)"), Plain, Ms,                Cell),
+        col("recovery_p95_ns", Some("rec p95 (ms)"), Plain, Ms,                Cell),
+        col("recovery_max_ns", None,                 Plain, Plain,             Cell),
+        col("worst_p99_ns",    Some("p99 (ms)"),     Plain, Ms,                Cell),
+        MAKESPAN,
+    ],
+    table: None,
+};
 
 /// Order statistic at percentile `p` (integer arithmetic — the rounding
 /// is part of the artifact contract).
@@ -227,172 +221,89 @@ fn recovery_latencies(res: &RunResult) -> Vec<u64> {
     out
 }
 
-/// Runs the suite. One job per (scenario, scheduler) point; results are
-/// slotted by point index, so row order is worker-count-independent.
-pub fn faults_experiment_with_threads(grid: &FaultGrid, threads: usize) -> Vec<FaultRow> {
-    let kinds = grid.kinds();
+/// Runs the suite on `threads` workers. One job per (scenario,
+/// scheduler) point; results are slotted by point index, so row order
+/// is worker-count-independent. Summed counters and the longest
+/// makespan come from merging the seeds' metrics snapshots.
+pub fn faults_experiment(grid: &FaultGrid, threads: usize) -> Rows {
     let points: Vec<(FaultScenario, SchedulerKind)> = FAULT_SCENARIOS
         .iter()
         .flat_map(|&s| {
-            kinds
+            grid.kinds
                 .iter()
                 .filter(move |k| !s.needs_recovery || k.supports_recovery())
                 .map(move |&k| (s, k))
         })
         .collect();
-    run_jobs_prioritized(
+    let rows = run_jobs_prioritized(
         points.len(),
         threads,
         // Storms run the longest (two full outages); front-load them.
         |job| (points[job].0.needs_recovery as u64) * 2 + (points[job].0.name == "crash") as u64,
         |job| {
             let (sc, kind) = points[job];
-            let mut row = FaultRow {
-                scenario: sc.name,
-                kind,
-                seeds: grid.seeds.len(),
-                converged: true,
-                completed: 0,
-                crashes: 0,
-                recoveries: 0,
-                deferred: 0,
-                failovers: 0,
-                dup_dropped: 0,
-                held_back: 0,
-                recovery_p50_ns: 0,
-                recovery_p95_ns: 0,
-                recovery_max_ns: 0,
-                worst_p99_ns: 0,
-                makespan_ns: 0,
-            };
+            let mut merged = MetricsSnapshot::default();
+            let mut converged = true;
+            // Crashes, recoveries, deferred recoveries, leader failovers.
+            let mut lifecycle = [0u64; 4];
             let mut rec_lat: Vec<u64> = Vec::new();
+            let mut worst_p99 = 0;
             for &seed in &grid.seeds {
                 let pair = openloop::scenario(&grid.workload(seed));
                 let cfg = scenario_config(sc.name, kind, seed);
                 let res = Engine::new(pair.for_kind(kind), cfg).run();
                 assert!(!res.deadlocked, "{} stalled under {kind}", sc.name);
-                row.converged &= check_fault_convergence(&res, kind).converged();
-                row.completed += res.completed_requests;
+                converged &= check_fault_convergence(&res, kind).converged();
                 for r in &res.fault_log {
-                    match r.kind {
-                        FaultRecordKind::Crashed => row.crashes += 1,
-                        FaultRecordKind::RecoveryDeferred => row.deferred += 1,
-                        FaultRecordKind::Recovered { .. } => row.recoveries += 1,
-                        FaultRecordKind::LeaderFailover { .. } => row.failovers += 1,
-                    }
+                    lifecycle[match r.kind {
+                        FaultRecordKind::Crashed => 0,
+                        FaultRecordKind::Recovered { .. } => 1,
+                        FaultRecordKind::RecoveryDeferred => 2,
+                        FaultRecordKind::LeaderFailover { .. } => 3,
+                    }] += 1;
                 }
-                row.dup_dropped += res.net_counter("dup_dropped");
-                row.held_back += res.net_counter("held_back");
                 rec_lat.extend(recovery_latencies(&res));
-                row.worst_p99_ns = row.worst_p99_ns.max(res.latency_ns().p99_ns().unwrap_or(0));
-                row.makespan_ns = row.makespan_ns.max(res.makespan.as_nanos());
+                worst_p99 = worst_p99.max(res.latency_ns().p99_ns().unwrap_or(0));
+                merged.merge(&res.metrics);
             }
             rec_lat.sort_unstable();
-            row.recovery_p50_ns = percentile(&rec_lat, 50);
-            row.recovery_p95_ns = percentile(&rec_lat, 95);
-            row.recovery_max_ns = rec_lat.last().copied().unwrap_or(0);
-            row
+            let [crashes, recoveries, deferred, failovers] = lifecycle.map(Value::U);
+            let cells = vec![
+                Value::S(sc.name),
+                Value::Kind(kind),
+                Value::U(grid.seeds.len() as u64),
+                Value::B(converged),
+                crashes,
+                recoveries,
+                deferred,
+                failovers,
+                Value::U(percentile(&rec_lat, 50)),
+                Value::U(percentile(&rec_lat, 95)),
+                Value::U(rec_lat.last().copied().unwrap_or(0)),
+                Value::U(worst_p99),
+            ];
+            FAULTS.row(&merged, cells)
         },
-    )
-}
-
-/// [`faults_experiment_with_threads`] at the default worker count.
-pub fn faults_experiment(grid: &FaultGrid) -> Vec<FaultRow> {
-    faults_experiment_with_threads(grid, sweep_threads())
-}
-
-fn ms3(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1e6)
-}
-
-/// Renders the suite as the printable table.
-pub fn faults_table(rows: &[FaultRow]) -> Table {
-    let mut t = Table::new(
-        "Faults: re-convergence & recovery latency per scenario × scheduler (3 replicas)",
-        &[
-            "scenario",
-            "sched",
-            "conv",
-            "done",
-            "crash",
-            "recov",
-            "defer",
-            "fo",
-            "dup",
-            "held",
-            "rec p50 (ms)",
-            "rec p95 (ms)",
-            "p99 (ms)",
-        ],
     );
-    for r in rows {
-        t.push_row(vec![
-            r.scenario.to_string(),
-            r.kind.to_string(),
-            if r.converged { "yes" } else { "NO" }.to_string(),
-            r.completed.to_string(),
-            r.crashes.to_string(),
-            r.recoveries.to_string(),
-            r.deferred.to_string(),
-            r.failovers.to_string(),
-            r.dup_dropped.to_string(),
-            r.held_back.to_string(),
-            ms3(r.recovery_p50_ns),
-            ms3(r.recovery_p95_ns),
-            ms3(r.worst_p99_ns),
-        ]);
-    }
-    t
+    Rows::new(&FAULTS, rows)
 }
 
 /// Serialises the suite as the `BENCH_faults.json` artifact. Every value
 /// is virtual-time- or integer-counter-derived: byte-stable.
-pub fn faults_json(grid: &FaultGrid, rows: &[FaultRow]) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"experiment\": \"faults\",\n");
-    j.push_str(&format!(
-        "  \"grid\": {{\"seeds\": {:?}, \"n_clients\": {}, \"requests_per_client\": {}, \"scenarios\": [{}], \"schedulers\": [{}]}},\n",
-        grid.seeds,
-        grid.n_clients,
-        grid.requests_per_client,
-        FAULT_SCENARIOS
-            .iter()
-            .map(|s| format!("\"{}\"", s.name))
-            .collect::<Vec<_>>()
-            .join(", "),
-        grid.kinds()
-            .iter()
-            .map(|k| format!("\"{}\"", k.name()))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
-    j.push_str("  \"note\": \"virtual-time fault suite (DESIGN.md \\u00a711): recovery latencies are crash\\u2192catch-up spans from the fault log; byte-identical across reruns and sweep worker counts\",\n");
-    j.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"scheduler\": \"{}\", \"seeds\": {}, \"converged\": {}, \"completed\": {}, \"crashes\": {}, \"recoveries\": {}, \"deferred\": {}, \"failovers\": {}, \"dup_dropped\": {}, \"held_back\": {}, \"recovery_p50_ns\": {}, \"recovery_p95_ns\": {}, \"recovery_max_ns\": {}, \"worst_p99_ns\": {}, \"makespan_ns\": {}}}{}\n",
-            r.scenario,
-            r.kind.name(),
-            r.seeds,
-            r.converged,
-            r.completed,
-            r.crashes,
-            r.recoveries,
-            r.deferred,
-            r.failovers,
-            r.dup_dropped,
-            r.held_back,
-            r.recovery_p50_ns,
-            r.recovery_p95_ns,
-            r.recovery_max_ns,
-            r.worst_p99_ns,
-            r.makespan_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    j.push_str("  ]\n}\n");
-    j
+pub fn faults_json(grid: &FaultGrid, rows: &Rows) -> String {
+    json_doc(&[
+        ("experiment", "\"faults\"".into()),
+        ("grid", format!(
+            "{{\"seeds\": {:?}, \"n_clients\": {}, \"requests_per_client\": {}, \"scenarios\": {:?}, \"schedulers\": {}}}",
+            grid.seeds,
+            grid.n_clients,
+            grid.requests_per_client,
+            FAULT_SCENARIOS.map(|s| s.name),
+            json_kinds(&grid.kinds),
+        )),
+        ("note", "\"virtual-time fault suite (DESIGN.md \\u00a711): recovery latencies are crash\\u2192catch-up spans from the fault log; byte-identical across reruns and sweep worker counts\"".into()),
+        ("rows", rows.json_array()),
+    ])
 }
 
 #[cfg(test)]
@@ -404,42 +315,49 @@ mod tests {
             seeds: vec![11],
             n_clients: 3,
             requests_per_client: 4,
-            extended: false,
+            kinds: FIG1_KINDS.to_vec(),
         }
     }
 
     #[test]
     fn every_scenario_converges_and_counts_its_faults() {
-        let rows = faults_experiment_with_threads(&tiny_grid(), 2);
+        let rows = faults_experiment(&tiny_grid(), 2);
         // 5 non-recovery scenarios × 5 kinds + 2 recovery scenarios ×
         // 3 recovery-capable kinds (SEQ, SAT, MAT).
         assert_eq!(rows.len(), 5 * 5 + 2 * 3);
-        for r in &rows {
-            assert!(r.converged, "{} under {} diverged", r.scenario, r.kind);
-            assert!(r.completed > 0, "{} under {}", r.scenario, r.kind);
-            match r.scenario {
+        for r in rows.iter() {
+            let (scenario, kind) = (r.str("scenario"), r.kind("scheduler"));
+            assert!(r.flag("converged"), "{scenario} under {kind} diverged");
+            assert!(r.u64("completed") > 0, "{scenario} under {kind}");
+            match scenario {
                 "crash" | "leader_crash" => {
-                    assert_eq!(r.crashes, 1);
-                    assert_eq!(r.recoveries, 0);
+                    assert_eq!(r.u64("crashes"), 1);
+                    assert_eq!(r.u64("recoveries"), 0);
                 }
                 "crash_recover" => {
-                    assert_eq!(r.crashes, 1);
-                    assert_eq!(r.recoveries, 1);
-                    assert!(r.recovery_p50_ns > 0);
-                    assert!(r.recovery_p50_ns <= r.recovery_max_ns);
+                    assert_eq!(r.u64("crashes"), 1);
+                    assert_eq!(r.u64("recoveries"), 1);
+                    assert!(r.u64("recovery_p50_ns") > 0);
+                    assert!(r.u64("recovery_p50_ns") <= r.u64("recovery_max_ns"));
                 }
                 "leader_storm" => {
-                    assert_eq!(r.crashes, 2);
-                    assert_eq!(r.recoveries, 2);
+                    assert_eq!(r.u64("crashes"), 2);
+                    assert_eq!(r.u64("recoveries"), 2);
                 }
                 "dup_adversary" => {
-                    assert!(r.dup_dropped > 0, "adversary generated no duplicates");
+                    assert!(
+                        r.u64("dup_dropped") > 0,
+                        "adversary generated no duplicates"
+                    );
                 }
                 "reorder_adversary" => {
-                    assert!(r.held_back > 0, "adversary forced no hold-back");
+                    assert!(r.u64("held_back") > 0, "adversary forced no hold-back");
                 }
                 "wan_mix" => {
-                    assert_eq!(r.crashes + r.recoveries + r.failovers, 0);
+                    assert_eq!(
+                        r.u64("crashes") + r.u64("recoveries") + r.u64("failovers"),
+                        0
+                    );
                 }
                 other => panic!("unexpected scenario {other}"),
             }
@@ -447,16 +365,22 @@ mod tests {
         // LSA's leader died in leader_crash: the failover must be logged.
         let lsa_fo = rows
             .iter()
-            .find(|r| r.scenario == "leader_crash" && r.kind == SchedulerKind::Lsa)
+            .find(|r| {
+                r.str("scenario") == "leader_crash" && r.kind("scheduler") == SchedulerKind::Lsa
+            })
             .unwrap();
-        assert_eq!(lsa_fo.failovers, 1, "LSA leader crash must log a failover");
+        assert_eq!(
+            lsa_fo.u64("failovers"),
+            1,
+            "LSA leader crash must log a failover"
+        );
     }
 
     #[test]
     fn table_and_json_cover_every_row() {
         let grid = tiny_grid();
-        let rows = faults_experiment_with_threads(&grid, 1);
-        let t = faults_table(&rows);
+        let rows = faults_experiment(&grid, 1);
+        let t = rows.table();
         assert_eq!(t.rows.len(), rows.len());
         let j = faults_json(&grid, &rows);
         assert_eq!(j.matches("\"scenario\":").count(), rows.len());

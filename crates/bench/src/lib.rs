@@ -1,8 +1,16 @@
 //! # dmt-bench — experiment harness
 //!
 //! One function per experiment in EXPERIMENTS.md; the `figures` binary
-//! and the wall-clock benches are thin wrappers. Every function returns
-//! structured rows so results can be printed, asserted on, or serialised.
+//! and the wall-clock benches are thin wrappers. The grid experiments
+//! (openloop, obs, faults, contention, the engine bench) return
+//! [`Rows`] under a row schema ([`schema`]) that declares each column once —
+//! JSON key, table header, formats, and either the metric it reads from
+//! the run's metrics snapshot or a computed cell. One renderer writes
+//! the text table, its CSV and the JSON `rows` arrays from it, and tests
+//! read cells by column key. Each experiment has one public entry point
+//! taking the sweep worker count; the Figure-1 and open-loop cells each
+//! have one recipe (seeds, jitter) that every experiment built on them
+//! shares.
 //!
 //! Two kinds of numbers come out of this crate, and they must not be
 //! confused:
@@ -32,25 +40,19 @@ pub mod experiments;
 pub mod faults;
 pub mod obs;
 pub mod openloop;
+pub mod schema;
 pub mod shard;
 pub mod table;
 pub mod ubench;
 
 pub use contention::{
-    autopilot_table, contention_experiment, contention_experiment_with_threads, contention_json,
-    contention_table, recommend, AutopilotRow, ContentionGrid, ContentionReport, ProfileRow,
-    RaceRow,
+    contention_experiment, contention_json, recommend, ContentionGrid, ContentionReport,
 };
 pub use experiments::*;
-pub use faults::{
-    faults_experiment, faults_experiment_with_threads, faults_json, faults_table, FaultGrid,
-    FaultRow, FaultScenario, FAULT_SCENARIOS,
-};
-pub use obs::{obs_experiment, obs_experiment_with_threads, obs_json, obs_table, ObsGrid, ObsRow};
-pub use openloop::{
-    openloop_experiment, openloop_experiment_with_opts, openloop_experiment_with_threads,
-    openloop_json, openloop_table, OpenLoopGrid, OpenLoopRow,
-};
+pub use faults::{faults_experiment, faults_json, FaultGrid, FaultScenario, FAULT_SCENARIOS};
+pub use obs::{obs_experiment, obs_json, ObsGrid};
+pub use openloop::{openloop_experiment, openloop_json, OpenLoopGrid};
+pub use schema::{Row, Rows, Value};
 pub use shard::{
     shard_experiment, shard_json, shard_table, RoutedReport, ShardGrid, ShardReport, ShardWorkerRow,
 };

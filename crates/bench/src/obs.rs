@@ -15,12 +15,10 @@
 //! so the artifact is byte-identical across reruns and sweep worker
 //! counts; `crates/bench/tests/obs_determinism.rs` holds it to that.
 
-use crate::experiments::{run_jobs_prioritized, sweep_threads, ALL_KINDS};
-use crate::table::Table;
-use dmt_core::SchedulerKind;
-use dmt_replica::{Engine, EngineConfig, RunResult};
-use dmt_sim::LogHistogram;
-use dmt_workload::fig1;
+use crate::experiments::{fig1_cell, run_jobs_prioritized, ALL_KINDS};
+use crate::schema::Value;
+use crate::schema::{col, cols::*, json_doc, json_kinds, Fmt::*, Rows, Schema, Src::*, Stat::*};
+use dmt_replica::EngineConfig;
 
 /// The sweep grid: offered load is varied via the client count on the
 /// contended Figure-1 workload; all seven schedulers run at each point.
@@ -49,188 +47,78 @@ impl ObsGrid {
     }
 }
 
-/// One grid point's depth statistics (virtual-time quantities only).
-#[derive(Clone, Debug)]
-pub struct ObsRow {
-    pub n_clients: usize,
-    pub kind: SchedulerKind,
-    /// Depth samples taken (= scheduler events applied).
-    pub samples: u64,
-    /// Total queued population: admission + lock queues + wait sets +
-    /// scheduler queue.
-    pub total_p50: u64,
-    pub total_p95: u64,
-    pub total_max: u64,
-    /// The scheduler's own queue (MAT/PMAT token wait queue, PDS round
-    /// pool, LSA follower backlog, SEQ pending-thread queue).
-    pub queue_p50: u64,
-    pub queue_p95: u64,
-    pub queue_max: u64,
-    /// Threads parked in condition-wait sets, worst case.
-    pub wait_set_max: u64,
-    pub submissions: u64,
-    pub broadcast_legs: u64,
-    pub deliveries: u64,
-}
+const TOTAL: &str = "depth.total";
+const QUEUE: &str = "depth.sched_queue";
 
-fn pcts(h: Option<&LogHistogram>) -> (u64, u64, u64, u64) {
-    match h {
-        Some(h) => (
-            h.count(),
-            h.p50_ns().unwrap_or(0),
-            h.p95_ns().unwrap_or(0),
-            h.max_ns().unwrap_or(0),
-        ),
-        None => (0, 0, 0, 0),
-    }
-}
+/// One row per grid point and scheduler (virtual-time quantities only).
+/// `samples` counts depth samples (= scheduler events applied). `depth`
+/// is the total queued population: admission + lock queues + wait sets +
+/// scheduler queue. `queue` is the scheduler's own queue (MAT/PMAT token
+/// wait queue, PDS round pool, LSA follower backlog, SEQ pending-thread
+/// queue). `wait_set_max` is the worst count of threads parked in
+/// condition-wait sets.
+#[rustfmt::skip]
+static OBS: Schema = Schema {
+    title: "Observability: queue depths & net traffic vs load (3 replicas, LAN)",
+    cols: &[
+        col("clients",      Some("clients"),     Plain, Plain, Cell),
+        SCHEDULER,
+        col("samples",      Some("samples"),     Plain, Plain, Hist(TOTAL, Count)),
+        col("depth_p50",    Some("depth p50"),   Plain, Plain, Hist(TOTAL, P50)),
+        col("depth_p95",    Some("depth p95"),   Plain, Plain, Hist(TOTAL, P95)),
+        col("depth_max",    Some("depth max"),   Plain, Plain, Hist(TOTAL, Max)),
+        col("queue_p50",    Some("queue p50"),   Plain, Plain, Hist(QUEUE, P50)),
+        col("queue_p95",    Some("queue p95"),   Plain, Plain, Hist(QUEUE, P95)),
+        col("queue_max",    Some("queue max"),   Plain, Plain, Hist(QUEUE, Max)),
+        col("wait_set_max", Some("waitset max"), Plain, Plain, Hist("depth.wait_set", Max)),
+        SUBMISSIONS,
+        LEGS,
+        DELIVERIES,
+    ],
+    table: None,
+};
 
-/// One grid point: a full cluster run with depth sampling on,
-/// self-contained so it can execute on any sweep worker.
-fn obs_point(n_clients: usize, requests_per_client: usize, kind: SchedulerKind) -> RunResult {
-    let params = fig1::Fig1Params::default()
-        .with_clients(n_clients)
-        .with_seed(1000 + n_clients as u64);
-    let params = fig1::Fig1Params {
-        requests_per_client,
-        ..params
-    };
-    let pair = fig1::scenario(&params);
-    let cfg = EngineConfig::new(kind)
-        .with_seed(7)
-        .with_cpu_jitter(0.05)
-        .with_depth_sampling();
-    let res = Engine::new(pair.for_kind(kind), cfg).run();
-    assert!(!res.deadlocked, "{kind} stalled at {n_clients} clients");
-    res
-}
-
-/// Runs the sweep with an explicit worker count (1 = serial). Rows are
+/// Runs the sweep on `threads` workers (1 = serial): one Figure-1 cell
+/// with depth sampling on per grid point and scheduler. Rows are
 /// slotted by grid index, so the output is identical for any `threads`.
-pub fn obs_experiment_with_threads(grid: &ObsGrid, threads: usize) -> Vec<ObsRow> {
+pub fn obs_experiment(grid: &ObsGrid, threads: usize) -> Rows {
     let kinds = ALL_KINDS;
-    let n_jobs = grid.client_counts.len() * kinds.len();
-    run_jobs_prioritized(
-        n_jobs,
+    let rows = run_jobs_prioritized(
+        grid.client_counts.len() * kinds.len(),
         threads,
         |job| grid.client_counts[job / kinds.len()],
         |job| {
             let n = grid.client_counts[job / kinds.len()];
             let kind = kinds[job % kinds.len()];
-            let res = obs_point(n, grid.requests_per_client, kind);
-            let m = &res.metrics;
-            let (samples, total_p50, total_p95, total_max) = pcts(m.histogram("depth.total"));
-            let (_, queue_p50, queue_p95, queue_max) = pcts(m.histogram("depth.sched_queue"));
-            let (_, _, _, wait_set_max) = pcts(m.histogram("depth.wait_set"));
-            ObsRow {
-                n_clients: n,
-                kind,
-                samples,
-                total_p50,
-                total_p95,
-                total_max,
-                queue_p50,
-                queue_p95,
-                queue_max,
-                wait_set_max,
-                submissions: res.net_counter("submissions"),
-                broadcast_legs: res.net_counter("broadcast_legs"),
-                deliveries: res.net_counter("deliveries"),
-            }
+            let cfg = EngineConfig::new(kind).with_depth_sampling();
+            let res = fig1_cell(n, grid.requests_per_client, cfg);
+            OBS.row(&res.metrics, vec![Value::U(n as u64), Value::Kind(kind)])
         },
-    )
-}
-
-/// [`obs_experiment_with_threads`] at the default worker count.
-pub fn obs_experiment(grid: &ObsGrid) -> Vec<ObsRow> {
-    obs_experiment_with_threads(grid, sweep_threads())
-}
-
-/// Renders the sweep as the printable table.
-pub fn obs_table(rows: &[ObsRow]) -> Table {
-    let mut t = Table::new(
-        "Observability: queue depths & net traffic vs load (3 replicas, LAN)",
-        &[
-            "clients",
-            "sched",
-            "samples",
-            "depth p50",
-            "depth p95",
-            "depth max",
-            "queue p50",
-            "queue p95",
-            "queue max",
-            "waitset max",
-            "subs",
-            "legs",
-            "deliv",
-        ],
     );
-    for r in rows {
-        t.push_row(vec![
-            r.n_clients.to_string(),
-            r.kind.to_string(),
-            r.samples.to_string(),
-            r.total_p50.to_string(),
-            r.total_p95.to_string(),
-            r.total_max.to_string(),
-            r.queue_p50.to_string(),
-            r.queue_p95.to_string(),
-            r.queue_max.to_string(),
-            r.wait_set_max.to_string(),
-            r.submissions.to_string(),
-            r.broadcast_legs.to_string(),
-            r.deliveries.to_string(),
-        ]);
-    }
-    t
+    Rows::new(&OBS, rows)
 }
 
 /// Serialises the sweep as the `BENCH_obs.json` artifact. Every value
 /// is an integer derived from virtual time, so the byte stream is
 /// reproducible across reruns and worker counts.
-pub fn obs_json(grid: &ObsGrid, rows: &[ObsRow]) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"experiment\": \"obs\",\n");
-    j.push_str(&format!(
-        "  \"grid\": {{\"client_counts\": {:?}, \"requests_per_client\": {}, \"schedulers\": [{}]}},\n",
-        grid.client_counts,
-        grid.requests_per_client,
-        ALL_KINDS
-            .iter()
-            .map(|k| format!("\"{}\"", k.name()))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
-    j.push_str("  \"note\": \"queue-depth samples taken after every applied scheduler event; percentiles from the fixed-bucket log-scale histogram (upper bucket edge); byte-identical across reruns and sweep worker counts\",\n");
-    j.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"clients\": {}, \"scheduler\": \"{}\", \"samples\": {}, \"depth_p50\": {}, \"depth_p95\": {}, \"depth_max\": {}, \"queue_p50\": {}, \"queue_p95\": {}, \"queue_max\": {}, \"wait_set_max\": {}, \"submissions\": {}, \"broadcast_legs\": {}, \"deliveries\": {}}}{}\n",
-            r.n_clients,
-            r.kind.name(),
-            r.samples,
-            r.total_p50,
-            r.total_p95,
-            r.total_max,
-            r.queue_p50,
-            r.queue_p95,
-            r.queue_max,
-            r.wait_set_max,
-            r.submissions,
-            r.broadcast_legs,
-            r.deliveries,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    j.push_str("  ]\n}\n");
-    j
+pub fn obs_json(grid: &ObsGrid, rows: &Rows) -> String {
+    json_doc(&[
+        ("experiment", "\"obs\"".into()),
+        ("grid", format!(
+            "{{\"client_counts\": {:?}, \"requests_per_client\": {}, \"schedulers\": {}}}",
+            grid.client_counts,
+            grid.requests_per_client,
+            json_kinds(&ALL_KINDS),
+        )),
+        ("note", "\"queue-depth samples taken after every applied scheduler event; percentiles from the fixed-bucket log-scale histogram (upper bucket edge); byte-identical across reruns and sweep worker counts\"".into()),
+        ("rows", rows.json_array()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmt_core::SchedulerKind;
 
     #[test]
     fn depth_grows_with_load_and_seq_queues_deepest() {
@@ -238,26 +126,30 @@ mod tests {
             client_counts: vec![2, 8],
             requests_per_client: 3,
         };
-        let rows = obs_experiment_with_threads(&grid, 2);
+        let rows = obs_experiment(&grid, 2);
         assert_eq!(rows.len(), 2 * ALL_KINDS.len());
-        for r in &rows {
-            assert!(r.samples > 0, "{} took no depth samples", r.kind);
-            assert!(r.total_p50 <= r.total_p95 && r.total_p95 <= r.total_max);
+        for r in rows.iter() {
+            let kind = r.kind("scheduler");
+            assert!(r.u64("samples") > 0, "{kind} took no depth samples");
+            assert!(
+                r.u64("depth_p50") <= r.u64("depth_p95")
+                    && r.u64("depth_p95") <= r.u64("depth_max")
+            );
         }
         // SEQ admits one thread at a time: at 8 contended clients its
         // total queued population must dwarf its own 2-client figure.
-        let seq = |n: usize| {
+        let seq = |n: u64| {
             rows.iter()
-                .find(|r| r.n_clients == n && r.kind == SchedulerKind::Seq)
+                .find(|r| r.u64("clients") == n && r.kind("scheduler") == SchedulerKind::Seq)
                 .unwrap()
-                .total_max
+                .u64("depth_max")
         };
         assert!(seq(8) > seq(2), "SEQ max depth {} !> {}", seq(8), seq(2));
         // LSA's broadcast-per-grant shows up as more legs than MAT's.
         let legs = |k: SchedulerKind| {
             rows.iter()
-                .filter(|r| r.kind == k)
-                .map(|r| r.broadcast_legs)
+                .filter(|r| r.kind("scheduler") == k)
+                .map(|r| r.u64("broadcast_legs"))
                 .sum::<u64>()
         };
         assert!(legs(SchedulerKind::Lsa) > legs(SchedulerKind::Mat));

@@ -10,10 +10,9 @@
 //! across reruns and across sweep worker counts; a regression test
 //! (`crates/bench/tests/openloop_determinism.rs`) holds it to that.
 
-use crate::experiments::{
-    run_engine, run_jobs_prioritized, sweep_shards, sweep_threads, ALL_KINDS, FIG1_KINDS,
-};
-use crate::table::Table;
+use crate::experiments::{run_engine, run_jobs_prioritized, FIG1_KINDS};
+use crate::schema::{col, cols::*, json_doc, json_kinds, Fmt::*, Rows, Schema, Src::*, Stat::*};
+use crate::schema::{Value, LATENCY};
 use dmt_core::SchedulerKind;
 use dmt_replica::{EngineConfig, RunResult};
 use dmt_workload::openloop::{self, OpenLoopParams};
@@ -28,8 +27,8 @@ pub struct OpenLoopGrid {
     pub read_fractions: Vec<f64>,
     pub n_clients: usize,
     pub requests_per_client: usize,
-    /// Add the MAT-LL / PMAT series on top of the paper's five.
-    pub extended: bool,
+    /// Schedulers run at every point (the paper's five by default).
+    pub kinds: Vec<SchedulerKind>,
 }
 
 impl Default for OpenLoopGrid {
@@ -39,7 +38,7 @@ impl Default for OpenLoopGrid {
             read_fractions: vec![0.5, 0.9, 1.0],
             n_clients: 8,
             requests_per_client: 25,
-            extended: false,
+            kinds: FIG1_KINDS.to_vec(),
         }
     }
 }
@@ -52,206 +51,117 @@ impl OpenLoopGrid {
             read_fractions: vec![0.9],
             n_clients: 4,
             requests_per_client: 6,
-            extended: false,
-        }
-    }
-
-    fn kinds(&self) -> Vec<SchedulerKind> {
-        if self.extended {
-            ALL_KINDS.to_vec()
-        } else {
-            FIG1_KINDS.to_vec()
+            ..OpenLoopGrid::default()
         }
     }
 }
 
-/// One grid point's measured latencies (all virtual-time quantities).
-#[derive(Clone, Debug)]
-pub struct OpenLoopRow {
-    pub offered_rps: f64,
-    pub read_fraction: f64,
-    pub kind: SchedulerKind,
-    pub completed: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-    pub mean_ns: f64,
-    pub max_ns: u64,
-    pub makespan_ns: u64,
-    /// Group-comm traffic (from the run's metrics snapshot): messages
-    /// submitted for ordering, sequencer broadcast fan-out legs, and
-    /// in-order deliveries — the §3.5 network-load view per scheduler.
-    pub submissions: u64,
-    pub broadcast_legs: u64,
-    pub deliveries: u64,
-}
+/// One row per grid point and scheduler; all virtual-time quantities.
+/// The `net.*` columns are the group-comm traffic: messages submitted
+/// for ordering, sequencer broadcast fan-out legs, and in-order
+/// deliveries — the §3.5 network-load view per scheduler.
+#[rustfmt::skip]
+static OPENLOOP: Schema = Schema {
+    title: "Open loop: latency percentiles vs offered load × read mix (3 replicas, LAN)",
+    cols: &[
+        OFFERED,
+        READ_FRAC,
+        SCHEDULER,
+        COMPLETED,
+        col("p50_ns",      Some("p50 (ms)"),  Plain,  Ms,    Hist(LATENCY, P50)),
+        col("p95_ns",      Some("p95 (ms)"),  Plain,  Ms,    Hist(LATENCY, P95)),
+        col("p99_ns",      Some("p99 (ms)"),  Plain,  Ms,    Hist(LATENCY, P99)),
+        col("mean_ns",     Some("mean (ms)"), Fix(1), Ms,    Hist(LATENCY, Mean)),
+        col("max_ns",      None,              Plain,  Plain, Hist(LATENCY, Max)),
+        MAKESPAN,
+        SUBMISSIONS,
+        LEGS,
+        DELIVERIES,
+    ],
+    table: Some(&[
+        "offered_rps", "read_fraction", "scheduler", "p50_ns", "p95_ns", "p99_ns", "mean_ns",
+        "completed", "submissions", "broadcast_legs", "deliveries",
+    ]),
+};
 
-/// Runs the sweep. Jobs are dispatched highest-load-first (the
-/// congested points dominate wall-clock) but results are slotted by
-/// grid index, so the row order — and every byte derived from it — is
-/// independent of `threads`.
-pub fn openloop_experiment_with_threads(grid: &OpenLoopGrid, threads: usize) -> Vec<OpenLoopRow> {
-    openloop_experiment_with_opts(grid, threads, sweep_shards())
-}
-
-/// [`openloop_experiment_with_threads`] with an explicit intra-run shard
-/// worker count. Rows are identical for every `(threads, shards)` pair.
-pub fn openloop_experiment_with_opts(
-    grid: &OpenLoopGrid,
-    threads: usize,
-    shards: usize,
-) -> Vec<OpenLoopRow> {
-    let kinds = grid.kinds();
-    let points: Vec<(f64, f64)> = grid
-        .offered_rps
-        .iter()
-        .flat_map(|&rps| grid.read_fractions.iter().map(move |&rf| (rps, rf)))
-        .collect();
-    let n_jobs = points.len() * kinds.len();
-    run_jobs_prioritized(
-        n_jobs,
+/// Runs the sweep on `threads` sweep workers, each cluster run on
+/// `shards` intra-run shard workers. Jobs are dispatched
+/// highest-load-first (the congested points dominate wall-clock) but
+/// results are slotted by grid index, so the row order — and every byte
+/// derived from it — is the same for every `(threads, shards)`.
+pub fn openloop_experiment(grid: &OpenLoopGrid, threads: usize, shards: usize) -> Rows {
+    let kinds = &grid.kinds;
+    let points = load_mix_points(&grid.offered_rps, &grid.read_fractions);
+    let rows = run_jobs_prioritized(
+        points.len() * kinds.len(),
         threads,
         // Offered load in milli-requests/s as the length proxy.
         |job| (points[job / kinds.len()].0 * 1e3) as u64,
         |job| {
             let (rps, rf) = points[job / kinds.len()];
             let kind = kinds[job % kinds.len()];
-            let res = openloop_point(grid, rps, rf, kind, shards);
-            assert!(
-                !res.deadlocked,
-                "{kind} stalled at {rps} req/s, {rf} read fraction"
-            );
-            OpenLoopRow {
-                offered_rps: rps,
-                read_fraction: rf,
-                kind,
-                completed: res.completed_requests,
-                p50_ns: res.latency_ns().p50_ns().unwrap_or(0),
-                p95_ns: res.latency_ns().p95_ns().unwrap_or(0),
-                p99_ns: res.latency_ns().p99_ns().unwrap_or(0),
-                mean_ns: res.latency_ns().mean_ns(),
-                max_ns: res.latency_ns().max_ns().unwrap_or(0),
-                makespan_ns: res.makespan.as_nanos(),
-                submissions: res.net_counter("submissions"),
-                broadcast_legs: res.net_counter("broadcast_legs"),
-                deliveries: res.net_counter("deliveries"),
-            }
+            let cfg = EngineConfig::new(kind).with_shards(shards);
+            let res = openloop_cell(grid.n_clients, grid.requests_per_client, rps, rf, cfg);
+            let cells = vec![Value::F(rps), Value::F(rf), Value::Kind(kind)];
+            OPENLOOP.row(&res.metrics, cells)
         },
-    )
+    );
+    Rows::new(&OPENLOOP, rows)
 }
 
-/// [`openloop_experiment_with_threads`] at the default worker count.
-pub fn openloop_experiment(grid: &OpenLoopGrid) -> Vec<OpenLoopRow> {
-    openloop_experiment_with_threads(grid, sweep_threads())
+/// Every (offered load, read fraction) pair, load-major.
+pub(crate) fn load_mix_points(offered_rps: &[f64], read_fractions: &[f64]) -> Vec<(f64, f64)> {
+    let point = |rps| read_fractions.iter().map(move |&rf| (rps, rf));
+    offered_rps.iter().flat_map(|&rps| point(rps)).collect()
 }
 
-/// One grid point: a full cluster run, self-contained for any worker.
-fn openloop_point(
-    grid: &OpenLoopGrid,
+/// One open-loop cell: `n_clients` × `requests_per_client` requests at
+/// `rps` offered load and `rf` read fraction, under `cfg` (which names
+/// the scheduler and anything else that differs: shards, tracing). The
+/// workload seed varies per point so grid points are independent draws;
+/// it must NOT depend on the scheduler (same offered stream). Engine
+/// seed and jitter are the sweep's. A stalled run is fatal.
+pub(crate) fn openloop_cell(
+    n_clients: usize,
+    requests_per_client: usize,
     rps: f64,
     rf: f64,
-    kind: SchedulerKind,
-    shards: usize,
+    cfg: EngineConfig,
 ) -> RunResult {
     let p = OpenLoopParams {
-        n_clients: grid.n_clients,
-        requests_per_client: grid.requests_per_client,
+        n_clients,
+        requests_per_client,
         ..OpenLoopParams::default()
     }
     .with_offered_rps(rps)
     .with_read_fraction(rf)
-    // Workload seed varies per point so grid points are independent
-    // draws; it must NOT depend on the scheduler (same offered stream).
     .with_seed(9000 + (rps as u64) * 31 + (rf * 100.0) as u64);
+    let kind = cfg.scheduler;
     let pair = openloop::scenario(&p);
-    let cfg = EngineConfig::new(kind)
-        .with_seed(7)
-        .with_cpu_jitter(0.05)
-        .with_shards(shards);
-    run_engine(pair.for_kind(kind), cfg)
-}
-
-fn ms3(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1e6)
-}
-
-/// Renders the sweep as the printable table.
-pub fn openloop_table(rows: &[OpenLoopRow]) -> Table {
-    let mut t = Table::new(
-        "Open loop: latency percentiles vs offered load × read mix (3 replicas, LAN)",
-        &[
-            "offered req/s",
-            "read %",
-            "sched",
-            "p50 (ms)",
-            "p95 (ms)",
-            "p99 (ms)",
-            "mean (ms)",
-            "done",
-            "subs",
-            "legs",
-            "deliv",
-        ],
+    let res = run_engine(pair.for_kind(kind), cfg.with_seed(7).with_cpu_jitter(0.05));
+    assert!(
+        !res.deadlocked,
+        "{kind} stalled at {rps} req/s, {rf} read fraction"
     );
-    for r in rows {
-        t.push_row(vec![
-            format!("{:.0}", r.offered_rps),
-            format!("{:.0}", r.read_fraction * 100.0),
-            r.kind.to_string(),
-            ms3(r.p50_ns),
-            ms3(r.p95_ns),
-            ms3(r.p99_ns),
-            format!("{:.3}", r.mean_ns / 1e6),
-            r.completed.to_string(),
-            r.submissions.to_string(),
-            r.broadcast_legs.to_string(),
-            r.deliveries.to_string(),
-        ]);
-    }
-    t
+    res
 }
 
 /// Serialises the sweep as the `BENCH_openloop.json` artifact. Every
 /// value is virtual-time-derived, so the byte stream is reproducible.
-pub fn openloop_json(grid: &OpenLoopGrid, rows: &[OpenLoopRow]) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"experiment\": \"openloop\",\n");
-    j.push_str(&format!(
-        "  \"grid\": {{\"offered_rps\": {:?}, \"read_fractions\": {:?}, \"n_clients\": {}, \"requests_per_client\": {}, \"schedulers\": [{}]}},\n",
-        grid.offered_rps,
-        grid.read_fractions,
-        grid.n_clients,
-        grid.requests_per_client,
-        grid.kinds()
-            .iter()
-            .map(|k| format!("\"{}\"", k.name()))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
-    j.push_str("  \"note\": \"virtual-time latencies; percentiles from the fixed-bucket log-scale histogram (upper bucket edge, <=3.2% quantisation); byte-identical across reruns and sweep worker counts\",\n");
-    j.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"offered_rps\": {:.0}, \"read_fraction\": {:.2}, \"scheduler\": \"{}\", \"completed\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {:.1}, \"max_ns\": {}, \"makespan_ns\": {}, \"submissions\": {}, \"broadcast_legs\": {}, \"deliveries\": {}}}{}\n",
-            r.offered_rps,
-            r.read_fraction,
-            r.kind.name(),
-            r.completed,
-            r.p50_ns,
-            r.p95_ns,
-            r.p99_ns,
-            r.mean_ns,
-            r.max_ns,
-            r.makespan_ns,
-            r.submissions,
-            r.broadcast_legs,
-            r.deliveries,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    j.push_str("  ]\n}\n");
-    j
+pub fn openloop_json(grid: &OpenLoopGrid, rows: &Rows) -> String {
+    json_doc(&[
+        ("experiment", "\"openloop\"".into()),
+        ("grid", format!(
+            "{{\"offered_rps\": {:?}, \"read_fractions\": {:?}, \"n_clients\": {}, \"requests_per_client\": {}, \"schedulers\": {}}}",
+            grid.offered_rps,
+            grid.read_fractions,
+            grid.n_clients,
+            grid.requests_per_client,
+            json_kinds(&grid.kinds),
+        )),
+        ("note", "\"virtual-time latencies; percentiles from the fixed-bucket log-scale histogram (upper bucket edge, <=3.2% quantisation); byte-identical across reruns and sweep worker counts\"".into()),
+        ("rows", rows.json_array()),
+    ])
 }
 
 #[cfg(test)]
@@ -264,39 +174,40 @@ mod tests {
             read_fractions: vec![0.9],
             n_clients: 3,
             requests_per_client: 4,
-            extended: false,
+            kinds: FIG1_KINDS.to_vec(),
         }
     }
 
     #[test]
     fn saturation_raises_tail_latency() {
-        let rows = openloop_experiment_with_threads(&tiny_grid(), 2);
+        let rows = openloop_experiment(&tiny_grid(), 2, 1);
         assert_eq!(rows.len(), 2 * 5);
-        for r in &rows {
-            assert_eq!(r.completed, 12);
-            assert!(r.p50_ns <= r.p95_ns && r.p95_ns <= r.p99_ns);
+        for r in rows.iter() {
+            assert_eq!(r.u64("completed"), 12);
+            assert!(r.u64("p50_ns") <= r.u64("p95_ns") && r.u64("p95_ns") <= r.u64("p99_ns"));
         }
         // SEQ serialises every request, so a 16× load jump must show up
         // as queueing delay in its tail.
-        let (seq_light, seq_heavy) = (&rows[0], &rows[5]);
-        assert_eq!(seq_light.kind, SchedulerKind::Seq);
+        let (seq_light, seq_heavy) = (rows.row(0), rows.row(5));
+        assert_eq!(seq_light.kind("scheduler"), SchedulerKind::Seq);
         assert!(
-            seq_heavy.p99_ns > seq_light.p99_ns,
+            seq_heavy.u64("p99_ns") > seq_light.u64("p99_ns"),
             "SEQ saturated p99 {} <= light p99 {}",
-            seq_heavy.p99_ns,
-            seq_light.p99_ns
+            seq_heavy.u64("p99_ns"),
+            seq_light.u64("p99_ns")
         );
         // And in aggregate the saturated grid point is slower than the
         // light one across the scheduler suite.
-        let mean_of = |rs: &[OpenLoopRow]| rs.iter().map(|r| r.mean_ns).sum::<f64>();
-        assert!(mean_of(&rows[5..]) > mean_of(&rows[..5]));
+        let mean_of =
+            |r: std::ops::Range<usize>| r.map(|i| rows.row(i).f64("mean_ns")).sum::<f64>();
+        assert!(mean_of(5..10) > mean_of(0..5));
     }
 
     #[test]
     fn table_and_json_cover_every_row() {
         let grid = tiny_grid();
-        let rows = openloop_experiment_with_threads(&grid, 1);
-        let t = openloop_table(&rows);
+        let rows = openloop_experiment(&grid, 1, 1);
+        let t = rows.table();
         assert_eq!(t.rows.len(), rows.len());
         let j = openloop_json(&grid, &rows);
         assert_eq!(j.matches("\"scheduler\"").count(), rows.len());

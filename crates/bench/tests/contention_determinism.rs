@@ -5,14 +5,18 @@
 //!    data, so no wall clock or iteration order may leak in — and the
 //!    autopilot must beat-or-match the best static scheduler on at
 //!    least one open-loop cell (the headline claim of the experiment).
+//!    The reference JSON, both text tables, their CSV and the folded
+//!    flamegraph are pinned by digest.
 //! 2. The race-prediction report on the seeded AB/BA inversion is
 //!    pinned byte-for-byte (golden file) and must contain the A⇄B
 //!    cycle; the clean Figure-1 trace must report zero findings.
 //! 3. The tracer's drop counter under a tight buffer cap is itself
 //!    deterministic: same run, same cap ⇒ same `trace.dropped`.
 
+mod common;
+
 use dmt_analysis::predict_races;
-use dmt_bench::{contention_experiment_with_threads, contention_json, ContentionGrid};
+use dmt_bench::{contention_experiment, contention_json, ContentionGrid};
 use dmt_core::SchedulerKind;
 use dmt_replica::{Engine, EngineConfig, RunResult};
 use dmt_workload::fig1;
@@ -21,23 +25,45 @@ use dmt_workload::inversion::{self, InversionParams};
 #[test]
 fn contention_json_is_byte_identical_and_autopilot_matches_somewhere() {
     let g = ContentionGrid::quick();
-    let reference_report = contention_experiment_with_threads(&g, 1);
+    let reference_report = contention_experiment(&g, 1);
     let reference = contention_json(&g, &reference_report);
+    let (profiles, autopilot) = (
+        reference_report.profiles.table(),
+        reference_report.autopilot.table(),
+    );
+    common::assert_digests(
+        &[
+            ("json", &reference),
+            ("profiles text", &profiles.to_string()),
+            ("profiles csv", &profiles.to_csv()),
+            ("autopilot text", &autopilot.to_string()),
+            ("autopilot csv", &autopilot.to_csv()),
+            ("folded", &reference_report.folded),
+        ],
+        &[
+            0x630e_df1b_7ddf_3587,
+            0xf403_f7e1_d7f1_bddb,
+            0x83f1_9fad_c519_f0ff,
+            0x930d_e361_2258_cb97,
+            0x9716_0010_81a3_ad17,
+            0xf869_e4a9_4155_fffa,
+        ],
+    );
     for threads in [2, 8] {
-        let j = contention_json(&g, &contention_experiment_with_threads(&g, threads));
+        let j = contention_json(&g, &contention_experiment(&g, threads));
         assert_eq!(reference, j, "{threads}-worker sweep diverged from serial");
     }
-    let again = contention_json(&g, &contention_experiment_with_threads(&g, 1));
+    let again = contention_json(&g, &contention_experiment(&g, 1));
     assert_eq!(reference, again, "rerun diverged");
     // The acceptance claim: the probe-driven pick beats or matches the
     // best static scheduler on at least one grid cell.
     assert!(
-        reference_report.autopilot.iter().any(|r| r.matched),
+        reference_report.autopilot.iter().any(|r| r.flag("matched")),
         "autopilot matched nowhere: {:?}",
         reference_report
             .autopilot
             .iter()
-            .map(|r| (r.offered_rps, r.recommended, r.best_kind))
+            .map(|r| (r.f64("offered_rps"), r.kind("recommended"), r.kind("best")))
             .collect::<Vec<_>>()
     );
 }

@@ -16,19 +16,19 @@ use dmt_bench::{engine_bench_experiment, MAX_SCHED_FANOUT};
 fn sched_fanout_stays_under_pins() {
     // One pass of the quick grid is enough: the ratio is deterministic,
     // so there is no noise to take a minimum over.
-    let rows = engine_bench_experiment(&[4, 8], 2);
+    let rows = engine_bench_experiment(&[4, 8], 2).per_kind;
     assert_eq!(rows.len(), MAX_SCHED_FANOUT.len());
-    for row in &rows {
-        let fanout = row.perf.sched_fanout();
+    for row in rows.iter() {
+        let (kind, fanout) = (row.kind("kind"), row.f64("sched_fanout"));
         let (_, pin) = MAX_SCHED_FANOUT
             .iter()
-            .find(|(name, _)| *name == row.kind.name())
-            .unwrap_or_else(|| panic!("{} has no fan-out pin", row.kind));
+            .find(|(name, _)| *name == kind.name())
+            .unwrap_or_else(|| panic!("{kind} has no fan-out pin"));
         assert!(
             fanout <= *pin,
             "{} dispatches {:.4} scheduler events per simulation event, \
              over its {pin} pin — a new dispatch leg grew on the hot path",
-            row.kind,
+            kind,
             fanout,
         );
         // A collapsing ratio is suspicious too (events counted twice,
@@ -39,7 +39,7 @@ fn sched_fanout_stays_under_pins() {
             fanout > pin * 0.5,
             "{} fan-out {:.4} fell below half its {pin} pin — \
              are scheduler events still being dispatched?",
-            row.kind,
+            kind,
             fanout,
         );
     }

@@ -6,8 +6,8 @@
 //! into the output bytes.
 
 use dmt_bench::{
-    fig1_experiment_with_opts, openloop_experiment_with_opts, openloop_json, shard_experiment,
-    shard_json, OpenLoopGrid, ShardGrid,
+    fig1_experiment, openloop_experiment, openloop_json, shard_experiment, shard_json,
+    OpenLoopGrid, ShardGrid, ALL_KINDS, FIG1_KINDS,
 };
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -15,10 +15,10 @@ const SWEEP_WORKERS: [usize; 3] = [1, 2, 8];
 
 #[test]
 fn fig1_table_is_identical_for_every_shard_and_worker_count() {
-    let base = fig1_experiment_with_opts(&[1, 3], 2, true, 1, 1).to_string();
+    let base = fig1_experiment(&[1, 3], 2, &ALL_KINDS, 1, 1).to_string();
     for shards in SHARD_COUNTS {
         for threads in SWEEP_WORKERS {
-            let t = fig1_experiment_with_opts(&[1, 3], 2, true, threads, shards).to_string();
+            let t = fig1_experiment(&[1, 3], 2, &ALL_KINDS, threads, shards).to_string();
             assert_eq!(
                 base, t,
                 "fig1 diverged at shards={shards}, sweep workers={threads}"
@@ -34,12 +34,12 @@ fn openloop_artifact_is_identical_for_every_shard_and_worker_count() {
         read_fractions: vec![0.9],
         n_clients: 3,
         requests_per_client: 4,
-        extended: false,
+        kinds: FIG1_KINDS.to_vec(),
     };
-    let base = openloop_json(&grid, &openloop_experiment_with_opts(&grid, 1, 1));
+    let base = openloop_json(&grid, &openloop_experiment(&grid, 1, 1));
     for shards in SHARD_COUNTS {
         for threads in SWEEP_WORKERS {
-            let rows = openloop_experiment_with_opts(&grid, threads, shards);
+            let rows = openloop_experiment(&grid, threads, shards);
             assert_eq!(
                 base,
                 openloop_json(&grid, &rows),

@@ -7,7 +7,8 @@
 //!    (invariants R1/R2), and the hash summary is identical across
 //!    reruns.
 //! 2. **Artifact byte-identity** — `BENCH_faults.json` does not depend
-//!    on sweep worker count, dispatch order, or rerun.
+//!    on sweep worker count, dispatch order, or rerun, and its JSON,
+//!    text table and CSV renderings are pinned by digest.
 //! 3. **Teeth** — a deliberately broken transport (duplicate delivery
 //!    with de-duplication disabled) is *flagged* by
 //!    [`check_fault_convergence`]; the suite's masking claims are only
@@ -15,8 +16,11 @@
 //!
 //! The `#[ignore]`d full grid mirrors what `figures faults` publishes.
 
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 use dmt_bench::faults::scenario_config;
-use dmt_bench::{faults_experiment_with_threads, faults_json, FaultGrid, FAULT_SCENARIOS};
+use dmt_bench::{faults_experiment, faults_json, FaultGrid, ALL_KINDS, FAULT_SCENARIOS};
 use dmt_core::SchedulerKind;
 use dmt_replica::{check_fault_convergence, CheckOutcome, Engine, EngineConfig, FaultPlan};
 use dmt_sim::SimDuration;
@@ -94,17 +98,31 @@ fn faults_json_is_byte_identical_across_worker_counts_and_reruns() {
         seeds: vec![11, 12],
         n_clients: 3,
         requests_per_client: 5,
-        extended: true, // all seven schedulers
+        kinds: ALL_KINDS.to_vec(), // all seven schedulers
     };
-    let reference = faults_json(&g, &faults_experiment_with_threads(&g, 1));
+    let rows = faults_experiment(&g, 1);
+    let reference = faults_json(&g, &rows);
     // Coverage sanity: 5 non-recovery scenarios × 7 kinds + 2 recovery
     // scenarios × 5 recovery-capable kinds.
     assert_eq!(reference.matches("\"scenario\":").count(), 5 * 7 + 2 * 5);
+    let t = rows.table();
+    common::assert_digests(
+        &[
+            ("json", &reference),
+            ("text", &t.to_string()),
+            ("csv", &t.to_csv()),
+        ],
+        &[
+            0x84cd_d368_9a20_ee7c,
+            0x2949_ec61_c7f0_752d,
+            0x52ea_1cf7_d83c_8bd2,
+        ],
+    );
     for threads in [2, 8] {
-        let j = faults_json(&g, &faults_experiment_with_threads(&g, threads));
+        let j = faults_json(&g, &faults_experiment(&g, threads));
         assert_eq!(reference, j, "{threads}-worker sweep diverged from serial");
     }
-    let again = faults_json(&g, &faults_experiment_with_threads(&g, 1));
+    let again = faults_json(&g, &faults_experiment(&g, 1));
     assert_eq!(reference, again, "rerun diverged");
 }
 
@@ -155,11 +173,12 @@ fn non_idempotent_duplicate_delivery_is_flagged() {
 #[ignore]
 fn full_grid_runs_clean() {
     let g = FaultGrid {
-        extended: true,
+        kinds: ALL_KINDS.to_vec(),
         ..FaultGrid::default()
     };
-    let rows = faults_experiment_with_threads(&g, 4);
-    for r in &rows {
-        assert!(r.converged, "{} under {} diverged", r.scenario, r.kind);
+    let rows = faults_experiment(&g, 4);
+    for r in rows.iter() {
+        let (scenario, kind) = (r.str("scenario"), r.kind("scheduler"));
+        assert!(r.flag("converged"), "{scenario} under {kind} diverged");
     }
 }

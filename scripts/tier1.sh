@@ -52,6 +52,10 @@ cargo run --release --offline -q --example passive_replication
 echo "== smoke: figures --quick =="
 cargo run --release -p dmt-bench --bin figures -- --quick
 
+# The CSV branch of the figures CLI: one schema-rendered experiment.
+echo "== smoke: figures openloop --quick --csv =="
+cargo run --release -p dmt-bench --bin figures -- openloop --quick --csv
+
 # Interpreter dispatch-style equivalence (match vs threaded vs fused):
 # one corpus pass per style with the assertions on, no timed batches.
 echo "== smoke: interp dispatch equivalence =="
