@@ -1,16 +1,9 @@
-//! Dispatch-style comparison of the interpreter: the retired per-step
-//! `match instr` loop vs flat threaded-code dispatch vs threaded code
-//! with superinstruction fusion, on the Figure-1 request mix. The
-//! equivalence line printed first is byte-stable; the ns/op lines vary
-//! with the host. See `ubench::interp_bench` for the harness.
-//!
-//! `--smoke` (tier-1) runs only the equivalence check — one pass per
-//! style, assertions on, no timed batches.
+//! Dispatch-style comparison of the interpreter: flat threaded-code
+//! dispatch vs threaded code with superinstruction fusion, on the
+//! Figure-1 request mix. The equivalence line printed first is
+//! byte-stable; the ns/op lines vary with the host. See
+//! `ubench::interp_bench` for the harness.
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        dmt_bench::ubench::interp_smoke();
-    } else {
-        dmt_bench::ubench::interp_bench();
-    }
+    dmt_bench::ubench::interp_bench();
 }

@@ -48,24 +48,16 @@ pub fn time_case<R>(group: &str, name: &str, mut f: impl FnMut() -> R) -> f64 {
 // action granted instantly, no scheduler, no event queue), once per
 // dispatch style:
 //
-//   match           — the retired per-step `match instr` loop
-//                     (`ThreadVm::step_match`, unfused program);
-//   threaded        — flat threaded-code dispatch, fusion off;
+//   threaded        — flat threaded-code dispatch, fusion off
+//                     (`compile_unfused`);
 //   threaded+fused  — the default: threaded dispatch + superinstructions.
 //
-// The three styles must be observationally identical; the equivalence
+// The two styles must be observationally identical; the equivalence
 // check runs first and its summary line is byte-stable (counts and state
 // hash only — no timings), so artifact diffs catch semantic drift while
-// the ns/op lines remain free to vary with the host.
+// the ns/op lines remain free to vary with the host. The interpreter's
+// own output is pinned by `tests/harness_golden.rs`.
 // ---------------------------------------------------------------------
-
-/// One dispatch style of the interpreter microbench.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Dispatch {
-    Match,
-    Threaded,
-    ThreadedFused,
-}
 
 /// The Figure-1 request mix the microbench replays: every request of
 /// every client, in script order.
@@ -90,7 +82,6 @@ fn interp_corpus() -> (
 fn run_corpus(
     program: &Arc<CompiledObject>,
     requests: &[(dmt_lang::MethodIdx, dmt_lang::RequestArgs)],
-    style: Dispatch,
 ) -> (Vec<Action>, ObjectState, u64, u64) {
     let mut state = ObjectState::for_object(program, MutexId::new(0));
     let mut trace = Vec::new();
@@ -102,11 +93,7 @@ fn run_corpus(
     for (method, args) in requests {
         let mut vm = pool.acquire(program.clone(), *method, args);
         loop {
-            let out = match style {
-                Dispatch::Match => vm.step_match(&mut state),
-                _ => vm.step(&mut state),
-            };
-            match out {
+            match vm.step(&mut state) {
                 StepOutcome::Action(a) => trace.push(a),
                 StepOutcome::Finished => break,
                 StepOutcome::Faulted(f) => panic!("corpus faulted: {f:?}"),
@@ -119,58 +106,41 @@ fn run_corpus(
     (trace, state, steps, fused)
 }
 
-/// The byte-stable face of the microbench: asserts the three dispatch
-/// styles produce identical action traces and state hashes, and returns
-/// the invariant summary line.
+/// The byte-stable face of the microbench: asserts the two dispatch
+/// styles produce identical action traces, step counts and state hashes,
+/// and returns the invariant summary line.
 pub fn interp_profile() -> String {
     let (fused_prog, unfused_prog, requests) = interp_corpus();
-    let (t_match, s_match, steps, _) = run_corpus(&unfused_prog, &requests, Dispatch::Match);
-    let (t_thr, s_thr, steps_thr, _) = run_corpus(&unfused_prog, &requests, Dispatch::Threaded);
-    let (t_fus, s_fus, steps_fused, fused_steps) =
-        run_corpus(&fused_prog, &requests, Dispatch::ThreadedFused);
-    assert_eq!(t_match, t_thr, "threaded dispatch diverged from match");
-    assert_eq!(t_match, t_fus, "fusion diverged from match");
-    assert_eq!(s_match.state_hash(), s_thr.state_hash());
-    assert_eq!(s_match.state_hash(), s_fus.state_hash());
+    let (t_thr, s_thr, steps, _) = run_corpus(&unfused_prog, &requests);
+    let (t_fus, s_fus, steps_fused, fused_steps) = run_corpus(&fused_prog, &requests);
+    assert_eq!(t_thr, t_fus, "fusion diverged from unfused dispatch");
+    assert_eq!(s_thr.state_hash(), s_fus.state_hash());
     assert_eq!(
-        steps, steps_thr,
+        steps, steps_fused,
         "dispatch style must not change step count"
     );
     format!(
         "interp/profile: requests={} actions={} steps={} fused_steps={} steps_fused={} state_hash={:#018x}",
         requests.len(),
-        t_match.len(),
+        t_thr.len(),
         steps,
         fused_steps,
         steps_fused,
-        s_match.state_hash(),
+        s_thr.state_hash(),
     )
 }
 
-/// **interp --smoke** — the deterministic half of [`interp_bench`]:
-/// runs the corpus once per dispatch style and asserts the styles are
-/// observationally identical (same actions, step counts, state hash),
-/// printing only the byte-stable equivalence line. No timed batches, so
-/// it is fast enough for tier-1, where its job is catching semantic
-/// drift between the dispatch styles, not measuring them.
-pub fn interp_smoke() {
-    println!("{}", interp_profile());
-}
-
-/// **interp** — dispatch-style comparison: match-loop vs threaded vs
-/// threaded+fused on the Figure-1 request mix. Prints the byte-stable
-/// equivalence line first, then ns/op per style.
+/// **interp** — dispatch-style comparison: threaded vs threaded+fused on
+/// the Figure-1 request mix. Prints the byte-stable equivalence line
+/// first, then ns/op per style.
 pub fn interp_bench() {
     println!("{}", interp_profile());
     let (fused_prog, unfused_prog, requests) = interp_corpus();
-    time_case("interp", "match", || {
-        run_corpus(&unfused_prog, &requests, Dispatch::Match).3
-    });
     time_case("interp", "threaded", || {
-        run_corpus(&unfused_prog, &requests, Dispatch::Threaded).3
+        run_corpus(&unfused_prog, &requests).3
     });
     time_case("interp", "threaded+fused", || {
-        run_corpus(&fused_prog, &requests, Dispatch::ThreadedFused).3
+        run_corpus(&fused_prog, &requests).3
     });
 }
 

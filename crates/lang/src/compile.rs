@@ -175,10 +175,8 @@ pub fn compile(obj: &ObjectImpl) -> Arc<CompiledObject> {
 }
 
 /// [`compile`] with the superinstruction fusion pass disabled. Used by
-/// the fusion-equivalence differential tests and the dispatch-style
-/// microbench; the unfused stream is also the only one
-/// [`crate::interp::ThreadVm::step_match`] (the reference match-loop
-/// interpreter) can execute, because its `Instr` pcs map 1:1 onto ops.
+/// the fusion-equivalence differential tests, the interpreter golden
+/// and the dispatch-style microbench.
 pub fn compile_unfused(obj: &ObjectImpl) -> Arc<CompiledObject> {
     compile_opts(obj, false)
 }

@@ -8,8 +8,8 @@
 //! pure function of (program, request arguments, object state), never of
 //! wall-clock time — the paper's precondition for determinism.
 
-use crate::ast::{ArgExpr, CondExpr, CountExpr, DurExpr, IntExpr, MutexExpr};
-use crate::compile::{CompiledObject, Instr};
+use crate::ast::ArgExpr;
+use crate::compile::CompiledObject;
 use crate::ids::{CellId, FieldId, MethodIdx, MutexId, ServiceId, SyncId};
 use crate::threaded::{cond, ctag, dtag, itag, mtag, Op, OpCode, COND_NEGATE};
 use crate::value::{RequestArgs, Value};
@@ -199,7 +199,6 @@ pub enum StepOutcome {
 /// segments are always the arena tails).
 #[derive(Clone, Copy)]
 struct FrameMeta {
-    method: MethodIdx,
     /// Absolute pc into the object's flat threaded-code stream
     /// ([`crate::threaded::ThreadedCode::ops`]).
     pc: usize,
@@ -285,7 +284,16 @@ impl ThreadVm {
             args.len()
         );
         self.args.extend_from_slice(args.values());
-        self.push_frame(method, 0);
+        push_frame_on(
+            &self.program,
+            &mut self.frames,
+            &self.args,
+            &mut self.locals,
+            &mut self.loop_slots,
+            &self.sync_stack,
+            method,
+            0,
+        );
     }
 
     pub fn steps(&self) -> u64 {
@@ -338,7 +346,6 @@ impl ThreadVm {
         let flat = &program.flat;
         'frame: loop {
             let Some(&FrameMeta {
-                method: _,
                 pc: frame_pc,
                 args_base,
                 locals_base,
@@ -591,225 +598,6 @@ impl ThreadVm {
             }
         }
     }
-
-    /// [`unlock_tail`] over this VM's arenas (the `step_match` reference
-    /// loop has no split borrows to thread through).
-    #[inline(always)]
-    fn do_unlock(
-        &mut self,
-        fi: usize,
-        next_pc: usize,
-        fault_pc: usize,
-        sync_base: usize,
-        sync_id: u32,
-    ) -> StepOutcome {
-        unlock_tail(
-            &mut self.frames,
-            &mut self.sync_stack,
-            fi,
-            next_pc,
-            fault_pc,
-            sync_base,
-            sync_id,
-        )
-    }
-
-    /// The retired per-step `match instr` dispatch, kept as the reference
-    /// implementation for differential tests and the dispatch-style
-    /// microbench (`ubench interp`). Executes the `Instr` form, so it is
-    /// only valid on unfused programs (where `Instr` pcs map 1:1 onto
-    /// flat ops — [`crate::compile::compile_unfused`]).
-    pub fn step_match(&mut self, state: &mut ObjectState) -> StepOutcome {
-        assert_eq!(
-            self.program.flat.fused_pairs, 0,
-            "step_match requires an unfused program (compile_unfused)"
-        );
-        self.steps += 1;
-        for _ in 0..INTERNAL_STEP_LIMIT {
-            let Some(&FrameMeta {
-                method,
-                pc,
-                args_base,
-                locals_base,
-                loops_base,
-                sync_base,
-            }) = self.frames.last()
-            else {
-                return StepOutcome::Finished;
-            };
-            let fi = self.frames.len() - 1;
-            // Frame pcs are absolute into the flat stream; the 1:1
-            // unfused lowering makes `pc - entry` the `Instr` index.
-            let entry = self.program.flat.entries[method.index()] as usize;
-            let ipc = pc - entry;
-            let code = &self.program.methods[method.index()].code;
-            debug_assert!(ipc < code.len(), "pc ran off method end");
-            let instr = &code[ipc];
-            let fargs = &self.args[args_base..];
-            let flocals = &self.locals[locals_base..];
-            match instr {
-                Instr::Compute(d) => {
-                    let dur_ns = eval_dur(d, fargs);
-                    self.frames[fi].pc = pc + 1;
-                    return StepOutcome::Action(Action::Compute { dur_ns });
-                }
-                Instr::Lock { sync_id, param } => {
-                    let mutex = eval_mutex(param, fargs, flocals, state);
-                    let sync_id = *sync_id;
-                    self.sync_stack.push((sync_id, mutex));
-                    self.frames[fi].pc = pc + 1;
-                    return StepOutcome::Action(Action::Lock { sync_id, mutex });
-                }
-                Instr::Unlock { sync_id } => {
-                    return self.do_unlock(fi, pc + 1, pc, sync_base, sync_id.0);
-                }
-                Instr::Wait(param) => {
-                    let mutex = eval_mutex(param, fargs, flocals, state);
-                    self.frames[fi].pc = pc + 1;
-                    return StepOutcome::Action(Action::Wait { mutex });
-                }
-                Instr::Notify { param, all } => {
-                    let mutex = eval_mutex(param, fargs, flocals, state);
-                    let all = *all;
-                    self.frames[fi].pc = pc + 1;
-                    return StepOutcome::Action(Action::Notify { mutex, all });
-                }
-                Instr::Nested { service, dur } => {
-                    let dur_ns = eval_dur(dur, fargs);
-                    let service = *service;
-                    self.frames[fi].pc = pc + 1;
-                    return StepOutcome::Action(Action::Nested { service, dur_ns });
-                }
-                Instr::LockInfo { sync_id, param } => {
-                    let mutex = eval_mutex(param, fargs, flocals, state);
-                    let sync_id = *sync_id;
-                    self.frames[fi].pc = pc + 1;
-                    return StepOutcome::Action(Action::LockInfo { sync_id, mutex });
-                }
-                Instr::IgnoreSync { sync_id } => {
-                    let sync_id = *sync_id;
-                    self.frames[fi].pc = pc + 1;
-                    return StepOutcome::Action(Action::Ignore { sync_id });
-                }
-                Instr::Update { cell, delta } => {
-                    let d = eval_int(delta, fargs, state);
-                    state.set_cell(*cell, state.cell(*cell).wrapping_add(d));
-                    self.frames[fi].pc = pc + 1;
-                }
-                Instr::UpdateIndexed {
-                    base,
-                    len,
-                    index_arg,
-                    delta,
-                } => {
-                    let idx = arg_at(fargs, *index_arg).as_int().rem_euclid(*len as i64) as u32;
-                    let cell = CellId::new(base + idx);
-                    let d = eval_int(delta, fargs, state);
-                    state.set_cell(cell, state.cell(cell).wrapping_add(d));
-                    self.frames[fi].pc = pc + 1;
-                }
-                Instr::SetCell { cell, value } => {
-                    let v = eval_int(value, fargs, state);
-                    state.set_cell(*cell, v);
-                    self.frames[fi].pc = pc + 1;
-                }
-                Instr::Assign { local, expr } => {
-                    let m = eval_mutex(expr, fargs, flocals, state);
-                    self.locals[locals_base + local.index()] = Value::Mutex(m);
-                    self.frames[fi].pc = pc + 1;
-                }
-                Instr::BranchIfFalse { cond, target } => {
-                    self.frames[fi].pc = if eval_cond(cond, fargs, state) {
-                        pc + 1
-                    } else {
-                        entry + *target
-                    };
-                }
-                Instr::Jump(target) => self.frames[fi].pc = entry + *target,
-                Instr::LoopInit { slot, count } => {
-                    let n = match count {
-                        CountExpr::Lit(n) => *n,
-                        CountExpr::Arg(i) => arg_at(fargs, *i).as_int().max(0) as u32,
-                    };
-                    self.loop_slots[loops_base + *slot as usize] = n;
-                    self.frames[fi].pc = pc + 1;
-                }
-                Instr::LoopTest { slot, exit } => {
-                    let c = &mut self.loop_slots[loops_base + *slot as usize];
-                    if *c == 0 {
-                        self.frames[fi].pc = entry + *exit;
-                    } else {
-                        *c -= 1;
-                        self.frames[fi].pc = pc + 1;
-                    }
-                }
-                Instr::Call { method, args } => {
-                    let callee = *method;
-                    let callee_base = eval_call_args(
-                        &mut self.args,
-                        &self.locals,
-                        args,
-                        args_base,
-                        locals_base,
-                        state,
-                    );
-                    self.frames[fi].pc = pc + 1;
-                    self.push_frame(callee, callee_base);
-                }
-                Instr::CallVirtual {
-                    candidates,
-                    selector,
-                    args,
-                    ..
-                } => {
-                    let sel = eval_int(selector, fargs, state);
-                    let idx = (sel.rem_euclid(candidates.len() as i64)) as usize;
-                    let target = candidates[idx];
-                    let callee_base = eval_call_args(
-                        &mut self.args,
-                        &self.locals,
-                        args,
-                        args_base,
-                        locals_base,
-                        state,
-                    );
-                    self.frames[fi].pc = pc + 1;
-                    self.push_frame(target, callee_base);
-                }
-                Instr::Ret => {
-                    let f = self.frames.pop().expect("ret without frame");
-                    assert!(
-                        self.sync_stack.len() == f.sync_base,
-                        "returning while holding monitors {:?}",
-                        &self.sync_stack[f.sync_base..]
-                    );
-                    self.args.truncate(f.args_base);
-                    self.locals.truncate(f.locals_base);
-                    self.loop_slots.truncate(f.loops_base);
-                    if self.frames.is_empty() {
-                        return StepOutcome::Finished;
-                    }
-                }
-            }
-        }
-        panic!(
-            "thread exceeded {INTERNAL_STEP_LIMIT} internal steps: non-terminating internal loop"
-        );
-    }
-
-    /// Pushes a frame whose arguments already occupy `args[args_base..]`.
-    fn push_frame(&mut self, method: MethodIdx, args_base: usize) {
-        push_frame_on(
-            &self.program,
-            &mut self.frames,
-            &self.args,
-            &mut self.locals,
-            &mut self.loop_slots,
-            &self.sync_stack,
-            method,
-            args_base,
-        );
-    }
 }
 
 /// Shared monitor-exit tail of `Unlock` and the fused `*Unlock`
@@ -840,9 +628,9 @@ fn unlock_tail(
     })
 }
 
-/// Frame push over explicit arenas, callable from `step`'s split-borrow
-/// loop (which cannot take `&mut self` while the hoisted program borrow
-/// is live).
+/// Pushes a frame whose arguments already occupy `args[args_base..]`.
+/// A free function over explicit arenas, so `step`'s split-borrow loop
+/// can call it while the hoisted program borrow is live.
 #[allow(clippy::too_many_arguments)]
 fn push_frame_on(
     program: &CompiledObject,
@@ -868,7 +656,6 @@ fn push_frame_on(
     locals.resize(locals_base + n_locals, Value::Int(0));
     loop_slots.resize(loops_base + n_loops, 0);
     frames.push(FrameMeta {
-        method,
         pc: program.flat.entries[method.index()] as usize,
         args_base,
         locals_base,
@@ -979,44 +766,6 @@ fn eval_call_args(
     callee_base
 }
 
-fn eval_dur(d: &DurExpr, args: &[Value]) -> u64 {
-    match d {
-        DurExpr::Nanos(n) => *n,
-        DurExpr::Arg(i) => arg_at(args, *i).as_dur_nanos(),
-    }
-}
-
-fn eval_int(e: &IntExpr, args: &[Value], state: &ObjectState) -> i64 {
-    match e {
-        IntExpr::Lit(v) => *v,
-        IntExpr::Arg(i) => arg_at(args, *i).as_int(),
-        IntExpr::Cell(c) => state.cell(*c),
-    }
-}
-
-fn eval_mutex(e: &MutexExpr, args: &[Value], locals: &[Value], state: &ObjectState) -> MutexId {
-    match e {
-        MutexExpr::This => state.this_mutex,
-        MutexExpr::Konst(m) => *m,
-        MutexExpr::Arg(i) => arg_at(args, *i).as_mutex(),
-        MutexExpr::Local(l) => locals[l.index()].as_mutex(),
-        MutexExpr::Field(f) => state.field(*f),
-        MutexExpr::Pool {
-            base,
-            len,
-            index_arg,
-        } => {
-            let idx = arg_at(args, *index_arg).as_int().rem_euclid(*len as i64) as u32;
-            MutexId::new(base + idx)
-        }
-        MutexExpr::PoolByCell { base, len, cell } => {
-            let idx = state.cell(*cell).rem_euclid(*len as i64) as u32;
-            MutexId::new(base + idx)
-        }
-        MutexExpr::CallResult { resolves_to, .. } => state.field(*resolves_to),
-    }
-}
-
 /// Duration operand of a threaded op: literal-pool index or argument
 /// index, per [`dtag`].
 #[inline(always)]
@@ -1079,19 +828,6 @@ fn cond_op(op: Op, lits: &[i64], args: &[Value], state: &ObjectState) -> bool {
     v ^ (op.t & COND_NEGATE != 0)
 }
 
-fn eval_cond(c: &CondExpr, args: &[Value], state: &ObjectState) -> bool {
-    match c {
-        CondExpr::Konst(b) => *b,
-        CondExpr::ArgFlag(i) => arg_at(args, *i).as_bool(),
-        CondExpr::ArgIntLt(i, k) => arg_at(args, *i).as_int() < *k,
-        CondExpr::CellEq(cell, k) => state.cell(*cell) == *k,
-        CondExpr::CellLt(cell, k) => state.cell(*cell) < *k,
-        CondExpr::CellGe(cell, k) => state.cell(*cell) >= *k,
-        CondExpr::ParamEqField(i, f) => arg_at(args, *i).as_mutex() == state.field(*f),
-        CondExpr::Not(inner) => !eval_cond(inner, args, state),
-    }
-}
-
 /// Runs a VM to completion with every action auto-granted, returning the
 /// emitted action trace. Only meaningful for single-threaded execution —
 /// used by tests, the analysis oracle, and the transformation-equivalence
@@ -1110,8 +846,8 @@ pub fn run_to_completion(vm: &mut ThreadVm, state: &mut ObjectState) -> Vec<Acti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Method, ObjectImpl, Stmt};
-    use crate::compile::{compile, compile_unfused};
+    use crate::ast::{CondExpr, CountExpr, DurExpr, IntExpr, Method, MutexExpr, ObjectImpl, Stmt};
+    use crate::compile::{compile, Instr};
     use crate::ids::LocalId;
 
     fn make(body: Vec<Stmt>, arity: usize, n_locals: u32) -> Arc<CompiledObject> {
@@ -1716,113 +1452,73 @@ mod tests {
         assert_eq!(a.state_hash(), a.full_rehash());
     }
 
-    /// Hand-lowers a malformed stream — `Unlock` with no matching `Lock`
-    /// — which no `ObjectImpl` can express (the builder always pairs
-    /// them), to exercise the structured fault path.
-    fn malformed_unlock_obj() -> Arc<CompiledObject> {
-        let obj = make(vec![Stmt::Compute(DurExpr::millis(1))], 0, 0);
-        let mut obj = (*obj).clone();
-        // Overwrite both forms: Instr for step_match symmetry, flat for
-        // the threaded loop.
-        obj.methods[0].code[0] = Instr::Unlock {
+    /// Hand-lowers a malformed stream — `body`, then an `Unlock` with no
+    /// matching `Lock` — which no `ObjectImpl` can express (the builder
+    /// always pairs them), to exercise the structured fault path. The
+    /// unlock replaces a placeholder compute in the `Instr` form, which is
+    /// then lowered again: with `fuse` on, an internal op in front of it
+    /// becomes a fused `*Unlock`.
+    fn malformed_unlock_obj(mut body: Vec<Stmt>, fuse: bool) -> Arc<CompiledObject> {
+        let at = body.len();
+        body.push(Stmt::Compute(DurExpr::millis(1)));
+        let mut obj = (*make(body, 1, 0)).clone();
+        obj.methods[0].code[at] = Instr::Unlock {
             sync_id: SyncId::new(3),
         };
-        obj.flat = crate::threaded::lower(&obj.methods, false);
+        obj.flat = crate::threaded::lower(&obj.methods, fuse);
         Arc::new(obj)
     }
 
     #[test]
     fn unlock_without_lock_faults_instead_of_aborting() {
-        let obj = malformed_unlock_obj();
-        let mut state = ObjectState::for_object(&obj, MutexId::new(0));
-        let mut vm = ThreadVm::new(obj, MethodIdx::new(0), RequestArgs::empty());
         let fault = Fault::UnlockWithoutLock {
             sync_id: SyncId::new(3),
         };
-        assert_eq!(vm.step(&mut state), StepOutcome::Faulted(fault));
-        // Re-stepping is deterministic: same fault, no progress.
-        assert_eq!(vm.step(&mut state), StepOutcome::Faulted(fault));
         assert_eq!(format!("{fault}"), "unlock at s3 without matching lock");
-    }
-
-    #[test]
-    fn step_match_reports_the_same_fault() {
-        let obj = malformed_unlock_obj();
-        let mut state = ObjectState::for_object(&obj, MutexId::new(0));
-        let mut vm = ThreadVm::new(obj, MethodIdx::new(0), RequestArgs::empty());
-        let fault = Fault::UnlockWithoutLock {
-            sync_id: SyncId::new(3),
+        let cell = CellId::new(0);
+        let update = Stmt::Update {
+            cell,
+            delta: IntExpr::Lit(5),
         };
-        assert_eq!(vm.step_match(&mut state), StepOutcome::Faulted(fault));
-    }
-
-    #[test]
-    fn step_match_agrees_with_threaded_step() {
-        // The retired match-dispatch reference and the threaded loop must
-        // produce identical traces and state on an unfused program.
-        let body = vec![
-            Stmt::Compute(DurExpr::millis(1)),
-            Stmt::If {
-                cond: CondExpr::ArgFlag(0),
-                then_branch: vec![Stmt::Nested {
-                    service: ServiceId::new(0),
-                    dur: DurExpr::millis(2),
-                }],
-                else_branch: vec![],
-            },
-            Stmt::For {
-                count: CountExpr::Lit(3),
-                body: vec![Stmt::Sync {
-                    sync_id: SyncId::new(0),
-                    param: MutexExpr::Pool {
-                        base: 10,
-                        len: 4,
-                        index_arg: 1,
-                    },
-                    body: vec![Stmt::Update {
-                        cell: CellId::new(0),
-                        delta: IntExpr::Lit(1),
-                    }],
-                }],
-            },
+        let update_indexed = Stmt::UpdateIndexed {
+            base: 0,
+            len: 1,
+            index_arg: 0,
+            delta: IntExpr::Lit(5),
+        };
+        let set_cell = Stmt::SetCell {
+            cell,
+            value: IntExpr::Lit(5),
+        };
+        // (body before the unlock, fusion on, the op at pc 0, cell after)
+        let cases = [
+            (vec![], false, OpCode::Unlock, 0),
+            (vec![update.clone()], false, OpCode::Update, 5),
+            (vec![update], true, OpCode::UpdateUnlock, 5),
+            (vec![update_indexed], true, OpCode::UpdateIndexedUnlock, 5),
+            (vec![set_cell], true, OpCode::SetCellUnlock, 5),
         ];
-        let obj = compile_unfused(&ObjectImpl {
-            name: "T".into(),
-            n_cells: 1,
-            n_fields: 0,
-            methods: vec![Method {
-                name: "m".into(),
-                arity: 2,
-                n_locals: 0,
-                public: true,
-                is_final: true,
-                body,
-            }],
-        });
-        for args in [
-            vec![Value::Bool(true), Value::Int(2)],
-            vec![Value::Bool(false), Value::Int(7)],
-        ] {
-            let mut st_a = ObjectState::for_object(&obj, MutexId::new(99));
-            let mut vm_a = ThreadVm::new(
-                obj.clone(),
-                MethodIdx::new(0),
-                RequestArgs::new(args.clone()),
+        for (body, fuse, first, cell_after) in cases {
+            let obj = malformed_unlock_obj(body, fuse);
+            assert_eq!(obj.flat.ops[0].code, first);
+            let mut state = ObjectState::for_object(&obj, MutexId::new(0));
+            let args = RequestArgs::new(vec![Value::Int(0)]);
+            let mut vm = ThreadVm::new(obj, MethodIdx::new(0), args);
+            assert_eq!(
+                vm.step(&mut state),
+                StepOutcome::Faulted(fault),
+                "{first:?}"
             );
-            let threaded_trace = run_to_completion(&mut vm_a, &mut st_a);
-
-            let mut st_b = ObjectState::for_object(&obj, MutexId::new(99));
-            let mut vm_b = ThreadVm::new(obj.clone(), MethodIdx::new(0), RequestArgs::new(args));
-            let mut match_trace = Vec::new();
-            loop {
-                match vm_b.step_match(&mut st_b) {
-                    StepOutcome::Action(a) => match_trace.push(a),
-                    StepOutcome::Finished => break,
-                    StepOutcome::Faulted(f) => panic!("unexpected fault {f}"),
-                }
-            }
-            assert_eq!(threaded_trace, match_trace);
-            assert_eq!(st_a.state_hash(), st_b.state_hash());
+            // Re-stepping is deterministic: same fault, no progress. A
+            // fused op faults at its carrier, so the re-step runs the bare
+            // `Unlock` and the update is applied exactly once.
+            assert_eq!(
+                vm.step(&mut state),
+                StepOutcome::Faulted(fault),
+                "{first:?}"
+            );
+            assert_eq!(state.cell(cell), cell_after, "{first:?}");
+            assert_eq!(vm.fused_steps(), u64::from(fuse), "{first:?}");
         }
     }
 }

@@ -56,11 +56,6 @@ cargo run --release -p dmt-bench --bin figures -- --quick
 echo "== smoke: figures openloop --quick --csv =="
 cargo run --release -p dmt-bench --bin figures -- openloop --quick --csv
 
-# Interpreter dispatch-style equivalence (match vs threaded vs fused):
-# one corpus pass per style with the assertions on, no timed batches.
-echo "== smoke: interp dispatch equivalence =="
-cargo bench -p dmt-bench --bench interp -- --smoke
-
 # Artifact staleness: regenerate figures_output.txt and every committed
 # figures artifact in a scratch directory and fail on any byte that
 # differs (see scripts/check_artifacts.sh). Catches
