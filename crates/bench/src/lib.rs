@@ -54,6 +54,6 @@ pub use obs::{obs_experiment, obs_json, ObsGrid};
 pub use openloop::{openloop_experiment, openloop_json, OpenLoopGrid};
 pub use schema::{Row, Rows, Value};
 pub use shard::{
-    shard_experiment, shard_json, shard_table, RoutedReport, ShardGrid, ShardReport, ShardWorkerRow,
+    shard_experiment, shard_json, shard_table, ShardGrid, ShardReport, ShardWorkerRow,
 };
 pub use table::Table;

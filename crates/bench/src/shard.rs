@@ -1,6 +1,6 @@
 //! **shard** — the sharded-engine experiment behind `BENCH_shard.json`.
 //!
-//! Three questions, one artifact:
+//! Two questions, one artifact:
 //!
 //! 1. *Is the partition/merge machinery deterministic?* The same
 //!    sharded open-loop workload runs once per shard worker count and
@@ -14,11 +14,6 @@
 //!    assignment — is the speedup a perfectly parallel host could
 //!    reach. `figures shard` prints the measured per-worker wall and
 //!    merge times to stderr; they never enter the artifact.
-//! 3. *What does the cross-shard path cost?* A relay ring
-//!    ([`dmt_workload::relay`]) routes every request through a typed
-//!    cross-shard call + reply, and the artifact records the resulting
-//!    message and epoch-barrier counts, again pinned identical across
-//!    worker counts.
 //!
 //! Everything in the artifact is derived from virtual time and integer
 //! counters, so the file is byte-identical across reruns and shard
@@ -29,7 +24,6 @@ use crate::table::Table;
 use dmt_core::SchedulerKind;
 use dmt_replica::{run_sharded, EngineConfig, ShardedRunResult};
 use dmt_workload::openloop::{self, OpenLoopParams};
-use dmt_workload::relay::{self, RelayParams};
 
 /// The experiment configuration.
 #[derive(Clone, Debug)]
@@ -46,8 +40,6 @@ pub struct ShardGrid {
     /// Shard worker counts to run (each must yield identical bytes).
     pub worker_counts: Vec<usize>,
     pub kind: SchedulerKind,
-    /// The routed (cross-shard message) demo ring.
-    pub relay: RelayParams,
 }
 
 impl Default for ShardGrid {
@@ -60,11 +52,6 @@ impl Default for ShardGrid {
             read_fraction: 0.9,
             worker_counts: vec![1, 2, 4, 8],
             kind: SchedulerKind::Mat,
-            relay: RelayParams {
-                clients_per_group: 8,
-                requests_per_client: 5,
-                ..RelayParams::default()
-            },
         }
     }
 }
@@ -80,7 +67,6 @@ impl ShardGrid {
             read_fraction: 0.9,
             worker_counts: vec![1, 4],
             kind: SchedulerKind::Mat,
-            relay: RelayParams::default(),
         }
     }
 
@@ -106,16 +92,6 @@ pub struct ShardWorkerRow {
     pub merge_ms: f64,
 }
 
-/// The routed (cross-shard message) demo result.
-#[derive(Clone, Debug)]
-pub struct RoutedReport {
-    pub n_groups: usize,
-    pub completed: u64,
-    pub shard_msgs: u64,
-    pub epochs: u64,
-    pub makespan_ns: u64,
-}
-
 /// Everything `BENCH_shard.json` is rendered from.
 #[derive(Clone, Debug)]
 pub struct ShardReport {
@@ -132,20 +108,18 @@ pub struct ShardReport {
     /// `worker_counts` (asserted during the run as well).
     pub identical_across_worker_counts: bool,
     pub rows: Vec<ShardWorkerRow>,
-    pub routed: RoutedReport,
 }
 
 /// The deterministic projection of a merged run: everything virtual,
 /// nothing host-timed. Two runs of the same partition must agree on
 /// this exactly, whatever the worker count.
-fn projection(res: &ShardedRunResult) -> (u64, u64, u64, u64, u64, u64, Vec<u64>, u64) {
+fn projection(res: &ShardedRunResult) -> (u64, u64, u64, u64, u64, Vec<u64>, u64) {
     (
         res.completed_requests,
         res.makespan.as_nanos(),
         res.latency_ns().p50_ns().unwrap_or(0),
         res.latency_ns().p95_ns().unwrap_or(0),
         res.latency_ns().p99_ns().unwrap_or(0),
-        res.shard_msgs,
         res.events_per_group.clone(),
         latency_hash(res),
     )
@@ -170,8 +144,7 @@ fn latency_hash(res: &ShardedRunResult) -> u64 {
 }
 
 /// Runs the experiment: the sharded open-loop workload once per worker
-/// count (asserting merged-result identity), then the routed relay ring
-/// at one and two workers (same assertion).
+/// count, asserting merged-result identity.
 pub fn shard_experiment(grid: &ShardGrid) -> ShardReport {
     let p = grid.params();
     let scenarios: Vec<_> = openloop::sharded_scenarios(&p, grid.n_groups)
@@ -215,31 +188,6 @@ pub fn shard_experiment(grid: &ShardGrid) -> ShardReport {
         );
     }
 
-    // The routed ring: every request crosses shards, so this prices the
-    // typed-message path and pins its worker-count independence.
-    let relay_scs: Vec<_> = relay::scenarios(&grid.relay)
-        .iter()
-        .map(|pair| pair.for_kind(grid.kind))
-        .collect();
-    let mut routed_base: Option<(ShardedRunResult, _)> = None;
-    for w in [1usize, 2] {
-        let cfg = EngineConfig::new(grid.kind).with_seed(7).with_shards(w);
-        let res = run_sharded(relay_scs.clone(), &cfg, Some(relay::routing(&grid.relay)));
-        assert!(!res.deadlocked, "relay ring stalled at {w} workers");
-        let key = projection(&res);
-        match &routed_base {
-            None => routed_base = Some((res, key)),
-            Some((_, base_key)) => {
-                assert_eq!(&key, base_key, "routed ring diverged at {w} workers");
-            }
-        }
-    }
-    let (routed_res, _) = routed_base.expect("routed runs");
-    assert_eq!(
-        routed_res.completed_requests,
-        grid.relay.total_requests() as u64
-    );
-
     ShardReport {
         completed: res.completed_requests,
         makespan_ns: res.makespan.as_nanos(),
@@ -252,13 +200,6 @@ pub fn shard_experiment(grid: &ShardGrid) -> ShardReport {
         latency_stream_hash: latency_hash(&res),
         identical_across_worker_counts: identical,
         rows,
-        routed: RoutedReport {
-            n_groups: grid.relay.n_groups,
-            completed: routed_res.completed_requests,
-            shard_msgs: routed_res.shard_msgs,
-            epochs: routed_res.epochs,
-            makespan_ns: routed_res.makespan.as_nanos(),
-        },
     }
 }
 
@@ -325,16 +266,8 @@ pub fn shard_json(grid: &ShardGrid, report: &ShardReport) -> String {
     }
     j.push_str("},\n");
     j.push_str(&format!(
-        "    \"identical_across_worker_counts\": {}\n  }},\n",
+        "    \"identical_across_worker_counts\": {}\n  }}\n",
         report.identical_across_worker_counts
-    ));
-    j.push_str(&format!(
-        "  \"routed\": {{\"n_groups\": {}, \"completed\": {}, \"shard_msgs\": {}, \"epochs\": {}, \"makespan_ns\": {}}}\n",
-        report.routed.n_groups,
-        report.routed.completed,
-        report.routed.shard_msgs,
-        report.routed.epochs,
-        report.routed.makespan_ns,
     ));
     j.push_str("}\n");
     j
@@ -353,11 +286,6 @@ mod tests {
             read_fraction: 0.9,
             worker_counts: vec![1, 3],
             kind: SchedulerKind::Mat,
-            relay: RelayParams {
-                clients_per_group: 1,
-                requests_per_client: 1,
-                ..RelayParams::default()
-            },
         }
     }
 
@@ -374,8 +302,6 @@ mod tests {
         // 8 near-equal groups must expose well over the 1.3x floor.
         let r3 = a.rows.iter().find(|r| r.workers == 3).unwrap();
         assert!(r3.balance_bound > 1.3, "bound {:.2}", r3.balance_bound);
-        // Relay ring: one call + one reply per request.
-        assert_eq!(a.routed.shard_msgs, 2 * a.routed.completed);
     }
 
     #[test]

@@ -65,5 +65,6 @@ fn shard_artifact_is_byte_stable() {
     assert_eq!(a, b, "BENCH_shard.json is not byte-stable");
     // The deterministic section must really carry the content.
     assert!(a.contains("\"balance_bound\""));
-    assert!(a.contains("\"routed\""));
+    assert!(a.contains("\"identical_across_worker_counts\": true"));
+    assert!(a.contains("\"latency_stream_hash\""));
 }

@@ -20,8 +20,8 @@ use crate::obs::SchedOutput;
 use crate::scheduler::Scheduler;
 use crate::slot::{DenseSet, SlotMap};
 use dmt_lang::{
-    Action, CompiledObject, Fault, MethodIdx, MutexId, ObjectState, RequestArgs, ServiceId,
-    StepOutcome, ThreadVm, VmPool,
+    Action, CompiledObject, Fault, MethodIdx, MutexId, ObjectState, RequestArgs, StepOutcome,
+    ThreadVm, VmPool,
 };
 use std::sync::Arc;
 
@@ -63,7 +63,7 @@ pub trait ExecHost {
 
     /// `tid` issued its nested call `call_no`; the reply comes back
     /// through [`ReplicaExec::nested_reply`].
-    fn nested(&mut self, tid: ThreadId, call_no: u32, service: ServiceId, dur_ns: u64);
+    fn nested(&mut self, tid: ThreadId, call_no: u32, dur_ns: u64);
 
     /// `tid` finished the request tagged `tag` (after its
     /// `ThreadFinished` dispatch).
@@ -347,8 +347,8 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
                     self.dispatch(host, SchedEvent::NotifyCalled { tid, mutex, all });
                     false
                 }
-                Action::Nested { service, dur_ns } => {
-                    self.call(host, tid, service, dur_ns);
+                Action::Nested { dur_ns, .. } => {
+                    self.call(host, tid, dur_ns);
                     true
                 }
                 Action::LockInfo { sync_id, mutex } => {
@@ -374,13 +374,7 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
     }
 
     /// Issues `tid`'s next nested call, numbered per thread.
-    fn call<H: ExecHost<Tag = T>>(
-        &mut self,
-        host: &mut H,
-        tid: ThreadId,
-        service: ServiceId,
-        dur_ns: u64,
-    ) {
+    fn call<H: ExecHost<Tag = T>>(&mut self, host: &mut H, tid: ThreadId, dur_ns: u64) {
         let i = tid.index();
         if i >= self.nested_issued.len() {
             self.nested_issued.resize(i + 1, 0);
@@ -396,7 +390,7 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
             self.awaiting.insert(i, (call_no, dur_ns));
         }
         self.dispatch(host, SchedEvent::NestedStarted { tid });
-        host.nested(tid, call_no, service, dur_ns);
+        host.nested(tid, call_no, dur_ns);
         if early {
             self.dispatch(host, SchedEvent::NestedCompleted { tid });
         }

@@ -14,7 +14,7 @@ use crate::event::CtrlMsg;
 use crate::exec::{ExecHost, ReplicaExec};
 use crate::ids::ThreadId;
 use crate::scheduler::Scheduler;
-use dmt_lang::{CompiledObject, Fault, MethodIdx, MutexId, ObjectState, RequestArgs, ServiceId};
+use dmt_lang::{CompiledObject, Fault, MethodIdx, MutexId, ObjectState, RequestArgs};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -69,7 +69,7 @@ impl ExecHost for Logical {
         true
     }
 
-    fn nested(&mut self, tid: ThreadId, call_no: u32, _service: ServiceId, _dur_ns: u64) {
+    fn nested(&mut self, tid: ThreadId, call_no: u32, _dur_ns: u64) {
         self.nested.push_back((tid, call_no));
     }
 

@@ -18,7 +18,7 @@ use dmt_core::{
     Scheduler, SchedulerKind, ThreadId,
 };
 use dmt_groupcomm::{Delivery, GroupComm, NetConfig, NodeId, Sequenced};
-use dmt_lang::{MethodIdx, MutexId, RequestArgs, ServiceId};
+use dmt_lang::{MutexId, RequestArgs};
 use dmt_obs::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceRecord, Tracer};
 use dmt_sim::{EventQueue, Histogram, LogHistogram, SimDuration, SimTime, SplitMix64};
 
@@ -81,31 +81,6 @@ pub struct EngineConfig {
     /// by the scenario list, so results are byte-identical for any value
     /// (the default `1` runs every shard on the calling thread).
     pub shards: usize,
-    /// Cross-shard routing table for nested invocations whose target
-    /// service lives on another shard. `None` (the default, and always
-    /// the case for a monolithic [`Engine::run`]) keeps every nested
-    /// call local. Installed per group by the shard coordinator.
-    pub remote: Option<RemoteRouting>,
-}
-
-/// Where each nested-invocation service lives when the object space is
-/// partitioned into group engines, plus how a routed call executes on
-/// its home shard. Shared (via `Arc`) across every group's config so the
-/// table is identical everywhere by construction.
-#[derive(Clone, Debug)]
-pub struct RemoteRouting {
-    /// The group this engine instance simulates.
-    pub group: u32,
-    /// `service_home[s]` = home group of [`dmt_lang::ServiceId`] `s`.
-    pub service_home: std::sync::Arc<Vec<u32>>,
-    /// Method a routed call invokes on the home group's object.
-    pub method: MethodIdx,
-    /// One-way cross-shard link latency, applied to both the call and
-    /// the reply leg. Also the conservative-PDES lookahead: a message
-    /// sent at `t` cannot be delivered before `t + link`, which is what
-    /// lets shards advance an epoch in parallel without ever receiving
-    /// an event from their past.
-    pub link: SimDuration,
 }
 
 impl EngineConfig {
@@ -127,7 +102,6 @@ impl EngineConfig {
             broken_dedup: false,
             node_latency: Vec::new(),
             shards: 1,
-            remote: None,
         }
     }
 
@@ -403,9 +377,9 @@ pub struct Engine {
 }
 
 /// Everything of an engine but its replicas: the calendar queue, group
-/// communication, client and request bookkeeping, tracer, metrics and
-/// shard outbox. Kept apart so a replica's executor can borrow it as its
-/// [`ExecHost`] (see [`Leg`]).
+/// communication, client and request bookkeeping, tracer and metrics.
+/// Kept apart so a replica's executor can borrow it as its [`ExecHost`]
+/// (see [`Leg`]).
 struct Host {
     cfg: EngineConfig,
     scenario: Scenario,
@@ -469,13 +443,6 @@ struct Host {
     /// `tracer.is_enabled() || depth_ids.is_some()`, cached so the
     /// per-dispatch observation side-channel costs one branch when off.
     observe: bool,
-    /// Cross-shard messages generated this epoch, harvested by the shard
-    /// coordinator at the next virtual-time barrier. Always empty when
-    /// [`EngineConfig::remote`] is `None`.
-    outbox: Vec<crate::shard::ShardMsg>,
-    /// Routed-in calls executing locally, indexed by the `req_no` of
-    /// their materialised [`RequestId`] (client = `REMOTE_CLIENT`).
-    remote_calls: Vec<RemoteCall>,
 }
 
 /// The host as one replica's executor sees it while that replica runs.
@@ -519,15 +486,6 @@ enum Ev {
     TryRecover {
         replica: usize,
     },
-    /// A nested invocation routed in from another group engine arrives
-    /// at this shard (delivery instant = origin send time + cross-shard
-    /// link). Executes as a real request through the local total-order
-    /// layer; its first finish sends a [`crate::shard::ShardMsg`] reply.
-    RemoteCall {
-        from_group: u32,
-        tid: ThreadId,
-        call_no: u32,
-    },
 }
 
 /// Backoff between recovery attempts while the cluster is non-quiescent.
@@ -537,26 +495,6 @@ const RECOVERY_RETRY: SimDuration = SimDuration::from_millis(1);
 
 /// FIFO-source id space offset for clients (replicas use their index).
 const CLIENT_SRC: u64 = 1_000_000;
-
-/// FIFO-source id space offset for cross-shard calls (keyed by origin
-/// group, so each peer shard's calls stay in arrival order).
-const REMOTE_SRC: u64 = 2_000_000;
-
-/// `RequestId::client` sentinel for requests that materialise a routed
-/// cross-shard call; `req_no` then indexes [`Engine::remote_calls`]
-/// instead of a client script. Distinct from the dummy sentinel
-/// (`u32::MAX`, which never reaches completion accounting).
-const REMOTE_CLIENT: u32 = u32::MAX - 1;
-
-/// Target-side record of one routed-in call: where to send the reply,
-/// and whether the first replica already finished it (first-reply
-/// dedup, the remote analogue of `ReqState::replied`).
-struct RemoteCall {
-    from_group: u32,
-    tid: ThreadId,
-    call_no: u32,
-    done: bool,
-}
 
 #[derive(Clone, Copy)]
 struct ReqState {
@@ -601,12 +539,6 @@ impl Engine {
         let mut queue = queue.0;
         queue.reset();
         queue.set_fastpath(cfg.fastpath);
-        assert!(
-            cfg.remote.is_none() || cfg.faults.events.is_empty(),
-            "cross-shard routing is incompatible with fault injection: \
-             failover re-issues pending nested calls from local state, \
-             which cannot cover calls executing on a peer shard"
-        );
         let mut rng = SplitMix64::new(cfg.seed);
         let n = cfg.n_replicas;
         let mut gc = GroupComm::new(n, cfg.net, rng.split(0).next_u64());
@@ -669,16 +601,14 @@ impl Engine {
             tracer,
             depth_ids,
             observe,
-            outbox: Vec::new(),
-            remote_calls: Vec::new(),
         };
+        // `this_mutex` scans every request's arguments: once per engine.
+        let this = host.scenario.this_mutex();
         let reps = (0..n)
             .map(|i| {
-                let sc = &host.scenario;
-                let this = sc.this_mutex();
                 Rep::new(
                     host.scheduler(i),
-                    sc.program.clone(),
+                    host.scenario.program.clone(),
                     this,
                     host.tracer.is_enabled(),
                 )
@@ -717,7 +647,7 @@ impl Engine {
     /// so only in-flight events ever occupy the calendar) and the fault
     /// plan. Every event takes its insertion seq in client order, exactly
     /// as if each arrival had been pushed on the calendar here.
-    pub(crate) fn start(&mut self) {
+    fn start(&mut self) {
         let h = &mut self.host;
         h.client_pos = vec![0; h.scenario.clients.len()];
         h.req_state = vec![None; h.scenario.total_requests()];
@@ -780,56 +710,11 @@ impl Engine {
         }
     }
 
-    /// Epoch execution for the shard coordinator: processes every event
-    /// strictly before `limit` and stops with the queue intact.
-    /// Conservative-PDES safe: any cross-shard message generated here
-    /// carries a send time ≥ `now`, so its delivery (send + link) lands
-    /// at or after `limit` when `limit` is chosen as
-    /// `min_next_event + link` across the whole shard set.
-    pub(crate) fn run_until(&mut self, limit: SimTime) {
-        while self.host.queue.peek_time().is_some_and(|t| t < limit) {
-            let (_, ev) = self.host.queue.pop().expect("peeked non-empty");
-            self.process(ev);
-        }
-    }
-
-    /// Timestamp of this engine's next pending event.
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
-        self.host.queue.peek_time()
-    }
-
-    /// Drains this epoch's cross-shard messages into the coordinator's
-    /// buffer (appended in generation order, which is virtual-time order
-    /// within a group).
-    pub(crate) fn take_outbox(&mut self, into: &mut Vec<crate::shard::ShardMsg>) {
-        into.append(&mut self.host.outbox);
-    }
-
-    /// Delivers a routed message from a peer shard at `msg.at + link`.
-    /// Only the coordinator calls this, between epochs, in the global
-    /// `(at, from_group)` order that makes queue seq assignment — and
-    /// therefore the whole run — independent of worker count.
-    pub(crate) fn inject(&mut self, msg: crate::shard::ShardMsg, link: SimDuration) {
-        let at = msg.at + link;
-        let ev = match msg.kind {
-            crate::shard::ShardMsgKind::Call => Ev::RemoteCall {
-                from_group: msg.from_group,
-                tid: msg.tid,
-                call_no: msg.call_no,
-            },
-            crate::shard::ShardMsgKind::Reply => Ev::NestedDone {
-                tid: msg.tid,
-                call_no: msg.call_no,
-            },
-        };
-        self.host.queue.push_at(at, ev);
-    }
-
     /// Post-run accounting: sweeps meters, computes stuck threads and
     /// state hashes, exports the metrics snapshot, and hands back the
     /// queue for reuse. `deadlocked` is the run loop's verdict so far
     /// (time-cap overrun); incomplete request accounting is added here.
-    pub(crate) fn finish(mut self, mut deadlocked: bool) -> (RunResult, EngineQueue) {
+    fn finish(mut self, mut deadlocked: bool) -> (RunResult, EngineQueue) {
         let h = &mut self.host;
         let mut stuck_threads = Vec::new();
         for (i, rep) in self.reps.iter().enumerate() {
@@ -920,13 +805,6 @@ impl Engine {
             trace_records: h.tracer.into_records(),
         };
         (result, EngineQueue(h.queue))
-    }
-
-    /// Records host wall time for this engine's share of a sharded run
-    /// (the shard worker measures around `start`/`run_until`; the
-    /// monolithic [`Engine::run`] times itself).
-    pub(crate) fn set_wall_ns(&mut self, ns: u64) {
-        self.host.perf.wall_ns = ns;
     }
 
     fn handle(&mut self, ev: Ev) {
@@ -1029,38 +907,6 @@ impl Engine {
                 }
             }
             Ev::TryRecover { replica } => self.try_recover(replica),
-            Ev::RemoteCall {
-                from_group,
-                tid,
-                call_no,
-            } => {
-                // Materialise the routed-in call as a real request: it
-                // goes through the local total-order layer like any
-                // client submission, so every replica of this group
-                // executes it deterministically. FIFO source is keyed by
-                // origin group, preserving each peer's arrival order.
-                let routing = h.cfg.remote.as_ref().expect("remote call without routing");
-                let method = routing.method;
-                let idx = h.remote_calls.len() as u32;
-                h.remote_calls.push(RemoteCall {
-                    from_group,
-                    tid,
-                    call_no,
-                    done: false,
-                });
-                h.submit_to_gc(
-                    REMOTE_SRC + from_group as u64,
-                    GcMsg::Request {
-                        id: RequestId {
-                            client: REMOTE_CLIENT,
-                            req_no: idx,
-                        },
-                        method,
-                        args: RequestArgs::empty(),
-                        dummy: false,
-                    },
-                );
-            }
             Ev::LeaderDetect { new_leader } => {
                 h.leader = new_leader;
                 let t = h.now_ns();
@@ -1386,55 +1232,21 @@ impl ExecHost for Leg<'_> {
 
     /// Only the designated invoker performs the call, once per call
     /// number; every replica learns the result from the reply broadcast.
-    fn nested(&mut self, tid: ThreadId, call_no: u32, service: ServiceId, dur_ns: u64) {
+    fn nested(&mut self, tid: ThreadId, call_no: u32, dur_ns: u64) {
         let h = &mut *self.host;
         if self.replica != h.designated() || h.is_replied(tid, call_no) {
             return;
         }
-        // A service homed on another shard turns the invocation into a
-        // routed message instead of a local timer; the reply comes back
-        // through the coordinator as the same `NestedDone`.
-        let remote = h.cfg.remote.as_ref();
-        match remote.filter(|r| r.service_home[service.index()] != r.group) {
-            Some(r) => h.outbox.push(crate::shard::ShardMsg {
-                at: h.queue.now(),
-                from_group: r.group,
-                to_group: r.service_home[service.index()],
-                tid,
-                call_no,
-                kind: crate::shard::ShardMsgKind::Call,
-            }),
-            None => h.queue.push_after(
-                SimDuration::from_nanos(dur_ns),
-                Ev::NestedDone { tid, call_no },
-            ),
-        }
+        h.queue.push_after(
+            SimDuration::from_nanos(dur_ns),
+            Ev::NestedDone { tid, call_no },
+        );
     }
 
     fn finished(&mut self, tid: ThreadId, tag: Option<RequestId>) {
         let h = &mut *self.host;
         let Some(id) = tag else { return };
         let now = h.queue.now();
-        // A routed-in call finished: first finish answers the origin
-        // shard (the remote analogue of first-reply semantics below).
-        // The reply is a coordinator message, not a client reply — no
-        // latency sample, no closed-loop chaining.
-        if id.client == REMOTE_CLIENT {
-            let rc = &mut h.remote_calls[id.req_no as usize];
-            if !rc.done {
-                rc.done = true;
-                let group = h.cfg.remote.as_ref().expect("routed call").group;
-                h.outbox.push(crate::shard::ShardMsg {
-                    at: now,
-                    from_group: group,
-                    to_group: rc.from_group,
-                    tid: rc.tid,
-                    call_no: rc.call_no,
-                    kind: crate::shard::ShardMsgKind::Reply,
-                });
-            }
-            return;
-        }
         // First-reply semantics: the fastest replica answers the client.
         let reply_leg = h.reply_latency();
         let st = h.req_state[h.req_base[id.client as usize] + id.req_no as usize]

@@ -53,11 +53,9 @@ pub mod shard;
 pub mod trace;
 
 pub use checker::{check_determinism, check_fault_convergence, CheckOutcome};
-pub use engine::{
-    Engine, EngineConfig, EngineQueue, PerfCounters, RemoteRouting, RequestLatency, RunResult,
-};
+pub use engine::{Engine, EngineConfig, EngineQueue, PerfCounters, RequestLatency, RunResult};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRecord, FaultRecordKind};
 pub use msg::{this_mutex, ClientScript, GcMsg, RequestId, Scenario};
 pub use replay::{record_primary, replay_on_backup, PrimaryLog, ReplayStalled};
-pub use shard::{run_sharded, ShardMerger, ShardMsg, ShardMsgKind, ShardRouting, ShardedRunResult};
+pub use shard::{run_sharded, ShardMerger, ShardedRunResult};
 pub use trace::{compare, Divergence, ExecutionTrace, MatchLevel};

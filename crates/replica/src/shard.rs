@@ -9,73 +9,25 @@
 //! worker count ([`EngineConfig::shards`]) is *pure parallelism*: every
 //! byte of the result is fixed by the scenario list and config alone.
 //!
-//! Two execution paths:
-//!
-//! * **Independent groups** (no [`ShardRouting`]): each group is a closed
-//!   simulation. A worker runs its groups back to back, threading one
-//!   [`EngineQueue`] through them (reset between runs) so the calendar
-//!   slab stays warm. Determinism is per-group purity: a group's result
-//!   is a function of `(scenario, cfg, group seed)` only.
-//! * **Routed groups** ([`ShardRouting`] present): nested invocations
-//!   whose target service is homed on another group become typed
-//!   [`ShardMsg`]s, exchanged at virtual-time barriers under a
-//!   conservative-PDES epoch protocol. The epoch boundary is
-//!   `min(next event over all groups) + link`: any message sent during
-//!   the epoch is delivered no earlier than the boundary, so no group
-//!   ever receives an event from its past. Boundaries derive only from
-//!   global queue state — independent of worker count.
+//! Each group is a closed simulation: its nested invocations are served
+//! inside the group, exactly as in a monolithic run. A worker runs a
+//! contiguous chunk of groups back to back, threading one [`EngineQueue`]
+//! through them (reset between runs) so the calendar slab stays warm.
+//! Determinism is per-group purity: a group's result is a function of
+//! `(scenario, cfg, group seed)` only.
 //!
 //! Output streams merge under the total order `(virtual time, group id,
 //! within-group seq)`: latencies sort by `(replied, group)` with stable
 //! within-group completion order, traces via
 //! [`dmt_obs::merge_group_traces`], metrics/perf by commutative
-//! aggregation. See DESIGN.md §12.
+//! aggregation. See DESIGN.md §13.
 
-use crate::engine::{Engine, EngineConfig, EngineQueue, PerfCounters, RemoteRouting, RunResult};
+use crate::engine::{Engine, EngineConfig, EngineQueue, PerfCounters, RunResult};
 use crate::msg::Scenario;
-use dmt_core::ThreadId;
-use dmt_lang::MethodIdx;
 use dmt_obs::MetricsSnapshot;
-use dmt_sim::{LogHistogram, SimDuration, SimTime};
+use dmt_sim::{LogHistogram, SimTime};
 
 use crate::engine::{RequestLatency, REQUEST_LATENCY};
-
-/// A typed cross-shard message, harvested from group outboxes at each
-/// virtual-time barrier and injected in global `(at, from_group)` order
-/// (generation order breaks remaining ties, preserved by stable sort).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardMsg {
-    /// Virtual send instant at the origin group.
-    pub at: SimTime,
-    pub from_group: u32,
-    pub to_group: u32,
-    /// Origin thread awaiting the nested reply.
-    pub tid: ThreadId,
-    /// Origin per-thread nested-call number.
-    pub call_no: u32,
-    pub kind: ShardMsgKind,
-}
-
-/// What a [`ShardMsg`] carries: the call leg or the first-finish reply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardMsgKind {
-    Call,
-    Reply,
-}
-
-/// Cluster-wide routing for cross-shard nested invocations: which group
-/// each service lives on, what a routed call executes there, and the
-/// link latency that doubles as conservative-PDES lookahead.
-#[derive(Clone, Debug)]
-pub struct ShardRouting {
-    /// `service_home[s]` = home group of service `s`.
-    pub service_home: std::sync::Arc<Vec<u32>>,
-    /// Method a routed call invokes on its home group's object.
-    pub method: MethodIdx,
-    /// One-way cross-shard link latency (must be positive: it is the
-    /// lookahead that lets shards advance in parallel).
-    pub link: SimDuration,
-}
 
 /// Merged outcome of one sharded run. Per-group results are retained in
 /// group order (byte-identical to a monolithic run of the same group
@@ -105,10 +57,6 @@ pub struct ShardedRunResult {
     /// Merged decision trace under `(t_ns, group, within-group index)`,
     /// replicas remapped to `group * n_replicas + replica`.
     pub trace_records: Vec<dmt_obs::TraceRecord>,
-    /// Cross-shard messages exchanged (0 without routing).
-    pub shard_msgs: u64,
-    /// Epoch barriers executed (0 without routing).
-    pub epochs: u64,
     /// Events processed per group — the deterministic load-balance
     /// profile (`sum / max-per-worker` bounds achievable speedup).
     pub events_per_group: Vec<u64>,
@@ -196,37 +144,25 @@ impl ShardMerger {
 }
 
 /// Runs one scenario per group, `cfg.shards` workers, and merges the
-/// outputs deterministically. Per-group engine `g` gets seed
-/// `cfg.seed + g`, so group 0 of a sharded run is byte-identical to the
-/// monolithic `Engine::new(scenario, cfg).run()` of the same scenario.
+/// outputs deterministically. Group `g` is byte-identical to the
+/// monolithic `Engine::new(scenarios[g], cfg.with_seed(cfg.seed + g))
+/// .run()`, so group 0 is the monolithic run of the same scenario.
 ///
-/// With `routing`, nested invocations may cross groups (see module
-/// docs); without it, groups must be closed simulations.
+/// The third parameter is a placeholder: [`std::convert::Infallible`]
+/// makes `None` its only value. It stays until the perfbench
+/// maintenance change stops passing it, and then goes.
 pub fn run_sharded(
     scenarios: Vec<Scenario>,
     cfg: &EngineConfig,
-    routing: Option<ShardRouting>,
+    _unused: Option<std::convert::Infallible>,
 ) -> ShardedRunResult {
     assert!(!scenarios.is_empty(), "at least one group required");
     let wall_start = std::time::Instant::now();
     let n_groups = scenarios.len();
     let workers = cfg.shards.clamp(1, n_groups);
-    let group_cfg = |g: usize| {
-        let mut c = cfg.clone().with_seed(cfg.seed.wrapping_add(g as u64));
-        c.remote = routing.as_ref().map(|r| RemoteRouting {
-            group: g as u32,
-            service_home: r.service_home.clone(),
-            method: r.method,
-            link: r.link,
-        });
-        c
-    };
     let total_requests: usize = scenarios.iter().map(Scenario::total_requests).sum();
 
-    let (results, shard_msgs, epochs) = match routing {
-        None => (run_independent(scenarios, &group_cfg, workers), 0, 0),
-        Some(ref r) => run_epochs(scenarios, &group_cfg, workers, r, cfg.max_time),
-    };
+    let results = run_groups(scenarios, cfg, workers);
 
     let merge_start = std::time::Instant::now();
     let mut merger = ShardMerger::with_capacity(total_requests);
@@ -261,152 +197,51 @@ pub fn run_sharded(
         perf,
         metrics,
         trace_records,
-        shard_msgs,
-        epochs,
         events_per_group,
         wall_ns: wall_start.elapsed().as_nanos() as u64,
         merge_ns,
     }
 }
 
-/// Independent-group path: workers run contiguous chunks of groups in
-/// parallel, each threading one reused queue through its chunk.
-fn run_independent(
-    scenarios: Vec<Scenario>,
-    group_cfg: &(impl Fn(usize) -> EngineConfig + Sync),
-    workers: usize,
-) -> Vec<RunResult> {
-    let n_groups = scenarios.len();
+/// Workers run contiguous chunks of groups in parallel; one worker
+/// runs them all on the calling thread.
+fn run_groups(scenarios: Vec<Scenario>, cfg: &EngineConfig, workers: usize) -> Vec<RunResult> {
     if workers <= 1 {
-        let mut queue = EngineQueue::new();
-        let mut out = Vec::with_capacity(n_groups);
-        for (g, sc) in scenarios.into_iter().enumerate() {
-            let (res, q) = Engine::with_queue(sc, group_cfg(g), queue).run_returning_queue();
-            queue = q;
-            out.push(res);
-        }
-        return out;
+        return run_chunk(0, scenarios, cfg);
     }
-    let k = n_groups.div_ceil(workers);
+    let k = scenarios.len().div_ceil(workers);
     let mut chunks: Vec<Vec<Scenario>> = Vec::new();
-    let mut it = scenarios.into_iter();
-    loop {
-        let chunk: Vec<Scenario> = it.by_ref().take(k).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
+    let mut it = scenarios.into_iter().peekable();
+    while it.peek().is_some() {
+        chunks.push(it.by_ref().take(k).collect());
     }
-    let mut results: Vec<RunResult> = Vec::with_capacity(n_groups);
     std::thread::scope(|s| {
         let handles: Vec<_> = chunks
             .into_iter()
             .enumerate()
-            .map(|(w, chunk)| {
-                s.spawn(move || {
-                    let base = w * k;
-                    let mut queue = EngineQueue::new();
-                    let mut out = Vec::with_capacity(chunk.len());
-                    for (i, sc) in chunk.into_iter().enumerate() {
-                        let (res, q) = Engine::with_queue(sc, group_cfg(base + i), queue)
-                            .run_returning_queue();
-                        queue = q;
-                        out.push(res);
-                    }
-                    out
-                })
-            })
+            .map(|(w, chunk)| s.spawn(move || run_chunk(w * k, chunk, cfg)))
             .collect();
-        for h in handles {
-            results.extend(h.join().expect("shard worker panicked"));
-        }
-    });
-    results
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    })
 }
 
-/// Routed path: conservative-PDES epochs over long-lived group engines.
-/// Each epoch runs every group to the barrier in parallel, then the
-/// coordinator exchanges outbox messages in global `(at, from_group)`
-/// order. Returns `(results, shard_msgs, epochs)`.
-fn run_epochs(
-    scenarios: Vec<Scenario>,
-    group_cfg: &(impl Fn(usize) -> EngineConfig + Sync),
-    workers: usize,
-    routing: &ShardRouting,
-    max_time: SimDuration,
-) -> (Vec<RunResult>, u64, u64) {
-    assert!(
-        routing.link > SimDuration::ZERO,
-        "cross-shard link latency must be positive (it is the PDES lookahead)"
-    );
-    let n_groups = scenarios.len();
-    let mut engines: Vec<Engine> = scenarios
-        .into_iter()
-        .enumerate()
-        .map(|(g, sc)| Engine::new(sc, group_cfg(g)))
-        .collect();
-    for e in &mut engines {
-        e.start();
+/// Runs groups `first, first + 1, …` back to back, threading one reused
+/// queue through them. Group `g` gets seed `cfg.seed + g`.
+fn run_chunk(first: usize, chunk: Vec<Scenario>, cfg: &EngineConfig) -> Vec<RunResult> {
+    let mut queue = EngineQueue::new();
+    let mut out = Vec::with_capacity(chunk.len());
+    for (i, sc) in chunk.into_iter().enumerate() {
+        let group_cfg = cfg
+            .clone()
+            .with_seed(cfg.seed.wrapping_add((first + i) as u64));
+        let (res, q) = Engine::with_queue(sc, group_cfg, queue).run_returning_queue();
+        queue = q;
+        out.push(res);
     }
-    let cap = SimTime::ZERO + max_time;
-    let mut pending: Vec<ShardMsg> = Vec::new();
-    let mut wall: Vec<u64> = vec![0; n_groups];
-    let mut shard_msgs = 0u64;
-    let mut epochs = 0u64;
-    let mut deadlocked = false;
-    loop {
-        // Deliver last epoch's messages in global (at, from_group) order
-        // — generation order within a group breaks the remaining ties
-        // (stable sort), so queue seq assignment at the target is a pure
-        // function of the message set.
-        pending.sort_by_key(|m| (m.at, m.from_group));
-        shard_msgs += pending.len() as u64;
-        for m in pending.drain(..) {
-            engines[m.to_group as usize].inject(m, routing.link);
-        }
-        let Some(min_next) = engines.iter().filter_map(Engine::next_time).min() else {
-            break; // fully drained, nothing in flight
-        };
-        if min_next > cap {
-            deadlocked = true;
-            break;
-        }
-        let epoch_end = min_next + routing.link;
-        epochs += 1;
-        // Parallel epoch: workers own contiguous chunks of engines.
-        if workers <= 1 {
-            for (g, e) in engines.iter_mut().enumerate() {
-                let t0 = std::time::Instant::now();
-                e.run_until(epoch_end);
-                wall[g] += t0.elapsed().as_nanos() as u64;
-            }
-        } else {
-            let k = n_groups.div_ceil(workers);
-            std::thread::scope(|s| {
-                for (chunk, walls) in engines.chunks_mut(k).zip(wall.chunks_mut(k)) {
-                    s.spawn(move || {
-                        for (e, wl) in chunk.iter_mut().zip(walls) {
-                            let t0 = std::time::Instant::now();
-                            e.run_until(epoch_end);
-                            *wl += t0.elapsed().as_nanos() as u64;
-                        }
-                    });
-                }
-            });
-        }
-        for e in &mut engines {
-            e.take_outbox(&mut pending);
-        }
-    }
-    let results = engines
-        .into_iter()
-        .zip(wall)
-        .map(|(mut e, w)| {
-            e.set_wall_ns(w);
-            e.finish(deadlocked).0
-        })
-        .collect();
-    (results, shard_msgs, epochs)
+    out
 }
 
 #[cfg(test)]
@@ -416,6 +251,7 @@ mod tests {
     use dmt_core::SchedulerKind;
     use dmt_lang::ast::{CountExpr, IntExpr, MutexExpr};
     use dmt_lang::{compile, DurExpr, ObjectBuilder, RequestArgs, ServiceId, Value};
+    use dmt_sim::SimDuration;
 
     fn counter_scenario(seed_off: u64, n_clients: usize, reqs: usize) -> Scenario {
         let mut ob = ObjectBuilder::new("ShardCounter");
@@ -452,78 +288,25 @@ mod tests {
         EngineConfig::new(kind).with_seed(7).with_cpu_jitter(0.05)
     }
 
-    fn key(r: &ShardedRunResult) -> (u64, u64, Vec<(u32, u64, u64)>, Vec<u64>) {
-        (
-            r.completed_requests,
-            r.makespan.as_nanos(),
-            r.latencies
-                .iter()
-                .map(|&(g, l)| (g, l.enqueued.as_nanos(), l.replied.as_nanos()))
-                .collect(),
-            r.groups
-                .iter()
-                .flat_map(|g| g.traces.iter().map(|t| t.state_hash))
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn group_zero_matches_the_monolithic_engine() {
-        let sc = counter_scenario(0, 3, 4);
-        let mono = Engine::new(sc.clone(), cfg(SchedulerKind::Mat)).run();
-        let sharded = run_sharded(vec![sc], &cfg(SchedulerKind::Mat), None);
-        let g0 = &sharded.groups[0];
-        assert_eq!(g0.completed_requests, mono.completed_requests);
-        assert_eq!(g0.makespan, mono.makespan);
-        assert_eq!(g0.latencies, mono.latencies);
-        assert_eq!(g0.traces.len(), mono.traces.len());
-        for (a, b) in g0.traces.iter().zip(&mono.traces) {
-            assert_eq!(a.state_hash, b.state_hash);
-        }
-    }
-
-    #[test]
-    fn worker_count_never_changes_the_merged_result() {
-        let scenarios: Vec<Scenario> = (0..4).map(|g| counter_scenario(g, 2, 3)).collect();
-        let base = run_sharded(scenarios.clone(), &cfg(SchedulerKind::Lsa), None);
-        for shards in [2, 3, 4, 9] {
-            let r = run_sharded(
-                scenarios.clone(),
-                &cfg(SchedulerKind::Lsa).with_shards(shards),
-                None,
-            );
-            assert_eq!(key(&r), key(&base), "shards={shards} diverged");
-        }
-    }
-
-    /// Ring topology: every group's object issues one nested call to the
-    /// service homed on the next group.
-    fn relay_scenario(n_groups: usize, me: usize) -> Scenario {
-        let mut ob = ObjectBuilder::new("Relay");
+    /// Every request computes, makes one nested call and then bumps the
+    /// shared cell under the object's monitor.
+    fn nested_scenario(seed_off: u64, n_clients: usize, reqs: usize) -> Scenario {
+        let mut ob = ObjectBuilder::new("ShardNested");
         let cell = ob.cell();
-        // Method 0: client entry — compute, then call the next group's
-        // service (remote unless it resolves locally).
-        let mut m = ob.method("relay", 0);
+        let mut m = ob.method("call_out", 0);
         m.compute(DurExpr::micros(80));
+        m.nested(ServiceId::new(0), DurExpr::micros(300 + seed_off));
         m.sync(MutexExpr::This, |b| {
-            b.update(cell, IntExpr::Lit(1));
+            b.add(cell, 1);
         });
-        m.nested(
-            ServiceId::new(((me + 1) % n_groups) as u32),
-            DurExpr::micros(40),
-        );
         m.done();
-        // Method 1: what a routed-in call executes here.
-        let mut t = ob.method("touch", 0);
-        t.sync(MutexExpr::This, |b| {
-            b.compute(DurExpr::micros(20));
-            b.update(cell, IntExpr::Lit(10));
-        });
-        t.done();
         let program = compile::compile(&ob.build());
-        let clients = (0..2)
+        let clients = (0..n_clients)
             .map(|_| {
-                ClientScript::closed(vec![(dmt_lang::MethodIdx::new(0), RequestArgs::empty()); 2])
+                ClientScript::closed(vec![
+                    (dmt_lang::MethodIdx::new(0), RequestArgs::empty());
+                    reqs
+                ])
             })
             .collect();
         Scenario {
@@ -534,36 +317,83 @@ mod tests {
         }
     }
 
-    fn ring_routing(n_groups: usize) -> ShardRouting {
-        ShardRouting {
-            service_home: std::sync::Arc::new((0..n_groups as u32).collect()),
-            method: dmt_lang::MethodIdx::new(1),
-            link: SimDuration::from_micros(200),
+    /// The virtual-time projection of a merged run that no worker count
+    /// may change.
+    #[derive(Debug, PartialEq)]
+    struct MergedKey {
+        completed: u64,
+        makespan_ns: u64,
+        latencies: Vec<(u32, u64, u64)>,
+        state_hashes: Vec<u64>,
+    }
+
+    fn key(r: &ShardedRunResult) -> MergedKey {
+        MergedKey {
+            completed: r.completed_requests,
+            makespan_ns: r.makespan.as_nanos(),
+            latencies: r
+                .latencies
+                .iter()
+                .map(|&(g, l)| (g, l.enqueued.as_nanos(), l.replied.as_nanos()))
+                .collect(),
+            state_hashes: r
+                .groups
+                .iter()
+                .flat_map(|g| g.traces.iter().map(|t| t.state_hash))
+                .collect(),
         }
     }
 
     #[test]
-    fn routed_ring_is_worker_count_independent_and_completes() {
-        let n_groups = 4;
-        let scenarios: Vec<Scenario> = (0..n_groups).map(|g| relay_scenario(n_groups, g)).collect();
-        let base = run_sharded(
-            scenarios.clone(),
-            &cfg(SchedulerKind::Mat),
-            Some(ring_routing(n_groups)),
-        );
-        assert!(!base.deadlocked, "routed ring must complete");
-        assert_eq!(base.completed_requests, (n_groups * 2 * 2) as u64);
-        assert!(base.shard_msgs > 0, "ring must exchange messages");
-        assert!(base.epochs > 0);
-        for shards in [2, 4] {
+    fn every_group_matches_the_monolithic_engine() {
+        let scenarios = vec![
+            counter_scenario(0, 3, 4),
+            nested_scenario(1, 3, 3),
+            counter_scenario(2, 2, 5),
+        ];
+        for kind in [SchedulerKind::Mat, SchedulerKind::Sat] {
+            let c = cfg(kind);
+            let sharded = run_sharded(scenarios.clone(), &c, None);
+            assert!(!sharded.deadlocked, "{kind}");
+            for (g, sc) in scenarios.iter().enumerate() {
+                let mono = Engine::new(sc.clone(), c.clone().with_seed(c.seed + g as u64)).run();
+                let got = &sharded.groups[g];
+                assert_eq!(
+                    got.completed_requests, mono.completed_requests,
+                    "{kind} g{g}"
+                );
+                assert_eq!(got.makespan, mono.makespan, "{kind} g{g}");
+                assert_eq!(got.latencies, mono.latencies, "{kind} g{g}");
+                assert_eq!(got.traces, mono.traces, "{kind} g{g}");
+                assert_eq!(got.perf.events, mono.perf.events, "{kind} g{g}");
+            }
+            // The nested group's requests really waited on their calls.
+            let nested = &sharded.groups[1];
+            assert_eq!(nested.completed_requests, 9, "{kind}");
+            assert!(
+                nested
+                    .latencies
+                    .iter()
+                    .all(|l| l.latency() >= SimDuration::from_micros(301)),
+                "{kind}: a nested call was skipped"
+            );
+        }
+    }
+
+    #[test]
+    fn worker_count_never_changes_the_merged_result() {
+        let scenarios: Vec<Scenario> = (0..4)
+            .map(|g| counter_scenario(g, 2, 3))
+            .chain([nested_scenario(4, 2, 3)])
+            .collect();
+        let base = run_sharded(scenarios.clone(), &cfg(SchedulerKind::Lsa), None);
+        for shards in [2, 3, 4, 9] {
             let r = run_sharded(
                 scenarios.clone(),
-                &cfg(SchedulerKind::Mat).with_shards(shards),
-                Some(ring_routing(n_groups)),
+                &cfg(SchedulerKind::Lsa).with_shards(shards),
+                None,
             );
-            assert_eq!(key(&r), key(&base), "routed shards={shards} diverged");
-            assert_eq!(r.shard_msgs, base.shard_msgs);
-            assert_eq!(r.epochs, base.epochs);
+            assert_eq!(key(&r), key(&base), "shards={shards} diverged");
         }
     }
 

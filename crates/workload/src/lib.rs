@@ -24,10 +24,7 @@
 //!   requests per virtual second) instead of waiting for replies, over a
 //!   keyed store whose `get`/`put` critical sections differ in length —
 //!   the regime where queueing separates LSA's serialised admission
-//!   from MAT's concurrent token queue;
-//! * [`relay`] — the cross-shard relay ring: each group's object issues
-//!   a nested call to the service homed on the next group, exercising
-//!   the typed message path of `dmt_replica::run_sharded`.
+//!   from MAT's concurrent token queue.
 //!
 //! Every generator returns both the *plain* and the *analysed*
 //! (transformed + lock-table) variant of its scenario, so experiments can
@@ -38,7 +35,6 @@ pub mod buffer;
 pub mod fig1;
 pub mod inversion;
 pub mod openloop;
-pub mod relay;
 pub mod synth;
 
 use dmt_analysis::{build_lock_table, transform};

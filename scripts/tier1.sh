@@ -33,13 +33,14 @@ cargo test -q --workspace
 echo "== tier-1: cargo test -q --release (dmt-sim, dmt-groupcomm, dmt-core) =="
 cargo test -q --release -p dmt-sim -p dmt-groupcomm -p dmt-core
 
-# `cargo build`, `test` and `clippy --workspace` skip bench targets;
-# compile every dmt-bench bench so none of them can rot unnoticed.
+# `cargo build` and `test` skip bench targets; compile every dmt-bench
+# bench so none of them can rot unnoticed.
 echo "== tier-1: cargo bench --no-run =="
 cargo bench --no-run --offline -q -p dmt-bench
 
-echo "== tier-1: cargo clippy (warnings are errors) =="
-cargo clippy --workspace -- -D warnings
+# Every target: libraries, binaries, tests, examples and benches.
+echo "== tier-1: cargo clippy --all-targets (warnings are errors) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo doc (rustdoc warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
