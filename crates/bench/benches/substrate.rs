@@ -199,7 +199,7 @@ fn bench_interpreter() {
         let mut vm = ThreadVm::new(
             program.clone(),
             MethodIdx::new(0),
-            RequestArgs::new(vec![dmt_lang::Value::Int(1)]),
+            RequestArgs::new(&[dmt_lang::Value::Int(1)]),
         );
         dmt_lang::interp::run_to_completion(&mut vm, &mut state).len()
     });

@@ -109,7 +109,7 @@ fn warm_substrate_paths_do_not_allocate() {
     m.done();
     let program = compile::compile(&ob.build());
     let mut state = ObjectState::for_object(&program, MutexId::new(0));
-    let args = RequestArgs::new(vec![Value::Int(1)]);
+    let args = RequestArgs::new(&[Value::Int(1)]);
     let mut pool = VmPool::new();
 
     // The pool hands out boxed VMs (a replica's table holds one pointer
@@ -371,5 +371,26 @@ fn warm_substrate_paths_do_not_allocate() {
         fused_allocs <= reference_allocs,
         "fused fast path allocated {fused_allocs} times, more than the \
          {reference_allocs} of the reference path on the same scenario"
+    );
+
+    // --- Shared scenario: every part of a `Scenario` (program, lock
+    // table, client table) sits behind an `Arc`, so cloning one — once
+    // per kind, job and sweep cell — and picking a kind's variant must
+    // bump refcounts and copy no client script.
+    let share_delta = (0..3)
+        .map(|_| {
+            let before = allocations();
+            for kind in dmt_core::SchedulerKind::ALL {
+                std::hint::black_box(pair.for_kind(kind));
+                std::hint::black_box(pair.analysed.clone());
+            }
+            std::hint::black_box(pair.clone());
+            allocations() - before
+        })
+        .min()
+        .unwrap();
+    assert_eq!(
+        share_delta, 0,
+        "cloning a scenario allocated {share_delta} times"
     );
 }

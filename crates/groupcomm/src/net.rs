@@ -53,7 +53,7 @@ impl NetConfig {
 }
 
 /// A message stamped with its position in the total order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Sequenced<M> {
     pub seq: u64,
     pub msg: M,
@@ -414,9 +414,9 @@ mod tests {
             .collect();
         let n = NodeId::new(0);
         for sm in stamped.iter().skip(1).rev() {
-            assert!(g.arrive(n, sm.clone()).is_empty());
+            assert!(g.arrive(n, *sm).is_empty());
         }
-        let out = g.arrive(n, stamped[0].clone());
+        let out = g.arrive(n, stamped[0]);
         assert_eq!(out.len(), 5);
         let seqs: Vec<u64> = out.iter().map(|d| d.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
@@ -476,7 +476,7 @@ mod tests {
         let mut g = gc(1, 1);
         let (a, _) = g.sequence("a");
         let n = NodeId::new(0);
-        assert_eq!(g.arrive(n, a.clone()).len(), 1);
+        assert_eq!(g.arrive(n, a).len(), 1);
         assert!(g.arrive(n, a).is_empty(), "duplicate must be suppressed");
         assert_eq!(g.stats().dup_dropped, 1);
         assert_eq!(g.stats().deliveries, 1);
@@ -489,7 +489,7 @@ mod tests {
         let (_a, _) = g.sequence("a");
         let (b, _) = g.sequence("b");
         let n = NodeId::new(0);
-        assert!(g.arrive(n, b.clone()).is_empty(), "gap: held back");
+        assert!(g.arrive(n, b).is_empty(), "gap: held back");
         assert_eq!(g.stats().held_back, 1);
         assert!(g.arrive(n, b).is_empty(), "duplicate of buffered msg");
         assert_eq!(g.stats().dup_dropped, 1);
@@ -502,7 +502,7 @@ mod tests {
         g.set_dedup(false);
         let (a, _) = g.sequence("a");
         let n = NodeId::new(0);
-        assert_eq!(g.arrive(n, a.clone()).len(), 1);
+        assert_eq!(g.arrive(n, a).len(), 1);
         let dup = g.arrive(n, a);
         assert_eq!(dup.len(), 1, "broken transport re-delivers");
         assert_eq!(dup[0].seq, 0);
@@ -516,7 +516,7 @@ mod tests {
         let n0 = NodeId::new(0);
         let n1 = NodeId::new(1);
         let (a, _) = g.sequence("a");
-        g.arrive(n0, a.clone());
+        g.arrive(n0, a);
         g.arrive(n1, a);
         g.kill(n1);
         // Sequenced while n1 is dead: never fanned out to it.

@@ -438,7 +438,7 @@ mod tests {
         let compiled = compile(&ob.build());
         let mut state = ObjectState::for_object(&compiled, MutexId::new(1));
         let mi = compiled.method_by_name("twice").unwrap();
-        let mut vm = ThreadVm::new(compiled, mi, RequestArgs::new(vec![Value::Int(21)]));
+        let mut vm = ThreadVm::new(compiled, mi, RequestArgs::new(&[Value::Int(21)]));
         run_to_completion(&mut vm, &mut state);
         assert_eq!(state.cell(c), 42);
     }

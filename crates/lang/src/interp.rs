@@ -868,7 +868,7 @@ mod tests {
 
     fn run(obj: Arc<CompiledObject>, args: Vec<Value>) -> (Vec<Action>, ObjectState) {
         let mut state = ObjectState::for_object(&obj, MutexId::new(1000));
-        let mut vm = ThreadVm::new(obj, MethodIdx::new(0), RequestArgs::new(args));
+        let mut vm = ThreadVm::new(obj, MethodIdx::new(0), RequestArgs::new(&args));
         let trace = run_to_completion(&mut vm, &mut state);
         (trace, state)
     }
@@ -1101,7 +1101,7 @@ mod tests {
         let mut vm = ThreadVm::new(
             obj,
             MethodIdx::new(0),
-            RequestArgs::new(vec![Value::Mutex(MutexId::new(42))]),
+            RequestArgs::new(&[Value::Mutex(MutexId::new(42))]),
         );
         let trace = run_to_completion(&mut vm, &mut state);
         assert_eq!(
@@ -1153,7 +1153,7 @@ mod tests {
             let mut vm = ThreadVm::new(
                 obj.clone(),
                 MethodIdx::new(0),
-                RequestArgs::new(vec![Value::Int(sel)]),
+                RequestArgs::new(&[Value::Int(sel)]),
             );
             run_to_completion(&mut vm, &mut state)
         };
@@ -1502,7 +1502,7 @@ mod tests {
             let obj = malformed_unlock_obj(body, fuse);
             assert_eq!(obj.flat.ops[0].code, first);
             let mut state = ObjectState::for_object(&obj, MutexId::new(0));
-            let args = RequestArgs::new(vec![Value::Int(0)]);
+            let args = RequestArgs::new(&[Value::Int(0)]);
             let mut vm = ThreadVm::new(obj, MethodIdx::new(0), args);
             assert_eq!(
                 vm.step(&mut state),

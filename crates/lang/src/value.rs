@@ -7,7 +7,7 @@
 
 use crate::ids::MutexId;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A value a client can pass to a start method (or a method can pass on to
 /// a callee).
@@ -86,68 +86,70 @@ impl From<MutexId> for Value {
     }
 }
 
-/// The argument vector of one remote method invocation, interned behind a
-/// refcounted handle: the group-communication layer fans every request out
-/// to all replicas, and with `Arc<[Value]>` each hop's `clone()` is a
-/// refcount bump instead of a vector copy. The vector is immutable after
-/// construction — clients build it once, replicas only read it.
-#[derive(Clone, Debug, PartialEq)]
+/// The argument vector of one remote method invocation. A client builds
+/// it once, in one allocation, and nothing writes it afterwards: the
+/// scenario's client table owns it, requests travel through the total
+/// order by id, and each replica reads the table's copy when it delivers
+/// the request (the `Arc` lets a replica's executor keep it for the
+/// thread's life without copying). Empty arguments — every PDS dummy,
+/// every zero-arity method — carry no allocation at all: `None` uses the
+/// `Arc`'s niche, so the handle stays one pointer wide.
+#[derive(Clone, Default, PartialEq)]
 pub struct RequestArgs {
-    values: Arc<[Value]>,
+    values: Option<Arc<[Value]>>,
 }
 
-/// `Arc<[T]>` heap-allocates its refcount header even for an empty slice,
-/// and `RequestArgs::empty()` sits on the per-request hot path — share one
-/// allocation for all empty argument vectors.
-static EMPTY_ARGS: OnceLock<Arc<[Value]>> = OnceLock::new();
-
 impl RequestArgs {
-    pub fn new(values: Vec<Value>) -> Self {
-        if values.is_empty() {
-            return Self::empty();
-        }
+    /// Copies `values` into one allocation (none if it is empty).
+    pub fn new(values: &[Value]) -> Self {
         RequestArgs {
-            values: values.into(),
+            values: (!values.is_empty()).then(|| Arc::from(values)),
         }
     }
 
-    pub fn empty() -> Self {
-        RequestArgs {
-            values: EMPTY_ARGS.get_or_init(|| Arc::new([])).clone(),
-        }
+    pub const fn empty() -> Self {
+        RequestArgs { values: None }
     }
 
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values.is_none()
     }
 
     /// Fetches argument `i`. Panics on out-of-range: the analysis guarantees
     /// arity, so a miss is a harness bug worth failing loudly on.
     pub fn get(&self, i: usize) -> Value {
         *self
-            .values
+            .values()
             .get(i)
-            .unwrap_or_else(|| panic!("request argument {i} missing (have {})", self.values.len()))
+            .unwrap_or_else(|| panic!("request argument {i} missing (have {})", self.len()))
     }
 
     pub fn values(&self) -> &[Value] {
-        &self.values
+        self.values.as_deref().unwrap_or(&[])
     }
 }
 
-impl Default for RequestArgs {
-    fn default() -> Self {
-        Self::empty()
+/// Renders `RequestArgs { values: [..] }`, empty arguments included: the
+/// request log's `Debug` form feeds pinned digests, so it must not show
+/// the `Option`.
+impl fmt::Debug for RequestArgs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RequestArgs")
+            .field("values", &self.values())
+            .finish()
     }
 }
 
 impl FromIterator<Value> for RequestArgs {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        RequestArgs::new(iter.into_iter().collect())
+        let values: Arc<[Value]> = iter.into_iter().collect();
+        RequestArgs {
+            values: (!values.is_empty()).then_some(values),
+        }
     }
 }
 
@@ -179,7 +181,7 @@ mod tests {
 
     #[test]
     fn args_get() {
-        let args = RequestArgs::new(vec![Value::Int(1), Value::Bool(true)]);
+        let args = RequestArgs::new(&[Value::Int(1), Value::Bool(true)]);
         assert_eq!(args.get(0).as_int(), 1);
         assert!(args.get(1).as_bool());
         assert_eq!(args.len(), 2);
@@ -188,7 +190,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "request argument 2 missing")]
     fn args_out_of_range_panics() {
-        RequestArgs::new(vec![Value::Int(1)]).get(2);
+        RequestArgs::new(&[Value::Int(1)]).get(2);
     }
 
     #[test]
@@ -198,17 +200,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_args_share_one_allocation() {
-        let a = RequestArgs::empty();
-        let b = RequestArgs::new(Vec::new());
-        assert!(Arc::ptr_eq(&a.values, &b.values));
+    fn empty_args_hold_no_allocation() {
+        assert_eq!(RequestArgs::new(&[]), RequestArgs::empty());
+        assert!(RequestArgs::empty().values.is_none());
+        assert!(RequestArgs::empty().values().is_empty());
+        let collected: RequestArgs = std::iter::empty().collect();
+        assert!(collected.values.is_none());
+        assert_eq!(
+            std::mem::size_of::<RequestArgs>(),
+            std::mem::size_of::<Arc<[Value]>>()
+        );
     }
 
     #[test]
-    fn clone_is_interned() {
-        let a = RequestArgs::new(vec![Value::Int(7)]);
+    fn clone_shares_the_allocation() {
+        let a = RequestArgs::new(&[Value::Int(7)]);
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.values, &b.values));
+        assert!(Arc::ptr_eq(
+            a.values.as_ref().unwrap(),
+            b.values.as_ref().unwrap()
+        ));
         assert_eq!(b.get(0).as_int(), 7);
     }
 }

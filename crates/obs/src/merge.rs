@@ -20,12 +20,17 @@ use crate::trace::TraceRecord;
 /// The order is `(t_ns, group, within-group index)`: a stable sort on
 /// `(t_ns, group)` keeps each group's recording order for same-instant
 /// records, so the result never depends on shard completion order.
-pub fn merge_group_traces(groups: &[Vec<TraceRecord>], n_replicas: u32) -> Vec<TraceRecord> {
-    let total: usize = groups.iter().map(Vec::len).sum();
+/// Groups may be owned buffers or borrowed slices (`&[&[TraceRecord]]`),
+/// so a caller that keeps its per-group traces need not copy them.
+pub fn merge_group_traces<G: AsRef<[TraceRecord]>>(
+    groups: &[G],
+    n_replicas: u32,
+) -> Vec<TraceRecord> {
+    let total: usize = groups.iter().map(|g| g.as_ref().len()).sum();
     let mut tagged: Vec<(u32, TraceRecord)> = Vec::with_capacity(total);
     for (g, recs) in groups.iter().enumerate() {
         let g = g as u32;
-        for r in recs {
+        for r in recs.as_ref() {
             let mut r = *r;
             if r.replica != TraceRecord::NO_REPLICA {
                 r.replica += g * n_replicas;

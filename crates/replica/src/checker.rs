@@ -159,7 +159,7 @@ mod tests {
                 ClientScript::repeated(
                     mix,
                     (0..reqs)
-                        .map(|i| RequestArgs::new(vec![Value::Int((k * 100 + i) as i64 + 1)]))
+                        .map(|i| RequestArgs::new(&[Value::Int((k * 100 + i) as i64 + 1)]))
                         .collect(),
                 )
             })

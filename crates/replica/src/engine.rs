@@ -832,25 +832,13 @@ impl Engine {
                             d_eff += h.delay_extra[n];
                         }
                     }
-                    // `sm.clone()` is a refcount bump: request args are
-                    // interned behind an Arc, so per-replica fan-out does
-                    // not copy argument vectors.
-                    h.queue.push_after(
-                        d_eff,
-                        Ev::NodeArrive {
-                            node: n,
-                            sm: sm.clone(),
-                        },
-                    );
+                    h.queue.push_after(d_eff, Ev::NodeArrive { node: n, sm });
                     // Duplicate-delivery adversary: the copy trails the
                     // original by a fixed offset (again no RNG draw).
                     if now < h.dup_until[n] {
                         h.queue.push_after(
                             d_eff + h.dup_copy_delay[n],
-                            Ev::NodeArrive {
-                                node: n,
-                                sm: sm.clone(),
-                            },
+                            Ev::NodeArrive { node: n, sm },
                         );
                     }
                 }
@@ -1035,18 +1023,23 @@ impl Engine {
         h.tracer
             .record(t, replica as u32, || TraceEvent::GcDeliver { seq });
         let rep = &mut self.reps[replica];
-        let leg = &mut Leg { host: h, replica };
         match msg {
-            GcMsg::Request {
-                id,
-                method,
-                args,
-                dummy,
-            } => rep.arrive(leg, seq, method, args, dummy, (!dummy).then_some(id)),
-            GcMsg::NestedReply { tid, call_no } => rep.nested_reply(leg, tid, call_no),
+            GcMsg::Request { id, method, dummy } => {
+                let args = if dummy {
+                    RequestArgs::empty()
+                } else {
+                    let script = &h.scenario.clients[id.client as usize];
+                    script.requests[id.req_no as usize].1.clone()
+                };
+                let leg = &mut Leg { host: h, replica };
+                rep.arrive(leg, seq, method, args, dummy, (!dummy).then_some(id))
+            }
+            GcMsg::NestedReply { tid, call_no } => {
+                rep.nested_reply(&mut Leg { host: h, replica }, tid, call_no)
+            }
             GcMsg::Ctrl { from, msg } => {
                 if from.index() != replica {
-                    rep.dispatch(leg, SchedEvent::Control(msg));
+                    rep.dispatch(&mut Leg { host: h, replica }, SchedEvent::Control(msg));
                 }
             }
         }
@@ -1113,7 +1106,7 @@ impl Host {
     /// records its enqueue timestamp.
     fn submit_request(&mut self, client: u32, req_no: u32) {
         let c = client as usize;
-        let (method, args) = self.scenario.clients[c].requests[req_no as usize].clone();
+        let method = self.scenario.clients[c].requests[req_no as usize].0;
         self.req_state[self.req_base[c] + req_no as usize] = Some(ReqState {
             submitted: self.queue.now(),
             replied: false,
@@ -1123,7 +1116,6 @@ impl Host {
             GcMsg::Request {
                 id: RequestId { client, req_no },
                 method,
-                args,
                 dummy: false,
             },
         );
@@ -1305,7 +1297,6 @@ impl ExecHost for Leg<'_> {
         let msg = GcMsg::Request {
             id,
             method,
-            args: RequestArgs::empty(),
             dummy: true,
         };
         h.submit_to_gc(self.replica as u64, msg);
@@ -1375,7 +1366,7 @@ mod tests {
                 ClientScript::repeated(
                     inc,
                     (0..reqs_per_client)
-                        .map(|i| RequestArgs::new(vec![Value::Int(i as i64 + 1)]))
+                        .map(|i| RequestArgs::new(&[Value::Int(i as i64 + 1)]))
                         .collect(),
                 )
             })

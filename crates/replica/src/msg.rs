@@ -12,14 +12,17 @@ pub struct RequestId {
     pub req_no: u32,
 }
 
-/// Payloads ordered by the group communication system.
-#[derive(Clone, Debug)]
+/// Payloads ordered by the group communication system. Plain data: a
+/// client request travels by id, and each replica reads its arguments
+/// from the scenario's shared client table on delivery, so fanning a
+/// message out to every replica copies a few words.
+#[derive(Clone, Copy, Debug)]
 pub enum GcMsg {
-    /// A client request (or a PDS filler dummy).
+    /// A client request (or a PDS filler dummy, whose arguments are
+    /// empty).
     Request {
         id: RequestId,
         method: MethodIdx,
-        args: RequestArgs,
         dummy: bool,
     },
     /// The designated invoker's broadcast of a nested-invocation reply.
@@ -84,20 +87,31 @@ impl ClientScript {
     }
 }
 
-/// Everything the engine needs to run one experiment.
+/// Everything the engine needs to run one experiment. Every part is
+/// shared and immutable, so cloning a scenario — one per variant, kind,
+/// job or sweep cell — bumps refcounts and copies no client script.
 #[derive(Clone)]
 pub struct Scenario {
     pub program: Arc<CompiledObject>,
     /// Static lock table (from dmt-analysis) for prediction-aware
     /// schedulers; pessimistic ones ignore it.
     pub lock_table: Arc<dmt_core::LockTable>,
-    pub clients: Vec<ClientScript>,
+    /// The client table: built once per workload and read by every
+    /// engine that runs it (the plain and the analysed variant share
+    /// one). Requests are named by `(client, req_no)` into it.
+    pub clients: Arc<[ClientScript]>,
     /// Zero-arg no-op method used for PDS dummies.
     pub dummy_method: Option<MethodIdx>,
 }
 
 impl Scenario {
     pub fn new(program: Arc<CompiledObject>, clients: Vec<ClientScript>) -> Self {
+        Self::with_shared_clients(program, clients.into())
+    }
+
+    /// A scenario over an existing client table, shared rather than
+    /// copied (see [`Scenario::clients`]).
+    pub fn with_shared_clients(program: Arc<CompiledObject>, clients: Arc<[ClientScript]>) -> Self {
         let n = program.methods.len();
         Scenario {
             program,

@@ -141,7 +141,7 @@ mod tests {
 
     fn requests(mix: MethodIdx, n: usize) -> Vec<(MethodIdx, RequestArgs)> {
         (0..n)
-            .map(|i| (mix, RequestArgs::new(vec![Value::Int(i as i64 + 1)])))
+            .map(|i| (mix, RequestArgs::new(&[Value::Int(i as i64 + 1)])))
             .collect()
     }
 

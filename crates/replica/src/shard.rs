@@ -183,8 +183,8 @@ pub fn run_sharded(
         deadlocked |= r.deadlocked;
         events_per_group.push(r.perf.events);
     }
-    let traces: Vec<Vec<dmt_obs::TraceRecord>> =
-        results.iter().map(|r| r.trace_records.clone()).collect();
+    let traces: Vec<&[dmt_obs::TraceRecord]> =
+        results.iter().map(|r| r.trace_records.as_slice()).collect();
     let trace_records = dmt_obs::merge_group_traces(&traces, cfg.n_replicas as u32);
     let merge_ns = merge_start.elapsed().as_nanos() as u64;
 
@@ -270,7 +270,7 @@ mod tests {
                 ClientScript::closed(vec![
                     (
                         dmt_lang::MethodIdx::new(0),
-                        RequestArgs::new(vec![Value::Int(c as i64 + 1)]),
+                        RequestArgs::new(&[Value::Int(c as i64 + 1)]),
                     );
                     reqs
                 ])

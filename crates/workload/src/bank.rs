@@ -115,7 +115,7 @@ pub fn client_scripts(p: &BankParams) -> Vec<ClientScript> {
                 let amount = crng.next_range(1, 100) as i64;
                 requests.push((
                     transfer,
-                    RequestArgs::new(vec![Value::Int(lo), Value::Int(hi), Value::Int(amount)]),
+                    RequestArgs::new(&[Value::Int(lo), Value::Int(hi), Value::Int(amount)]),
                 ));
                 if p.audit_every > 0 && (i + 1) % p.audit_every == 0 {
                     requests.push((audit, RequestArgs::empty()));

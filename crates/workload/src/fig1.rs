@@ -175,8 +175,9 @@ pub fn client_scripts(p: &Fig1Params) -> Vec<ClientScript> {
     let mut rng = dmt_sim::SplitMix64::new(p.seed);
     let script = |c: usize| {
         let mut crng = rng.split(c as u64);
+        let mut args = Vec::with_capacity(arity);
         let mut request = || {
-            let mut args = Vec::with_capacity(arity);
+            args.clear();
             for _ in 0..p.iterations {
                 for q in p.coins() {
                     args.push(Value::Bool(crng.next_bool(q)));
@@ -186,7 +187,7 @@ pub fn client_scripts(p: &Fig1Params) -> Vec<ClientScript> {
                     Mutexes::PerClient => c as i64,
                 }));
             }
-            (MethodIdx::new(0), RequestArgs::new(args))
+            (MethodIdx::new(0), RequestArgs::new(&args))
         };
         ClientScript::closed((0..p.requests_per_client).map(|_| request()).collect())
     };

@@ -82,7 +82,7 @@ pub fn client_scripts(p: &InversionParams) -> Vec<ClientScript> {
                 .map(|i| {
                     (
                         method,
-                        RequestArgs::new(vec![Value::Int((c * 100 + i) as i64)]),
+                        RequestArgs::new(&[Value::Int((c * 100 + i) as i64)]),
                     )
                 })
                 .collect();

@@ -41,9 +41,11 @@ use dmt_analysis::{build_lock_table, transform};
 use dmt_lang::ast::ObjectImpl;
 use dmt_lang::compile::compile;
 use dmt_replica::{ClientScript, Scenario};
+use std::sync::Arc;
 
 /// Builds the plain and analysed variants of a scenario from an object
-/// implementation and client scripts.
+/// implementation and client scripts. Both variants share one client
+/// table, so every later clone of either is a refcount bump.
 pub fn make_variants(
     obj: &ObjectImpl,
     clients: Vec<ClientScript>,
@@ -55,11 +57,13 @@ pub fn make_variants(
     let table = build_lock_table(obj);
     let dummy_plain = plain_program.method_by_name(dummy_method);
     let dummy_analysed = analysed_program.method_by_name(dummy_method);
-    let mut plain = Scenario::new(plain_program, clients.clone());
+    let clients: Arc<[ClientScript]> = clients.into();
+    let mut plain = Scenario::with_shared_clients(plain_program, clients.clone());
     if let Some(d) = dummy_plain {
         plain = plain.with_dummy_method(d);
     }
-    let mut analysed = Scenario::new(analysed_program, clients).with_lock_table(table);
+    let mut analysed =
+        Scenario::with_shared_clients(analysed_program, clients).with_lock_table(table);
     if let Some(d) = dummy_analysed {
         analysed = analysed.with_dummy_method(d);
     }
@@ -87,5 +91,79 @@ impl ScenarioPair {
         } else {
             self.plain.clone()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmt_core::SchedulerKind;
+    use dmt_replica::{Engine, EngineConfig, RunResult};
+
+    fn same_table(a: &Scenario, b: &Scenario) -> bool {
+        Arc::ptr_eq(&a.clients, &b.clients)
+    }
+
+    #[test]
+    fn variants_and_kind_copies_share_one_client_table() {
+        let pair = fig1::scenario(&fig1::Fig1Params::default().with_clients(4));
+        assert!(same_table(&pair.plain, &pair.analysed));
+        for kind in SchedulerKind::ALL {
+            assert!(same_table(&pair.for_kind(kind), &pair.plain), "{kind}");
+        }
+        assert!(same_table(&pair.clone().plain, &pair.plain));
+    }
+
+    #[test]
+    fn each_shard_group_shares_its_own_table() {
+        let p = openloop::OpenLoopParams {
+            n_clients: 10,
+            requests_per_client: 2,
+            ..Default::default()
+        };
+        let groups = openloop::sharded_scenarios(&p, 3);
+        for (g, pair) in groups.iter().enumerate() {
+            assert!(same_table(&pair.plain, &pair.analysed), "group {g}");
+            assert!(same_table(&pair.for_kind(SchedulerKind::Pmat), &pair.plain));
+        }
+        assert_eq!(
+            groups
+                .iter()
+                .map(|p| p.plain.clients.len())
+                .collect::<Vec<_>>(),
+            [4, 3, 3]
+        );
+        // Each group compiles its own program: shard workers must not
+        // contend on one refcount when their VM pools admit threads.
+        assert!(!Arc::ptr_eq(
+            &groups[0].plain.program,
+            &groups[1].plain.program
+        ));
+    }
+
+    /// A run's full outcome, host wall-clock aside.
+    fn outcome(mut r: RunResult) -> String {
+        r.perf.wall_ns = 0;
+        format!("{r:?}")
+    }
+
+    #[test]
+    fn engines_on_two_threads_share_one_scenario() {
+        let pair = openloop::scenario(&openloop::OpenLoopParams {
+            n_clients: 6,
+            requests_per_client: 5,
+            ..Default::default()
+        });
+        let sc = pair.for_kind(SchedulerKind::Pds);
+        let cfg = |kind| EngineConfig::new(kind).with_seed(7).with_tracing();
+        let run = |kind| outcome(Engine::new(sc.clone(), cfg(kind)).run());
+        let serial = [run(SchedulerKind::Pds), run(SchedulerKind::Mat)];
+        let parallel = std::thread::scope(|s| {
+            let a = s.spawn(|| run(SchedulerKind::Pds));
+            let b = s.spawn(|| run(SchedulerKind::Mat));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_eq!(serial, parallel);
+        assert!(serial[0].contains("completed_requests: 30"));
     }
 }

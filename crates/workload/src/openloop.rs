@@ -206,10 +206,10 @@ fn request_mix(p: &OpenLoopParams) -> Vec<Vec<(dmt_lang::MethodIdx, RequestArgs)
                     };
                     let key = Value::Int(k as i64);
                     if crng.next_bool(p.read_fraction) {
-                        (get, RequestArgs::new(vec![key]))
+                        (get, RequestArgs::new(&[key]))
                     } else {
                         let val = Value::Int(crng.next_below(1 << 20) as i64);
-                        (put, RequestArgs::new(vec![key, val]))
+                        (put, RequestArgs::new(&[key, val]))
                     }
                 })
                 .collect()
@@ -288,7 +288,9 @@ pub fn closed_scenario(p: &OpenLoopParams) -> ScenarioPair {
 pub fn sharded_scenarios(p: &OpenLoopParams, n_groups: usize) -> Vec<ScenarioPair> {
     assert!(n_groups >= 1, "need at least one group");
     let obj = build_object(p);
-    let mut per_group: Vec<Vec<ClientScript>> = vec![Vec::new(); n_groups];
+    let mut per_group: Vec<Vec<ClientScript>> = (0..n_groups)
+        .map(|g| Vec::with_capacity(p.n_clients.saturating_sub(g).div_ceil(n_groups)))
+        .collect();
     for (c, s) in client_scripts(p).into_iter().enumerate() {
         per_group[c % n_groups].push(s);
     }
@@ -385,7 +387,7 @@ mod tests {
         let one = sharded_scenarios(&p, 1);
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].plain.clients.len(), whole.plain.clients.len());
-        for (a, b) in one[0].plain.clients.iter().zip(&whole.plain.clients) {
+        for (a, b) in one[0].plain.clients.iter().zip(whole.plain.clients.iter()) {
             assert_eq!(a.requests, b.requests);
             assert_eq!(a.arrivals, b.arrivals);
         }

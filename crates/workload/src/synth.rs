@@ -302,21 +302,19 @@ impl Gen<'_> {
 /// partition: monitor references first, scalars second.
 pub fn random_args(rng: &mut SplitMix64, cfg: &SynthConfig) -> RequestArgs {
     let half = (cfg.arity / 2).max(1);
-    RequestArgs::new(
-        (0..cfg.arity)
-            .map(|i| {
-                if i < half {
-                    Value::Mutex(dmt_lang::MutexId::new(
-                        rng.next_below(cfg.n_mutex_pool as u64) as u32,
-                    ))
-                } else if rng.next_bool(0.5) {
-                    Value::Bool(rng.next_bool(0.5))
-                } else {
-                    Value::Int(rng.next_below(8) as i64)
-                }
-            })
-            .collect(),
-    )
+    (0..cfg.arity)
+        .map(|i| {
+            if i < half {
+                Value::Mutex(dmt_lang::MutexId::new(
+                    rng.next_below(cfg.n_mutex_pool as u64) as u32,
+                ))
+            } else if rng.next_bool(0.5) {
+                Value::Bool(rng.next_bool(0.5))
+            } else {
+                Value::Int(rng.next_below(8) as i64)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

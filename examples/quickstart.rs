@@ -31,7 +31,7 @@ fn main() {
             ClientScript::repeated(
                 add,
                 (1..=4)
-                    .map(|i| RequestArgs::new(vec![Value::Int(c * 100 + i)]))
+                    .map(|i| RequestArgs::new(&[Value::Int(c * 100 + i)]))
                     .collect(),
             )
         })

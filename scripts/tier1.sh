@@ -57,6 +57,23 @@ cargo run --release -p dmt-bench --bin figures -- --quick
 echo "== smoke: figures openloop --quick --csv =="
 cargo run --release -p dmt-bench --bin figures -- openloop --quick --csv
 
+# Benchmark correctness: run the perfbench binary built above on each
+# benchmark workload for one second, untraced. Its last line is the
+# run's JSON verdict; fail unless it reports a correct run with no
+# failed operation (catches output faults before a timed benchmark run).
+echo "== smoke: perfbench correctness =="
+for w in fig1-closed openloop-store shard-1e5; do
+    last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+    *'"correct": true,'*'"failed": 0,'*) echo "perfbench $w: correct, 0 failed" ;;
+    *)
+        echo "perfbench $w: bad verdict: ${last:0:300}"
+        exit 1
+        ;;
+    esac
+done
+
 # Artifact staleness: regenerate figures_output.txt and every committed
 # figures artifact in a scratch directory and fail on any byte that
 # differs (see scripts/check_artifacts.sh). Catches

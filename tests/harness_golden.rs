@@ -170,7 +170,7 @@ fn counter() -> Workload {
     let inc = m.done();
     ob.method("noop", 0).done();
     let reqs = (0..10)
-        .map(|i| (inc, RequestArgs::new(vec![Value::Int(i + 1)])))
+        .map(|i| (inc, RequestArgs::new(&[Value::Int(i + 1)])))
         .collect();
     (ob.build(), reqs)
 }
@@ -465,13 +465,13 @@ fn every_operand() -> Workload {
     let reqs = [-3, 0, 1, 2, 3, 4, 5]
         .map(|i: i64| {
             let m = if i % 2 == 0 { this } else { MutexId::new(30) };
-            let args = vec![
+            let args = [
                 Value::Int(i),
                 Value::Bool(i % 3 == 0),
                 Value::Mutex(m),
                 Value::Dur(1_000 * i.unsigned_abs()),
             ];
-            (run, RequestArgs::new(args))
+            (run, RequestArgs::new(&args))
         })
         .to_vec();
     (obj, reqs)
