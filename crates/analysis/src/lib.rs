@@ -40,4 +40,4 @@ pub use paths::MethodSummary;
 pub use racepred::{predict_races, CriticalSection, RaceReport};
 pub use report::{analyze, AnalysisReport};
 pub use table::build_lock_table;
-pub use transform::{audit_fusion, transform, FusionAudit, MethodFusion};
+pub use transform::transform;

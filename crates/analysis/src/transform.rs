@@ -468,133 +468,6 @@ fn rewrite_block(
     }
 }
 
-/// Per-method census of the superinstruction fusion pass.
-///
-/// The fusion pass itself lives in `dmt_lang::threaded` rather than here:
-/// it rewrites the threaded op stream at lowering time, is on by default
-/// for every compile, and `dmt-analysis` depends on `dmt-lang` (not the
-/// other way around), so the rewrite cannot live in this crate without a
-/// dependency cycle. What belongs at the analysis layer is the *audit*:
-/// which pairs fused where, and the proof obligation that fusion changed
-/// no scheduler-visible behaviour. [`audit_fusion`] compiles the object
-/// twice (fused and unfused) and checks that every method's
-/// action-emission profile — the sequence of opcodes that end an
-/// interpreter step with a scheduler [`Action`](dmt_lang::Action) — is
-/// identical under both, the static face of the
-/// fusion-never-crosses-a-sync-boundary invariant (DESIGN.md §10).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MethodFusion {
-    pub name: String,
-    /// Threaded ops before fusion (carriers included after).
-    pub ops: usize,
-    /// `Update ; Unlock` pairs fused.
-    pub update_unlock: u32,
-    /// `UpdateIndexed ; Unlock` pairs fused (the Figure-1 hot pair).
-    pub update_indexed_unlock: u32,
-    /// `SetCell ; Unlock` pairs fused.
-    pub set_cell_unlock: u32,
-    /// `BranchIfFalse ; Compute` pairs fused.
-    pub br_false_compute: u32,
-    /// `BranchIfFalse ; Nested` pairs fused.
-    pub br_false_nested: u32,
-}
-
-impl MethodFusion {
-    pub fn pairs(&self) -> u32 {
-        self.update_unlock
-            + self.update_indexed_unlock
-            + self.set_cell_unlock
-            + self.br_false_compute
-            + self.br_false_nested
-    }
-}
-
-/// The whole-object fusion audit: per-method pair counts plus the
-/// emission-equivalence check.
-#[derive(Clone, Debug, Default)]
-pub struct FusionAudit {
-    pub per_method: Vec<MethodFusion>,
-}
-
-impl FusionAudit {
-    /// Total fused pairs across the object. Always equals the compiled
-    /// program's own [`fused_pairs`](dmt_lang::threaded::ThreadedCode)
-    /// meter ([`audit_fusion`] asserts it).
-    pub fn total_pairs(&self) -> u32 {
-        self.per_method.iter().map(MethodFusion::pairs).sum()
-    }
-}
-
-impl std::fmt::Display for FusionAudit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "{:<18} {:>5} {:>7} {:>9} {:>9} {:>8} {:>8}",
-            "method", "ops", "upd+ul", "updix+ul", "setc+ul", "br+comp", "br+nest"
-        )?;
-        for m in &self.per_method {
-            writeln!(
-                f,
-                "{:<18} {:>5} {:>7} {:>9} {:>9} {:>8} {:>8}",
-                m.name,
-                m.ops,
-                m.update_unlock,
-                m.update_indexed_unlock,
-                m.set_cell_unlock,
-                m.br_false_compute,
-                m.br_false_nested
-            )?;
-        }
-        writeln!(f, "total fused pairs: {}", self.total_pairs())
-    }
-}
-
-/// Audits the superinstruction fusion of `obj`: counts fused pairs per
-/// method and verifies fused/unfused action-emission equivalence.
-///
-/// Panics if fusion changed any method's emission profile — that would
-/// mean a superinstruction swallowed or reordered a scheduler
-/// consultation, which no optimisation is licensed to do.
-pub fn audit_fusion(obj: &ObjectImpl) -> FusionAudit {
-    use dmt_lang::threaded::{action_profile, OpCode};
-
-    let fused = dmt_lang::compile::compile(obj);
-    let plain = dmt_lang::compile_unfused(obj);
-    let mut audit = FusionAudit::default();
-    for (mi, m) in fused.methods.iter().enumerate() {
-        let len = m.code.len();
-        assert_eq!(
-            action_profile(&fused.flat, mi, len),
-            action_profile(&plain.flat, mi, len),
-            "fusion changed the action profile of `{}`",
-            m.name
-        );
-        let start = fused.flat.entries[mi] as usize;
-        let mut row = MethodFusion {
-            name: m.name.clone(),
-            ops: len,
-            ..MethodFusion::default()
-        };
-        for op in &fused.flat.ops[start..start + len] {
-            match op.code {
-                OpCode::UpdateUnlock => row.update_unlock += 1,
-                OpCode::UpdateIndexedUnlock => row.update_indexed_unlock += 1,
-                OpCode::SetCellUnlock => row.set_cell_unlock += 1,
-                OpCode::BrFalseCompute => row.br_false_compute += 1,
-                OpCode::BrFalseNested => row.br_false_nested += 1,
-                _ => {}
-            }
-        }
-        audit.per_method.push(row);
-    }
-    assert_eq!(
-        audit.total_pairs(),
-        fused.flat.fused_pairs,
-        "audit census disagrees with the lowering's own fused-pair meter"
-    );
-    audit
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,38 +697,6 @@ mod tests {
                 sync_id: SyncId::new(1)
             }
         );
-    }
-
-    #[test]
-    fn fusion_audit_counts_hot_pairs_and_matches_meter() {
-        let mut ob = ObjectBuilder::new("O");
-        let cell = ob.cell();
-        let mut m = ob.method("m", 2);
-        m.sync(MutexExpr::Arg(0), |b| {
-            // `update` directly before the monitor exit: the canonical
-            // critical-section tail, fused to UpdateUnlock.
-            b.update(cell, dmt_lang::ast::IntExpr::Lit(1));
-        });
-        m.done();
-        let obj = ob.build();
-        let audit = audit_fusion(&obj);
-        assert_eq!(audit.per_method.len(), 1);
-        assert_eq!(audit.per_method[0].name, "m");
-        assert_eq!(audit.per_method[0].update_unlock, 1);
-        assert_eq!(audit.total_pairs(), 1);
-        // The rendered census stays greppable for tooling.
-        let shown = audit.to_string();
-        assert!(shown.contains("total fused pairs: 1"), "{shown}");
-    }
-
-    #[test]
-    fn fusion_audit_covers_transformed_objects_too() {
-        // The audit must hold for the bookkeeping-injected rewrite as
-        // well — lockInfo/ignore are action opcodes and must never be
-        // swallowed by fusion.
-        let t = transform(&figure4());
-        let audit = audit_fusion(&t);
-        assert_eq!(audit.per_method.len(), t.methods.len());
     }
 
     #[test]

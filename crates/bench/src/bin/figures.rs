@@ -11,10 +11,6 @@
 //! cargo run -p dmt-bench --release --bin figures -- shard     # BENCH_shard.json
 //! cargo run -p dmt-bench --release --bin figures -- trace --out trace.json [--sched MAT]
 //! ```
-//!
-//! `--shards N` routes the fig1 and openloop sweeps' cluster runs
-//! through the sharded engine with `N` intra-run workers; tables and
-//! artifacts are byte-identical for every `N` (that is the point).
 
 use dmt_bench::*;
 use dmt_core::SchedulerKind;
@@ -87,30 +83,22 @@ fn grid<G: Default>(quick: bool, quick_grid: fn() -> G) -> G {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `--out`, `--sched` and `--shards` take a value; skip it when
-    // locating the experiment name.
+    // `--out` and `--sched` take a value; skip it when locating the
+    // experiment name.
     let mut what: Option<&str> = None;
     let mut out: Option<&str> = None;
     let mut sched: Option<&str> = None;
-    let mut shards = 1;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--out" | "--sched" | "--shards" => {
+            "--out" | "--sched" => {
                 let Some(v) = args.get(i + 1) else {
                     eprintln!("{} needs a value", args[i]);
                     std::process::exit(2);
                 };
                 match args[i].as_str() {
                     "--out" => out = Some(v.as_str()),
-                    "--sched" => sched = Some(v.as_str()),
-                    _ => match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => shards = n,
-                        _ => {
-                            eprintln!("--shards needs a positive integer, got `{v}`");
-                            std::process::exit(2);
-                        }
-                    },
+                    _ => sched = Some(v.as_str()),
                 }
                 i += 2;
             }
@@ -150,8 +138,7 @@ fn main() {
             eprintln!("wrote {path}");
         }
     };
-    let fig1 =
-        |kinds: &[SchedulerKind]| fig1_experiment(&client_counts, requests, kinds, threads, shards);
+    let fig1 = |kinds: &[SchedulerKind]| fig1_experiment(&client_counts, requests, kinds, threads);
 
     let run_one = |name: &str| match name {
         "fig1" => emit(&[fig1(&FIG1_KINDS)], &[]),
@@ -173,7 +160,7 @@ fn main() {
         }
         "openloop" => {
             let g = grid(quick, OpenLoopGrid::quick);
-            let rows = openloop_experiment(&g, threads, shards);
+            let rows = openloop_experiment(&g, threads);
             emit(
                 &[rows.table()],
                 &[("BENCH_openloop.json", &openloop_json(&g, &rows))],

@@ -10,9 +10,7 @@ use crate::table::Table;
 use dmt_core::SchedulerKind;
 use dmt_groupcomm::NetConfig;
 use dmt_obs::MetricsSnapshot;
-use dmt_replica::{
-    check_determinism, run_sharded, Engine, EngineConfig, FaultPlan, PerfCounters, RunResult,
-};
+use dmt_replica::{check_determinism, Engine, EngineConfig, FaultPlan, PerfCounters, RunResult};
 use dmt_sim::SimDuration;
 use dmt_workload::{bank, buffer, fig1};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,22 +103,6 @@ pub fn sweep_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs one cluster scenario under `cfg`, routing through the sharded
-/// engine when `cfg.shards > 1` and through the monolithic engine
-/// otherwise. A single scenario is a single shard group, and group 0 of
-/// the sharded engine is defined to be the monolithic engine (same
-/// seed, same queue discipline), so the returned [`RunResult`] is
-/// byte-for-byte the same either way — the sharded route just exercises
-/// the partition/merge machinery. `crates/bench/tests/shard_determinism.rs`
-/// pins that equivalence on the full fig1 and open-loop grids.
-pub fn run_engine(scenario: dmt_replica::Scenario, cfg: EngineConfig) -> RunResult {
-    if cfg.shards <= 1 {
-        return Engine::new(scenario, cfg).run();
-    }
-    let mut sharded = run_sharded(vec![scenario], &cfg, None);
-    sharded.groups.remove(0)
-}
-
 /// Ceiling on the scheduler-dispatch fan-out (`sched_events / events`,
 /// [`PerfCounters::sched_fanout`]) per scheduler, pinned from the full
 /// Figure-1 sweep. The ratio is a pure counter quotient — deterministic
@@ -156,7 +138,7 @@ fn ms(x: f64) -> String {
 
 /// One Figure-1 cell: `n_clients` × `requests_per_client` requests
 /// under `cfg`, which names the scheduler and anything else that
-/// differs between experiments (shards, depth sampling, tracing). Client
+/// differs between experiments (depth sampling, tracing). Client
 /// seed, engine seed and jitter are the Figure-1 sweep's, so every
 /// experiment built on this cell runs the same offered stream. A stalled
 /// run is fatal. Self-contained so cells can run on any worker thread.
@@ -173,24 +155,21 @@ pub(crate) fn fig1_cell(
     };
     let kind = cfg.scheduler;
     let pair = fig1::scenario(&params);
-    let res = run_engine(pair.for_kind(kind), cfg.with_seed(7).with_cpu_jitter(0.05));
+    let res = Engine::new(pair.for_kind(kind), cfg.with_seed(7).with_cpu_jitter(0.05)).run();
     assert!(!res.deadlocked, "{kind} stalled at {n_clients} clients");
     res
 }
 
 /// **fig1** — response time vs. number of clients, per scheduler in
 /// `kinds` (paper Figure 1; [`ALL_KINDS`] adds the MAT-LL and PMAT
-/// series), on `threads` sweep workers (1 = serial) and `shards`
-/// intra-run shard workers. The table is identical for every
-/// `(threads, shards)` combination — sweep workers only reorder
-/// wall-clock, and a single-group sharded run is defined to equal the
-/// monolithic engine.
+/// series), on `threads` sweep workers (1 = serial). The table is
+/// identical for every worker count — sweep workers only reorder
+/// wall-clock.
 pub fn fig1_experiment(
     client_counts: &[usize],
     requests_per_client: usize,
     kinds: &[SchedulerKind],
     threads: usize,
-    shards: usize,
 ) -> Table {
     let mut cols = vec!["clients".to_string()];
     for k in kinds {
@@ -209,7 +188,7 @@ pub fn fig1_experiment(
         |job| client_counts[job / kinds.len()] as u64,
         |job| {
             let n = client_counts[job / kinds.len()];
-            let cfg = EngineConfig::new(kinds[job % kinds.len()]).with_shards(shards);
+            let cfg = EngineConfig::new(kinds[job % kinds.len()]);
             let mut rt = fig1_cell(n, requests_per_client, cfg).response_ms();
             [
                 rt.mean(),
@@ -668,9 +647,9 @@ mod tests {
         // The guard for the parallel sweep driver: same jobs, different
         // worker counts (including more workers than jobs), rendered
         // tables must be byte-identical.
-        let serial = fig1_experiment(&[1, 3], 2, &ALL_KINDS, 1, 1).to_string();
+        let serial = fig1_experiment(&[1, 3], 2, &ALL_KINDS, 1).to_string();
         for threads in [2, 4, 16] {
-            let parallel = fig1_experiment(&[1, 3], 2, &ALL_KINDS, threads, 1).to_string();
+            let parallel = fig1_experiment(&[1, 3], 2, &ALL_KINDS, threads).to_string();
             assert_eq!(
                 serial, parallel,
                 "{threads}-thread sweep diverged from serial"
@@ -711,7 +690,7 @@ mod tests {
 
     #[test]
     fn small_fig1_runs() {
-        let t = fig1_experiment(&[1, 2], 2, &FIG1_KINDS, sweep_threads(), 1);
+        let t = fig1_experiment(&[1, 2], 2, &FIG1_KINDS, sweep_threads());
         assert_eq!(t.rows.len(), 2);
         // 1 + 4 cells (mean/p50/p95/p99) per scheduler.
         assert_eq!(t.rows[0].len(), 1 + 4 * FIG1_KINDS.len());

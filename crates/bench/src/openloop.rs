@@ -10,11 +10,11 @@
 //! across reruns and across sweep worker counts; a regression test
 //! (`crates/bench/tests/openloop_determinism.rs`) holds it to that.
 
-use crate::experiments::{run_engine, run_jobs_prioritized, FIG1_KINDS};
+use crate::experiments::{run_jobs_prioritized, FIG1_KINDS};
 use crate::schema::{col, cols::*, json_doc, json_kinds, Fmt::*, Rows, Schema, Src::*, Stat::*};
 use crate::schema::{Value, LATENCY};
 use dmt_core::SchedulerKind;
-use dmt_replica::{EngineConfig, RunResult};
+use dmt_replica::{Engine, EngineConfig, RunResult};
 use dmt_workload::openloop::{self, OpenLoopParams};
 
 /// The sweep grid. Defaults give 4 loads × 3 read mixes; `--quick`
@@ -84,12 +84,11 @@ static OPENLOOP: Schema = Schema {
     ]),
 };
 
-/// Runs the sweep on `threads` sweep workers, each cluster run on
-/// `shards` intra-run shard workers. Jobs are dispatched
+/// Runs the sweep on `threads` sweep workers. Jobs are dispatched
 /// highest-load-first (the congested points dominate wall-clock) but
 /// results are slotted by grid index, so the row order — and every byte
-/// derived from it — is the same for every `(threads, shards)`.
-pub fn openloop_experiment(grid: &OpenLoopGrid, threads: usize, shards: usize) -> Rows {
+/// derived from it — is the same for every worker count.
+pub fn openloop_experiment(grid: &OpenLoopGrid, threads: usize) -> Rows {
     let kinds = &grid.kinds;
     let points = load_mix_points(&grid.offered_rps, &grid.read_fractions);
     let rows = run_jobs_prioritized(
@@ -100,7 +99,7 @@ pub fn openloop_experiment(grid: &OpenLoopGrid, threads: usize, shards: usize) -
         |job| {
             let (rps, rf) = points[job / kinds.len()];
             let kind = kinds[job % kinds.len()];
-            let cfg = EngineConfig::new(kind).with_shards(shards);
+            let cfg = EngineConfig::new(kind);
             let res = openloop_cell(grid.n_clients, grid.requests_per_client, rps, rf, cfg);
             let cells = vec![Value::F(rps), Value::F(rf), Value::Kind(kind)];
             OPENLOOP.row(&res.metrics, cells)
@@ -117,7 +116,7 @@ pub(crate) fn load_mix_points(offered_rps: &[f64], read_fractions: &[f64]) -> Ve
 
 /// One open-loop cell: `n_clients` × `requests_per_client` requests at
 /// `rps` offered load and `rf` read fraction, under `cfg` (which names
-/// the scheduler and anything else that differs: shards, tracing). The
+/// the scheduler and anything else that differs, such as tracing). The
 /// workload seed varies per point so grid points are independent draws;
 /// it must NOT depend on the scheduler (same offered stream). Engine
 /// seed and jitter are the sweep's. A stalled run is fatal.
@@ -138,7 +137,7 @@ pub(crate) fn openloop_cell(
     .with_seed(9000 + (rps as u64) * 31 + (rf * 100.0) as u64);
     let kind = cfg.scheduler;
     let pair = openloop::scenario(&p);
-    let res = run_engine(pair.for_kind(kind), cfg.with_seed(7).with_cpu_jitter(0.05));
+    let res = Engine::new(pair.for_kind(kind), cfg.with_seed(7).with_cpu_jitter(0.05)).run();
     assert!(
         !res.deadlocked,
         "{kind} stalled at {rps} req/s, {rf} read fraction"
@@ -180,7 +179,7 @@ mod tests {
 
     #[test]
     fn saturation_raises_tail_latency() {
-        let rows = openloop_experiment(&tiny_grid(), 2, 1);
+        let rows = openloop_experiment(&tiny_grid(), 2);
         assert_eq!(rows.len(), 2 * 5);
         for r in rows.iter() {
             assert_eq!(r.u64("completed"), 12);
@@ -206,7 +205,7 @@ mod tests {
     #[test]
     fn table_and_json_cover_every_row() {
         let grid = tiny_grid();
-        let rows = openloop_experiment(&grid, 1, 1);
+        let rows = openloop_experiment(&grid, 1);
         let t = rows.table();
         assert_eq!(t.rows.len(), rows.len());
         let j = openloop_json(&grid, &rows);

@@ -4,9 +4,11 @@
 //! hashes, and metrics — on every scheduler, for both the plain and the
 //! analysed (bookkeeping-injected) object variants. This is the
 //! whole-engine face of the fusion-never-crosses-a-sync-boundary
-//! invariant; `dmt_analysis::audit_fusion` checks the same property
-//! statically, and `pool_reuse_matches_fresh_vm_traces` (dmt-lang) plays
-//! the analogous role for VM recycling.
+//! invariant; `dmt_lang::compile` checks the same property statically
+//! on every debug-build compile (each method's fused and unfused
+//! action-emission profiles must agree), and
+//! `pool_reuse_matches_fresh_vm_traces` (dmt-lang) plays the analogous
+//! role for VM recycling.
 
 use dmt_analysis::{build_lock_table, transform};
 use dmt_core::SchedulerKind;

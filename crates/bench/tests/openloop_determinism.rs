@@ -22,7 +22,7 @@ fn grid() -> OpenLoopGrid {
 #[test]
 fn openloop_json_is_byte_identical_across_worker_counts_and_reruns() {
     let g = grid();
-    let rows = openloop_experiment(&g, 1, 1);
+    let rows = openloop_experiment(&g, 1);
     let reference = openloop_json(&g, &rows);
     // Sanity: the artifact actually covers every scheduler × grid point.
     assert_eq!(reference.matches("\"scheduler\"").count(), 2 * 2 * 7);
@@ -40,10 +40,10 @@ fn openloop_json_is_byte_identical_across_worker_counts_and_reruns() {
         ],
     );
     for threads in [2, 8] {
-        let j = openloop_json(&g, &openloop_experiment(&g, threads, 1));
+        let j = openloop_json(&g, &openloop_experiment(&g, threads));
         assert_eq!(reference, j, "{threads}-worker sweep diverged from serial");
     }
     // Rerun at the same worker count: same process, fresh engines.
-    let again = openloop_json(&g, &openloop_experiment(&g, 1, 1));
+    let again = openloop_json(&g, &openloop_experiment(&g, 1));
     assert_eq!(reference, again, "rerun diverged");
 }

@@ -2,13 +2,14 @@
 //! scheduler, and the machine that turns VM actions into the
 //! [`SchedEvent`] stream and applies the scheduler's decisions.
 //!
-//! Both drivers run every replica through this code — the logical-step
-//! [`crate::harness::Harness`] and the virtual-time engine in
-//! `dmt-replica` — so the event stream a decision module sees is produced
-//! in exactly one place. What the drivers do differently (when a resumed
-//! thread runs, what a compute segment costs, how a nested call is
-//! answered, what finishing a request means, where broadcasts and dummy
-//! requests go, and tracing) sits behind the [`ExecHost`] legs.
+//! All three drivers run every replica through this code — the
+//! logical-step [`crate::harness::Harness`], the virtual-time engine in
+//! `dmt-replica` and the real-thread runtime in `dmt-rt` — so the event
+//! stream a decision module sees is produced in exactly one place. What
+//! the drivers do differently (when a resumed thread runs, what a
+//! compute segment costs, how a nested call is answered, what finishing
+//! a request means, where broadcasts and dummy requests go, and tracing)
+//! sits behind the [`ExecHost`] legs.
 //!
 //! Thread ids are assigned densely from 0 in delivery order, so every
 //! per-thread table is a slot table indexed by `tid.index()` — no hashing

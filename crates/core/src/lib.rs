@@ -20,8 +20,9 @@
 //! condition variables) live in [`sync_core`]. One replica executor
 //! ([`exec`]) turns thread actions into scheduler events and applies the
 //! decisions; a lightweight logical harness ([`harness`]) hosts it for
-//! unit and property testing, and the full virtual-time replica engine in
-//! `dmt-replica` hosts one per replica.
+//! unit and property testing, the full virtual-time replica engine in
+//! `dmt-replica` hosts one per replica, and `dmt-rt` hosts one on real
+//! OS threads.
 
 pub mod bookkeeping;
 pub mod event;

@@ -191,8 +191,8 @@ impl SchedConfig {
 
 /// A deterministic multithreading scheduler (decision module).
 ///
-/// `Send` so a runtime can drive real threads through one scheduler
-/// behind a lock (`dmt-rt`).
+/// `Send` so `dmt-rt`'s carrier threads can step one replica's
+/// executor, scheduler included, behind the runtime lock.
 pub trait Scheduler: Send {
     fn kind(&self) -> SchedulerKind;
 
@@ -310,7 +310,8 @@ pub fn make_scheduler_inline(cfg: &SchedConfig) -> AnyScheduler {
 }
 
 /// Instantiates the decision module selected by `cfg` as a trait object
-/// (for drivers that store heterogeneous schedulers, e.g. `dmt-rt`).
+/// (for the hosts that take any `Box<dyn Scheduler>`: the logical
+/// harness and `dmt-rt`'s real-thread runtime).
 pub fn make_scheduler(cfg: &SchedConfig) -> Box<dyn Scheduler> {
     Box::new(make_scheduler_inline(cfg))
 }

@@ -1,11 +1,15 @@
 //! Deterministic merge of per-shard observability streams.
 //!
-//! A sharded run produces one decision trace per group engine, each
-//! internally ordered by virtual time with ties broken by recording
-//! order. Merging them under the total order `(t_ns, group, within-group
-//! index)` yields a single stream that is a pure function of the
-//! per-group streams — independent of how many worker threads produced
-//! them or in which wall-clock order the shards finished. Metrics
+//! A sharded run produces one decision trace per group engine, in
+//! recording order. That order is *not* sorted by time stamp: the
+//! engine stamps a `RequestReplied` record with the instant the reply
+//! reaches the client (now plus the reply leg), which is later than the
+//! records it writes after it. Sorting all records under the total order
+//! `(t_ns, group, within-group index)` yields a single time-ordered
+//! stream that is a pure function of the per-group streams —
+//! independent of how many worker threads produced them or in which
+//! wall-clock order the shards finished. Because a group's stream is
+//! not itself sorted, a k-way merge of the group heads would not do. Metrics
 //! snapshots merge commutatively (`MetricsSnapshot::merge`: counters
 //! add, gauges max), so the observability layer as a whole commutes
 //! with sharding.
@@ -18,8 +22,10 @@ use crate::trace::TraceRecord;
 /// replica`) so records stay attributable after the merge;
 /// [`TraceRecord::NO_REPLICA`] (sequencer/client records) is preserved.
 /// The order is `(t_ns, group, within-group index)`: a stable sort on
-/// `(t_ns, group)` keeps each group's recording order for same-instant
-/// records, so the result never depends on shard completion order.
+/// `(t_ns, group)` moves each group's late-stamped records into place
+/// and keeps its recording order for same-instant records, so the
+/// result is sorted by time and never depends on shard completion
+/// order.
 /// Groups may be owned buffers or borrowed slices (`&[&[TraceRecord]]`),
 /// so a caller that keeps its per-group traces need not copy them.
 pub fn merge_group_traces<G: AsRef<[TraceRecord]>>(
@@ -79,6 +85,18 @@ mod tests {
         // Replica remap: group 1, replica 2 → 1*3+2 = 5.
         assert_eq!(merged[4].replica, 5);
         assert_eq!(merged[1].replica, 0);
+    }
+
+    #[test]
+    fn out_of_order_group_records_are_sorted_into_place() {
+        // Group 0 recorded a reply stamped at t=30 before its t=20
+        // record, as the engine does for `RequestReplied`; a merge of
+        // group heads would emit 30 before group 1's 25.
+        let g0 = vec![rec(10, 0, 1), rec(30, 0, 2), rec(20, 0, 3)];
+        let g1 = vec![rec(25, 0, 4)];
+        let merged = merge_group_traces(&[g0, g1], 3);
+        let times: Vec<u64> = merged.iter().map(|r| r.t_ns).collect();
+        assert_eq!(times, vec![10, 20, 25, 30]);
     }
 
     #[test]

@@ -112,22 +112,8 @@ pub fn check_determinism(
         .with_seed(seed)
         .with_cpu_jitter(cpu_jitter);
     let res = Engine::new(scenario, cfg).run();
-    if res.deadlocked {
-        return (res, CheckOutcome::Stalled);
-    }
-    let level = match_level(kind);
-    for i in 0..res.traces.len() {
-        for j in (i + 1)..res.traces.len() {
-            if let Some(d) = compare(&res.traces[i], &res.traces[j], level) {
-                let outcome = CheckOutcome::Diverged {
-                    pair: (i, j),
-                    divergence: d,
-                };
-                return (res, outcome);
-            }
-        }
-    }
-    (res, CheckOutcome::Converged)
+    let outcome = check_fault_convergence(&res, kind);
+    (res, outcome)
 }
 
 #[cfg(test)]

@@ -22,6 +22,9 @@ use dmt_lang::{MutexId, RequestArgs};
 use dmt_obs::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceRecord, Tracer};
 use dmt_sim::{EventQueue, Histogram, LogHistogram, SimDuration, SimTime, SplitMix64};
 
+/// Leader-failure detection delay for LSA failover.
+const DETECT_DELAY: SimDuration = SimDuration::from_millis(5);
+
 /// Cluster-level configuration of one run.
 #[derive(Clone)]
 pub struct EngineConfig {
@@ -34,8 +37,6 @@ pub struct EngineConfig {
     pub pds: dmt_core::PdsConfig,
     /// Safety cap on virtual time.
     pub max_time: SimDuration,
-    /// Leader-failure detection delay for LSA failover.
-    pub detect_delay: SimDuration,
     /// Record a structured trace (scheduler decisions, request
     /// lifecycle, group-comm legs, mutex releases) into an in-memory
     /// buffer of at most this many records, drained into
@@ -93,7 +94,6 @@ impl EngineConfig {
             cpu_jitter: 0.0,
             pds: dmt_core::PdsConfig::default(),
             max_time: SimDuration::from_secs(3600),
-            detect_delay: SimDuration::from_millis(5),
             trace: None,
             sample_depths: false,
             batch_admission: true,
@@ -941,7 +941,7 @@ impl Engine {
         if replica == h.leader {
             let new_leader = h.designated();
             h.queue
-                .push_after(h.cfg.detect_delay, Ev::LeaderDetect { new_leader });
+                .push_after(DETECT_DELAY, Ev::LeaderDetect { new_leader });
         }
         // Nested-invocation failover: the new invoker re-issues the
         // external calls it has locally outstanding.

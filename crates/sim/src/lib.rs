@@ -21,11 +21,11 @@
 //! * [`zipf`] — [`ZipfSampler`], deterministic skewed key popularity
 //!   (`1/k^s`) with a precomputed CDF and one-RNG-draw sampling,
 //! * [`stats`] — streaming statistics used by the benchmark harness:
-//!   exact-sample [`Histogram`], Welford [`Summary`], and the
-//!   fixed-bucket log-scale [`LogHistogram`] (32 linear sub-buckets per
-//!   power-of-two octave, ≤ 3.2 % quantisation, integer-only bucketing)
-//!   whose p50/p95/p99 extraction is reproducible byte-for-byte across
-//!   reruns and merge orders.
+//!   exact-sample [`Histogram`] and the fixed-bucket log-scale
+//!   [`LogHistogram`] (32 linear sub-buckets per power-of-two octave,
+//!   ≤ 3.2 % quantisation, integer-only bucketing) whose p50/p95/p99
+//!   extraction is reproducible byte-for-byte across reruns and merge
+//!   orders.
 //!
 //! Nothing in this crate knows about schedulers or replicas; it is a plain
 //! HPC-style simulation kernel.
@@ -40,6 +40,6 @@ pub mod zipf;
 pub use arrival::{onoff_schedule, poisson_schedule, OnOffProcess, PoissonProcess};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
-pub use stats::{Histogram, LogHistogram, Summary};
+pub use stats::{Histogram, LogHistogram};
 pub use time::{SimDuration, SimTime};
 pub use zipf::ZipfSampler;

@@ -1,108 +1,13 @@
 //! Streaming statistics for the benchmark harness.
 //!
-//! `Summary` is a Welford accumulator (numerically stable mean/variance in
-//! one pass, no sample storage); `Histogram` keeps exact samples for
-//! percentile queries where the harness needs tail latency;
-//! `LogHistogram` is the fixed-bucket log-scale variant the open-loop
-//! latency pipeline uses — integer-only bucketing, bounded memory, and
-//! percentiles that are reproducible byte-for-byte across reruns and
-//! aggregation orders (bucket counts commute where raw-sample streams
-//! would have to be re-sorted).
+//! `Histogram` keeps exact samples for percentile queries where the
+//! harness needs tail latency; `LogHistogram` is the fixed-bucket
+//! log-scale variant the open-loop latency pipeline uses — integer-only
+//! bucketing, bounded memory, and percentiles that are reproducible
+//! byte-for-byte across reruns and aggregation orders (bucket counts
+//! commute where raw-sample streams would have to be re-sorted).
 
 use crate::time::SimDuration;
-
-/// One-pass mean / variance / min / max accumulator (Welford's algorithm).
-#[derive(Clone, Debug, Default)]
-pub struct Summary {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    pub fn new() -> Self {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Convenience for recording a duration in milliseconds.
-    pub fn add_duration(&mut self, d: SimDuration) {
-        self.add(d.as_millis_f64());
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (n-1 denominator). NaN with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Exact-sample histogram with percentile queries. Intended for experiment
 /// result sets (≤ a few million samples), not unbounded telemetry.
@@ -342,72 +247,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_mean_and_variance() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Sample variance of this classic set is 32/7.
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn summary_empty_is_nan() {
-        let s = Summary::new();
-        assert!(s.mean().is_nan());
-        assert!(s.variance().is_nan());
-        assert!(s.min().is_nan());
-    }
-
-    #[test]
-    fn summary_single_sample() {
-        let mut s = Summary::new();
-        s.add(3.5);
-        assert_eq!(s.mean(), 3.5);
-        assert!(s.variance().is_nan());
-        assert_eq!(s.min(), 3.5);
-        assert_eq!(s.max(), 3.5);
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        for &x in &data {
-            whole.add(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &data[..37] {
-            a.add(x);
-        }
-        for &x in &data[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        a.add(1.0);
-        let b = Summary::new();
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut c = Summary::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.mean(), 1.0);
-    }
-
-    #[test]
     fn histogram_percentiles() {
         let mut h = Histogram::new();
         for i in 1..=100 {
@@ -551,9 +390,6 @@ mod tests {
 
     #[test]
     fn duration_helpers() {
-        let mut s = Summary::new();
-        s.add_duration(SimDuration::from_millis(4));
-        assert_eq!(s.mean(), 4.0);
         let mut h = Histogram::new();
         h.add_duration(SimDuration::from_micros(2500));
         assert_eq!(h.mean(), 2.5);

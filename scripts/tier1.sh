@@ -96,10 +96,9 @@ cargo test -q -p dmt-bench --test resilience
 echo "== smoke: contention determinism =="
 cargo test -q --release -p dmt-bench --test contention_determinism
 
-# Sharded-engine goldens: fig1 and open-loop sweeps must be
-# byte-identical for every intra-run shard worker count (1 vs 2/4/8) ×
-# sweep worker count, and BENCH_shard.json must be byte-stable across
-# reruns.
+# Sharded-engine golden: BENCH_shard.json must be byte-stable across
+# reruns, and the shard experiment asserts one merged result for every
+# intra-run worker count (1/2/4/8).
 echo "== smoke: shard determinism =="
 cargo test -q --release -p dmt-bench --test shard_determinism
 

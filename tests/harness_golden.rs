@@ -13,11 +13,17 @@
 //! (every action granted at once, no scheduler) and digest every
 //! `StepOutcome` with the state it leaves behind; see
 //! [`interp_runs_match_golden`].
+//!
+//! The harness corpus also runs on real threads through `dmt-rt`, the
+//! executor's third host: every deterministic kind but LSA must give one
+//! match-level grant order and state hash whatever the threads' timing,
+//! and the same as the harness wherever both hosts deliver in the same
+//! order; see [`real_threads_match_the_harness`].
 
 use dmt::core::harness::{Harness, HarnessResult};
 use dmt::core::{
     make_scheduler, ReplicaId, SchedConfig, SchedEvent, SchedOutput, Scheduler, SchedulerKind,
-    SyncCore,
+    SyncCore, ThreadId,
 };
 use dmt::lang::ast::{ArgExpr, CondExpr, CountExpr, DurExpr, IntExpr, MutexExpr, ObjectImpl};
 use dmt::lang::ids::CallSiteId;
@@ -26,6 +32,9 @@ use dmt::lang::{
     compile, compile_unfused, CompiledObject, Instr, MethodIdx, MutexId, ObjectBuilder,
     ObjectState, RequestArgs, ServiceId, StepOutcome, Stmt, Value, VmPool,
 };
+use dmt::replica::checker::match_level;
+use dmt::replica::MatchLevel;
+use dmt::rt::DetRuntime;
 use dmt::sim::SplitMix64;
 use dmt::workload::fig1::{self, Fig1Params};
 use dmt::workload::synth::{random_args, random_object, SynthConfig};
@@ -318,6 +327,193 @@ fn nested_invocations_complete_under_all_schedulers() {
         assert!(!res.deadlocked, "{kind}");
         assert_eq!(res.state.cells()[0], 4, "{kind}");
     }
+}
+
+/// A scheduler that sleeps a seeded 0–200 µs before one event in four.
+/// The real-thread runtime calls it under its lock, so the sleeps shift
+/// every carrier's timing: noise a deterministic kind must not see.
+struct Jitter {
+    inner: Box<dyn Scheduler>,
+    rng: SplitMix64,
+}
+
+impl Scheduler for Jitter {
+    fn kind(&self) -> SchedulerKind {
+        self.inner.kind()
+    }
+
+    fn on_event(&mut self, ev: &SchedEvent, out: &mut SchedOutput) {
+        if self.rng.next_below(4) == 0 {
+            std::thread::sleep(std::time::Duration::from_micros(self.rng.next_below(200)));
+        }
+        self.inner.on_event(ev, out);
+    }
+
+    fn sync_core(&self) -> &SyncCore {
+        self.inner.sync_core()
+    }
+}
+
+/// The kinds real threads are held to: every deterministic kind but
+/// LSA, which with one replica is its own leader and grants in physical
+/// order.
+const RT_KINDS: [SchedulerKind; 6] = [
+    SchedulerKind::Seq,
+    SchedulerKind::Sat,
+    SchedulerKind::Mat,
+    SchedulerKind::MatLL,
+    SchedulerKind::Pds,
+    SchedulerKind::Pmat,
+];
+
+/// A named, compiled workload of the harness corpus.
+type Compiled = (
+    String,
+    Arc<CompiledObject>,
+    MutexId,
+    Vec<(MethodIdx, RequestArgs)>,
+);
+
+/// The pinned harness corpus: counter, buffer, nester, synth seeds 0..10.
+fn harness_corpus() -> Vec<Compiled> {
+    let objects = [
+        ("counter", counter()),
+        ("buffer", buffer()),
+        ("nester", nester()),
+    ];
+    let objects = objects.map(|(name, (obj, reqs))| {
+        (
+            name.to_string(),
+            compile::compile(&obj),
+            MutexId::new(0),
+            reqs,
+        )
+    });
+    let synths = (0..10).map(|seed| {
+        let (obj, reqs) = synth(seed);
+        let program = compile::compile(&obj);
+        let this_mutex = MutexId::new(program.mutex_bound());
+        (format!("synth {seed}"), program, this_mutex, reqs)
+    });
+    objects.into_iter().chain(synths).collect()
+}
+
+/// Runs `requests` on real threads under `kind`, jittered by `noise`.
+fn run_rt(
+    (_, program, this_mutex, requests): &Compiled,
+    kind: SchedulerKind,
+    noise: u64,
+) -> HarnessResult {
+    let sched = Jitter {
+        inner: make_scheduler(&SchedConfig::new(kind, ReplicaId::new(0))),
+        rng: SplitMix64::new(noise),
+    };
+    let dummy = program.method_by_name("noop").unwrap();
+    let mut rt =
+        DetRuntime::new(program.clone(), *this_mutex, Box::new(sched)).with_dummy_method(dummy);
+    for (m, a) in requests {
+        rt.submit(*m, a.clone());
+    }
+    rt.run()
+}
+
+/// What `kind` guarantees of a run, at the checker's match level: the
+/// grant order (global for SEQ and SAT, else per mutex: a stable sort
+/// by mutex keeps each mutex's order), the state hash and whether the
+/// run deadlocked.
+fn guaranteed(res: &HarnessResult, kind: SchedulerKind) -> (Vec<(ThreadId, MutexId)>, u64, bool) {
+    let mut order = res.lock_trace.clone();
+    if match_level(kind) == MatchLevel::PerMutexOrder {
+        order.sort_by_key(|&(_, m)| m);
+    }
+    (order, res.state.state_hash(), res.deadlocked)
+}
+
+#[test]
+fn real_threads_ignore_noise_on_the_harness_corpus() {
+    // The kinds run side by side: the runs mostly sleep, and the
+    // competition for the host's cores is more noise.
+    let corpus = harness_corpus();
+    std::thread::scope(|s| {
+        for kind in RT_KINDS {
+            let corpus = &corpus;
+            s.spawn(move || {
+                for workload in corpus {
+                    let base = guaranteed(&run_rt(workload, kind, 0), kind);
+                    for noise in 1..3 {
+                        let got = guaranteed(&run_rt(workload, kind, noise), kind);
+                        assert_eq!(got, base, "{} under {kind}, noise {noise}", workload.0);
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// The (workload, kind) pairs where real threads and the harness grant
+/// differently. Both are deterministic; they differ because the harness
+/// answers nested calls in issue order and delivers one request per
+/// quiescent point, while real threads see every request at once and
+/// are answered in `(tid, call_no)` order.
+const RT_HARNESS_MISMATCHES: &[(&str, SchedulerKind)] = &[
+    ("synth 0", SchedulerKind::Sat),
+    ("synth 0", SchedulerKind::Mat),
+    ("synth 0", SchedulerKind::MatLL),
+    ("synth 0", SchedulerKind::Pds),
+    ("synth 1", SchedulerKind::Sat),
+    ("synth 1", SchedulerKind::Mat),
+    ("synth 1", SchedulerKind::MatLL),
+    ("synth 1", SchedulerKind::Pds),
+    ("synth 3", SchedulerKind::Sat),
+    ("synth 3", SchedulerKind::Mat),
+    ("synth 3", SchedulerKind::MatLL),
+    ("synth 3", SchedulerKind::Pds),
+    ("synth 4", SchedulerKind::Sat),
+    ("synth 4", SchedulerKind::Mat),
+    ("synth 4", SchedulerKind::MatLL),
+    ("synth 4", SchedulerKind::Pds),
+    ("synth 5", SchedulerKind::Sat),
+    ("synth 5", SchedulerKind::Mat),
+    ("synth 5", SchedulerKind::MatLL),
+    ("synth 5", SchedulerKind::Pds),
+    ("synth 6", SchedulerKind::Sat),
+    ("synth 6", SchedulerKind::Mat),
+    ("synth 6", SchedulerKind::MatLL),
+    ("synth 6", SchedulerKind::Pds),
+];
+
+#[test]
+fn real_threads_match_the_harness() {
+    let mut mismatches = Vec::new();
+    for workload in harness_corpus() {
+        let (name, program, this_mutex, requests) = &workload;
+        for kind in RT_KINDS {
+            let (harness, events) = run(program, *this_mutex, kind, requests);
+            let nests = (events.iter()).any(|e| matches!(e, SchedEvent::NestedStarted { .. }));
+            let rt = run_rt(&workload, kind, 0);
+            if guaranteed(&rt, kind) == guaranteed(&harness, kind) {
+                continue;
+            }
+            eprintln!("real threads differ from the harness: {name} under {kind}");
+            assert!(
+                nests && !matches!(kind, SchedulerKind::Seq | SchedulerKind::Pmat),
+                "{name} under {kind} must match the harness"
+            );
+            mismatches.push((name.clone(), kind));
+        }
+    }
+    let pinned: Vec<_> = (RT_HARNESS_MISMATCHES.iter())
+        .map(|&(name, kind)| (name.to_string(), kind))
+        .collect();
+    assert_eq!(mismatches, pinned);
+}
+
+#[test]
+fn real_threads_report_the_seq_deadlock() {
+    let buffer = harness_corpus().into_iter().nth(1).unwrap();
+    let res = run_rt(&buffer, SchedulerKind::Seq, 0);
+    assert!(res.deadlocked, "SEQ must deadlock on the waiting taker");
+    assert_eq!(res.finished_threads, 0);
 }
 
 /// Every operand form of the language in one object: all 19 `Instr`

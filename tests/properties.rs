@@ -5,7 +5,7 @@
 
 use dmt::core::{Grant, LockOutcome, SyncCore, ThreadId};
 use dmt::lang::MutexId;
-use dmt::sim::{EventQueue, SplitMix64, Summary};
+use dmt::sim::{EventQueue, SplitMix64};
 
 const CASES: u64 = 64;
 
@@ -66,32 +66,6 @@ fn rng_bounds() {
         for _ in 0..16 {
             assert!(r.next_below(bound) < bound, "case {case}");
         }
-    }
-}
-
-/// Welford summary matches the naive two-pass computation.
-#[test]
-fn summary_matches_naive() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(0x5011 ^ case);
-        let n = rng.next_range(2, 100) as usize;
-        let xs: Vec<f64> = (0..n).map(|_| (rng.next_f64() - 0.5) * 2e6).collect();
-        let mut s = Summary::new();
-        for &x in &xs {
-            s.add(x);
-        }
-        let nf = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / nf;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (nf - 1.0);
-        assert!(
-            (s.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0),
-            "case {case}"
-        );
-        assert!(
-            (s.variance() - var).abs() < 1e-5 * var.abs().max(1.0),
-            "case {case}"
-        );
-        assert_eq!(s.count(), xs.len() as u64, "case {case}");
     }
 }
 
