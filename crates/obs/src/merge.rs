@@ -21,11 +21,13 @@ use crate::trace::TraceRecord;
 /// Replica ids are remapped to a global space (`group * n_replicas +
 /// replica`) so records stay attributable after the merge;
 /// [`TraceRecord::NO_REPLICA`] (sequencer/client records) is preserved.
-/// The order is `(t_ns, group, within-group index)`: a stable sort on
-/// `(t_ns, group)` moves each group's late-stamped records into place
-/// and keeps its recording order for same-instant records, so the
-/// result is sorted by time and never depends on shard completion
-/// order.
+/// The order is `(t_ns, group, within-group index)`: sorting that key
+/// moves each group's late-stamped records into place and keeps its
+/// recording order for same-instant records, so the result is sorted by
+/// time and never depends on shard completion order. The key is total,
+/// so an unstable sort of compact 16-byte keys gives the stable order
+/// without a merge sort's scratch, and each record is copied once, by
+/// the final gather.
 /// Groups may be owned buffers or borrowed slices (`&[&[TraceRecord]]`),
 /// so a caller that keeps its per-group traces need not copy them.
 pub fn merge_group_traces<G: AsRef<[TraceRecord]>>(
@@ -33,19 +35,23 @@ pub fn merge_group_traces<G: AsRef<[TraceRecord]>>(
     n_replicas: u32,
 ) -> Vec<TraceRecord> {
     let total: usize = groups.iter().map(|g| g.as_ref().len()).sum();
-    let mut tagged: Vec<(u32, TraceRecord)> = Vec::with_capacity(total);
+    let mut keys: Vec<(u64, u32, u32)> = Vec::with_capacity(total);
     for (g, recs) in groups.iter().enumerate() {
+        let recs = recs.as_ref();
+        assert!(recs.len() <= u32::MAX as usize, "group trace too long");
         let g = g as u32;
-        for r in recs.as_ref() {
-            let mut r = *r;
+        keys.extend(recs.iter().enumerate().map(|(i, r)| (r.t_ns, g, i as u32)));
+    }
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|(_, g, i)| {
+            let mut r = groups[g as usize].as_ref()[i as usize];
             if r.replica != TraceRecord::NO_REPLICA {
                 r.replica += g * n_replicas;
             }
-            tagged.push((g, r));
-        }
-    }
-    tagged.sort_by_key(|(g, r)| (r.t_ns, *g));
-    tagged.into_iter().map(|(_, r)| r).collect()
+            r
+        })
+        .collect()
 }
 
 #[cfg(test)]

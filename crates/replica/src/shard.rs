@@ -141,6 +141,16 @@ impl ShardMerger {
             .sort_unstable_by_key(|&(g, l)| (l.replied, g, l.enqueued, l.id.client, l.id.req_no));
         &self.lat
     }
+
+    /// [`ShardMerger::merge_latencies`], then hands the merged buffer
+    /// over: a caller that keeps the merged stream copies nothing.
+    pub fn into_merged<'a>(
+        mut self,
+        groups: impl Iterator<Item = &'a [RequestLatency]>,
+    ) -> Vec<(u32, RequestLatency)> {
+        self.merge_latencies(groups);
+        self.lat
+    }
 }
 
 /// Runs one scenario per group, `cfg.shards` workers, and merges the
@@ -165,10 +175,8 @@ pub fn run_sharded(
     let results = run_groups(scenarios, cfg, workers);
 
     let merge_start = std::time::Instant::now();
-    let mut merger = ShardMerger::with_capacity(total_requests);
-    let merged: Vec<(u32, RequestLatency)> = merger
-        .merge_latencies(results.iter().map(|r| r.latencies.as_slice()))
-        .to_vec();
+    let merged = ShardMerger::with_capacity(total_requests)
+        .into_merged(results.iter().map(|r| r.latencies.as_slice()));
     let mut perf = PerfCounters::default();
     let mut metrics = MetricsSnapshot::default();
     let mut completed = 0;

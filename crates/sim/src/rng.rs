@@ -33,6 +33,16 @@ impl SplitMix64 {
         SplitMix64::new(s ^ mix(label.wrapping_add(GAMMA)))
     }
 
+    /// This stream advanced by `k` draws, in O(1): a draw only adds
+    /// `GAMMA` to the state, so `k` draws add `k · GAMMA`. Lets a
+    /// generator start client `c`'s stream where a sequential generator
+    /// would, without drawing the `c` streams before it.
+    #[inline]
+    #[must_use]
+    pub fn jumped(self, k: u64) -> SplitMix64 {
+        SplitMix64::new(self.state.wrapping_add(k.wrapping_mul(GAMMA)))
+    }
+
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

@@ -32,9 +32,9 @@
 
 use crate::ScenarioPair;
 use dmt_lang::ast::{DurExpr, IntExpr, MutexExpr, ObjectImpl};
-use dmt_lang::{ObjectBuilder, RequestArgs, Value};
+use dmt_lang::{MethodIdx, ObjectBuilder, RequestArgs, Value};
 use dmt_replica::ClientScript;
-use dmt_sim::{OnOffProcess, PoissonProcess, SplitMix64, ZipfSampler};
+use dmt_sim::{OnOffProcess, PoissonProcess, SimTime, SplitMix64, ZipfSampler};
 
 /// How each client times its submissions.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -182,86 +182,140 @@ pub fn build_object(p: &OpenLoopParams) -> ObjectImpl {
     ob.build()
 }
 
-/// The request mix every client model shares: per-client streams of
-/// (method, key, value) draws. Split streams keep the mix independent
+/// Label mixed into the seed of the arrival streams ("openloop").
+const ARRIVAL_LABEL: u64 = 0x6f70_656e_6c6f_6f70;
+
+/// Draws any client's script from the workload parameters alone. Client
+/// `c`'s request stream is `SplitMix64::new(seed).jumped(c).split(c)`
+/// and its arrival seed `SplitMix64::new(seed ^ "openloop").jumped(c)
+/// .next_u64()`: exactly what a generator drawing clients `0, 1, …` in
+/// sequence off two root streams hands client `c`, so a client table can
+/// hold any subset of the clients, in any order, and every script is
+/// still the same bytes. Split streams keep the request mix independent
 /// of the arrival schedule, so open and closed variants execute the
 /// *same* requests.
-fn request_mix(p: &OpenLoopParams) -> Vec<Vec<(dmt_lang::MethodIdx, RequestArgs)>> {
-    let get = dmt_lang::MethodIdx::new(0);
-    let put = dmt_lang::MethodIdx::new(1);
-    // Uniform keys keep the historical `next_below` call (so pre-existing
-    // schedules — and the golden artifacts built on them — stay
-    // bit-identical); Zipf keys substitute a CDF inversion that also
-    // consumes exactly one draw per key.
-    let zipf = (p.zipf_s > 0.0).then(|| ZipfSampler::new(p.n_mutexes as usize, p.zipf_s));
-    let mut rng = SplitMix64::new(p.seed);
-    (0..p.n_clients)
-        .map(|c| {
-            let mut crng = rng.split(c as u64);
-            (0..p.requests_per_client)
-                .map(|_| {
-                    let k = match &zipf {
-                        None => crng.next_below(p.n_mutexes as u64),
-                        Some(z) => z.sample(&mut crng),
-                    };
-                    let key = Value::Int(k as i64);
-                    if crng.next_bool(p.read_fraction) {
-                        (get, RequestArgs::new(&[key]))
-                    } else {
-                        let val = Value::Int(crng.next_below(1 << 20) as i64);
-                        (put, RequestArgs::new(&[key, val]))
-                    }
-                })
-                .collect()
-        })
-        .collect()
+struct Generator<'p> {
+    p: &'p OpenLoopParams,
+    /// `None` keeps the historical uniform `next_below` key draw (so
+    /// pre-existing schedules — and the golden artifacts built on them
+    /// — stay bit-identical); Zipf keys substitute a CDF inversion that
+    /// also consumes exactly one draw per key.
+    zipf: Option<ZipfSampler>,
 }
 
-/// Open-loop client scripts: the shared request mix on per-client
+/// One client table's `get` argument vectors, one per key, allocated on
+/// first use. A `get` request clones its key's vector (a refcount bump)
+/// instead of allocating its own. Never shared between tables: each
+/// shard group runs on its own worker, and a refcount shared between
+/// them would bounce between cores.
+struct GetArgs(Vec<Option<RequestArgs>>);
+
+impl GetArgs {
+    fn new(n_keys: u32) -> Self {
+        GetArgs(vec![None; n_keys as usize])
+    }
+
+    fn key(&mut self, k: u64) -> RequestArgs {
+        self.0[k as usize]
+            .get_or_insert_with(|| RequestArgs::new(&[Value::Int(k as i64)]))
+            .clone()
+    }
+}
+
+impl<'p> Generator<'p> {
+    const GET: MethodIdx = MethodIdx::new(0);
+    const PUT: MethodIdx = MethodIdx::new(1);
+
+    fn new(p: &'p OpenLoopParams) -> Self {
+        Generator {
+            p,
+            zipf: (p.zipf_s > 0.0).then(|| ZipfSampler::new(p.n_mutexes as usize, p.zipf_s)),
+        }
+    }
+
+    /// Client `c`'s (method, key, value) draws.
+    fn requests(&self, c: usize, gets: &mut GetArgs) -> Vec<(MethodIdx, RequestArgs)> {
+        let p = self.p;
+        let mut rng = SplitMix64::new(p.seed).jumped(c as u64).split(c as u64);
+        (0..p.requests_per_client)
+            .map(|_| {
+                let k = match &self.zipf {
+                    None => rng.next_below(p.n_mutexes as u64),
+                    Some(z) => z.sample(&mut rng),
+                };
+                if rng.next_bool(p.read_fraction) {
+                    (Self::GET, gets.key(k))
+                } else {
+                    let val = Value::Int(rng.next_below(1 << 20) as i64);
+                    (Self::PUT, RequestArgs::new(&[Value::Int(k as i64), val]))
+                }
+            })
+            .collect()
+    }
+
+    /// Client `c`'s open-loop arrival schedule (Poisson or on/off
+    /// bursts) averaging `offered_rps / n_clients`.
+    fn arrivals(&self, c: usize) -> Vec<SimTime> {
+        let p = self.p;
+        let per_client_rate = p.offered_rps / p.n_clients as f64;
+        let seed = SplitMix64::new(p.seed ^ ARRIVAL_LABEL)
+            .jumped(c as u64)
+            .next_u64();
+        let n = p.requests_per_client;
+        match p.arrival {
+            ArrivalModel::Poisson => PoissonProcess::new(seed, per_client_rate).take_schedule(n),
+            ArrivalModel::OnOff {
+                mean_on_ns,
+                mean_off_ns,
+            } => {
+                // Peak up the ON rate by the inverse duty cycle so the
+                // long-run average matches the Poisson baseline.
+                let duty = mean_on_ns as f64 / (mean_on_ns + mean_off_ns) as f64;
+                OnOffProcess::new(seed, per_client_rate / duty, 0.0, mean_on_ns, mean_off_ns)
+                    .take_schedule(n)
+            }
+        }
+    }
+
+    /// One client table: the scripts of `clients`, in order, sharing one
+    /// [`GetArgs`].
+    fn table(
+        &self,
+        clients: impl ExactSizeIterator<Item = usize>,
+        open: bool,
+    ) -> Vec<ClientScript> {
+        let mut gets = GetArgs::new(self.p.n_mutexes);
+        let mut table = Vec::with_capacity(clients.len());
+        for c in clients {
+            let requests = self.requests(c, &mut gets);
+            table.push(if open {
+                ClientScript::open_loop(requests, self.arrivals(c))
+            } else {
+                ClientScript::closed(requests)
+            });
+        }
+        table
+    }
+}
+
+/// Open-loop client scripts: per-client request mixes on per-client
 /// arrival schedules (Poisson or on/off bursts) averaging
 /// `offered_rps / n_clients` each.
 pub fn client_scripts(p: &OpenLoopParams) -> Vec<ClientScript> {
-    let per_client_rate = p.offered_rps / p.n_clients as f64;
-    let mut arrival_rng = SplitMix64::new(p.seed ^ 0x6f70_656e_6c6f_6f70); // "openloop"
-    request_mix(p)
-        .into_iter()
-        .map(|requests| {
-            let n = requests.len();
-            let seed = arrival_rng.next_u64();
-            let schedule = match p.arrival {
-                ArrivalModel::Poisson => {
-                    PoissonProcess::new(seed, per_client_rate).take_schedule(n)
-                }
-                ArrivalModel::OnOff {
-                    mean_on_ns,
-                    mean_off_ns,
-                } => {
-                    // Peak up the ON rate by the inverse duty cycle so
-                    // the long-run average matches the Poisson baseline.
-                    let duty = mean_on_ns as f64 / (mean_on_ns + mean_off_ns) as f64;
-                    OnOffProcess::new(seed, per_client_rate / duty, 0.0, mean_on_ns, mean_off_ns)
-                        .take_schedule(n)
-                }
-            };
-            ClientScript::open_loop(requests, schedule)
-        })
-        .collect()
+    Generator::new(p).table(0..p.n_clients, true)
 }
 
 /// Closed-loop scripts over the identical request mix (for pricing the
 /// client model itself; `offered_rps` is ignored).
 pub fn closed_client_scripts(p: &OpenLoopParams) -> Vec<ClientScript> {
-    request_mix(p)
-        .into_iter()
-        .map(ClientScript::closed)
-        .collect()
+    Generator::new(p).table(0..p.n_clients, false)
 }
 
 /// The open-loop scenario in both instrumentation variants.
 pub fn scenario(p: &OpenLoopParams) -> ScenarioPair {
     let obj = build_object(p);
-    debug_assert_eq!(obj.method_by_name("get"), Some(dmt_lang::MethodIdx::new(0)));
-    debug_assert_eq!(obj.method_by_name("put"), Some(dmt_lang::MethodIdx::new(1)));
+    debug_assert_eq!(obj.method_by_name("get"), Some(Generator::GET));
+    debug_assert_eq!(obj.method_by_name("put"), Some(Generator::PUT));
     crate::make_variants(&obj, client_scripts(p), "noop")
 }
 
@@ -276,28 +330,52 @@ pub fn closed_scenario(p: &OpenLoopParams) -> ScenarioPair {
 /// edge. Global client `c` is routed to group `c % n_groups` (order
 /// preserved within a group), and each group owns a private copy of the
 /// store — the aggregate object space is `n_groups × n_mutexes` cells,
-/// every key local to its client's shard. The global script set is
-/// generated once from `p` and then dealt out, so the partition is a
-/// pure function of `(p, n_groups)`: the same clients submit the same
-/// requests at the same virtual instants whether the groups then run on
-/// one worker or many.
+/// every key local to its client's shard. Every client's script is a
+/// pure function of `(p, c)`, so the partition is a pure function of
+/// `(p, n_groups)`: the same clients submit the same requests at the
+/// same virtual instants whether the groups then run on one worker or
+/// many.
 ///
-/// This is also the scaling path: with `n_clients` at 1e5+ the script
-/// generation stays linear and each group engine only ever holds its
-/// `1/n_groups` slice of the client population.
+/// This is also the scaling path: with `n_clients` at 1e5+ each group
+/// builds only its `1/n_groups` slice of the client population, on
+/// `available_parallelism()` workers (capped at `n_groups`) that take
+/// contiguous chunks of groups and are joined in group order.
 pub fn sharded_scenarios(p: &OpenLoopParams, n_groups: usize) -> Vec<ScenarioPair> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    sharded_scenarios_on(p, n_groups, workers)
+}
+
+/// [`sharded_scenarios`] on `workers` threads; the output never depends
+/// on `workers`.
+fn sharded_scenarios_on(p: &OpenLoopParams, n_groups: usize, workers: usize) -> Vec<ScenarioPair> {
     assert!(n_groups >= 1, "need at least one group");
     let obj = build_object(p);
-    let mut per_group: Vec<Vec<ClientScript>> = (0..n_groups)
-        .map(|g| Vec::with_capacity(p.n_clients.saturating_sub(g).div_ceil(n_groups)))
-        .collect();
-    for (c, s) in client_scripts(p).into_iter().enumerate() {
-        per_group[c % n_groups].push(s);
+    let gen = Generator::new(p);
+    let build = |groups: std::ops::Range<usize>| -> Vec<ScenarioPair> {
+        groups
+            .map(|g| {
+                let clients = gen.table((g..p.n_clients).step_by(n_groups), true);
+                crate::make_variants(&obj, clients, "noop")
+            })
+            .collect()
+    };
+    let k = n_groups.div_ceil(workers.clamp(1, n_groups));
+    if k == n_groups {
+        return build(0..n_groups);
     }
-    per_group
-        .into_iter()
-        .map(|clients| crate::make_variants(&obj, clients, "noop"))
-        .collect()
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n_groups)
+            .step_by(k)
+            .map(|first| {
+                let build = &build;
+                s.spawn(move || build(first..(first + k).min(n_groups)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("workload builder panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -406,6 +484,120 @@ mod tests {
             }
         }
         assert_eq!(seen, p.n_clients);
+    }
+
+    /// Chains FNV-1a from `h` over the `Debug` rendering of `item`.
+    fn fnv(h: u64, item: impl std::fmt::Debug) -> u64 {
+        let bytes = format!("{item:?}").into_bytes().into_iter().chain([0xff]);
+        bytes.fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Digest of every group's client table: group sizes, then each
+    /// client's requests and arrivals in table order.
+    fn groups_digest(groups: &[ScenarioPair]) -> u64 {
+        groups.iter().fold(0xcbf2_9ce4_8422_2325, |h, pair| {
+            let h = fnv(h, pair.plain.clients.len());
+            pair.plain.clients.iter().fold(h, |h, s| {
+                let h = fnv(h, &s.requests);
+                fnv(h, &s.arrivals)
+            })
+        })
+    }
+
+    /// `shard-1e5`'s generator parameters.
+    fn shard_1e5(seed: u64) -> OpenLoopParams {
+        OpenLoopParams {
+            n_clients: 100_000,
+            requests_per_client: 1,
+            ..OpenLoopParams::default()
+        }
+        .with_offered_rps(200_000.0)
+        .with_read_fraction(0.9)
+        .with_seed(seed)
+    }
+
+    /// Pinned cases for the sharded generator: `(params, groups, digest)`.
+    fn pinned_shard_cases() -> Vec<(OpenLoopParams, usize, u64)> {
+        let small = OpenLoopParams {
+            n_clients: 1_000,
+            requests_per_client: 3,
+            ..OpenLoopParams::default()
+        };
+        vec![
+            (shard_1e5(1), 16, 0x464c5281705dc14f),
+            (shard_1e5(4243), 16, 0xf21a6f68756d4018),
+            (small.with_zipf(1.1).with_seed(7), 16, 0xa9346c57c64ac362),
+            (
+                small.with_bursts(5, 20).with_seed(8),
+                16,
+                0x105307b013e4d0c6,
+            ),
+            // 7 groups do not divide 1000 clients; 8 groups exceed 5.
+            (
+                small.with_read_fraction(0.5).with_seed(9),
+                7,
+                0x4a196ef5791cfc3c,
+            ),
+            (
+                OpenLoopParams {
+                    n_clients: 5,
+                    ..small
+                },
+                8,
+                0x963455d138012d3c,
+            ),
+        ]
+    }
+
+    /// The digests were taken from the generator that drew every client
+    /// in sequence and dealt the scripts out round-robin; the per-group
+    /// builder must reproduce its output byte for byte.
+    #[test]
+    fn sharded_scripts_match_the_pinned_digests() {
+        for (p, n_groups, want) in pinned_shard_cases() {
+            let got = groups_digest(&sharded_scenarios(&p, n_groups));
+            assert_eq!(got, want, "{p:?} on {n_groups} groups");
+        }
+    }
+
+    #[test]
+    fn worker_count_never_changes_the_sharded_scripts() {
+        for (p, n_groups, want) in pinned_shard_cases() {
+            if p.n_clients > 1_000 {
+                continue; // the 1e5-client cases are pinned above
+            }
+            for workers in [1, 2, 3, n_groups + 1] {
+                let got = groups_digest(&sharded_scenarios_on(&p, n_groups, workers));
+                assert_eq!(got, want, "{p:?} on {n_groups} groups, {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn a_table_shares_get_arguments_per_key_and_never_across_tables() {
+        let p = OpenLoopParams {
+            n_clients: 40,
+            requests_per_client: 5,
+            n_mutexes: 4,
+            ..Default::default()
+        };
+        let groups = sharded_scenarios(&p, 2);
+        let get_args = |pair: &ScenarioPair| -> Vec<RequestArgs> {
+            let clients = pair.plain.clients.iter();
+            let requests = clients.flat_map(|s| s.requests.iter());
+            requests
+                .filter(|(m, _)| *m == Generator::GET)
+                .map(|(_, a)| a.clone())
+                .collect()
+        };
+        let same = |a: &RequestArgs, b: &RequestArgs| std::ptr::eq(a.values(), b.values());
+        let (g0, g1) = (get_args(&groups[0]), get_args(&groups[1]));
+        for a in &g0 {
+            let twins = g0.iter().filter(|b| same(a, b)).count();
+            let equal = g0.iter().filter(|b| *b == a).count();
+            assert_eq!(twins, equal, "one vector per key within a table");
+            assert!(!g1.iter().any(|b| same(a, b)), "shared across tables");
+        }
     }
 
     #[test]

@@ -29,9 +29,11 @@ cargo test -q --workspace
 # mix must mostly stay out of the overflow heap) and the bitmap-boundary
 # differential (`bitmap_word_edges_match_reference`: pushes on the
 # summary-word edges, the last bucket and the window edge, against the
-# reference heap).
-echo "== tier-1: cargo test -q --release (dmt-sim, dmt-groupcomm, dmt-core) =="
-cargo test -q --release -p dmt-sim -p dmt-groupcomm -p dmt-core
+# reference heap). dmt-workload's threaded sharded-workload builder and
+# its equivalence tests (pinned script digests on 1, 2, 3 and groups+1
+# workers) run on the optimised build too.
+echo "== tier-1: cargo test -q --release (dmt-sim, dmt-groupcomm, dmt-core, dmt-workload) =="
+cargo test -q --release -p dmt-sim -p dmt-groupcomm -p dmt-core -p dmt-workload
 
 # `cargo build` and `test` skip bench targets; compile every dmt-bench
 # bench so none of them can rot unnoticed.

@@ -55,6 +55,31 @@ fn rng_streams_reproduce() {
     }
 }
 
+/// Jumping a stream by `k` lands where `k` draws do, so client `c`'s
+/// stream `new(seed).jumped(c).split(c)` is what a generator splitting
+/// clients `0..=c` off one root hands client `c`.
+#[test]
+fn rng_jump_equals_k_draws() {
+    let mut meta = SplitMix64::new(0x1A4B);
+    for case in 0..CASES {
+        let seed = meta.next_u64();
+        let k = meta.next_below(500);
+        let mut drawn = SplitMix64::new(seed);
+        let mut split_root = SplitMix64::new(seed);
+        for c in 0..k {
+            drawn.next_u64();
+            split_root.split(c);
+        }
+        let mut jumped = SplitMix64::new(seed).jumped(k);
+        for _ in 0..8 {
+            assert_eq!(jumped.next_u64(), drawn.next_u64(), "case {case}, k={k}");
+        }
+        let mut a = SplitMix64::new(seed).jumped(k).split(k);
+        let mut b = split_root.split(k);
+        assert_eq!(a.next_u64(), b.next_u64(), "case {case}, k={k}");
+    }
+}
+
 /// next_below stays in range for arbitrary bounds.
 #[test]
 fn rng_bounds() {
