@@ -549,10 +549,7 @@ pub fn abl_passive_experiment() -> Table {
     };
     let obj = fig1::build_object(&p);
     let program = compile(&obj);
-    let requests: Vec<_> = fig1::client_scripts(&p)
-        .into_iter()
-        .flat_map(|c| c.requests)
-        .collect();
+    let requests = fig1::client_scripts(&p).requests().to_vec();
     let dummy = program.method_by_name("noop");
     for kind in dmt_core::SchedulerKind::ALL {
         let log = record_primary(program.clone(), kind, requests.clone(), dummy);

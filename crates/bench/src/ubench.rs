@@ -70,10 +70,7 @@ fn interp_corpus() -> (
     let obj = build_object(&p);
     let fused = compile(&obj);
     let unfused = compile_unfused(&obj);
-    let requests = client_scripts(&p)
-        .into_iter()
-        .flat_map(|s| s.requests)
-        .collect();
+    let requests = client_scripts(&p).requests().to_vec();
     (fused, unfused, requests)
 }
 

@@ -14,8 +14,9 @@ use dmt_analysis::{build_lock_table, transform};
 use dmt_core::SchedulerKind;
 use dmt_lang::ast::ObjectImpl;
 use dmt_lang::compile_unfused;
-use dmt_replica::{ClientScript, Engine, EngineConfig, RunResult, Scenario};
+use dmt_replica::{ClientTable, Engine, EngineConfig, RunResult, Scenario};
 use dmt_workload::{fig1, openloop};
+use std::sync::Arc;
 
 const ALL_KINDS: [SchedulerKind; 7] = [
     SchedulerKind::Seq,
@@ -30,7 +31,7 @@ const ALL_KINDS: [SchedulerKind; 7] = [
 /// Mirror of `dmt_workload::make_variants` with fusion switched off.
 fn scenario_unfused(
     obj: &ObjectImpl,
-    clients: Vec<ClientScript>,
+    clients: ClientTable,
     dummy_method: &str,
     kind: SchedulerKind,
 ) -> Scenario {
@@ -43,7 +44,7 @@ fn scenario_unfused(
         (compile_unfused(obj), None)
     };
     let dummy = program.method_by_name(dummy_method);
-    let mut s = Scenario::new(program, clients);
+    let mut s = Scenario::with_shared_clients(program, Arc::new(clients));
     if let Some(t) = table {
         s = s.with_lock_table(t);
     }

@@ -1,11 +1,13 @@
 //! Allocation budget of the sharded open-loop generator at the
 //! `shard-1e5` benchmark's parameters (1e5 clients, one request each,
-//! 90 % reads over 64 keys, 16 groups). A client script costs its
-//! request vector, its arrival schedule, and one argument vector per
-//! `put`; a `get` clones its table's shared vector for its key. So the
-//! count must stay near `2 + (1 - read_fraction)` per client, plus a
-//! fixed cost per group (its object compiled twice, its lock table,
-//! its shared `get` vectors, its client table) and per builder thread.
+//! 90 % reads over 64 keys, 16 groups). A client costs no allocation of
+//! its own: its rows go into its group's flat client table (one request
+//! buffer, one arrival buffer, one offset vector, each sized up front).
+//! Each `put` allocates its argument vector; a `get` clones its table's
+//! shared vector for its key. So the count must stay near
+//! `1 - read_fraction` per client, plus a fixed cost per group (its
+//! object compiled twice, its lock table, its shared `get` vectors, its
+//! client table) and per builder thread.
 //! Counted with a global counting allocator, as in
 //! `steady_state_alloc.rs`.
 //!
@@ -44,9 +46,9 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Allocations per client the generator may make: two vectors per
-/// script and one argument vector per `put` come to 2.1 at 90 % reads.
-const PER_CLIENT: f64 = 2.2;
+/// Allocations per client the generator may make: one argument vector
+/// per `put` comes to 0.1 at 90 % reads.
+const PER_CLIENT: f64 = 0.2;
 /// Allocations per group beyond its clients: measured at 196 (release)
 /// and 224 (debug) — two compiles, the transform, the lock table, up to
 /// 64 shared `get` vectors, the client table and a builder thread's
@@ -54,7 +56,7 @@ const PER_CLIENT: f64 = 2.2;
 const PER_GROUP: u64 = 400;
 
 #[test]
-fn sharded_generator_allocates_about_two_per_client() {
+fn sharded_generator_allocates_only_put_arguments_per_client() {
     let p = OpenLoopParams {
         n_clients: 100_000,
         requests_per_client: 1,

@@ -389,13 +389,13 @@ struct Host {
     alive: Vec<bool>,
     /// Per-replica CPU-speed jitter streams.
     jitter: Vec<SplitMix64>,
-    /// Request bookkeeping, one flat table indexed `req_base[client] +
-    /// req_no` (both dense): no per-client allocation. Allocated by `start`,
-    /// so an engine built but not yet run holds none of it.
+    /// Request bookkeeping, indexed by the request's flat row in the
+    /// client table ([`crate::ClientTable::row`]): no per-client allocation.
+    /// Allocated by `start`, so an engine built but not yet run holds
+    /// none of it.
     req_state: Vec<Option<ReqState>>,
-    /// Per-client prefix offset into `req_state` (the client's first
-    /// request's slot).
-    req_base: Vec<usize>,
+    /// Closed-loop clients' next request number (empty for an open-loop
+    /// table).
     client_pos: Vec<usize>,
     completed_requests: u64,
     latencies: Vec<RequestLatency>,
@@ -547,15 +547,6 @@ impl Engine {
             gc.set_node_latency(NodeId::new(node as u32), Some(one_way));
         }
         let jitter = (0..n).map(|i| rng.split(100 + i as u64)).collect();
-        let req_base = scenario
-            .clients
-            .iter()
-            .scan(0, |next, cl| {
-                let base = *next;
-                *next += cl.requests.len();
-                Some(base)
-            })
-            .collect();
         let mut metrics = MetricsRegistry::new();
         let depth_ids = cfg.sample_depths.then(|| DepthIds {
             admission: metrics.histogram("depth.admission"),
@@ -574,7 +565,6 @@ impl Engine {
             alive: vec![true; n],
             jitter,
             req_state: Vec::new(),
-            req_base,
             client_pos: Vec::new(),
             completed_requests: 0,
             latencies: Vec::new(),
@@ -602,7 +592,6 @@ impl Engine {
             depth_ids,
             observe,
         };
-        // `this_mutex` scans every request's arguments: once per engine.
         let this = host.scenario.this_mutex();
         let reps = (0..n)
             .map(|i| {
@@ -649,23 +638,27 @@ impl Engine {
     /// as if each arrival had been pushed on the calendar here.
     fn start(&mut self) {
         let h = &mut self.host;
-        h.client_pos = vec![0; h.scenario.clients.len()];
-        h.req_state = vec![None; h.scenario.total_requests()];
-        for c in 0..h.scenario.clients.len() {
-            match &h.scenario.clients[c].arrivals {
-                Some(schedule) => {
-                    for (req_no, &at) in schedule.iter().enumerate() {
+        let table = h.scenario.clients.clone();
+        h.req_state = vec![None; table.requests().len()];
+        match table.arrivals() {
+            Some(schedule) => {
+                for c in 0..table.len() {
+                    let first = table.rows(c).start;
+                    for row in table.rows(c) {
                         h.queue.push_lane(
-                            at,
+                            schedule[row],
                             Ev::ClientSubmit {
                                 client: c as u32,
-                                req_no: req_no as u32,
+                                req_no: (row - first) as u32,
                             },
                         );
                     }
                 }
-                None => {
-                    if !h.scenario.clients[c].requests.is_empty() {
+            }
+            None => {
+                h.client_pos = vec![0; table.len()];
+                for c in 0..table.len() {
+                    if !table.rows(c).is_empty() {
                         h.client_pos[c] = 1;
                         h.submit_request(c as u32, 0);
                     }
@@ -865,7 +858,7 @@ impl Engine {
                 // Closed loop only: a reply releases the next request.
                 let c = client as usize;
                 let pos = h.client_pos[c];
-                if pos < h.scenario.clients[c].requests.len() {
+                if pos < h.scenario.clients.rows(c).len() {
                     h.client_pos[c] = pos + 1;
                     h.submit_request(client, pos as u32);
                 }
@@ -1028,8 +1021,8 @@ impl Engine {
                 let args = if dummy {
                     RequestArgs::empty()
                 } else {
-                    let script = &h.scenario.clients[id.client as usize];
-                    script.requests[id.req_no as usize].1.clone()
+                    let table = &h.scenario.clients;
+                    table.requests()[table.row(id.client, id.req_no)].1.clone()
                 };
                 let leg = &mut Leg { host: h, replica };
                 rep.arrive(leg, seq, method, args, dummy, (!dummy).then_some(id))
@@ -1105,14 +1098,14 @@ impl Host {
     /// Submits request `req_no` of `client` to the total-order layer and
     /// records its enqueue timestamp.
     fn submit_request(&mut self, client: u32, req_no: u32) {
-        let c = client as usize;
-        let method = self.scenario.clients[c].requests[req_no as usize].0;
-        self.req_state[self.req_base[c] + req_no as usize] = Some(ReqState {
+        let row = self.scenario.clients.row(client, req_no);
+        let method = self.scenario.clients.requests()[row].0;
+        self.req_state[row] = Some(ReqState {
             submitted: self.queue.now(),
             replied: false,
         });
         self.submit_to_gc(
-            CLIENT_SRC + c as u64,
+            CLIENT_SRC + client as u64,
             GcMsg::Request {
                 id: RequestId { client, req_no },
                 method,
@@ -1241,7 +1234,7 @@ impl ExecHost for Leg<'_> {
         let now = h.queue.now();
         // First-reply semantics: the fastest replica answers the client.
         let reply_leg = h.reply_latency();
-        let st = h.req_state[h.req_base[id.client as usize] + id.req_no as usize]
+        let st = h.req_state[h.scenario.clients.row(id.client, id.req_no)]
             .as_mut()
             .expect("request state exists");
         if st.replied {
@@ -1266,7 +1259,7 @@ impl ExecHost for Leg<'_> {
         });
         // Open-loop clients submit on their schedule; only the closed
         // loop chains request `k+1` on reply `k`.
-        if !h.scenario.clients[id.client as usize].is_open_loop() {
+        if !h.scenario.clients.is_open_loop() {
             h.queue
                 .push_after(reply_leg, Ev::ClientReply { client: id.client });
         }
@@ -1617,10 +1610,13 @@ mod tests {
                 let arrivals = (0..reqs)
                     .map(|k| SimTime::ZERO + gap * (c + k * n_clients + 1) as u64)
                     .collect();
-                ClientScript::open_loop(script.requests.clone(), arrivals)
+                ClientScript::open_loop(script.requests.to_vec(), arrivals)
             })
-            .collect();
-        Scenario { clients, ..closed }
+            .collect::<Vec<_>>();
+        Scenario {
+            clients: std::sync::Arc::new(clients.into()),
+            ..closed
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! Output streams merge under the total order `(virtual time, group id,
 //! within-group seq)`: latencies sort by `(replied, group)` with stable
 //! within-group completion order, traces via
-//! [`dmt_obs::merge_group_traces`], metrics/perf by commutative
+//! [`dmt_obs::merge_group_traces`] on demand
+//! ([`ShardedRunResult::merged_trace`]), metrics/perf by commutative
 //! aggregation. See DESIGN.md §13.
 
 use crate::engine::{Engine, EngineConfig, EngineQueue, PerfCounters, RunResult};
@@ -54,9 +55,6 @@ pub struct ShardedRunResult {
     pub perf: PerfCounters,
     /// Merged metrics snapshot (counters add, gauges max).
     pub metrics: MetricsSnapshot,
-    /// Merged decision trace under `(t_ns, group, within-group index)`,
-    /// replicas remapped to `group * n_replicas + replica`.
-    pub trace_records: Vec<dmt_obs::TraceRecord>,
     /// Events processed per group — the deterministic load-balance
     /// profile (`sum / max-per-worker` bounds achievable speedup).
     pub events_per_group: Vec<u64>,
@@ -64,9 +62,24 @@ pub struct ShardedRunResult {
     pub wall_ns: u64,
     /// Host wall-clock of the merge phase alone, nanoseconds.
     pub merge_ns: u64,
+    /// Replicas per group, for [`ShardedRunResult::merged_trace`].
+    n_replicas: usize,
 }
 
 impl ShardedRunResult {
+    /// All groups' decision traces merged under `(t_ns, group,
+    /// within-group index)`, replicas remapped to `group * n_replicas +
+    /// replica` (see [`dmt_obs::merge_group_traces`]). Merged on each
+    /// call: the run itself keeps only the per-group traces.
+    pub fn merged_trace(&self) -> Vec<dmt_obs::TraceRecord> {
+        let traces: Vec<&[dmt_obs::TraceRecord]> = self
+            .groups
+            .iter()
+            .map(|r| r.trace_records.as_slice())
+            .collect();
+        dmt_obs::merge_group_traces(&traces, self.n_replicas as u32)
+    }
+
     /// The merged log-scale request-latency histogram (bucket counts
     /// add across groups).
     pub fn latency_ns(&self) -> &LogHistogram {
@@ -191,9 +204,6 @@ pub fn run_sharded(
         deadlocked |= r.deadlocked;
         events_per_group.push(r.perf.events);
     }
-    let traces: Vec<&[dmt_obs::TraceRecord]> =
-        results.iter().map(|r| r.trace_records.as_slice()).collect();
-    let trace_records = dmt_obs::merge_group_traces(&traces, cfg.n_replicas as u32);
     let merge_ns = merge_start.elapsed().as_nanos() as u64;
 
     ShardedRunResult {
@@ -204,10 +214,10 @@ pub fn run_sharded(
         deadlocked,
         perf,
         metrics,
-        trace_records,
         events_per_group,
         wall_ns: wall_start.elapsed().as_nanos() as u64,
         merge_ns,
+        n_replicas: cfg.n_replicas,
     }
 }
 
@@ -283,11 +293,11 @@ mod tests {
                     reqs
                 ])
             })
-            .collect();
+            .collect::<Vec<_>>();
         Scenario {
             program,
             lock_table: dmt_core::LockTable::default().into(),
-            clients,
+            clients: std::sync::Arc::new(clients.into()),
             dummy_method: None,
         }
     }
@@ -316,11 +326,11 @@ mod tests {
                     reqs
                 ])
             })
-            .collect();
+            .collect::<Vec<_>>();
         Scenario {
             program,
             lock_table: dmt_core::LockTable::default().into(),
-            clients,
+            clients: std::sync::Arc::new(clients.into()),
             dummy_method: None,
         }
     }
@@ -403,6 +413,21 @@ mod tests {
             );
             assert_eq!(key(&r), key(&base), "shards={shards} diverged");
         }
+    }
+
+    #[test]
+    fn merged_trace_is_the_merge_of_the_group_traces() {
+        let scenarios: Vec<Scenario> = (0..3).map(|g| counter_scenario(g, 2, 3)).collect();
+        let c = cfg(SchedulerKind::Mat).with_tracing();
+        let r = run_sharded(scenarios, &c.clone().with_shards(2), None);
+        let groups: Vec<_> = r.groups.iter().map(|g| g.trace_records.clone()).collect();
+        let merged = r.merged_trace();
+        assert!(!merged.is_empty());
+        assert_eq!(
+            merged,
+            dmt_obs::merge_group_traces(&groups, c.n_replicas as u32)
+        );
+        assert!(merged.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::ScenarioPair;
 use dmt_lang::ast::{DurExpr, IntExpr, MutexExpr, ObjectImpl};
 use dmt_lang::{CellId, MethodIdx, ObjectBuilder, RequestArgs, Value};
-use dmt_replica::ClientScript;
+use dmt_replica::ClientTable;
 use dmt_sim::SplitMix64;
 
 #[derive(Clone, Copy, Debug)]
@@ -97,33 +97,37 @@ pub fn build_object(p: &BankParams) -> ObjectImpl {
     ob.build()
 }
 
-pub fn client_scripts(p: &BankParams) -> Vec<ClientScript> {
+pub fn client_scripts(p: &BankParams) -> ClientTable {
     let transfer = MethodIdx::new(0);
     let audit = MethodIdx::new(1);
     let mut rng = SplitMix64::new(p.seed);
-    (0..p.n_clients)
-        .map(|c| {
-            let mut crng = rng.split(c as u64);
-            let mut requests = Vec::new();
-            for i in 0..p.transfers_per_client {
-                let x = crng.next_below(p.n_accounts as u64) as i64;
-                let mut y = crng.next_below(p.n_accounts as u64) as i64;
-                if x == y {
-                    y = (y + 1) % p.n_accounts as i64;
-                }
-                let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-                let amount = crng.next_range(1, 100) as i64;
-                requests.push((
-                    transfer,
-                    RequestArgs::new(&[Value::Int(lo), Value::Int(hi), Value::Int(amount)]),
-                ));
-                if p.audit_every > 0 && (i + 1) % p.audit_every == 0 {
-                    requests.push((audit, RequestArgs::empty()));
-                }
+    let audits = p
+        .transfers_per_client
+        .checked_div(p.audit_every)
+        .unwrap_or(0);
+    let rows = p.n_clients * (p.transfers_per_client + audits);
+    let mut table = ClientTable::builder(false, p.n_clients, rows);
+    for c in 0..p.n_clients {
+        let mut crng = rng.split(c as u64);
+        for i in 0..p.transfers_per_client {
+            let x = crng.next_below(p.n_accounts as u64) as i64;
+            let mut y = crng.next_below(p.n_accounts as u64) as i64;
+            if x == y {
+                y = (y + 1) % p.n_accounts as i64;
             }
-            ClientScript::closed(requests)
-        })
-        .collect()
+            let (lo, hi) = if x < y { (x, y) } else { (y, x) };
+            let amount = crng.next_range(1, 100) as i64;
+            table.push(
+                transfer,
+                RequestArgs::new(&[Value::Int(lo), Value::Int(hi), Value::Int(amount)]),
+            );
+            if p.audit_every > 0 && (i + 1) % p.audit_every == 0 {
+                table.push(audit, RequestArgs::empty());
+            }
+        }
+        table.end_client();
+    }
+    table.build()
 }
 
 pub fn scenario(p: &BankParams) -> ScenarioPair {

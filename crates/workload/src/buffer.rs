@@ -11,7 +11,7 @@
 use crate::ScenarioPair;
 use dmt_lang::ast::{CondExpr, DurExpr, MutexExpr, ObjectImpl};
 use dmt_lang::{MethodIdx, ObjectBuilder, RequestArgs};
-use dmt_replica::ClientScript;
+use dmt_replica::ClientTable;
 
 #[derive(Clone, Copy, Debug)]
 pub struct BufferParams {
@@ -60,25 +60,16 @@ pub fn build_object(p: &BufferParams) -> ObjectImpl {
     ob.build()
 }
 
-pub fn client_scripts(p: &BufferParams) -> Vec<ClientScript> {
+pub fn client_scripts(p: &BufferParams) -> ClientTable {
     let put = MethodIdx::new(0);
     let take = MethodIdx::new(1);
-    let mut scripts = Vec::new();
-    for _ in 0..p.n_producers {
-        scripts.push(ClientScript::closed(
-            (0..p.items_per_client)
-                .map(|_| (put, RequestArgs::empty()))
-                .collect(),
-        ));
+    let n_clients = p.n_producers + p.n_consumers;
+    let mut table = ClientTable::builder(false, n_clients, n_clients * p.items_per_client);
+    for c in 0..n_clients {
+        let method = if c < p.n_producers { put } else { take };
+        table.client((0..p.items_per_client).map(|_| (method, RequestArgs::empty())));
     }
-    for _ in 0..p.n_consumers {
-        scripts.push(ClientScript::closed(
-            (0..p.items_per_client)
-                .map(|_| (take, RequestArgs::empty()))
-                .collect(),
-        ));
-    }
-    scripts
+    table.build()
 }
 
 pub fn scenario(p: &BufferParams) -> ScenarioPair {

@@ -19,7 +19,7 @@
 
 use dmt_lang::ast::{CondExpr, DurExpr, IntExpr, MutexExpr, ObjectImpl};
 use dmt_lang::{MethodBuilder, MethodIdx, ObjectBuilder, RequestArgs, ServiceId, Value};
-use dmt_replica::ClientScript;
+use dmt_replica::ClientTable;
 
 /// The mutex each iteration locks: drawn from a pool, or client `k`'s own `k`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,14 +169,17 @@ pub fn build_object(p: &Fig1Params) -> ObjectImpl {
     ob.build()
 }
 
-/// The client scripts: each calls method 0 with its own pre-drawn decisions.
-pub fn client_scripts(p: &Fig1Params) -> Vec<ClientScript> {
+/// The client table: each client calls method 0 with its own pre-drawn
+/// decisions.
+pub fn client_scripts(p: &Fig1Params) -> ClientTable {
     let arity = p.iterations * (p.coins().count() + 1);
     let mut rng = dmt_sim::SplitMix64::new(p.seed);
-    let script = |c: usize| {
+    let rows = p.n_clients * p.requests_per_client;
+    let mut table = ClientTable::builder(false, p.n_clients, rows);
+    let mut args = Vec::with_capacity(arity);
+    for c in 0..p.n_clients {
         let mut crng = rng.split(c as u64);
-        let mut args = Vec::with_capacity(arity);
-        let mut request = || {
+        for _ in 0..p.requests_per_client {
             args.clear();
             for _ in 0..p.iterations {
                 for q in p.coins() {
@@ -187,11 +190,11 @@ pub fn client_scripts(p: &Fig1Params) -> Vec<ClientScript> {
                     Mutexes::PerClient => c as i64,
                 }));
             }
-            (MethodIdx::new(0), RequestArgs::new(&args))
-        };
-        ClientScript::closed((0..p.requests_per_client).map(|_| request()).collect())
-    };
-    (0..p.n_clients).map(script).collect()
+            table.push(MethodIdx::new(0), RequestArgs::new(&args));
+        }
+        table.end_client();
+    }
+    table.build()
 }
 
 /// The full scenario in both instrumentation variants.

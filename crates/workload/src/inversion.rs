@@ -16,7 +16,7 @@
 use crate::ScenarioPair;
 use dmt_lang::ast::{DurExpr, IntExpr, MutexExpr, ObjectImpl};
 use dmt_lang::{CellId, MethodIdx, MutexId, ObjectBuilder, RequestArgs, Value};
-use dmt_replica::ClientScript;
+use dmt_replica::ClientTable;
 
 #[derive(Clone, Copy, Debug)]
 pub struct InversionParams {
@@ -72,23 +72,21 @@ pub fn build_object(p: &InversionParams) -> ObjectImpl {
     ob.build()
 }
 
-pub fn client_scripts(p: &InversionParams) -> Vec<ClientScript> {
+pub fn client_scripts(p: &InversionParams) -> ClientTable {
     let fwd = MethodIdx::new(0);
     let rev = MethodIdx::new(1);
-    (0..p.n_clients)
-        .map(|c| {
-            let method = if c % 2 == 0 { fwd } else { rev };
-            let requests = (0..p.requests_per_client)
-                .map(|i| {
-                    (
-                        method,
-                        RequestArgs::new(&[Value::Int((c * 100 + i) as i64)]),
-                    )
-                })
-                .collect();
-            ClientScript::closed(requests)
-        })
-        .collect()
+    let rows = p.n_clients * p.requests_per_client;
+    let mut table = ClientTable::builder(false, p.n_clients, rows);
+    for c in 0..p.n_clients {
+        let method = if c % 2 == 0 { fwd } else { rev };
+        table.client((0..p.requests_per_client).map(|i| {
+            (
+                method,
+                RequestArgs::new(&[Value::Int((c * 100 + i) as i64)]),
+            )
+        }));
+    }
+    table.build()
 }
 
 pub fn scenario(p: &InversionParams) -> ScenarioPair {

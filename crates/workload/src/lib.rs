@@ -40,24 +40,20 @@ pub mod synth;
 use dmt_analysis::{build_lock_table, transform};
 use dmt_lang::ast::ObjectImpl;
 use dmt_lang::compile::compile;
-use dmt_replica::{ClientScript, Scenario};
+use dmt_replica::{ClientTable, Scenario};
 use std::sync::Arc;
 
 /// Builds the plain and analysed variants of a scenario from an object
-/// implementation and client scripts. Both variants share one client
-/// table, so every later clone of either is a refcount bump.
-pub fn make_variants(
-    obj: &ObjectImpl,
-    clients: Vec<ClientScript>,
-    dummy_method: &str,
-) -> ScenarioPair {
+/// implementation and its client table. Both variants share the table,
+/// so every later clone of either is a refcount bump.
+pub fn make_variants(obj: &ObjectImpl, clients: ClientTable, dummy_method: &str) -> ScenarioPair {
     let plain_program = compile(obj);
     let transformed = transform(obj);
     let analysed_program = compile(&transformed);
     let table = build_lock_table(obj);
     let dummy_plain = plain_program.method_by_name(dummy_method);
     let dummy_analysed = analysed_program.method_by_name(dummy_method);
-    let clients: Arc<[ClientScript]> = clients.into();
+    let clients = Arc::new(clients);
     let mut plain = Scenario::with_shared_clients(plain_program, clients.clone());
     if let Some(d) = dummy_plain {
         plain = plain.with_dummy_method(d);
@@ -139,6 +135,31 @@ mod tests {
             &groups[0].plain.program,
             &groups[1].plain.program
         ));
+    }
+
+    /// The per-client views exist for readers that want them; building,
+    /// running and merging a workload never asks for them.
+    #[test]
+    fn runs_leave_the_client_views_unbuilt() {
+        let closed = fig1::scenario(&fig1::Fig1Params::default().with_clients(3));
+        let open = openloop::OpenLoopParams {
+            n_clients: 12,
+            requests_per_client: 3,
+            ..Default::default()
+        };
+        let groups = openloop::sharded_scenarios(&open, 3);
+        for kind in SchedulerKind::ALL {
+            let cfg = EngineConfig::new(kind).with_seed(3).with_tracing();
+            let res = Engine::new(closed.for_kind(kind), cfg.clone()).run();
+            assert!(!res.deadlocked, "{kind}");
+            let scs = groups.iter().map(|g| g.for_kind(kind)).collect();
+            let sharded = dmt_replica::run_sharded(scs, &cfg.with_shards(2), None);
+            assert_eq!(sharded.completed_requests, 36, "{kind}");
+        }
+        let tables = groups.iter().chain([&closed]).map(|p| &p.plain.clients);
+        for (i, table) in tables.enumerate() {
+            assert!(!table.views_built(), "table {i}");
+        }
     }
 
     /// A run's full outcome, host wall-clock aside.

@@ -33,8 +33,8 @@
 use crate::ScenarioPair;
 use dmt_lang::ast::{DurExpr, IntExpr, MutexExpr, ObjectImpl};
 use dmt_lang::{MethodIdx, ObjectBuilder, RequestArgs, Value};
-use dmt_replica::ClientScript;
-use dmt_sim::{OnOffProcess, PoissonProcess, SimTime, SplitMix64, ZipfSampler};
+use dmt_replica::{ClientTable, ClientTableBuilder};
+use dmt_sim::{OnOffProcess, PoissonProcess, SplitMix64, ZipfSampler};
 
 /// How each client times its submissions.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -233,29 +233,27 @@ impl<'p> Generator<'p> {
         }
     }
 
-    /// Client `c`'s (method, key, value) draws.
-    fn requests(&self, c: usize, gets: &mut GetArgs) -> Vec<(MethodIdx, RequestArgs)> {
+    /// Pushes client `c`'s (method, key, value) draws.
+    fn requests(&self, c: usize, gets: &mut GetArgs, table: &mut ClientTableBuilder) {
         let p = self.p;
         let mut rng = SplitMix64::new(p.seed).jumped(c as u64).split(c as u64);
-        (0..p.requests_per_client)
-            .map(|_| {
-                let k = match &self.zipf {
-                    None => rng.next_below(p.n_mutexes as u64),
-                    Some(z) => z.sample(&mut rng),
-                };
-                if rng.next_bool(p.read_fraction) {
-                    (Self::GET, gets.key(k))
-                } else {
-                    let val = Value::Int(rng.next_below(1 << 20) as i64);
-                    (Self::PUT, RequestArgs::new(&[Value::Int(k as i64), val]))
-                }
-            })
-            .collect()
+        for _ in 0..p.requests_per_client {
+            let k = match &self.zipf {
+                None => rng.next_below(p.n_mutexes as u64),
+                Some(z) => z.sample(&mut rng),
+            };
+            if rng.next_bool(p.read_fraction) {
+                table.push(Self::GET, gets.key(k));
+            } else {
+                let val = Value::Int(rng.next_below(1 << 20) as i64);
+                table.push(Self::PUT, RequestArgs::new(&[Value::Int(k as i64), val]));
+            }
+        }
     }
 
-    /// Client `c`'s open-loop arrival schedule (Poisson or on/off
+    /// Pushes client `c`'s open-loop arrival schedule (Poisson or on/off
     /// bursts) averaging `offered_rps / n_clients`.
-    fn arrivals(&self, c: usize) -> Vec<SimTime> {
+    fn arrivals(&self, c: usize, table: &mut ClientTableBuilder) {
         let p = self.p;
         let per_client_rate = p.offered_rps / p.n_clients as f64;
         let seed = SplitMix64::new(p.seed ^ ARRIVAL_LABEL)
@@ -263,7 +261,10 @@ impl<'p> Generator<'p> {
             .next_u64();
         let n = p.requests_per_client;
         match p.arrival {
-            ArrivalModel::Poisson => PoissonProcess::new(seed, per_client_rate).take_schedule(n),
+            ArrivalModel::Poisson => {
+                let mut process = PoissonProcess::new(seed, per_client_rate);
+                (0..n).for_each(|_| table.push_arrival(process.next_arrival()));
+            }
             ArrivalModel::OnOff {
                 mean_on_ns,
                 mean_off_ns,
@@ -271,43 +272,40 @@ impl<'p> Generator<'p> {
                 // Peak up the ON rate by the inverse duty cycle so the
                 // long-run average matches the Poisson baseline.
                 let duty = mean_on_ns as f64 / (mean_on_ns + mean_off_ns) as f64;
-                OnOffProcess::new(seed, per_client_rate / duty, 0.0, mean_on_ns, mean_off_ns)
-                    .take_schedule(n)
+                let mut process =
+                    OnOffProcess::new(seed, per_client_rate / duty, 0.0, mean_on_ns, mean_off_ns);
+                (0..n).for_each(|_| table.push_arrival(process.next_arrival()));
             }
         }
     }
 
     /// One client table: the scripts of `clients`, in order, sharing one
     /// [`GetArgs`].
-    fn table(
-        &self,
-        clients: impl ExactSizeIterator<Item = usize>,
-        open: bool,
-    ) -> Vec<ClientScript> {
+    fn table(&self, clients: impl ExactSizeIterator<Item = usize>, open: bool) -> ClientTable {
+        let n = clients.len();
         let mut gets = GetArgs::new(self.p.n_mutexes);
-        let mut table = Vec::with_capacity(clients.len());
+        let mut table = ClientTable::builder(open, n, n * self.p.requests_per_client);
         for c in clients {
-            let requests = self.requests(c, &mut gets);
-            table.push(if open {
-                ClientScript::open_loop(requests, self.arrivals(c))
-            } else {
-                ClientScript::closed(requests)
-            });
+            self.requests(c, &mut gets, &mut table);
+            if open {
+                self.arrivals(c, &mut table);
+            }
+            table.end_client();
         }
-        table
+        table.build()
     }
 }
 
 /// Open-loop client scripts: per-client request mixes on per-client
 /// arrival schedules (Poisson or on/off bursts) averaging
 /// `offered_rps / n_clients` each.
-pub fn client_scripts(p: &OpenLoopParams) -> Vec<ClientScript> {
+pub fn client_scripts(p: &OpenLoopParams) -> ClientTable {
     Generator::new(p).table(0..p.n_clients, true)
 }
 
 /// Closed-loop scripts over the identical request mix (for pricing the
 /// client model itself; `offered_rps` is ignored).
-pub fn closed_client_scripts(p: &OpenLoopParams) -> Vec<ClientScript> {
+pub fn closed_client_scripts(p: &OpenLoopParams) -> ClientTable {
     Generator::new(p).table(0..p.n_clients, false)
 }
 
@@ -617,7 +615,7 @@ mod tests {
         }
         // Burstiness: squared coefficient of variation of inter-arrival
         // gaps well above the Poisson CV² ≈ 1.
-        let cv2 = |scripts: &[ClientScript]| {
+        let cv2 = |scripts: &ClientTable| {
             let gaps: Vec<f64> = scripts
                 .iter()
                 .flat_map(|s| {
@@ -650,7 +648,7 @@ mod tests {
             Value::Int(k) => k as u64,
             ref other => panic!("unexpected {other:?}"),
         };
-        let count_low = |scripts: &[ClientScript]| {
+        let count_low = |scripts: &ClientTable| {
             scripts
                 .iter()
                 .flat_map(|s| s.requests.iter())

@@ -17,10 +17,7 @@ fn main() {
     let params = bank::BankParams::default();
     let obj = bank::build_object(&params);
     let program = compile(&obj);
-    let requests: Vec<_> = bank::client_scripts(&params)
-        .into_iter()
-        .flat_map(|c| c.requests)
-        .collect();
+    let requests = bank::client_scripts(&params).requests().to_vec();
     let dummy = program.method_by_name("noop");
 
     println!("{:<8} {:>9} {:>8}  replay", "sched", "requests", "grants");

@@ -31,9 +31,13 @@ cargo test -q --workspace
 # summary-word edges, the last bucket and the window edge, against the
 # reference heap). dmt-workload's threaded sharded-workload builder and
 # its equivalence tests (pinned script digests on 1, 2, 3 and groups+1
-# workers) run on the optimised build too.
-echo "== tier-1: cargo test -q --release (dmt-sim, dmt-groupcomm, dmt-core, dmt-workload) =="
-cargo test -q --release -p dmt-sim -p dmt-groupcomm -p dmt-core -p dmt-workload
+# workers) run on the optimised build too. dmt-replica's run there as
+# well: the engine reads requests by flat client-table row, and the
+# shard equivalence tests (every group byte-identical to a monolithic
+# engine, the merged result independent of the worker count) must hold
+# on the build the benchmark measures.
+echo "== tier-1: cargo test -q --release (dmt-sim, dmt-groupcomm, dmt-core, dmt-replica, dmt-workload) =="
+cargo test -q --release -p dmt-sim -p dmt-groupcomm -p dmt-core -p dmt-replica -p dmt-workload
 
 # `cargo build` and `test` skip bench targets; compile every dmt-bench
 # bench so none of them can rot unnoticed.

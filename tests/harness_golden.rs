@@ -677,10 +677,7 @@ fn every_operand() -> Workload {
 /// every client, in script order.
 fn fig1_mix() -> Workload {
     let p = Fig1Params::default().with_clients(4).with_seed(11);
-    let requests = fig1::client_scripts(&p)
-        .into_iter()
-        .flat_map(|s| s.requests)
-        .collect();
+    let requests = fig1::client_scripts(&p).requests().to_vec();
     (fig1::build_object(&p), requests)
 }
 
