@@ -49,10 +49,7 @@ fn trace_export(out: Option<&str>, sched: Option<&str>, quick: bool) {
         ..fig1::Fig1Params::default()
     };
     let pair = fig1::scenario(&p);
-    let cfg = EngineConfig::new(kind)
-        .with_seed(7)
-        .with_tracing()
-        .with_depth_sampling();
+    let cfg = EngineConfig::new(kind).with_seed(7).with_tracing();
     let res = Engine::new(pair.for_kind(kind), cfg).run();
     assert!(!res.deadlocked);
     let json = dmt_obs::chrome_trace_json(&res.trace_records);

@@ -1,24 +1,30 @@
-//! **obs** — the queue-depth / runnable-set observability sweep.
+//! **obs** — queue depth and network traffic per scheduler.
 //!
 //! For every `(clients, scheduler)` grid point one full cluster
-//! simulation runs the Figure-1 workload with the engine's depth
-//! sampler enabled ([`EngineConfig::with_depth_sampling`]): after every
-//! applied scheduler event, the per-scheduler [`dmt_core::DepthSample`]
-//! is recorded into the run's metrics registry. The table and the
-//! `BENCH_obs.json` artifact report per-point percentiles of the total
-//! queued population and of the scheduler's own queue (for MAT that is
-//! the token wait queue, for PDS the round pool, for LSA the follower
-//! backlog), plus the group-comm traffic counters — the paper's §3.5
-//! broadcast-load comparison, now measured per scheduler.
+//! simulation runs the Figure-1 workload with tracing on, and each
+//! replica's records fold into its queue depth ([`dmt_obs::QueueDepth`]):
+//! the population of parked threads over virtual time, each thread in one
+//! phase at a time — admission, the scheduler's own gate (MAT's token,
+//! LSA's announcement order, the PDS round barrier, PMAT's prediction,
+//! SAT's single active slot), monitor contention, condition wait. A
+//! parked thread is live, so no parked figure can exceed the live
+//! threads. A row reports the deepest replica (largest parked integral):
+//! replicas of a symmetric scheduler differ only by jitter, but LSA's
+//! leader never waits for an announcement and its followers do. The
+//! group-comm traffic counters beside them are the paper's
+//! §3.5 broadcast-load comparison, measured per scheduler.
 //!
-//! Every value is derived from virtual time and integer bucket counts,
-//! so the artifact is byte-identical across reruns and sweep worker
-//! counts; `crates/bench/tests/obs_determinism.rs` holds it to that.
+//! Every value is an integer or a ratio of integers derived from virtual
+//! time, so the artifact is byte-identical across reruns and sweep
+//! worker counts; `crates/bench/tests/obs_determinism.rs` holds it to
+//! that. A cell whose trace buffer dropped a record fails the sweep: a
+//! missing record would silently bend the populations.
 
 use crate::experiments::{fig1_cell, run_jobs_prioritized, ALL_KINDS};
-use crate::schema::Value;
-use crate::schema::{col, cols::*, json_doc, json_kinds, Fmt::*, Rows, Schema, Src::*, Stat::*};
+use crate::schema::{col, cols::*, json_doc, json_kinds, Fmt::*, Rows, Schema, Src::*, Value};
+use dmt_obs::{QueueDepth, PHASES};
 use dmt_replica::EngineConfig;
+use std::cmp::Reverse;
 
 /// The sweep grid: offered load is varied via the client count on the
 /// contended Figure-1 workload; all seven schedulers run at each point.
@@ -47,30 +53,31 @@ impl ObsGrid {
     }
 }
 
-const TOTAL: &str = "depth.total";
-const QUEUE: &str = "depth.sched_queue";
-
-/// One row per grid point and scheduler (virtual-time quantities only).
-/// `samples` counts depth samples (= scheduler events applied). `depth`
-/// is the total queued population: admission + lock queues + wait sets +
-/// scheduler queue. `queue` is the scheduler's own queue (MAT/PMAT token
-/// wait queue, PDS round pool, LSA follower backlog, SEQ pending-thread
-/// queue). `wait_set_max` is the worst count of threads parked in
-/// condition-wait sets.
+/// One row per grid point and scheduler, from the queue depth of
+/// `replica`, the deepest one. `live_max` is the most threads alive at
+/// once on it (arrived, unfinished; PDS dummies included). `parked_*`
+/// is the parked population in any phase, then one mean/max pair per
+/// phase; means are time-weighted over the busy window (`window_ns`,
+/// first arrival to last change).
 #[rustfmt::skip]
 static OBS: Schema = Schema {
-    title: "Observability: queue depths & net traffic vs load (3 replicas, LAN)",
+    title: "Observability: parked threads by phase & net traffic vs load (3 replicas, LAN; deepest replica)",
     cols: &[
-        col("clients",      Some("clients"),     Plain, Plain, Cell),
+        col("clients",        Some("clients"),     Plain,  Plain,  Cell),
         SCHEDULER,
-        col("samples",      Some("samples"),     Plain, Plain, Hist(TOTAL, Count)),
-        col("depth_p50",    Some("depth p50"),   Plain, Plain, Hist(TOTAL, P50)),
-        col("depth_p95",    Some("depth p95"),   Plain, Plain, Hist(TOTAL, P95)),
-        col("depth_max",    Some("depth max"),   Plain, Plain, Hist(TOTAL, Max)),
-        col("queue_p50",    Some("queue p50"),   Plain, Plain, Hist(QUEUE, P50)),
-        col("queue_p95",    Some("queue p95"),   Plain, Plain, Hist(QUEUE, P95)),
-        col("queue_max",    Some("queue max"),   Plain, Plain, Hist(QUEUE, Max)),
-        col("wait_set_max", Some("waitset max"), Plain, Plain, Hist("depth.wait_set", Max)),
+        col("replica",        Some("rep"),         Plain,  Plain,  Cell),
+        col("window_ns",      None,                Plain,  Plain,  Cell),
+        col("live_max",       Some("live max"),    Plain,  Plain,  Cell),
+        col("parked_mean",    Some("parked mean"), Fix(3), Fix(2), Cell),
+        col("parked_max",     Some("parked max"),  Plain,  Plain,  Cell),
+        col("admission_mean", Some("admit mean"),  Fix(3), Fix(2), Cell),
+        col("admission_max",  None,                Plain,  Plain,  Cell),
+        col("gate_mean",      Some("gate mean"),   Fix(3), Fix(2), Cell),
+        col("gate_max",       None,                Plain,  Plain,  Cell),
+        col("monitor_mean",   Some("monitor mean"), Fix(3), Fix(2), Cell),
+        col("monitor_max",    None,                Plain,  Plain,  Cell),
+        col("cond_wait_mean", Some("cond mean"),   Fix(3), Fix(2), Cell),
+        col("cond_wait_max",  None,                Plain,  Plain,  Cell),
         SUBMISSIONS,
         LEGS,
         DELIVERIES,
@@ -78,9 +85,9 @@ static OBS: Schema = Schema {
     table: None,
 };
 
-/// Runs the sweep on `threads` workers (1 = serial): one Figure-1 cell
-/// with depth sampling on per grid point and scheduler. Rows are
-/// slotted by grid index, so the output is identical for any `threads`.
+/// Runs the sweep on `threads` workers (1 = serial): one traced
+/// Figure-1 cell per grid point and scheduler. Rows are slotted by grid
+/// index, so the output is identical for any `threads`.
 pub fn obs_experiment(grid: &ObsGrid, threads: usize) -> Rows {
     let kinds = ALL_KINDS;
     let rows = run_jobs_prioritized(
@@ -90,17 +97,39 @@ pub fn obs_experiment(grid: &ObsGrid, threads: usize) -> Rows {
         |job| {
             let n = grid.client_counts[job / kinds.len()];
             let kind = kinds[job % kinds.len()];
-            let cfg = EngineConfig::new(kind).with_depth_sampling();
-            let res = fig1_cell(n, grid.requests_per_client, cfg);
-            OBS.row(&res.metrics, vec![Value::U(n as u64), Value::Kind(kind)])
+            let res = fig1_cell(
+                n,
+                grid.requests_per_client,
+                EngineConfig::new(kind).with_tracing(),
+            );
+            let dropped = res.metrics.counter("trace.dropped").unwrap_or(0);
+            assert_eq!(dropped, 0, "{kind} at {n} clients dropped trace records");
+            let d = (0..res.traces.len() as u32)
+                .map(|r| QueueDepth::from_records(&res.trace_records, r))
+                .max_by_key(|d| (d.parked.thread_ns, Reverse(d.replica)))
+                .expect("a cluster has replicas");
+            let mut cells = vec![
+                Value::U(n as u64),
+                Value::Kind(kind),
+                Value::U(d.replica as u64),
+                Value::U(d.window_ns()),
+                Value::U(d.live.max as u64),
+                Value::F(d.mean(d.parked)),
+                Value::U(d.parked.max as u64),
+            ];
+            for phase in PHASES {
+                let pop = d.phase(phase);
+                cells.extend([Value::F(d.mean(pop)), Value::U(pop.max as u64)]);
+            }
+            OBS.row(&res.metrics, cells)
         },
     );
     Rows::new(&OBS, rows)
 }
 
 /// Serialises the sweep as the `BENCH_obs.json` artifact. Every value
-/// is an integer derived from virtual time, so the byte stream is
-/// reproducible across reruns and worker counts.
+/// is an integer or a ratio of integers derived from virtual time, so
+/// the byte stream is reproducible across reruns and worker counts.
 pub fn obs_json(grid: &ObsGrid, rows: &Rows) -> String {
     json_doc(&[
         ("experiment", "\"obs\"".into()),
@@ -110,7 +139,7 @@ pub fn obs_json(grid: &ObsGrid, rows: &Rows) -> String {
             grid.requests_per_client,
             json_kinds(&ALL_KINDS),
         )),
-        ("note", "\"queue-depth samples taken after every applied scheduler event; percentiles from the fixed-bucket log-scale histogram (upper bucket edge); byte-identical across reruns and sweep worker counts\"".into()),
+        ("note", "\"the deepest replica's parked threads folded from its decision trace, one phase per thread at a time; means time-weighted over its busy window; byte-identical across reruns and sweep worker counts\"".into()),
         ("rows", rows.json_array()),
     ])
 }
@@ -121,7 +150,7 @@ mod tests {
     use dmt_core::SchedulerKind;
 
     #[test]
-    fn depth_grows_with_load_and_seq_queues_deepest() {
+    fn parked_threads_stay_within_the_live_ones_and_seq_queues_deepest() {
         let grid = ObsGrid {
             client_counts: vec![2, 8],
             requests_per_client: 3,
@@ -130,21 +159,32 @@ mod tests {
         assert_eq!(rows.len(), 2 * ALL_KINDS.len());
         for r in rows.iter() {
             let kind = r.kind("scheduler");
-            assert!(r.u64("samples") > 0, "{kind} took no depth samples");
-            assert!(
-                r.u64("depth_p50") <= r.u64("depth_p95")
-                    && r.u64("depth_p95") <= r.u64("depth_max")
-            );
+            assert!(r.u64("window_ns") > 0, "{kind} has no busy window");
+            assert!(r.u64("parked_max") <= r.u64("live_max"), "{kind}");
+            for phase in PHASES {
+                let max = r.u64(&format!("{}_max", phase.name()));
+                assert!(max <= r.u64("parked_max"), "{kind} {}", phase.name());
+            }
+            // Closed loop: one request per client in flight, plus PDS
+            // dummies.
+            if kind != SchedulerKind::Pds {
+                assert!(r.u64("live_max") <= r.u64("clients"), "{kind}");
+            }
         }
         // SEQ admits one thread at a time: at 8 contended clients its
-        // total queued population must dwarf its own 2-client figure.
+        // parked population must dwarf its own 2-client figure.
         let seq = |n: u64| {
             rows.iter()
                 .find(|r| r.u64("clients") == n && r.kind("scheduler") == SchedulerKind::Seq)
                 .unwrap()
-                .u64("depth_max")
+                .f64("parked_mean")
         };
-        assert!(seq(8) > seq(2), "SEQ max depth {} !> {}", seq(8), seq(2));
+        assert!(
+            seq(8) > 2.0 * seq(2),
+            "SEQ parked mean {} !> 2 × {}",
+            seq(8),
+            seq(2)
+        );
         // LSA's broadcast-per-grant shows up as more legs than MAT's.
         let legs = |k: SchedulerKind| {
             rows.iter()

@@ -51,7 +51,6 @@ pub(crate) enum Fmt {
 /// A histogram statistic.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Stat {
-    Count,
     P50,
     P95,
     P99,
@@ -160,7 +159,6 @@ impl Schema {
                 Src::Gauge(name) => Value::U(m.gauge(name).unwrap_or(0) as u64),
                 Src::Hist(name, stat) => match (m.histogram(name), stat) {
                     (None, _) => Value::U(0),
-                    (Some(h), Stat::Count) => Value::U(h.count()),
                     (Some(h), Stat::P50) => Value::U(h.p50_ns().unwrap_or(0)),
                     (Some(h), Stat::P95) => Value::U(h.p95_ns().unwrap_or(0)),
                     (Some(h), Stat::P99) => Value::U(h.p99_ns().unwrap_or(0)),

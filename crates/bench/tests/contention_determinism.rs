@@ -41,9 +41,9 @@ fn contention_json_is_byte_identical_and_autopilot_matches_somewhere() {
             ("folded", &reference_report.folded),
         ],
         &[
-            0x630e_df1b_7ddf_3587,
-            0xf403_f7e1_d7f1_bddb,
-            0x83f1_9fad_c519_f0ff,
+            0x8c0d_d8bd_d240_5eba,
+            0xa0de_e2ba_7811_7102,
+            0x7256_4db5_e075_c27e,
             0x930d_e361_2258_cb97,
             0x9716_0010_81a3_ad17,
             0xf869_e4a9_4155_fffa,

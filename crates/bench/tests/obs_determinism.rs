@@ -1,7 +1,7 @@
 //! The `BENCH_obs.json` byte-identity regression: the queue-depth
 //! sweep's serialised output must not depend on how many workers ran
-//! the sweep, on dispatch order, or on rerun. Depth percentiles come
-//! from integer bucket counts over virtual time; any wall-clock or
+//! the sweep, on dispatch order, or on rerun. The populations are
+//! integer folds of virtual-time trace records; any wall-clock or
 //! iteration-order dependence leaking into the artifact fails here. The
 //! reference JSON, text table and CSV are also pinned by digest.
 
@@ -31,9 +31,9 @@ fn obs_json_is_byte_identical_across_worker_counts_and_reruns() {
             ("csv", &t.to_csv()),
         ],
         &[
-            0x9496_4feb_b937_1ef8,
-            0xac22_769e_051f_16bc,
-            0xd5ff_4599_789d_a4ed,
+            0xf3b2_e246_a605_c70c,
+            0xa467_e259_f28c_13ed,
+            0xacd0_ee43_956c_eed6,
         ],
     );
     for threads in [2, 8] {

@@ -29,7 +29,7 @@ fn run(kind: SchedulerKind, traced: bool) -> RunResult {
     let pair = scenario_pair();
     let mut cfg = EngineConfig::new(kind).with_seed(11).with_cpu_jitter(0.2);
     if traced {
-        cfg = cfg.with_tracing().with_depth_sampling();
+        cfg = cfg.with_tracing();
     }
     Engine::new(pair.for_kind(kind), cfg).run()
 }
@@ -54,9 +54,8 @@ fn tracing_does_not_change_any_simulated_outcome() {
             assert_eq!(a.lock_order, b.lock_order, "{kind} grant trace diverged");
         }
         // The observer itself: off ⇒ nothing recorded; on ⇒ decisions,
-        // GC legs, and depth samples all present.
+        // GC legs and request lifecycles all present.
         assert!(plain.trace_records.is_empty(), "{kind}");
-        assert!(plain.metrics.histogram("depth.total").is_none(), "{kind}");
         let has = |f: fn(&TraceEvent) -> bool| traced.trace_records.iter().any(|r| f(&r.ev));
         assert!(
             has(|e| matches!(e, TraceEvent::Sched(_))),
@@ -70,9 +69,8 @@ fn tracing_does_not_change_any_simulated_outcome() {
             has(|e| matches!(e, TraceEvent::RequestReplied { .. })),
             "{kind}"
         );
-        assert!(has(|e| matches!(e, TraceEvent::Depth(_))), "{kind}");
         assert!(
-            traced.metrics.histogram("depth.total").unwrap().count() > 0,
+            has(|e| matches!(e, TraceEvent::RequestFinished { .. })),
             "{kind}"
         );
     }
@@ -166,8 +164,7 @@ fn chrome_trace_export_matches_golden() {
     let pair = fig1::scenario(&p);
     let cfg = EngineConfig::new(SchedulerKind::Seq)
         .with_seed(11)
-        .with_tracing()
-        .with_depth_sampling();
+        .with_tracing();
     let res = Engine::new(pair.for_kind(SchedulerKind::Seq), cfg).run();
     assert!(!res.deadlocked);
     let got = chrome_trace_json(&res.trace_records);

@@ -89,7 +89,7 @@ pub trait ExecHost {
     fn finishing(&mut self, _tid: ThreadId) {}
 
     /// Tracing hook: the scheduler just answered an event with `out`.
-    fn observe<S: Scheduler + ?Sized>(&mut self, _sched: &S, _out: &SchedOutput) {}
+    fn observe(&mut self, _out: &SchedOutput) {}
 }
 
 /// One replica: scheduler, object state, thread VMs and the tables that
@@ -168,6 +168,17 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
         }
     }
 
+    /// Panics unless `m` takes no arguments. A dummy request carries
+    /// none, so a dummy method that read one would fault and park for
+    /// good, and the run would end as a reported deadlock.
+    pub fn check_dummy_method(&self, m: MethodIdx) {
+        assert_eq!(
+            self.program.methods[m.index()].arity,
+            0,
+            "dummy method must be zero-arg"
+        );
+    }
+
     /// Delivers request number `request_seq` of the total order as the
     /// next thread, parked for admission.
     pub fn arrive<H: ExecHost<Tag = T>>(
@@ -233,7 +244,7 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
     /// `dispatch`, so the list is stable and is walked by index
     /// (`SchedAction` is `Copy`) without moving the buffer.
     fn apply<H: ExecHost<Tag = T>>(&mut self, host: &mut H) {
-        host.observe(&*self.sched, &self.out);
+        host.observe(&self.out);
         self.sched_actions += self.out.actions.len() as u64;
         let mut k = 0;
         while k < self.out.actions.len() {

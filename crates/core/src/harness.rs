@@ -122,11 +122,7 @@ impl Harness {
 
     /// Declares the zero-arg no-op method PDS dummies should run.
     pub fn with_dummy_method(mut self, m: MethodIdx) -> Self {
-        assert_eq!(
-            self.exec.program.methods[m.index()].arity,
-            0,
-            "dummy method must be zero-arg"
-        );
+        self.exec.check_dummy_method(m);
         self.host.dummy_method = Some(m);
         self
     }

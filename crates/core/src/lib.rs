@@ -45,7 +45,7 @@ pub use bookkeeping::{Bookkeeping, EntryChange, EntryState, LockTable, StaticSyn
 pub use event::{CtrlMsg, SchedAction, SchedEvent};
 pub use exec::{Blocked, ExecHost, ReplicaExec};
 pub use ids::{ReplicaId, ThreadId};
-pub use obs::{Decision, DeferReason, DepthSample, SchedOutput};
+pub use obs::{Decision, DeferReason, SchedOutput};
 pub use scheduler::{
     make_scheduler, make_scheduler_inline, AnyScheduler, PdsConfig, SchedConfig, Scheduler,
     SchedulerKind,

@@ -21,7 +21,7 @@
 
 use crate::event::{CtrlMsg, SchedAction, SchedEvent};
 use crate::ids::{ReplicaId, ThreadId};
-use crate::obs::{Decision, DeferReason, DepthSample, SchedOutput};
+use crate::obs::{Decision, DeferReason, SchedOutput};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sync_core::{LockOutcome, SyncCore};
 use std::collections::VecDeque;
@@ -197,16 +197,6 @@ impl Scheduler for LsaScheduler {
 
     fn sync_core(&self) -> &SyncCore {
         &self.sync
-    }
-
-    /// `sched_queue` counts announced-but-unapplied grants (the follower
-    /// backlog); fresh requests parked in `pending` count as lock-queued
-    /// since they are blocked on a monitor, just gated remotely.
-    fn depths(&self) -> DepthSample {
-        let mut d = self.sync.depths();
-        d.lock_queued += self.pending.len() as u32;
-        d.sched_queue = self.expected.iter().map(|q| q.len() as u32).sum();
-        d
     }
 
     fn on_leader_change(&mut self, new_leader: ReplicaId) {

@@ -52,7 +52,7 @@
 use crate::bookkeeping::{Bookkeeping, LockTable};
 use crate::event::{SchedAction, SchedEvent};
 use crate::ids::ThreadId;
-use crate::obs::{Decision, DeferReason, DepthSample, SchedOutput};
+use crate::obs::{Decision, DeferReason, SchedOutput};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::slot::SlotMap;
 use crate::sync_core::{LockOutcome, SyncCore};
@@ -197,16 +197,6 @@ impl Scheduler for MatScheduler {
 
     fn sync_core(&self) -> &SyncCore {
         &self.sync
-    }
-
-    fn depths(&self) -> DepthSample {
-        let mut d = self.sync.depths();
-        // Gate-blocked lock requests are contention the monitor layer
-        // never sees — the "MAT wait queue" of §3.4.
-        d.lock_queued += self.gated.len() as u32;
-        // Runnable threads queued behind the token holder.
-        d.sched_queue = self.queue.len().saturating_sub(1) as u32;
-        d
     }
 
     fn on_event(&mut self, ev: &SchedEvent, out: &mut SchedOutput) {

@@ -96,6 +96,12 @@ pub enum Decision {
     /// PDS: a new round started with `pool` threads, `dummies` of which
     /// are filler requests.
     RoundStart { pool: u32, dummies: u32 },
+    /// SAT: a suspended thread became ready again (its monitor was
+    /// granted or its nested call returned) while another thread holds
+    /// the single active slot; it waits in the ready queue.
+    ResumeDefer { tid: ThreadId },
+    /// SAT: a ready suspended thread took the active slot.
+    Resume { tid: ThreadId },
 }
 
 impl Decision {
@@ -111,6 +117,8 @@ impl Decision {
             Decision::TokenRelease { .. } => "token-release",
             Decision::Announce { .. } => "announce",
             Decision::RoundStart { .. } => "round-start",
+            Decision::ResumeDefer { .. } => "resume-defer",
+            Decision::Resume { .. } => "resume",
         }
     }
 
@@ -203,36 +211,6 @@ impl SchedOutput {
     }
 }
 
-/// A point-in-time census of where threads are parked, per scheduler.
-///
-/// Sampled by the engine after each scheduler dispatch (when queue-depth
-/// observation is enabled) and aggregated into log-scale histograms for
-/// the `figures obs` experiment. All counts are instantaneous; the split
-/// mirrors the paper's vocabulary: monitor contention (`lock_queued`,
-/// `wait_set`) versus algorithm-imposed gating (`admission`,
-/// `sched_queue`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DepthSample {
-    /// Requests arrived but not yet admitted (SEQ pending, SAT ready,
-    /// PDS waiting room).
-    pub admission: u32,
-    /// Threads blocked on a busy or gated monitor (sync-core queues plus
-    /// scheduler-side gated lock requests).
-    pub lock_queued: u32,
-    /// Threads parked in condition-variable wait sets.
-    pub wait_set: u32,
-    /// Algorithm-specific backlog: MAT token queue, PDS pool backlog,
-    /// LSA undecided/unreplayed requests, PMAT age-queue residents.
-    pub sched_queue: u32,
-}
-
-impl DepthSample {
-    /// Every thread currently parked for any reason.
-    pub fn total(&self) -> u32 {
-        self.admission + self.lock_queued + self.wait_set + self.sched_queue
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,17 +276,5 @@ mod tests {
             Some(m)
         );
         assert_eq!(Decision::TokenGrant { tid: t }.mutex(), None);
-    }
-
-    #[test]
-    fn depth_sample_totals() {
-        let d = DepthSample {
-            admission: 1,
-            lock_queued: 2,
-            wait_set: 3,
-            sched_queue: 4,
-        };
-        assert_eq!(d.total(), 10);
-        assert_eq!(DepthSample::default().total(), 0);
     }
 }

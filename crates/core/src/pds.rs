@@ -35,7 +35,7 @@
 
 use crate::event::{SchedAction, SchedEvent};
 use crate::ids::ThreadId;
-use crate::obs::{Decision, DeferReason, DepthSample, SchedOutput};
+use crate::obs::{Decision, DeferReason, SchedOutput};
 use crate::scheduler::{PdsConfig, Scheduler, SchedulerKind};
 use crate::slot::SlotMap;
 use crate::sync_core::{LockOutcome, SyncCore};
@@ -388,15 +388,6 @@ impl Scheduler for PdsScheduler {
 
     fn sync_core(&self) -> &SyncCore {
         &self.sync
-    }
-
-    /// `admission` is the waiting room; `sched_queue` counts pool members
-    /// whose collected lock request awaits the round barrier.
-    fn depths(&self) -> DepthSample {
-        let mut d = self.sync.depths();
-        d.admission = self.waiting_room.len() as u32;
-        d.sched_queue = self.pool_collected as u32;
-        d
     }
 
     fn on_event(&mut self, ev: &SchedEvent, out: &mut SchedOutput) {

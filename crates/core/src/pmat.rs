@@ -35,7 +35,7 @@
 use crate::bookkeeping::{Bookkeeping, EntryChange, LockTable};
 use crate::event::{SchedAction, SchedEvent};
 use crate::ids::ThreadId;
-use crate::obs::{Decision, DepthSample, SchedOutput};
+use crate::obs::{Decision, SchedOutput};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sync_core::{LockOutcome, SyncCore};
 use dmt_lang::MutexId;
@@ -397,15 +397,6 @@ impl Scheduler for PmatScheduler {
 
     fn sync_core(&self) -> &SyncCore {
         &self.sync
-    }
-
-    /// `lock_queued` adds gate-blocked requests awaiting the prediction
-    /// check; `sched_queue` is the active-thread queue (runnable set).
-    fn depths(&self) -> DepthSample {
-        let mut d = self.sync.depths();
-        d.lock_queued += self.pending.len() as u32;
-        d.sched_queue = self.queue.len() as u32;
-        d
     }
 
     fn on_event(&mut self, ev: &SchedEvent, out: &mut SchedOutput) {

@@ -17,7 +17,7 @@
 
 use crate::event::{SchedAction, SchedEvent};
 use crate::ids::ThreadId;
-use crate::obs::{Decision, DeferReason, DepthSample, SchedOutput};
+use crate::obs::{Decision, DeferReason, SchedOutput};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sync_core::{LockOutcome, SyncCore};
 use std::collections::VecDeque;
@@ -85,20 +85,26 @@ impl SatScheduler {
             self.active = Some(next);
             if fresh {
                 out.decision(|| Decision::Admit { tid: next });
-            }
-            out.push(if fresh {
-                SchedAction::Admit(next)
+                out.push(SchedAction::Admit(next));
             } else {
-                SchedAction::Resume(next)
-            });
+                out.decision(|| Decision::Resume { tid: next });
+                out.push(SchedAction::Resume(next));
+            }
         }
     }
 
+    /// A suspended thread is ready again while `active` runs: it waits
+    /// in the ready queue for the slot.
+    fn enqueue_resumable(&mut self, tid: ThreadId, out: &mut SchedOutput) {
+        debug_assert!(self.active.is_some());
+        out.decision(|| Decision::ResumeDefer { tid });
+        self.enqueue_ready(tid, false);
+    }
+
     /// A monitor grant arrived for a blocked thread: it becomes ready.
-    fn on_grant(&mut self, tid: ThreadId) {
+    fn on_grant(&mut self, tid: ThreadId, out: &mut SchedOutput) {
         debug_assert!(matches!(self.st(tid), St::LockBlocked | St::WaitBlocked));
-        self.set(tid, St::Ready);
-        self.ready.push_back(tid);
+        self.enqueue_resumable(tid, out);
     }
 }
 
@@ -115,20 +121,6 @@ impl Scheduler for SatScheduler {
 
     fn sync_core(&self) -> &SyncCore {
         &self.sync
-    }
-
-    fn depths(&self) -> DepthSample {
-        let mut d = self.sync.depths();
-        // Fresh entries in the ready queue are unadmitted requests; the
-        // rest are resumable suspended threads (scheduler backlog).
-        for &tid in &self.ready {
-            if self.st(tid) == St::Fresh {
-                d.admission += 1;
-            } else {
-                d.sched_queue += 1;
-            }
-        }
-        d
     }
 
     fn on_event(&mut self, ev: &SchedEvent, out: &mut SchedOutput) {
@@ -178,7 +170,7 @@ impl Scheduler for SatScheduler {
                         mutex,
                         from_wait: g.from_wait,
                     });
-                    self.on_grant(g.tid);
+                    self.on_grant(g.tid, out);
                 }
             }
             SchedEvent::WaitCalled { tid, mutex } => {
@@ -189,7 +181,7 @@ impl Scheduler for SatScheduler {
                         mutex,
                         from_wait: g.from_wait,
                     });
-                    self.on_grant(g.tid);
+                    self.on_grant(g.tid, out);
                 }
                 self.set(tid, St::WaitBlocked);
                 self.active = None;
@@ -208,8 +200,10 @@ impl Scheduler for SatScheduler {
             }
             SchedEvent::NestedCompleted { tid } => {
                 debug_assert_eq!(self.st(tid), St::NestedBlocked);
-                self.enqueue_ready(tid, false);
-                if self.active.is_none() {
+                if self.active.is_some() {
+                    self.enqueue_resumable(tid, out);
+                } else {
+                    self.enqueue_ready(tid, false);
                     self.activate_next(out);
                 }
             }
@@ -370,5 +364,48 @@ mod tests {
         out.clear();
         s.on_event(&SchedEvent::ThreadFinished { tid: t(3) }, &mut out);
         assert_eq!(out.actions, vec![SchedAction::Resume(t(0))]);
+    }
+
+    #[test]
+    fn a_ready_thread_waiting_for_the_slot_is_on_record() {
+        let mut s = SatScheduler::new();
+        let mut out = SchedOutput::recording();
+        let held = |out: &SchedOutput| -> Vec<Decision> { out.decisions().to_vec() };
+        s.on_event(&arrive(0), &mut out);
+        s.on_event(&lock(0, 5), &mut out);
+        s.on_event(&SchedEvent::NestedStarted { tid: t(0) }, &mut out);
+        s.on_event(&arrive(1), &mut out);
+        out.clear();
+        // t1 blocks on m5, which t0 holds across its nested call.
+        s.on_event(&lock(1, 5), &mut out);
+        // t0's reply comes back with the slot free: resumed at once.
+        s.on_event(&SchedEvent::NestedCompleted { tid: t(0) }, &mut out);
+        assert_eq!(
+            held(&out),
+            vec![
+                Decision::Defer {
+                    tid: t(1),
+                    mutex: MutexId::new(5),
+                    reason: DeferReason::MutexBusy
+                },
+                Decision::Resume { tid: t(0) },
+            ]
+        );
+        out.clear();
+        // t0's unlock grants m5 to t1, which waits for the slot.
+        s.on_event(&unlock(0, 5), &mut out);
+        s.on_event(&SchedEvent::ThreadFinished { tid: t(0) }, &mut out);
+        assert_eq!(
+            held(&out),
+            vec![
+                Decision::Grant {
+                    tid: t(1),
+                    mutex: MutexId::new(5),
+                    from_wait: false
+                },
+                Decision::ResumeDefer { tid: t(1) },
+                Decision::Resume { tid: t(1) },
+            ]
+        );
     }
 }

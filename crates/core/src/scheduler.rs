@@ -20,7 +20,7 @@
 use crate::bookkeeping::LockTable;
 use crate::event::SchedEvent;
 use crate::ids::ReplicaId;
-use crate::obs::{DepthSample, SchedOutput};
+use crate::obs::SchedOutput;
 use crate::sync_core::SyncCore;
 use std::sync::Arc;
 
@@ -159,7 +159,6 @@ pub struct SchedConfig {
     pub replica: ReplicaId,
     pub leader: ReplicaId,
     pub lock_table: Arc<LockTable>,
-    pub pds: PdsConfig,
 }
 
 impl SchedConfig {
@@ -169,17 +168,11 @@ impl SchedConfig {
             replica,
             leader: ReplicaId::new(0),
             lock_table: Arc::new(LockTable::unanalyzed(0)),
-            pds: PdsConfig::default(),
         }
     }
 
     pub fn with_lock_table(mut self, table: Arc<LockTable>) -> Self {
         self.lock_table = table;
-        self
-    }
-
-    pub fn with_pds(mut self, pds: PdsConfig) -> Self {
-        self.pds = pds;
         self
     }
 
@@ -202,15 +195,6 @@ pub trait Scheduler: Send {
 
     /// The underlying monitor table, for engine invariant checks.
     fn sync_core(&self) -> &SyncCore;
-
-    /// A point-in-time census of parked threads: monitor contention from
-    /// the sync core plus whatever algorithm-specific queues the module
-    /// maintains. The default covers schedulers with no gating of their
-    /// own (FREE); every decision module overrides it to add admission
-    /// and scheduler-queue backlogs. O(1) — safe to call per event.
-    fn depths(&self) -> DepthSample {
-        self.sync_core().depths()
-    }
 
     /// Leadership change notification (LSA failover). Default: ignored.
     fn on_leader_change(&mut self, _new_leader: ReplicaId) {}
@@ -270,11 +254,6 @@ impl Scheduler for AnyScheduler {
         each_sched!(self, s => s.sync_core())
     }
 
-    #[inline]
-    fn depths(&self) -> DepthSample {
-        each_sched!(self, s => s.depths())
-    }
-
     fn on_leader_change(&mut self, new_leader: ReplicaId) {
         each_sched!(self, s => s.on_leader_change(new_leader))
     }
@@ -294,7 +273,9 @@ pub fn make_scheduler_inline(cfg: &SchedConfig) -> AnyScheduler {
         SchedulerKind::Lsa => {
             AnyScheduler::Lsa(crate::lsa::LsaScheduler::new(cfg.replica, cfg.leader))
         }
-        SchedulerKind::Pds => AnyScheduler::Pds(crate::pds::PdsScheduler::new(cfg.pds)),
+        SchedulerKind::Pds => {
+            AnyScheduler::Pds(crate::pds::PdsScheduler::new(PdsConfig::default()))
+        }
         SchedulerKind::Mat => AnyScheduler::Mat(crate::mat::MatScheduler::new(
             crate::mat::MatMode::Plain,
             cfg.lock_table.clone(),

@@ -9,7 +9,7 @@
 
 use crate::event::{SchedAction, SchedEvent};
 use crate::ids::ThreadId;
-use crate::obs::{Decision, DepthSample, SchedOutput};
+use crate::obs::{Decision, SchedOutput};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sync_core::{LockOutcome, SyncCore};
 use std::collections::VecDeque;
@@ -52,12 +52,6 @@ impl Scheduler for SeqScheduler {
 
     fn sync_core(&self) -> &SyncCore {
         &self.sync
-    }
-
-    fn depths(&self) -> DepthSample {
-        let mut d = self.sync.depths();
-        d.admission = self.pending.len() as u32;
-        d
     }
 
     fn on_event(&mut self, ev: &SchedEvent, out: &mut SchedOutput) {

@@ -14,7 +14,6 @@
 //! table answers `holds_none` in O(1).
 
 use crate::ids::ThreadId;
-use crate::obs::DepthSample;
 use dmt_lang::MutexId;
 use std::collections::VecDeque;
 
@@ -72,11 +71,6 @@ pub struct SyncCore {
     /// manual mode (LSA followers, PMAT) releases leave the monitor free
     /// and the decision module grants explicitly.
     auto_grant: bool,
-    /// Threads queued on any monitor, maintained incrementally so the
-    /// queue-depth sampler stays O(1) per sample.
-    queued_total: u32,
-    /// Threads parked in any wait set (same incremental discipline).
-    waiting_total: u32,
 }
 
 impl SyncCore {
@@ -85,8 +79,6 @@ impl SyncCore {
             mutexes: Vec::new(),
             held: Vec::new(),
             auto_grant,
-            queued_total: 0,
-            waiting_total: 0,
         }
     }
 
@@ -141,7 +133,6 @@ impl SyncCore {
                     tid,
                     reacquire: None,
                 });
-                self.queued_total += 1;
                 LockOutcome::Queued
             }
         }
@@ -176,7 +167,6 @@ impl SyncCore {
             Some((owner, count)) if owner == tid => {
                 st.wait_set.push_back((tid, count));
                 st.owner = None;
-                self.waiting_total += 1;
                 self.held_dec(tid);
                 self.after_full_release(m)
             }
@@ -207,8 +197,6 @@ impl SyncCore {
                 reacquire: Some(saved),
             });
         }
-        self.waiting_total -= n as u32;
-        self.queued_total += n as u32;
         n
     }
 
@@ -228,7 +216,6 @@ impl SyncCore {
         }
         let w = st.queue.pop_front()?;
         st.owner = Some((w.tid, w.reacquire.unwrap_or(1)));
-        self.queued_total -= 1;
         self.held_inc(w.tid);
         Some(Grant {
             tid: w.tid,
@@ -248,7 +235,6 @@ impl SyncCore {
         let pos = st.queue.iter().position(|w| w.tid == tid)?;
         let w = st.queue.remove(pos).expect("position just found");
         st.owner = Some((w.tid, w.reacquire.unwrap_or(1)));
-        self.queued_total -= 1;
         self.held_inc(w.tid);
         Some(Grant {
             tid: w.tid,
@@ -321,18 +307,6 @@ impl SyncCore {
         self.mutexes
             .iter()
             .all(|s| s.owner.is_none() && s.queue.is_empty() && s.wait_set.is_empty())
-    }
-
-    /// Monitor-contention census: threads queued on busy monitors and
-    /// threads parked in wait sets, from the incremental totals — O(1),
-    /// safe on the per-event path. Admission and scheduler-queue depths
-    /// are the decision module's to add (see `Scheduler::depths`).
-    pub fn depths(&self) -> DepthSample {
-        DepthSample {
-            lock_queued: self.queued_total,
-            wait_set: self.waiting_total,
-            ..DepthSample::default()
-        }
     }
 }
 
@@ -543,38 +517,35 @@ mod tests {
     }
 
     #[test]
-    fn depth_totals_track_queue_and_wait_set_incrementally() {
+    fn queue_and_wait_set_track_waiters_through_a_handoff() {
         let mut c = SyncCore::new(true);
-        assert_eq!(c.depths(), DepthSample::default());
         c.lock(t(1), m(0));
         c.lock(t(2), m(0)); // queued
         c.lock(t(3), m(0)); // queued
-        assert_eq!(c.depths().lock_queued, 2);
+        assert_eq!(c.queued(m(0)), vec![t(2), t(3)]);
         c.unlock(t(1), m(0)); // grants t2
-        assert_eq!(c.depths().lock_queued, 1);
+        assert_eq!(c.queued(m(0)), vec![t(3)]);
         c.wait(t(2), m(0)); // t2 waits; auto-grant hands to t3
-        assert_eq!(c.depths().lock_queued, 0);
-        assert_eq!(c.depths().wait_set, 1);
+        assert!(c.queued(m(0)).is_empty());
+        assert_eq!(c.wait_set(m(0)), vec![t(2)]);
         c.notify(t(3), m(0), true); // t2 back to the lock queue
-        assert_eq!(c.depths().wait_set, 0);
-        assert_eq!(c.depths().lock_queued, 1);
+        assert!(c.wait_set(m(0)).is_empty());
+        assert_eq!(c.queued(m(0)), vec![t(2)]);
         c.unlock(t(3), m(0)); // re-grants t2
-        assert_eq!(c.depths().lock_queued, 0);
+        assert!(c.queued(m(0)).is_empty());
         c.unlock(t(2), m(0));
         assert!(c.is_quiescent());
-        assert_eq!(c.depths(), DepthSample::default());
     }
 
     #[test]
-    fn grant_to_decrements_queue_depth() {
+    fn grant_to_removes_only_the_granted_waiter() {
         let mut c = SyncCore::new(false);
         c.lock(t(1), m(0));
         c.lock(t(2), m(0));
         c.lock(t(3), m(0));
         c.unlock(t(1), m(0));
-        assert_eq!(c.depths().lock_queued, 2);
         c.grant_to(t(3), m(0)).unwrap();
-        assert_eq!(c.depths().lock_queued, 1);
+        assert_eq!(c.queued(m(0)), vec![t(2)]);
     }
 
     #[test]

@@ -3,17 +3,22 @@
 //! Serialises a recorded trace to the Trace Event Format JSON array:
 //! scheduler decisions and group-comm legs become instant events
 //! (`"ph":"i"`), request lifecycles become async begin/end pairs
-//! (`"ph":"b"/"e"` keyed by thread id), and queue-depth samples become
-//! counter tracks (`"ph":"C"`), so the load on each scheduler structure
-//! is plotted over virtual time. Timestamps are virtual nanoseconds
-//! divided into the format's microsecond unit with three decimals —
-//! pure integer math, so the output is byte-stable.
+//! (`"ph":"b"/"e"` keyed by thread id), and each replica's queue depth
+//! becomes a counter track (`"ph":"C"`, one series per parked phase),
+//! so what each scheduler serialises is plotted over virtual time. The
+//! counters are the [`crate::depth`] fold of the same records: one
+//! event per instant the parked population changes, placed after the
+//! records of that instant. Timestamps are virtual nanoseconds divided
+//! into the format's microsecond unit with three decimals — pure integer
+//! math, so the output is byte-stable.
 //!
 //! The JSON is hand-rolled like dmt-bench's artifacts: the workspace
 //! intentionally has no external dependencies.
 
+use crate::depth::{depth_points, DepthPoint, PHASES};
 use crate::trace::{TraceEvent, TraceRecord};
 use dmt_core::Decision;
+use std::collections::BTreeSet;
 use std::fmt::Write;
 
 /// `pid` used for cluster-level records (sequencer leg, client side).
@@ -34,7 +39,10 @@ fn ts(t_ns: u64) -> String {
 
 fn decision_args(d: &Decision) -> String {
     match *d {
-        Decision::Admit { tid } | Decision::AdmitDefer { tid } => {
+        Decision::Admit { tid }
+        | Decision::AdmitDefer { tid }
+        | Decision::ResumeDefer { tid }
+        | Decision::Resume { tid } => {
             format!("{{\"tid\":{}}}", tid.index())
         }
         Decision::Grant {
@@ -79,12 +87,61 @@ fn decision_args(d: &Decision) -> String {
     }
 }
 
+/// Every replica's parked-population changes, in (time, replica) order:
+/// the points where some phase's count moved (and each replica's first).
+fn depth_counters(records: &[TraceRecord]) -> Vec<(u32, DepthPoint)> {
+    let replicas: BTreeSet<u32> = records
+        .iter()
+        .map(|r| r.replica)
+        .filter(|&r| r != TraceRecord::NO_REPLICA)
+        .collect();
+    let mut out = Vec::new();
+    for replica in replicas {
+        let mut prev = None;
+        for p in depth_points(records, replica) {
+            if prev != Some(p.parked) {
+                prev = Some(p.parked);
+                out.push((replica, p));
+            }
+        }
+    }
+    out.sort_by_key(|&(_, p)| p.t_ns);
+    out
+}
+
+fn counter_line(replica: u32, p: &DepthPoint) -> String {
+    let mut line = format!(
+        "{{\"name\":\"queue-depth\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"tid\":0,\"args\":{{",
+        ts(p.t_ns),
+        pid_of(replica)
+    );
+    for (i, (phase, n)) in PHASES.iter().zip(p.parked).enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(line, "{sep}\"{}\":{n}", phase.name());
+    }
+    line.push_str("}}");
+    line
+}
+
 /// Exports `records` as a Trace Event Format JSON object.
 pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     let mut out = String::with_capacity(records.len() * 96 + 64);
     out.push_str("{\"traceEvents\":[\n");
     let mut first = true;
+    let mut push = |out: &mut String, line: &str| {
+        if !first {
+            out.push_str(",\n");
+        }
+        first = false;
+        out.push_str(line);
+    };
+    let counters = depth_counters(records);
+    let mut next_counter = counters.iter().peekable();
     for r in records {
+        // Counters of earlier instants go before this record.
+        while let Some((replica, p)) = next_counter.next_if(|(_, p)| p.t_ns < r.t_ns) {
+            push(&mut out, &counter_line(*replica, p));
+        }
         let mut line = String::with_capacity(96);
         let pid = pid_of(r.replica);
         match &r.ev {
@@ -191,24 +248,11 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                     mutex.index()
                 );
             }
-            TraceEvent::Depth(d) => {
-                let _ = write!(
-                    line,
-                    "{{\"name\":\"queue-depth\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"tid\":0,\"args\":{{\"admission\":{},\"lock_queued\":{},\"wait_set\":{},\"sched_queue\":{}}}}}",
-                    ts(r.t_ns),
-                    pid,
-                    d.admission,
-                    d.lock_queued,
-                    d.wait_set,
-                    d.sched_queue
-                );
-            }
         }
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&line);
+        push(&mut out, &line);
+    }
+    for (replica, p) in next_counter {
+        push(&mut out, &counter_line(*replica, p));
     }
     out.push_str("\n]}\n");
     out
@@ -217,7 +261,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmt_core::{DeferReason, DepthSample, ThreadId};
+    use dmt_core::{DeferReason, ThreadId};
     use dmt_lang::MutexId;
 
     fn t(v: u32) -> ThreadId {
@@ -267,11 +311,10 @@ mod tests {
             TraceRecord {
                 t_ns: 3200,
                 replica: 0,
-                ev: TraceEvent::Depth(DepthSample {
-                    admission: 1,
-                    lock_queued: 2,
-                    wait_set: 0,
-                    sched_queue: 3,
+                ev: TraceEvent::Sched(Decision::Grant {
+                    tid: t(0),
+                    mutex: MutexId::new(2),
+                    from_wait: false,
                 }),
             },
             TraceRecord {
@@ -316,7 +359,28 @@ mod tests {
         // µs timestamps via integer math: 2750 ns → 2.750.
         assert!(a.contains("\"ts\":2.750"), "{a}");
         assert!(a.contains("\"reason\":\"token\""));
-        assert!(a.contains("\"ph\":\"C\""));
+        // The token wait [3000, 3200) is the counter track: replica 0's
+        // first point, the park and the grant (the finish at 4000 moves
+        // no parked count), each after the records of its instant.
+        let counter = |ts: &str, gate: u32| {
+            format!("{{\"name\":\"queue-depth\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\"tid\":0,\"args\":{{\"admission\":0,\"gate\":{gate},\"monitor\":0,\"cond_wait\":0}}}}")
+        };
+        let lines: Vec<&str> = a.lines().map(|l| l.trim_end_matches(',')).collect();
+        for (ts, gate, after) in [
+            ("2.750", 0, "admit"),
+            ("3.000", 1, "defer"),
+            ("3.200", 0, "grant"),
+        ] {
+            let at = lines
+                .iter()
+                .position(|l| *l == counter(ts, gate))
+                .unwrap_or_else(|| panic!("no counter at {ts}: {a}"));
+            assert!(
+                lines[at - 1].contains(&format!("\"name\":\"{after}\"")),
+                "{a}"
+            );
+        }
+        assert_eq!(a.matches("\"ph\":\"C\"").count(), 3, "{a}");
         assert!(
             a.contains("\"pid\":-1"),
             "cluster records use the cluster pid"
@@ -325,7 +389,7 @@ mod tests {
         assert!(a.contains("\"from_seq\":17"));
         assert!(a.contains("\"new_leader\":1"));
         assert!(a.contains("\"name\":\"mutex-released\""));
-        // Every record appears as one line.
-        assert_eq!(a.lines().count(), records.len() + 2);
+        // Every record appears as one line, beside the three counters.
+        assert_eq!(a.lines().count(), records.len() + 3 + 2);
     }
 }

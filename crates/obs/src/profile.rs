@@ -103,6 +103,43 @@ struct Hold {
     depth: u32,
 }
 
+/// The Defer→Grant span matcher: a thread's *first* park on a mutex
+/// opens its wait, tagged with what the caller makes of that park
+/// (`W`); the grant of that mutex to that thread closes it. Later parks
+/// before the grant (a MAT token wait that turns into a busy monitor)
+/// extend the same span. [`ContentionProfile`] tags spans with the first
+/// defer's reason; the [`crate::depth`] fold with the thread's phase.
+pub(crate) struct WaitSpans<W> {
+    /// (tid, mutex) → first-park stamp and tag.
+    open: BTreeMap<(u32, u32), (u64, W)>,
+}
+
+impl<W> WaitSpans<W> {
+    pub(crate) fn new() -> Self {
+        WaitSpans {
+            open: BTreeMap::new(),
+        }
+    }
+
+    /// `tid` parked on `mutex` at `t_ns`; a no-op if it already waits.
+    pub(crate) fn park(&mut self, tid: ThreadId, mutex: MutexId, t_ns: u64, why: W) {
+        self.open.entry(key(tid, mutex)).or_insert((t_ns, why));
+    }
+
+    /// `mutex` was granted to `tid`: the open wait's start and tag, if
+    /// it waited.
+    pub(crate) fn grant(&mut self, tid: ThreadId, mutex: MutexId) -> Option<(u64, W)> {
+        self.open.remove(&key(tid, mutex))
+    }
+
+    /// Closes every open wait: `(tid, start, tag)` in (tid, mutex) order.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (ThreadId, u64, W)> {
+        std::mem::take(&mut self.open)
+            .into_iter()
+            .map(|((tid, _), (t0, why))| (ThreadId::new(tid), t0, why))
+    }
+}
+
 impl ContentionProfile {
     /// Folds `records`, keeping only events from `replica`. Timings mix
     /// decisions and releases of a single replica's clock, so profiles
@@ -112,8 +149,7 @@ impl ContentionProfile {
     pub fn from_records(records: &[TraceRecord], replica: u32) -> Self {
         let mut mutexes: BTreeMap<u32, MutexProfile> = BTreeMap::new();
         let mut edges: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        // (tid, mutex) → first-defer stamp + reason.
-        let mut waiting: BTreeMap<(u32, u32), (u64, DeferReason)> = BTreeMap::new();
+        let mut waiting = WaitSpans::new();
         // (tid, mutex) → open hold span.
         let mut holding: BTreeMap<(u32, u32), Hold> = BTreeMap::new();
 
@@ -122,12 +158,12 @@ impl ContentionProfile {
                 TraceEvent::Sched(Decision::Defer { tid, mutex, reason }) => {
                     let m = mutexes.entry(mutex.index() as u32).or_default();
                     m.defers[reason_index(reason)] += 1;
-                    waiting.entry(key(tid, mutex)).or_insert((rec.t_ns, reason));
+                    waiting.park(tid, mutex, rec.t_ns, reason);
                 }
                 TraceEvent::Sched(Decision::Grant { tid, mutex, .. }) => {
                     let m = mutexes.entry(mutex.index() as u32).or_default();
                     m.grants += 1;
-                    if let Some((t0, reason)) = waiting.remove(&key(tid, mutex)) {
+                    if let Some((t0, reason)) = waiting.grant(tid, mutex) {
                         let waited = rec.t_ns.saturating_sub(t0);
                         m.wait.record(waited);
                         m.wait_ns_by_reason[reason_index(reason)] += waited;

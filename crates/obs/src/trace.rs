@@ -9,7 +9,7 @@
 //! (or the cap given to [`Tracer::buffered`]) and counts overflow in a
 //! drop counter instead of growing without bound.
 
-use dmt_core::{Decision, DepthSample, ThreadId};
+use dmt_core::{Decision, ThreadId};
 use dmt_lang::MutexId;
 
 /// Default record cap of an enabled tracer: 1 Mi records. Beyond it
@@ -36,8 +36,6 @@ pub enum TraceEvent {
     RequestFinished { tid: ThreadId },
     /// The first replica's answer for the request left for the client.
     RequestReplied { tid: ThreadId },
-    /// Queue-depth sample taken after a scheduler event was applied.
-    Depth(DepthSample),
     /// The replica crashed (fault injection or scripted kill).
     ReplicaCrashed,
     /// The replica completed passive-replication catch-up and rejoined

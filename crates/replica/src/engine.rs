@@ -34,7 +34,6 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Per-compute-segment CPU speed jitter (0.0 = identical replicas).
     pub cpu_jitter: f64,
-    pub pds: dmt_core::PdsConfig,
     /// Safety cap on virtual time.
     pub max_time: SimDuration,
     /// Record a structured trace (scheduler decisions, request
@@ -45,10 +44,6 @@ pub struct EngineConfig {
     /// disabled path is branch-cheap and allocation-free, pinned by the
     /// dmt-bench overhead guard.
     pub trace: Option<usize>,
-    /// Sample queue depths ([`dmt_core::DepthSample`]) after every
-    /// scheduler dispatch into the metrics registry (the `figures obs`
-    /// experiment). Off by default for the same reason.
-    pub sample_depths: bool,
     /// Run admitted/resumed threads through the inline ready ring instead
     /// of a zero-delay calendar-queue event each (see DESIGN.md §"Batched
     /// admission"). Outcome-identical by construction — the gate only
@@ -92,10 +87,8 @@ impl EngineConfig {
             net: NetConfig::lan(),
             seed: 1,
             cpu_jitter: 0.0,
-            pds: dmt_core::PdsConfig::default(),
             max_time: SimDuration::from_secs(3600),
             trace: None,
-            sample_depths: false,
             batch_admission: true,
             fastpath: true,
             faults: FaultPlan::default(),
@@ -142,11 +135,6 @@ impl EngineConfig {
         self
     }
 
-    pub fn with_depth_sampling(mut self) -> Self {
-        self.sample_depths = true;
-        self
-    }
-
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -159,11 +147,6 @@ impl EngineConfig {
 
     pub fn with_cpu_jitter(mut self, j: f64) -> Self {
         self.cpu_jitter = j;
-        self
-    }
-
-    pub fn with_pds(mut self, pds: dmt_core::PdsConfig) -> Self {
-        self.pds = pds;
         self
     }
 
@@ -438,11 +421,6 @@ struct Host {
     deliv_scratch: Vec<Delivery<GcMsg>>,
     metrics: MetricsRegistry,
     tracer: Tracer,
-    /// Histogram handles for queue-depth sampling (None = sampling off).
-    depth_ids: Option<DepthIds>,
-    /// `tracer.is_enabled() || depth_ids.is_some()`, cached so the
-    /// per-dispatch observation side-channel costs one branch when off.
-    observe: bool,
 }
 
 /// The host as one replica's executor sees it while that replica runs.
@@ -518,16 +496,6 @@ impl EngineQueue {
     }
 }
 
-/// Dense handles of the `depth.*` histograms (see [`MetricsRegistry`]).
-#[derive(Clone, Copy)]
-struct DepthIds {
-    admission: dmt_obs::HistId,
-    lock_queued: dmt_obs::HistId,
-    wait_set: dmt_obs::HistId,
-    sched_queue: dmt_obs::HistId,
-    total: dmt_obs::HistId,
-}
-
 impl Engine {
     pub fn new(scenario: Scenario, cfg: EngineConfig) -> Self {
         Self::with_queue(scenario, cfg, EngineQueue::new())
@@ -547,16 +515,8 @@ impl Engine {
             gc.set_node_latency(NodeId::new(node as u32), Some(one_way));
         }
         let jitter = (0..n).map(|i| rng.split(100 + i as u64)).collect();
-        let mut metrics = MetricsRegistry::new();
-        let depth_ids = cfg.sample_depths.then(|| DepthIds {
-            admission: metrics.histogram("depth.admission"),
-            lock_queued: metrics.histogram("depth.lock_queued"),
-            wait_set: metrics.histogram("depth.wait_set"),
-            sched_queue: metrics.histogram("depth.sched_queue"),
-            total: metrics.histogram("depth.total"),
-        });
+        let metrics = MetricsRegistry::new();
         let tracer = cfg.trace.map_or_else(Tracer::disabled, Tracer::buffered);
-        let observe = tracer.is_enabled() || depth_ids.is_some();
         let host = Host {
             cfg,
             scenario,
@@ -589,8 +549,6 @@ impl Engine {
             deliv_scratch: Vec::new(),
             metrics,
             tracer,
-            depth_ids,
-            observe,
         };
         let this = host.scenario.this_mutex();
         let reps = (0..n)
@@ -1049,7 +1007,6 @@ impl Host {
     fn scheduler(&self, replica: usize) -> Box<AnyScheduler> {
         let sc = SchedConfig::new(self.cfg.scheduler, ReplicaId::new(replica as u32))
             .with_lock_table(self.scenario.lock_table.clone())
-            .with_pds(self.cfg.pds)
             .with_leader(ReplicaId::new(self.leader as u32));
         Box::new(dmt_core::make_scheduler_inline(&sc))
     }
@@ -1156,33 +1113,14 @@ impl Host {
         false
     }
 
-    /// Tracing/sampling side-channel of one dispatch: stamps the
-    /// scheduler's decision records with virtual time and samples queue
-    /// depths. Both paths are disabled by default; the decision vector is
-    /// empty (and was never allocated) when recording is off.
-    fn observe_dispatch<S: Scheduler + ?Sized>(
-        &mut self,
-        replica: usize,
-        sched: &S,
-        out: &SchedOutput,
-    ) {
-        if self.tracer.is_enabled() {
-            let t = self.now_ns();
-            for &d in out.decisions() {
-                self.tracer
-                    .record(t, replica as u32, || TraceEvent::Sched(d));
-            }
-        }
-        if let Some(ids) = self.depth_ids {
-            let d = sched.depths();
-            self.metrics.record(ids.admission, d.admission as u64);
-            self.metrics.record(ids.lock_queued, d.lock_queued as u64);
-            self.metrics.record(ids.wait_set, d.wait_set as u64);
-            self.metrics.record(ids.sched_queue, d.sched_queue as u64);
-            self.metrics.record(ids.total, d.total() as u64);
-            let t = self.now_ns();
+    /// Tracing side-channel of one dispatch: stamps the scheduler's
+    /// decision records with virtual time. The decision vector is empty
+    /// (and was never allocated) when recording is off.
+    fn observe_dispatch(&mut self, replica: usize, out: &SchedOutput) {
+        let t = self.now_ns();
+        for &d in out.decisions() {
             self.tracer
-                .record(t, replica as u32, || TraceEvent::Depth(d));
+                .record(t, replica as u32, || TraceEvent::Sched(d));
         }
     }
 
@@ -1328,9 +1266,9 @@ impl ExecHost for Leg<'_> {
     }
 
     #[inline]
-    fn observe<S: Scheduler + ?Sized>(&mut self, sched: &S, out: &SchedOutput) {
-        if self.host.observe {
-            self.host.observe_dispatch(self.replica, sched, out);
+    fn observe(&mut self, out: &SchedOutput) {
+        if self.host.tracer.is_enabled() {
+            self.host.observe_dispatch(self.replica, out);
         }
     }
 }

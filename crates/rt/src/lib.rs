@@ -108,8 +108,10 @@ impl DetRuntime {
         }
     }
 
-    /// Declares the zero-arg no-op method PDS dummies should run.
+    /// Declares the zero-arg no-op method PDS dummies should run
+    /// (panics on one that takes arguments).
     pub fn with_dummy_method(mut self, m: MethodIdx) -> Self {
+        self.exec.check_dummy_method(m);
         self.host.dummy_method = Some(m);
         self
     }
@@ -124,6 +126,17 @@ impl DetRuntime {
     /// dummy, else the reply to the nested call with the lowest
     /// `(tid, call_no)` once its duration has run out. Nothing left to
     /// deliver and threads unfinished is a deadlock.
+    ///
+    /// A dummy's delivery instant does not matter, only its place among
+    /// the deliveries. PDS, the one kind that asks for dummies, decides
+    /// nothing about the round a dummy fills until the round barrier is
+    /// met, and the barrier waits for a full pool while real work
+    /// remains, which is why the dummy was asked for. The dummy's thread
+    /// id, and with it its age in the pool, is fixed by its place in the
+    /// delivery log. So wherever it lands among the running threads' own
+    /// events, the grants come out the same. The engine relies on the
+    /// same property: there a dummy travels through the total order and
+    /// reaches each replica at a different point of its execution.
     pub fn run(self) -> HarnessResult {
         let (shared, changed) = (Mutex::new((self.exec, self.host)), Condvar::new());
         // A carrier: steps `tid` under the lock whenever it is runnable,
@@ -428,6 +441,15 @@ mod tests {
             let broken_run = || run(&nesting(), broken, &requests);
             assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(broken_run)).is_err());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "dummy method must be zero-arg")]
+    fn a_dummy_method_with_arguments_is_refused() {
+        let program = compile::compile(&mixer());
+        let mix = program.method_by_name("mix").unwrap();
+        let _ = DetRuntime::new(program, MutexId::new(0), sched(SchedulerKind::Pds))
+            .with_dummy_method(mix);
     }
 
     #[test]
