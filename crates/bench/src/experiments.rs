@@ -138,7 +138,7 @@ fn ms(x: f64) -> String {
 
 /// One Figure-1 cell: `n_clients` × `requests_per_client` requests
 /// under `cfg`, which names the scheduler and anything else that
-/// differs between experiments (depth sampling, tracing). Client
+/// differs between experiments (tracing). Client
 /// seed, engine seed and jitter are the Figure-1 sweep's, so every
 /// experiment built on this cell runs the same offered stream. A stalled
 /// run is fatal. Self-contained so cells can run on any worker thread.
@@ -556,7 +556,7 @@ pub fn abl_passive_experiment() -> Table {
         let replayed = replay_on_backup(program.clone(), &log);
         t.push_row(vec![
             kind.to_string(),
-            log.requests.len().to_string(),
+            log.inputs.requests.len().to_string(),
             log.grants.len().to_string(),
             if replayed == Ok(log.state_hash) {
                 "yes".into()

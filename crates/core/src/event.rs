@@ -28,8 +28,9 @@ pub enum CtrlMsg {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedEvent {
     /// A new request arrived (in total order) and a thread was created
-    /// for it. `request_seq` is the request's position in the total order
-    /// — identical on every replica. `dummy` marks PDS filler requests.
+    /// for it. `request_seq` is the request's position among the totally
+    /// ordered requests — identical on every replica. `dummy` marks PDS
+    /// filler requests.
     RequestArrived {
         tid: ThreadId,
         method: MethodIdx,

@@ -9,14 +9,17 @@
 //! the drivers do differently (when a resumed thread runs, what a
 //! compute segment costs, how a nested call is answered, what finishing
 //! a request means, where broadcasts and dummy requests go, and tracing)
-//! sits behind the [`ExecHost`] legs.
+//! sits behind the [`ExecHost`] legs. What the drivers share besides is
+//! the form of a replica's external input: each hands every delivery to
+//! [`ReplicaExec::deliver`] as one [`Input`].
 //!
 //! Thread ids are assigned densely from 0 in delivery order, so every
 //! per-thread table is a slot table indexed by `tid.index()` — no hashing
 //! on the per-event path (see DESIGN.md, dense-ID invariant).
 
 use crate::event::{CtrlMsg, SchedAction, SchedEvent};
-use crate::ids::ThreadId;
+use crate::ids::{ReplicaId, ThreadId};
+use crate::input::{Input, InputLog, Request};
 use crate::obs::SchedOutput;
 use crate::scheduler::Scheduler;
 use crate::slot::{DenseSet, SlotMap};
@@ -62,8 +65,8 @@ pub trait ExecHost {
     /// thread keeps stepping; false: the host steps it again later.
     fn compute(&mut self, tid: ThreadId, dur_ns: u64) -> bool;
 
-    /// `tid` issued its nested call `call_no`; the reply comes back
-    /// through [`ReplicaExec::nested_reply`].
+    /// `tid` issued its nested call `call_no`; the reply comes back as
+    /// an [`Input::Reply`] through [`ReplicaExec::deliver`].
     fn nested(&mut self, tid: ThreadId, call_no: u32, dur_ns: u64);
 
     /// `tid` finished the request tagged `tag` (after its
@@ -78,6 +81,12 @@ pub trait ExecHost {
 
     /// `tid` hit an interpreter fault; the executor parks it for good.
     fn fault(&mut self, _tid: ThreadId, _f: Fault) {}
+
+    /// A control message `from` this very replica: its scheduler already
+    /// acted on it, so the echo is logged but not dispatched.
+    fn own(&self, _from: ReplicaId) -> bool {
+        false
+    }
 
     /// Tracing hook: request `tid` was delivered.
     fn arrived(&mut self, _tid: ThreadId, _dummy: bool) {}
@@ -127,6 +136,8 @@ pub struct ReplicaExec<S: ?Sized, T> {
     awaiting: SlotMap<(u32, u64)>,
     /// Reused action bundle: warm dispatches allocate nothing.
     out: SchedOutput,
+    /// The input consumed so far, when recording.
+    inputs: Option<InputLog>,
     /// Scheduler events fed and actions applied.
     pub sched_events: u64,
     pub sched_actions: u64,
@@ -136,7 +147,8 @@ pub struct ReplicaExec<S: ?Sized, T> {
 }
 
 impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
-    /// `record` arms decision recording in the scheduler output (tracing).
+    /// `record` arms tracing: the scheduler output's decision records
+    /// and the consumed [`InputLog`].
     pub fn new(
         sched: Box<S>,
         program: Arc<CompiledObject>,
@@ -161,6 +173,7 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
             reply_buffer: SlotMap::new(),
             awaiting: SlotMap::new(),
             out,
+            inputs: record.then(InputLog::default),
             sched_events: 0,
             sched_actions: 0,
             retired_steps: 0,
@@ -179,12 +192,58 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
         );
     }
 
-    /// Delivers request number `request_seq` of the total order as the
-    /// next thread, parked for admission.
-    pub fn arrive<H: ExecHost<Tag = T>>(
+    /// Delivers the next entry of this replica's input: a request (with
+    /// its host tag) becomes the next thread, parked for admission; a
+    /// nested reply wakes its caller, or waits in the reply buffer for a
+    /// call not yet issued here; a peer's control message goes to the
+    /// scheduler.
+    #[inline]
+    pub fn deliver<H: ExecHost<Tag = T>>(&mut self, host: &mut H, input: Input<(Request, T)>) {
+        match input {
+            Input::Request(((method, args, dummy), tag)) => {
+                self.record(|| Input::Request((method, args.clone(), dummy)));
+                self.arrive(host, method, args, dummy, tag)
+            }
+            Input::Reply { tid, call_no } => {
+                self.record(|| Input::Reply { tid, call_no });
+                self.nested_reply(host, tid, call_no)
+            }
+            Input::Control { from, msg } => {
+                self.record(|| Input::Control { from, msg });
+                if !host.own(from) {
+                    self.dispatch(host, SchedEvent::Control(msg))
+                }
+            }
+        }
+    }
+
+    /// Arms the [`InputLog`] alone, for a host that hands its input back
+    /// but keeps no trace.
+    pub fn logging_inputs(mut self) -> Self {
+        self.inputs.get_or_insert_with(InputLog::default);
+        self
+    }
+
+    /// Appends the input `f` makes to the log when recording; one
+    /// predictable branch otherwise (built from the matched fields, so
+    /// the untraced engine's deliveries stay in registers).
+    #[inline]
+    fn record(&mut self, f: impl FnOnce() -> Input<Request>) {
+        if let Some(log) = &mut self.inputs {
+            log.push(f());
+        }
+    }
+
+    /// The input consumed so far, if this replica records it.
+    pub fn take_inputs(&mut self) -> Option<InputLog> {
+        self.inputs.take()
+    }
+
+    /// Delivers the next request as the next thread; its thread id is
+    /// its place among the requests.
+    fn arrive<H: ExecHost<Tag = T>>(
         &mut self,
         host: &mut H,
-        request_seq: u64,
         method: MethodIdx,
         args: RequestArgs,
         dummy: bool,
@@ -200,7 +259,7 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
             SchedEvent::RequestArrived {
                 tid,
                 method,
-                request_seq,
+                request_seq: tid.0.into(),
                 dummy,
             },
         );
@@ -208,12 +267,7 @@ impl<S: Scheduler + ?Sized, T: Copy> ReplicaExec<S, T> {
 
     /// Delivers the reply to `tid`'s nested call `call_no`. A reply that
     /// overtook its call (this replica is behind) waits in the buffer.
-    pub fn nested_reply<H: ExecHost<Tag = T>>(
-        &mut self,
-        host: &mut H,
-        tid: ThreadId,
-        call_no: u32,
-    ) {
+    fn nested_reply<H: ExecHost<Tag = T>>(&mut self, host: &mut H, tid: ThreadId, call_no: u32) {
         let i = tid.index();
         if self.awaiting.get(i).map(|&(k, _)| k) == Some(call_no) {
             self.awaiting.remove(i);

@@ -22,7 +22,8 @@
 //! decisions; a lightweight logical harness ([`harness`]) hosts it for
 //! unit and property testing, the full virtual-time replica engine in
 //! `dmt-replica` hosts one per replica, and `dmt-rt` hosts one on real
-//! OS threads.
+//! OS threads. All three feed it one kind of input, the totally ordered
+//! deliveries of [`input`].
 
 pub mod bookkeeping;
 pub mod event;
@@ -30,6 +31,7 @@ pub mod exec;
 pub mod free;
 pub mod harness;
 pub mod ids;
+pub mod input;
 pub mod lsa;
 pub mod mat;
 pub mod obs;
@@ -45,6 +47,7 @@ pub use bookkeeping::{Bookkeeping, EntryChange, EntryState, LockTable, StaticSyn
 pub use event::{CtrlMsg, SchedAction, SchedEvent};
 pub use exec::{Blocked, ExecHost, ReplicaExec};
 pub use ids::{ReplicaId, ThreadId};
+pub use input::{Input, InputLog, Request};
 pub use obs::{Decision, DeferReason, SchedOutput};
 pub use scheduler::{
     make_scheduler, make_scheduler_inline, AnyScheduler, PdsConfig, SchedConfig, Scheduler,

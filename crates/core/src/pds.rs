@@ -19,12 +19,25 @@
 //! the total order. (The naive alternative, letting a woken member join
 //! whatever round its replica happens to be in, makes same-mutex grant
 //! order depend on local timing — our determinism checker caught exactly
-//! that.) A woken thread that still *holds* monitors rejoins the pool
-//! immediately: it must be able to run to its unlocks, or members queued
-//! on those monitors could never proceed. This immediate rejoin is the
-//! one residual timing-sensitive path; it only matters for objects that
-//! suspend *inside* critical sections, which the paper's model (and our
-//! workloads) avoid.
+//! that.) Until its entry comes up the woken thread runs on outside the
+//! pool, so the entry settles it alike whatever it did meanwhile: it
+//! joins collected if it reached a lock, and finished — holding its slot
+//! until the round resolves, as a member finishing in the pool does — if
+//! it finished; if it suspended again, only its latest wake's entry
+//! admits it. A woken thread that still *holds* monitors rejoins the
+//! pool immediately: it must be able to run to its unlocks, or members
+//! queued on those monitors could never proceed. That immediate rejoin
+//! only matters for objects that suspend *inside* critical sections,
+//! which the paper's model (and our workloads) avoid.
+//!
+//! Three paths still depend on local progress, so PDS replicas can
+//! split: a reply that overtook its call wakes the thread at the call,
+//! not at the reply's place in the total order; a dummy that reaches a
+//! replica before its own pool asked for one joins whatever round that
+//! replica is in; and once no real work is left a round runs on a
+//! partial pool and evicts its finished members, so whether the next
+//! request arrives before or after the threads present finish decides
+//! the pools.
 //!
 //! Starvation (paper §3.3): when fewer live requests than pool slots
 //! exist while someone waits for a grant, the scheduler emits
@@ -67,20 +80,24 @@ struct Member {
     pending: Option<dmt_lang::MutexId>,
     grants_used: u32,
     dummy: bool,
+    /// Wake-ups that queued a re-entry: only the latest one's entry
+    /// admits the thread.
+    wakes: u32,
 }
 
 #[derive(Clone, Copy, Debug)]
 enum RoomEntry {
     /// Never ran: admission emits `Admit`.
     Fresh(ThreadId),
-    /// Woken thread gated at a lock: admission collects its request.
-    Reentry(ThreadId),
+    /// Woken thread (wake-up number `.1`): admission collects its
+    /// request, if it reached one.
+    Reentry(ThreadId, u32),
 }
 
 impl RoomEntry {
     fn tid(self) -> ThreadId {
         match self {
-            RoomEntry::Fresh(t) | RoomEntry::Reentry(t) => t,
+            RoomEntry::Fresh(t) | RoomEntry::Reentry(t, _) => t,
         }
     }
 }
@@ -200,14 +217,25 @@ impl PdsScheduler {
                     out.decision(|| Decision::Admit { tid });
                     out.push(SchedAction::Admit(tid));
                 }
-                RoomEntry::Reentry(_) => {
-                    // Stale entries happen: the thread finished while
-                    // queued, suspended *again* (its wake will enqueue a
-                    // fresh entry), or was already re-admitted through an
-                    // earlier entry. Admitting a suspended thread as
-                    // "Running" would wedge the barrier forever.
-                    if self.mref(tid).st != St::Queued || self.mref(tid).in_pool {
+                RoomEntry::Reentry(_, wake) => {
+                    // An entry of an earlier wake is stale: the thread
+                    // suspended again since, and its latest wake queued
+                    // the entry that admits it.
+                    let m = self.mref(tid);
+                    if wake != m.wakes || m.in_pool {
                         continue;
+                    }
+                    match m.st {
+                        // Finished while queued: it takes its slot as a
+                        // member finishing now would.
+                        St::Finished => {
+                            self.join_pool(tid);
+                            continue;
+                        }
+                        St::Queued => {}
+                        // Suspended again: admitting it as "Running"
+                        // would wedge the barrier.
+                        _ => continue,
                     }
                     // May still be running its post-wake computation (no
                     // pending yet) or already gated at its next lock.
@@ -406,6 +434,7 @@ impl Scheduler for PdsScheduler {
                         pending: None,
                         grants_used: 0,
                         dummy,
+                        wakes: 0,
                     },
                 );
                 debug_assert!(prev.is_none(), "{tid} arrived twice");
@@ -485,7 +514,10 @@ impl Scheduler for PdsScheduler {
                     // request instead would race local execution against
                     // arrivals and diverge (found by the checker).
                     self.set_st(tid, St::Queued);
-                    self.waiting_room.push_back(RoomEntry::Reentry(tid));
+                    let m = self.member(tid);
+                    m.wakes += 1;
+                    let wake = m.wakes;
+                    self.waiting_room.push_back(RoomEntry::Reentry(tid, wake));
                 }
                 self.after_change(out);
             }

@@ -14,8 +14,8 @@ use crate::fault::{FaultKind, FaultPlan, FaultRecord, FaultRecordKind};
 use crate::msg::{GcMsg, RequestId, Scenario};
 use crate::trace::ExecutionTrace;
 use dmt_core::{
-    AnyScheduler, CtrlMsg, ExecHost, ReplicaExec, ReplicaId, SchedConfig, SchedEvent, SchedOutput,
-    Scheduler, SchedulerKind, ThreadId,
+    AnyScheduler, CtrlMsg, ExecHost, Input, InputLog, ReplicaExec, ReplicaId, SchedConfig,
+    SchedOutput, Scheduler, SchedulerKind, ThreadId,
 };
 use dmt_groupcomm::{Delivery, GroupComm, NetConfig, NodeId, Sequenced};
 use dmt_lang::{MutexId, RequestArgs};
@@ -305,12 +305,17 @@ pub struct RunResult {
     /// Unified metrics snapshot: engine perf counters, group-comm
     /// traffic (the former `net_stats` field, as `net.*` counters), the
     /// request-latency histogram (`latency.request_ns`, filled from
-    /// [`Self::latencies`]), and — when depth sampling is on — the
-    /// `depth.*` queue-depth histograms. Name-sorted, merges
-    /// commutatively across runs.
+    /// [`Self::latencies`]) and, on a traced run, the `trace.*`
+    /// counters. Name-sorted, merges commutatively across runs.
     pub metrics: MetricsSnapshot,
     /// Structured trace (empty unless [`EngineConfig::trace`] was set).
     pub trace_records: Vec<TraceRecord>,
+    /// Per-replica input logs: every delivery each replica consumed, in
+    /// order, own control echoes included (so a fault-free run's live
+    /// replicas hold equal logs; a recovered replica's misses its
+    /// outage). Recorded only on a traced run ([`EngineConfig::trace`]);
+    /// empty otherwise.
+    pub inputs: Vec<InputLog>,
 }
 
 impl RunResult {
@@ -728,6 +733,7 @@ impl Engine {
                 h.metrics.set_counter(id, v);
             }
         }
+        let inputs = self.reps.iter_mut().filter_map(Rep::take_inputs).collect();
         let traces = self
             .reps
             .iter_mut()
@@ -754,6 +760,7 @@ impl Engine {
             perf: h.perf,
             metrics: h.metrics.snapshot(),
             trace_records: h.tracer.into_records(),
+            inputs,
         };
         (result, EngineQueue(h.queue))
     }
@@ -973,8 +980,7 @@ impl Engine {
         let t = h.now_ns();
         h.tracer
             .record(t, replica as u32, || TraceEvent::GcDeliver { seq });
-        let rep = &mut self.reps[replica];
-        match msg {
+        let input = match msg {
             GcMsg::Request { id, method, dummy } => {
                 let args = if dummy {
                     RequestArgs::empty()
@@ -982,18 +988,12 @@ impl Engine {
                     let table = &h.scenario.clients;
                     table.requests()[table.row(id.client, id.req_no)].1.clone()
                 };
-                let leg = &mut Leg { host: h, replica };
-                rep.arrive(leg, seq, method, args, dummy, (!dummy).then_some(id))
+                Input::Request(((method, args, dummy), (!dummy).then_some(id)))
             }
-            GcMsg::NestedReply { tid, call_no } => {
-                rep.nested_reply(&mut Leg { host: h, replica }, tid, call_no)
-            }
-            GcMsg::Ctrl { from, msg } => {
-                if from.index() != replica {
-                    rep.dispatch(&mut Leg { host: h, replica }, SchedEvent::Control(msg));
-                }
-            }
-        }
+            GcMsg::NestedReply { tid, call_no } => Input::Reply { tid, call_no },
+            GcMsg::Ctrl { from, msg } => Input::Control { from, msg },
+        };
+        self.reps[replica].deliver(&mut Leg { host: h, replica }, input);
     }
 }
 
@@ -1142,6 +1142,10 @@ impl ExecHost for Leg<'_> {
     #[inline]
     fn resumed_inline(&mut self, tid: ThreadId) -> bool {
         self.host.fused_continue(self.replica, tid)
+    }
+
+    fn own(&self, from: ReplicaId) -> bool {
+        from.index() == self.replica
     }
 
     fn compute(&mut self, tid: ThreadId, dur_ns: u64) -> bool {
@@ -1313,6 +1317,22 @@ mod tests {
                 .with_cpu_jitter(0.05),
         )
         .run()
+    }
+
+    #[test]
+    fn only_a_traced_run_logs_its_input() {
+        let kind = SchedulerKind::Lsa;
+        assert!(run(kind, counter_scenario(3, 2), 1).inputs.is_empty());
+        let cfg = EngineConfig::new(kind).with_seed(1).with_tracing();
+        let traced = Engine::new(counter_scenario(3, 2), cfg).run();
+        // Every replica logs every request and every announcement, the
+        // leader its own echoes too.
+        assert_eq!(traced.inputs.len(), 3);
+        for log in &traced.inputs {
+            assert_eq!(log, &traced.inputs[0]);
+            assert_eq!(log.requests.len(), 6);
+            assert_eq!(log.order.len() as u64, 6 + traced.ctrl_messages);
+        }
     }
 
     #[test]

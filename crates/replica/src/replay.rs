@@ -5,16 +5,17 @@
 //! log. Such re-executions are consistent to the state of a failed
 //! primary only if a deterministic scheduling strategy is used."
 //!
-//! A passive primary logs its request stream and its grants: the
-//! acquisitions its scheduler decided (no reentrant re-locks), exactly what
-//! an LSA leader announces (paper §3.2). So a backup replays the log on
-//! LSA's own follower with the log as leader, and reaches the primary's
-//! state under every decision module — FREE included, since a recorded
-//! execution is a deterministic artefact.
+//! A passive primary logs its input (requests, nested replies) and its
+//! grants: the acquisitions its scheduler decided (no reentrant
+//! re-locks), exactly what an LSA leader announces (paper §3.2). So a
+//! backup replays the input on LSA's own follower, with the grants at the
+//! head of the input as the leader's announcements, and reaches the
+//! primary's state under every decision module — FREE included, since a
+//! recorded execution is a deterministic artefact.
 
 use crate::msg::this_mutex;
 use dmt_core::{
-    harness::Harness, make_scheduler, CtrlMsg, ReplicaId, SchedConfig, SchedEvent, SchedOutput,
+    harness::Harness, make_scheduler, CtrlMsg, Input, InputLog, ReplicaId, SchedConfig,
     SchedulerKind, ThreadId,
 };
 use dmt_lang::{CompiledObject, MethodIdx, MutexId, RequestArgs};
@@ -24,8 +25,9 @@ use std::sync::Arc;
 /// What a passive primary persists.
 #[derive(Clone, Debug)]
 pub struct PrimaryLog {
-    /// Delivered requests in total order (method, args, dummy).
-    pub requests: Vec<(MethodIdx, RequestArgs, bool)>,
+    /// The primary's input: requests (method, args, dummy) and nested
+    /// replies in delivery order.
+    pub inputs: InputLog,
     /// Grants in primary order (thread, mutex): the acquisitions its
     /// scheduler decided, no reentrant re-locks.
     pub grants: Vec<(ThreadId, MutexId)>,
@@ -70,7 +72,7 @@ pub fn record_primary(
         "primary execution deadlocked; nothing to replay"
     );
     PrimaryLog {
-        requests: res.request_log,
+        inputs: res.input_log(),
         grants: res.lock_trace,
         state_hash: res.state.state_hash(),
     }
@@ -82,25 +84,24 @@ pub fn replay_on_backup(
     program: Arc<CompiledObject>,
     log: &PrimaryLog,
 ) -> Result<u64, ReplayStalled> {
-    // A follower of replica 0, which never runs here: the log announces
-    // its grants, numbered per mutex from 0, before the first request.
-    let mut sched = make_scheduler(&SchedConfig::new(SchedulerKind::Lsa, ReplicaId::new(1)));
-    let (mut next, mut out) = (Vec::new(), SchedOutput::new());
+    // A follower of replica 0, which never runs here: its grants,
+    // numbered per mutex from 0, head the input as its announcements.
+    let (leader, mut next, mut inputs) = (ReplicaId::new(0), Vec::new(), InputLog::default());
     for &(tid, mutex) in &log.grants {
         let i = mutex.index();
         next.resize(next.len().max(i + 1), 0);
         let order = next[i];
         next[i] += 1;
-        let ev = SchedEvent::Control(CtrlMsg::LsaGrant { mutex, tid, order });
-        sched.on_event(&ev, &mut out);
+        let msg = CtrlMsg::LsaGrant { mutex, tid, order };
+        inputs.push(Input::Control { from: leader, msg });
     }
-    let this = this_mutex(&program, log.requests.iter().map(|(_, a, _)| a));
-    let mut h = Harness::new(program, this, sched);
-    for (m, a, _dummy) in &log.requests {
-        h.submit(*m, a.clone());
+    for input in log.inputs.iter() {
+        inputs.push(input.map(Clone::clone));
     }
-    let res = h.run();
-    let (finished, requests) = (res.finished_threads, log.requests.len());
+    let sched = make_scheduler(&SchedConfig::new(SchedulerKind::Lsa, ReplicaId::new(1)));
+    let this = this_mutex(&program, log.inputs.requests.iter().map(|(_, a, _)| a));
+    let res = Harness::new(program, this, sched).replay(&inputs);
+    let (finished, requests) = (res.finished_threads, log.inputs.requests.len());
     if res.deadlocked {
         Err(ReplayStalled { finished, requests })
     } else {
@@ -175,7 +176,7 @@ mod tests {
             Some(noop),
         );
         assert!(
-            log.requests.iter().any(|&(_, _, d)| d),
+            log.inputs.requests.iter().any(|&(_, _, d)| d),
             "expected dummies in the log"
         );
         let replayed = replay_on_backup(program, &log);
@@ -237,7 +238,7 @@ mod tests {
         let mut log = record_primary(program.clone(), SchedulerKind::Sat, requests(mix, 4), None);
         // The first turn on the monitor goes to a thread past the request
         // count: every logged thread waits behind it for good.
-        let ghost = ThreadId::new(log.requests.len() as u32);
+        let ghost = ThreadId::new(log.inputs.requests.len() as u32);
         let mutex = log.grants[0].1;
         log.grants.insert(0, (ghost, mutex));
         assert_eq!(

@@ -5,13 +5,15 @@
 //! object with one OS thread per request; threads take turns at
 //! observable points (a thread steps its VM only under the runtime lock)
 //! and run in parallel elsewhere (compute segments sleep outside it).
-//! Under a deterministic scheduler, grant order and state do not depend
-//! on the threads' timing.
+//! It decides no input of its own: it consumes an [`InputLog`] — one
+//! the harness generated, or one an engine replica recorded. Under a
+//! deterministic scheduler, grant order and state are a function of that
+//! log, not of the threads' timing.
 
 use dmt_core::exec::{ExecHost, ReplicaExec};
 use dmt_core::harness::HarnessResult;
-use dmt_core::{CtrlMsg, DenseSet, Scheduler, ThreadId};
-use dmt_lang::{CompiledObject, MethodIdx, MutexId, RequestArgs};
+use dmt_core::{CtrlMsg, DenseSet, Input, InputLog, Scheduler, ThreadId};
+use dmt_lang::{CompiledObject, MutexId};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -21,7 +23,7 @@ type Exec = ReplicaExec<dyn Scheduler, ()>;
 
 const POISONED: &str = "a thread of the run panicked under the lock";
 
-/// The runtime's legs: which carriers may step, what waits for delivery.
+/// The runtime's legs: which carriers may step, which calls are out.
 #[derive(Default)]
 struct Carriers {
     /// Threads scheduled and not yet stepped by their carrier.
@@ -32,10 +34,6 @@ struct Carriers {
     compute: Option<Duration>,
     /// Issued nested calls by `(tid, call_no)`: when each runs out.
     calls: BTreeMap<(ThreadId, u32), Instant>,
-    /// `(method, args, dummy)` in delivery order: thread `n` runs `n`.
-    log: Vec<(MethodIdx, RequestArgs, bool)>,
-    /// Method used for PDS dummy requests (no-op, zero-arg).
-    dummy_method: Option<MethodIdx>,
     /// The run is over: parked carriers exit.
     done: bool,
 }
@@ -72,10 +70,8 @@ impl ExecHost for Carriers {
     /// One replica: no peers to inform.
     fn broadcast(&mut self, _msg: CtrlMsg) {}
 
-    fn dummy(&mut self) {
-        let method = self.dummy_method.expect("dummy requested, no dummy method");
-        self.log.push((method, RequestArgs::empty(), true));
-    }
+    /// The log holds every dummy the run delivers.
+    fn dummy(&mut self) {}
 }
 
 /// Wakes every waiter when a thread of the run unwinds, so a panic
@@ -89,8 +85,7 @@ impl Drop for WakeOnDrop<'_> {
     }
 }
 
-/// Runs one object replica on real OS threads under one scheduler, with
-/// the [`dmt_core::harness::Harness`] API.
+/// Runs one object replica on real OS threads under one scheduler.
 pub struct DetRuntime {
     exec: Exec,
     host: Carriers,
@@ -103,41 +98,19 @@ impl DetRuntime {
         scheduler: Box<dyn Scheduler>,
     ) -> Self {
         DetRuntime {
-            exec: ReplicaExec::new(scheduler, program, this_mutex, false),
+            exec: ReplicaExec::new(scheduler, program, this_mutex, false).logging_inputs(),
             host: Carriers::default(),
         }
     }
 
-    /// Declares the zero-arg no-op method PDS dummies should run
-    /// (panics on one that takes arguments).
-    pub fn with_dummy_method(mut self, m: MethodIdx) -> Self {
-        self.exec.check_dummy_method(m);
-        self.host.dummy_method = Some(m);
-        self
-    }
-
-    /// Queues a client request (delivered in submission order).
-    pub fn submit(&mut self, method: MethodIdx, args: RequestArgs) {
-        self.host.log.push((method, args, false));
-    }
-
-    /// Delivers every submitted request at once. Then, whenever no
-    /// carrier is runnable, stepping or computing, delivers a requested
-    /// dummy, else the reply to the nested call with the lowest
-    /// `(tid, call_no)` once its duration has run out. Nothing left to
-    /// deliver and threads unfinished is a deadlock.
-    ///
-    /// A dummy's delivery instant does not matter, only its place among
-    /// the deliveries. PDS, the one kind that asks for dummies, decides
-    /// nothing about the round a dummy fills until the round barrier is
-    /// met, and the barrier waits for a full pool while real work
-    /// remains, which is why the dummy was asked for. The dummy's thread
-    /// id, and with it its age in the pool, is fixed by its place in the
-    /// delivery log. So wherever it lands among the running threads' own
-    /// events, the grants come out the same. The engine relies on the
-    /// same property: there a dummy travels through the total order and
-    /// reaches each replica at a different point of its execution.
-    pub fn run(self) -> HarnessResult {
+    /// Consumes `log` in order and reports. A request or control message
+    /// is delivered as soon as it is reached, so compute segments
+    /// overlap. A reply waits until its call has been issued and its
+    /// duration has run out; if the replica goes quiescent (no carrier
+    /// runnable, stepping or computing) before its call is issued, it is
+    /// delivered anyway and waits in the reply buffer, as on the harness.
+    /// Threads left unfinished when the log runs out are a deadlock.
+    pub fn run(self, log: &InputLog) -> HarnessResult {
         let (shared, changed) = (Mutex::new((self.exec, self.host)), Condvar::new());
         // A carrier: steps `tid` under the lock whenever it is runnable,
         // and sleeps its compute segments outside the lock.
@@ -165,60 +138,63 @@ impl DetRuntime {
         };
         thread::scope(|scope| {
             let _wake = WakeOnDrop(&changed);
-            // Delivers request `seq` of the log and spawns its carrier.
-            let deliver = |(exec, host): &mut (Exec, Carriers), seq: usize| {
-                let (method, args, dummy) = host.log[seq].clone();
-                exec.arrive(host, seq as u64, method, args, dummy, ());
-                let carry = &carry;
-                scope.spawn(move || carry(ThreadId::new(seq as u32)));
-            };
+            let mut inputs = log.iter().peekable();
+            let mut threads = 0;
             let mut g = shared.lock().expect(POISONED);
-            let mut delivered = g.1.log.len();
-            for seq in 0..delivered {
-                deliver(&mut g, seq);
-            }
             loop {
                 let (exec, host) = &mut *g;
-                if host.active > 0 {
-                    g = changed.wait(g).expect(POISONED);
-                    continue;
+                let quiescent = host.active == 0;
+                // How long the next input waits; `None`: until the run changes.
+                let left = match inputs.peek() {
+                    None if quiescent => break,
+                    None => None,
+                    Some(&Input::Reply { tid, call_no }) => match host.calls.get(&(tid, call_no)) {
+                        Some(due) => Some(due.saturating_duration_since(Instant::now())),
+                        None => quiescent.then_some(Duration::ZERO),
+                    },
+                    Some(_) => Some(Duration::ZERO),
+                };
+                match left {
+                    Some(Duration::ZERO) => {}
+                    Some(left) => {
+                        g = changed.wait_timeout(g, left).expect(POISONED).0;
+                        continue;
+                    }
+                    None => {
+                        g = changed.wait(g).expect(POISONED);
+                        continue;
+                    }
                 }
-                if delivered < host.log.len() {
-                    deliver(&mut g, delivered);
-                    delivered += 1;
-                } else if let Some(((tid, call_no), due)) = host.calls.pop_first() {
-                    // Quiescent: no carrier wants the lock meanwhile.
-                    thread::sleep(due.saturating_duration_since(Instant::now()));
-                    exec.nested_reply(host, tid, call_no);
-                } else {
-                    break;
+                let input = inputs.next().expect("peeked").map(Clone::clone);
+                if let Input::Request(_) = input {
+                    // Its carrier waits for the lock, held until the
+                    // delivery is done.
+                    let tid = ThreadId::new(threads);
+                    threads += 1;
+                    let carry = &carry;
+                    scope.spawn(move || carry(tid));
                 }
+                exec.deliver(host, input.map(|r| (r, ())));
                 // The delivery may have scheduled parked threads.
                 changed.notify_all();
             }
             g.1.done = true;
             changed.notify_all();
         });
-        let (exec, host) = shared.into_inner().expect(POISONED);
-        HarnessResult {
-            deadlocked: exec.finished as usize != host.log.len(),
-            dummy_threads: host.log.iter().filter(|r| r.2).count(),
-            finished_threads: exec.finished as usize,
-            state: exec.state,
-            lock_trace: exec.grants,
-            request_log: host.log,
-        }
+        let (exec, _) = shared.into_inner().expect(POISONED);
+        HarnessResult::of(exec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmt_core::harness::Harness;
     use dmt_core::{
         make_scheduler, ReplicaId, SchedConfig, SchedEvent, SchedOutput, SchedulerKind, SyncCore,
     };
     use dmt_lang::ast::{CondExpr, CountExpr, IntExpr, MutexExpr, ObjectImpl};
-    use dmt_lang::{compile, DurExpr, ObjectBuilder, ServiceId, Value};
+    use dmt_lang::{compile, DurExpr, ObjectBuilder, RequestArgs, ServiceId, Value};
     use dmt_sim::SplitMix64;
 
     const CONCURRENT: [SchedulerKind; 6] = [
@@ -230,7 +206,8 @@ mod tests {
         SchedulerKind::Pmat,
     ];
 
-    /// Runs `requests` (by method name) on real threads under `sched`.
+    /// Runs `requests` (by method name) on real threads under `sched`,
+    /// in the order a harness of the same kind delivered them.
     fn run(
         obj: &ObjectImpl,
         sched: Box<dyn Scheduler>,
@@ -238,13 +215,14 @@ mod tests {
     ) -> HarnessResult {
         let program = compile::compile(obj);
         let noop = program.method_by_name("noop").unwrap();
-        let mut rt =
-            DetRuntime::new(program.clone(), MutexId::new(0), sched).with_dummy_method(noop);
+        let mut h = Harness::new(program.clone(), MutexId::new(0), self::sched(sched.kind()))
+            .with_dummy_method(noop);
         for (name, args) in requests {
             let method = program.method_by_name(name).unwrap();
-            rt.submit(method, RequestArgs::new(args));
+            h.submit(method, RequestArgs::new(args));
         }
-        rt.run()
+        let log = h.run().input_log();
+        DetRuntime::new(program, MutexId::new(0), sched).run(&log)
     }
 
     fn sched(kind: SchedulerKind) -> Box<dyn Scheduler> {
@@ -441,15 +419,6 @@ mod tests {
             let broken_run = || run(&nesting(), broken, &requests);
             assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(broken_run)).is_err());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "dummy method must be zero-arg")]
-    fn a_dummy_method_with_arguments_is_refused() {
-        let program = compile::compile(&mixer());
-        let mix = program.method_by_name("mix").unwrap();
-        let _ = DetRuntime::new(program, MutexId::new(0), sched(SchedulerKind::Pds))
-            .with_dummy_method(mix);
     }
 
     #[test]

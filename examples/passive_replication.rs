@@ -33,7 +33,7 @@ fn main() {
         println!(
             "{:<8} {:>9} {:>8}  {}",
             kind.to_string(),
-            log.requests.len(),
+            log.inputs.requests.len(),
             log.grants.len(),
             verdict
         );

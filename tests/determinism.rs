@@ -87,39 +87,54 @@ fn bank_two_lock_convergence() {
     }
 }
 
-#[test]
-fn synthesized_programs_converge() {
-    // Random programs over the full grammar (branches, loops, calls,
-    // virtual dispatch, every lock-parameter class, nested invocations).
+/// Synth seed `seed` as a scenario on its transformed program, with the
+/// lock table and the `noop` dummy: `clients` closed-loop clients of
+/// `per_client` requests each, drawn from `arg_seed`.
+fn synth_scenario(
+    seed: u64,
+    arg_seed: u64,
+    clients: usize,
+    per_client: usize,
+) -> dmt::replica::Scenario {
     use dmt::replica::{ClientScript, Scenario};
     use dmt::sim::SplitMix64;
     let cfg = synth::SynthConfig::default();
+    let obj = synth::random_object(seed, &cfg);
+    let table = dmt::analysis::build_lock_table(&obj);
+    let transformed = dmt::analysis::transform(&obj);
+    let program = dmt::lang::compile::compile(&transformed);
+    let starts: Vec<_> = (0..obj.methods.len())
+        .map(|i| dmt::lang::MethodIdx::new(i as u32))
+        .filter(|&m| obj.method(m).public && obj.method(m).name != "noop")
+        .collect();
+    let mut arg_rng = SplitMix64::new(arg_seed);
+    let clients: Vec<ClientScript> = (0..clients)
+        .map(|_| {
+            ClientScript::closed(
+                (0..per_client)
+                    .map(|_| {
+                        let m = *arg_rng.choose(&starts).expect("has starts");
+                        (m, synth::random_args(&mut arg_rng, &cfg))
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let dummy = program.method_by_name("noop").expect("noop exists");
+    Scenario::new(program, clients)
+        .with_lock_table(table)
+        .with_dummy_method(dummy)
+}
+
+#[test]
+fn synthesized_programs_converge() {
+    // Random programs over the full grammar (branches, loops, calls,
+    // virtual dispatch, every lock-parameter class, nested invocations):
+    // 3 clients x 2 requests, and the harness corpus's six requests
+    // (drawn as in `tests/harness_golden.rs`) as six one-request
+    // clients, whose arrivals all overlap.
     for seed in 0..6u64 {
-        let obj = synth::random_object(seed, &cfg);
-        let table = dmt::analysis::build_lock_table(&obj);
-        let transformed = dmt::analysis::transform(&obj);
-        let program = dmt::lang::compile::compile(&transformed);
-        let starts: Vec<_> = (0..obj.methods.len())
-            .map(|i| dmt::lang::MethodIdx::new(i as u32))
-            .filter(|&m| obj.method(m).public && obj.method(m).name != "noop")
-            .collect();
-        let mut arg_rng = SplitMix64::new(seed ^ 0xabcd);
-        let clients: Vec<ClientScript> = (0..3)
-            .map(|_| {
-                ClientScript::closed(
-                    (0..2)
-                        .map(|_| {
-                            let m = *arg_rng.choose(&starts).expect("has starts");
-                            (m, synth::random_args(&mut arg_rng, &cfg))
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        let dummy = program.method_by_name("noop").expect("noop exists");
-        let scenario = Scenario::new(program, clients)
-            .with_lock_table(table)
-            .with_dummy_method(dummy);
+        let scenario = synth_scenario(seed, seed ^ 0xabcd, 3, 2);
         for kind in SchedulerKind::DETERMINISTIC {
             let (res, outcome) = check_determinism(scenario.clone(), kind, seed, 0.3);
             assert!(!res.deadlocked, "synth {seed} under {kind}");
@@ -127,6 +142,17 @@ fn synthesized_programs_converge() {
                 outcome.converged(),
                 "synth {seed} under {kind}: {outcome:?}"
             );
+        }
+    }
+    for seed in 0..10u64 {
+        let scenario = synth_scenario(seed, seed ^ 0x1234, 6, 1);
+        for kind in SchedulerKind::DETERMINISTIC {
+            for jitter_seed in 0..20 {
+                let (res, outcome) = check_determinism(scenario.clone(), kind, jitter_seed, 0.3);
+                let at = format!("synth {seed} under {kind}, jitter seed {jitter_seed}");
+                assert!(!res.deadlocked, "{at}");
+                assert!(outcome.converged(), "{at}: {outcome:?}");
+            }
         }
     }
 }
